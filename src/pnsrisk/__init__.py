@@ -7,7 +7,8 @@ deviation bounds (`risk`).  Learned machinery: a small reverse-mode
 autodiff core (`autodiff`), Gaussian encoders and linear labelers
 (`model`), and the adversarial training loop (`train`).  Harness: the
 planted-factor synthetic benchmark (`synth`), distance-correlation
-evaluation (`evaluate`), and the `pnsrisk` command line (`cli`).
+evaluation (`evaluate`), and the `pnsrisk` command line (`cli`).  Every
+random draw comes from a keyed Philox stream (`streams`).
 """
 
 from .autodiff import Tensor, check_gradients, constant, parameter

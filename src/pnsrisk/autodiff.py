@@ -20,30 +20,30 @@ __all__ = [
     "elu",
     "relu",
     "sigmoid",
+    "sigmoid_np",
     "softplus",
     "pairwise_mean_distance",
     "check_gradients",
 ]
 
 
-def _as_f64(data):
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError("non-finite value entering the graph")
-    return arr
-
-
 class Tensor:
     """A graph node: float64 value, parents, and a backward rule.
 
     The backward rule maps the gradient at this node to gradient
-    contributions for each parent, in parent order.
+    contributions for each parent, in parent order.  The value is
+    checked once, here: a non-finite value raises FloatingPointError
+    naming the op that produced it, or saying it entered as a leaf.
     """
 
     __slots__ = ("data", "grad", "parents", "_backward", "name")
 
     def __init__(self, data, parents=(), backward=None, name=None):
-        self.data = _as_f64(data)
+        self.data = np.asarray(data, dtype=np.float64)
+        if not np.all(np.isfinite(self.data)):
+            if parents:
+                raise FloatingPointError(f"{name} produced a non-finite value")
+            raise FloatingPointError("non-finite value entering the graph")
         self.grad = None
         self.parents = tuple(parents)
         self._backward = backward
@@ -141,7 +141,7 @@ def parameter(data, name=None):
 
 
 def constant(data, name=None):
-    """A leaf excluded from nothing; it simply has no parents."""
+    """An untrained leaf; unlike parameter(), it wraps data without copying."""
     return Tensor(data, name=name)
 
 
@@ -170,14 +170,6 @@ def _toposort(root):
                 stack.append((parent, False))
     order.reverse()
     return order
-
-
-def _node(data, parents, backward, name):
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        out = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError(f"{name} produced a non-finite value")
-    return Tensor(out, parents=parents, backward=backward, name=name)
 
 
 def _unbroadcast(g, shape):
@@ -218,14 +210,14 @@ def _add(a, b):
     def backward(g):
         return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
 
-    return _node(a.data + b.data, (a, b), backward, "add")
+    return Tensor(a.data + b.data, (a, b), backward, "add")
 
 
 def _neg(a):
     def backward(g):
         return (-g,)
 
-    return _node(-a.data, (a,), backward, "neg")
+    return Tensor(-a.data, (a,), backward, "neg")
 
 
 def _mul(a, b):
@@ -237,7 +229,7 @@ def _mul(a, b):
             _unbroadcast(g * a.data, b.data.shape),
         )
 
-    return _node(a.data * b.data, (a, b), backward, "mul")
+    return Tensor(a.data * b.data, (a, b), backward, "mul")
 
 
 def _matmul(a, b):
@@ -250,7 +242,7 @@ def _matmul(a, b):
         def backward(g):
             return (np.outer(g, b.data), a.data.T @ g)
 
-        return _node(a.data @ b.data, (a, b), backward, "matmul")
+        return Tensor(a.data @ b.data, (a, b), backward, "matmul")
     if b.data.ndim == 2:
         if a.data.shape[1] != b.data.shape[0]:
             raise ValueError(f"matmul: {a.data.shape} @ {b.data.shape}")
@@ -258,7 +250,7 @@ def _matmul(a, b):
         def backward(g):
             return (g @ b.data.T, a.data.T @ g)
 
-        return _node(a.data @ b.data, (a, b), backward, "matmul")
+        return Tensor(a.data @ b.data, (a, b), backward, "matmul")
     raise ValueError(f"matmul: right operand must be 1-d or 2-d, got {b.data.shape}")
 
 
@@ -269,7 +261,7 @@ def _sum(a, axis):
         return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
 
     out = a.data.sum() if axis is None else a.data.sum(axis=axis)
-    return _node(out, (a,), backward, "sum")
+    return Tensor(out, (a,), backward, "sum")
 
 
 def _sqrt(a):
@@ -278,7 +270,7 @@ def _sqrt(a):
     def backward(g):
         return (g * 0.5 / out,)
 
-    return _node(out, (a,), backward, "sqrt")
+    return Tensor(out, (a,), backward, "sqrt")
 
 
 def _exp(a):
@@ -289,7 +281,7 @@ def _exp(a):
     def backward(g):
         return (g * out,)
 
-    return _node(out, (a,), backward, "exp")
+    return Tensor(out, (a,), backward, "exp")
 
 
 def _log(a):
@@ -300,7 +292,7 @@ def _log(a):
     def backward(g):
         return (g / a.data,)
 
-    return _node(out, (a,), backward, "log")
+    return Tensor(out, (a,), backward, "log")
 
 
 def relu(a):
@@ -309,7 +301,7 @@ def relu(a):
     def backward(g):
         return (g * mask,)
 
-    return _node(np.where(mask, a.data, 0.0), (a,), backward, "relu")
+    return Tensor(np.where(mask, a.data, 0.0), (a,), backward, "relu")
 
 
 def elu(a):
@@ -322,38 +314,40 @@ def elu(a):
     def backward(g):
         return (g * local,)
 
-    return _node(out, (a,), backward, "elu")
+    return Tensor(out, (a,), backward, "elu")
 
 
-def sigmoid(a):
-    """Logistic function, branch-stabilized so neither tail overflows."""
-    x = a.data
+def sigmoid_np(x):
+    """Logistic function of an array, branch-stabilized so neither tail
+    overflows."""
     out = np.empty_like(x)
     pos = x >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a):
+    """Logistic function; see sigmoid_np."""
+    out = sigmoid_np(a.data)
 
     def backward(g):
         return (g * out * (1.0 - out),)
 
-    return _node(out, (a,), backward, "sigmoid")
+    return Tensor(out, (a,), backward, "sigmoid")
 
 
 def softplus(a):
     """log(1 + exp(x)) computed as max(x, 0) + log1p(exp(-|x|))."""
     x = a.data
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    sig = np.empty_like(x)
-    pos = x >= 0.0
-    sig[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    sig[~pos] = ex / (1.0 + ex)
+    sig = sigmoid_np(x)
 
     def backward(g):
         return (g * sig,)
 
-    return _node(out, (a,), backward, "softplus")
+    return Tensor(out, (a,), backward, "softplus")
 
 
 def affine(x, w, b):
@@ -385,7 +379,7 @@ def pairwise_mean_distance(a, b):
         unit = diff / dist[:, :, None]
         return (scale * unit.sum(axis=1), -scale * unit.sum(axis=0))
 
-    return _node(out, (a, b), backward, "pairwise_mean_distance")
+    return Tensor(out, (a, b), backward, "pairwise_mean_distance")
 
 
 def check_gradients(build_loss, params, step=1e-5):

@@ -9,13 +9,15 @@ Subcommands:
     bounds   run the domain-shift and deviation bound suites
     repro    end-to-end pipeline: generate, train a grid, aggregate, check
 
-Two plain-text config formats are used.  Flat files (``train --config``)
-hold one ``key = value`` line per field of TrainConfig.  Experiment files
-(``repro --spec``) add ``[section]`` headers: ``[experiment]``, ``[synth]``,
-``[train]``, ``[grid]``, ``[acceptance]``.  Blank lines and ``#`` comments
-are ignored everywhere; unknown keys are errors.  Every CSV written by any
-subcommand gets a ``<name>.sha256`` sidecar holding the hash of the
-normalized config that generated it.
+Configs are ``key = value`` lines, all read by one reader.  Experiment
+files (``repro --spec``) group them under ``[section]`` headers:
+``[experiment]``, ``[synth]``, ``[train]``, ``[grid]``, ``[acceptance]``.
+A flat file (``train --config``, and the ``.config`` neighbour of a
+dataset) is a body with no sections, one line per field of its config
+class.  Blank lines and ``#`` comments are ignored everywhere; unknown
+keys are errors.  Every CSV written by any subcommand gets a
+``<name>.sha256`` sidecar holding the hash of the normalized config that
+generated it.
 """
 
 import argparse
@@ -24,6 +26,7 @@ import hashlib
 import statistics
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +65,11 @@ def _format_value(value):
     return str(value)
 
 
+def _list_of(parse, text):
+    """A comma-separated list; empty items are skipped."""
+    return tuple(parse(tok.strip()) for tok in text.split(",") if tok.strip())
+
+
 def _parse_like(text, default):
     """Parse ``text`` with the type implied by a field's default value."""
     if isinstance(default, bool):
@@ -73,76 +81,89 @@ def _parse_like(text, default):
     if isinstance(default, float):
         return float(text)
     if isinstance(default, tuple):
-        return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
+        return _list_of(int, text)
     if default is None:  # optional float, e.g. fixed_var
         return None if text == "none" else float(text)
     return text
 
 
-def _config_lines(text):
+def _field_parsers(config_cls):
+    return {f.name: partial(_parse_like, default=f.default) for f in fields(config_cls)}
+
+
+def _read_body(text, schema):
+    """Read ``key = value`` lines into {section: {key: parsed value}}.
+
+    schema maps each section name to {key: parser}.  A flat body has the
+    single section None and takes no ``[section]`` headers.  The first
+    malformed line raises ConfigError("line <n>: ...").
+    """
+    body = {name: {} for name in schema}
+    seen = set()
+    section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-def _split_key_value(lineno, line):
-    if "=" not in line:
-        raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-    key, _, raw = line.partition("=")
-    return key.strip(), raw.strip()
-
-
-def _parse_flat(text, config_cls):
-    """Parse a flat key=value block into a config dataclass."""
-    defaults = {f.name: f.default for f in fields(config_cls)}
-    overrides = {}
-    for lineno, line in _config_lines(text):
-        key, raw = _split_key_value(lineno, line)
-        if key not in defaults:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in overrides:
+        if not line:
+            continue
+        if None not in schema and line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section not in schema:
+                raise ConfigError(f"line {lineno}: unknown section {section!r}")
+            if section in seen:
+                raise ConfigError(f"line {lineno}: repeated section {section!r}")
+            seen.add(section)
+            continue
+        if section not in schema:
+            raise ConfigError(f"line {lineno}: key outside any section")
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in schema[section]:
+            where = "" if section is None else f" in [{section}]"
+            raise ConfigError(f"line {lineno}: unknown key {key!r}{where}")
+        if key in body[section]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            overrides[key] = _parse_like(raw, defaults[key])
+            body[section][key] = schema[section][key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
+    return body
+
+
+def _build(config_cls, values, section=None):
+    """config_cls(**values), with its ValueError as a ConfigError."""
     try:
-        return config_cls(**overrides)
+        return config_cls(**values)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(str(exc) if section is None else f"[{section}]: {exc}") from None
 
 
-def _serialize_flat(config):
+def parse_flat(text, config_cls):
+    """Parse a flat key=value file into a config dataclass."""
+    return _build(config_cls, _read_body(text, {None: _field_parsers(config_cls)})[None])
+
+
+def serialize_flat(config):
+    """One line per field; parse_flat(serialize_flat(c), type(c)) == c."""
     return "".join(
         f"{f.name} = {_format_value(getattr(config, f.name))}\n"
         for f in fields(type(config))
     )
 
 
-def parse_train_config(text):
-    return _parse_flat(text, TrainConfig)
-
-
-def serialize_train_config(config):
-    return _serialize_flat(config)
-
-
-def parse_synth_config(text):
-    return _parse_flat(text, SynthConfig)
-
-
-def serialize_synth_config(config):
-    return _serialize_flat(config)
-
-
 # --------------------------------------------------------------------------
 # experiment specs
 
 
-_SECTIONS = ("experiment", "synth", "train", "grid", "acceptance")
-_GRID_KEYS = ("delta", "lam", "variant", "seed")
+_GRID_PARSERS = {"delta": float, "lam": float, "variant": str, "seed": int}
 _CHECK_KEYS = ("dcor_sn_min", "dcor_gap_min", "ablation_margin")
+_SPEC_SCHEMA = {
+    "experiment": {"name": str},
+    "synth": _field_parsers(SynthConfig),
+    "train": _field_parsers(TrainConfig),
+    "grid": {key: partial(_list_of, parse) for key, parse in _GRID_PARSERS.items()},
+    "acceptance": dict.fromkeys(_CHECK_KEYS, float),
+}
 
 
 @dataclass(frozen=True)
@@ -193,96 +214,23 @@ class ExperimentSpec:
 
 def parse_config(text):
     """Parse a sectioned experiment spec; strict about keys and sections."""
-    raw = {name: {} for name in _SECTIONS}
-    seen = set()
-    section = None
-    for lineno, line in _config_lines(text):
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                raise ConfigError(f"line {lineno}: unknown section {name!r}")
-            if name in seen:
-                raise ConfigError(f"line {lineno}: repeated section {name!r}")
-            seen.add(name)
-            section = name
-            continue
-        if section is None:
-            raise ConfigError(f"line {lineno}: key outside any section")
-        key, value = _split_key_value(lineno, line)
-        if key in raw[section]:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[section][key] = (lineno, value)
-    return _build_spec(raw)
-
-
-def _pop_section(raw, name, allowed):
-    entries = raw[name]
-    for key, (lineno, _) in entries.items():
-        if key not in allowed:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{name}]")
-    return entries
-
-
-def _build_spec(raw):
-    exp = _pop_section(raw, "experiment", ("name",))
-    name = exp["name"][1] if "name" in exp else "experiment"
-
-    def flat_config(section, config_cls):
-        defaults = {f.name: f.default for f in fields(config_cls)}
-        entries = _pop_section(raw, section, tuple(defaults))
-        overrides = {}
-        for key, (lineno, value) in entries.items():
-            try:
-                overrides[key] = _parse_like(value, defaults[key])
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from None
-        try:
-            return config_cls(**overrides)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}]: {exc}") from None
-
-    synth = flat_config("synth", SynthConfig)
-    train_cfg = flat_config("train", TrainConfig)
-
-    grid_entries = _pop_section(raw, "grid", _GRID_KEYS)
-    grid = {}
-    parsers = {"delta": float, "lam": float, "variant": str, "seed": int}
-    for key, (lineno, value) in grid_entries.items():
-        tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
-        try:
-            grid[key] = tuple(parsers[key](tok) for tok in tokens)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-
-    checks = {}
-    for key, (lineno, value) in _pop_section(raw, "acceptance", _CHECK_KEYS).items():
-        try:
-            checks[key] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-
-    try:
-        return ExperimentSpec(
-            name=name,
-            synth=synth,
-            train=train_cfg,
-            grid_delta=grid.get("delta"),
-            grid_lam=grid.get("lam"),
-            grid_variant=grid.get("variant"),
-            grid_seed=grid.get("seed"),
-            **checks,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    body = _read_body(text, _SPEC_SCHEMA)
+    return _build(ExperimentSpec, {
+        **body["experiment"],
+        "synth": _build(SynthConfig, body["synth"], "synth"),
+        "train": _build(TrainConfig, body["train"], "train"),
+        **{f"grid_{key}": values for key, values in body["grid"].items()},
+        **body["acceptance"],
+    })
 
 
 def serialize_config(spec):
     """Canonical text for a spec; parse(serialize(spec)) == spec."""
     lines = ["[experiment]", f"name = {spec.name}", ""]
-    lines += ["[synth]"] + _serialize_flat(spec.synth).splitlines() + [""]
-    lines += ["[train]"] + _serialize_flat(spec.train).splitlines() + [""]
+    lines += ["[synth]"] + serialize_flat(spec.synth).splitlines() + [""]
+    lines += ["[train]"] + serialize_flat(spec.train).splitlines() + [""]
     lines += ["[grid]"]
-    for key in _GRID_KEYS:
+    for key in _GRID_PARSERS:
         values = getattr(spec, f"grid_{key}")
         lines.append(f"{key} = {', '.join(_format_value(v) for v in values)}")
     lines += ["", "[acceptance]"]
@@ -291,10 +239,6 @@ def serialize_config(spec):
         if value is not None:
             lines.append(f"{key} = {_format_value(value)}")
     return "\n".join(lines) + "\n"
-
-
-def normalize_config(text):
-    return serialize_config(parse_config(text))
 
 
 def config_hash(config_text):
@@ -316,13 +260,7 @@ def _write_csv(path, header, rows, config_text):
 
 
 def _cell(value):
-    if value is None or value == "":
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+    return "" if value is None or value == "" else _format_value(value)
 
 
 def _trace_rows(trace):
@@ -354,7 +292,7 @@ def cmd_synth(args):
                          mixer=args.mixer)
     data = generate(config, args.n)
     write_csv(args.out, data)
-    config_text = serialize_synth_config(config)
+    config_text = serialize_flat(config)
     Path(str(args.out) + ".config").write_text(config_text, encoding="utf-8")
     Path(str(args.out) + ".sha256").write_text(config_hash(config_text) + "\n",
                                                encoding="utf-8")
@@ -363,11 +301,11 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    config = parse_train_config(Path(args.config).read_text(encoding="utf-8"))
+    config = parse_flat(Path(args.config).read_text(encoding="utf-8"), TrainConfig)
     data = read_csv(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    normalized = serialize_train_config(config)
+    normalized = serialize_flat(config)
     (out / "config.txt").write_text(normalized, encoding="utf-8")
     try:
         result = train(data, config)
@@ -400,8 +338,8 @@ def cmd_eval(args):
     s_value = ""
     neighbor = Path(str(args.data) + ".config")
     if neighbor.exists():
-        s_value = repr(float(parse_synth_config(
-            neighbor.read_text(encoding="utf-8")).s))
+        s_value = repr(float(parse_flat(neighbor.read_text(encoding="utf-8"),
+                                        SynthConfig).s))
     row = [
         meta.get("delta", ""), s_value, meta.get("seed", ""),
         _cell(report.dcor_sn), _cell(report.dcor_sf), _cell(report.dcor_nc),
@@ -626,7 +564,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -283,14 +283,15 @@ def clone_perturbed(encoder, rng, scale=0.01):
 #
 #   pnsrisk-checkpoint 1
 #   meta <key> <value>
-#   param <name> <d0> [<d1> ...]
+#   param <name> <d0> [<d1> ...]      (a scalar is written with shape 0)
 #   <up to 8 hex floats per line, row-major, until the shape is filled>
 
 _MAGIC = "pnsrisk-checkpoint 1"
 
 
 def save_checkpoint(path, params, meta=None):
-    """params: {name: Tensor or ndarray}; meta: {str: str}."""
+    """params: {name: Tensor or ndarray}; meta: {str: str}.  Zero-size
+    arrays are refused: their header would read as a scalar's."""
     lines = [_MAGIC]
     for key, value in (meta or {}).items():
         if " " in str(key):
@@ -298,6 +299,8 @@ def save_checkpoint(path, params, meta=None):
         lines.append(f"meta {key} {value}")
     for name, value in params.items():
         arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
+        if arr.size == 0:
+            raise ValueError(f"parameter {name} has no elements")
         dims = " ".join(str(d) for d in arr.shape) if arr.ndim else "0"
         lines.append(f"param {name} {dims}")
         flat = arr.reshape(-1)
@@ -308,7 +311,8 @@ def save_checkpoint(path, params, meta=None):
 
 
 def load_checkpoint(path):
-    """Returns ({name: ndarray}, {meta key: value})."""
+    """Returns ({name: ndarray}, {meta key: value}).  A malformed file
+    raises ValueError("<path>:<line>: ...")."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _MAGIC:
@@ -318,21 +322,30 @@ def load_checkpoint(path):
     i = 1
     while i < len(lines):
         tokens = lines[i].split()
-        if tokens[0] == "meta":
-            meta[tokens[1]] = " ".join(tokens[2:])
-            i += 1
-            continue
-        if tokens[0] != "param":
-            raise ValueError(f"{path}: unexpected line {i + 1}: {lines[i]!r}")
-        name = tokens[1]
-        shape = tuple(int(d) for d in tokens[2:])
-        if shape == (0,):
-            shape = ()
-        count = int(np.prod(shape)) if shape else 1
-        values = []
         i += 1
+        if tokens[:1] == ["meta"] and len(tokens) >= 2:
+            meta[tokens[1]] = " ".join(tokens[2:])
+            continue
+        if tokens[:1] != ["param"] or len(tokens) < 3:
+            raise ValueError(f"{path}:{i}: expected a meta or param line, got {lines[i - 1]!r}")
+        name = tokens[1]
+        shape = tuple(int(d) if d.isdecimal() else -1 for d in tokens[2:])
+        shape = () if shape == (0,) else shape
+        if any(d < 1 for d in shape):
+            raise ValueError(f"{path}:{i}: bad shape for parameter {name}: {lines[i - 1]!r}")
+        count = int(np.prod(shape))
+        values = []
         while len(values) < count:
-            values.extend(float.fromhex(tok) for tok in lines[i].split())
+            if i == len(lines):
+                raise ValueError(f"{path}:{i}: parameter {name} ends after "
+                                 f"{len(values)} of {count} values")
+            try:
+                values.extend(float.fromhex(tok) for tok in lines[i].split())
+            except ValueError:
+                raise ValueError(f"{path}:{i + 1}: bad hex float in parameter {name}") from None
             i += 1
+        if len(values) != count:
+            raise ValueError(f"{path}:{i}: parameter {name} has {len(values)} values, "
+                             f"expected {count}")
         params[name] = np.array(values, dtype=np.float64).reshape(shape)
     return params, meta

@@ -248,7 +248,10 @@ def analyze(scm, c, c_bar, y):
         # for a binary cause the two conditional terms exhaust the
         # observational difference, so the exact and identified values
         # must coincide
-        assert abs(report.pns - report.identified_pns) <= 1e-9
+        if not abs(report.pns - report.identified_pns) <= 1e-9:
+            raise RuntimeError(
+                f"exact PNS {report.pns!r} and identified PNS {report.identified_pns!r} "
+                "disagree on an identifiable model")
     return report
 
 

@@ -6,14 +6,15 @@ the factual representation c, NC = P(sign(w.cbar) = y) over draws of
 the counterfactual cbar, and the agreement M = P(both routes emit the
 same label).  These satisfy the exact decomposition
 
-    m = sf * (1 - nc) + (1 - sf) * nc + 2 * sf * nc - ...
+    m = sf * (1 - nc) + (1 - sf) * nc,
 
 more usefully rearranged as  sf + nc = m + 2 * sf * nc  per sample,
 which the domain-shift bound exploits.
 
-Monte Carlo draws come from a counter-based Philox stream keyed by
-(global seed, sample id), so estimates do not depend on batch order and
-the same point receives the same draws in every domain that contains it.
+Monte Carlo draws come from keyed Philox streams (pnsrisk.streams),
+keyed by (global seed ^ role, sample id), so estimates do not depend on
+batch order and the same point receives the same draws in every domain
+that contains it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .streams import ROLE_C, ROLE_CBAR, ROLE_PLAIN, keyed
 
 __all__ = [
     "MalformedDomainError",
@@ -38,18 +41,11 @@ __all__ = [
     "random_bound_instance",
 ]
 
-_ROLE_C = np.uint64(0x9E3779B97F4A7C15)
-_ROLE_CBAR = np.uint64(0xC2B2AE3D27D4EB4F)
 _DEFAULT_MC = 64
 
 
 class MalformedDomainError(ValueError):
     """A domain lists a support point with no mass where mass is required."""
-
-
-def _stream(seed, role, sample_id):
-    key = np.array([np.uint64(seed) ^ role, np.uint64(sample_id)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -98,8 +94,8 @@ class RiskReport:
 
 def _sample_triple(x_row, y_i, enc_c, enc_cbar, head, mc_samples, seed, sample_id):
     """(sf, nc, m) for one sample from keyed Monte Carlo draws."""
-    draws_c = enc_c.sample_np(x_row, mc_samples, _stream(seed, _ROLE_C, sample_id))
-    draws_cbar = enc_cbar.sample_np(x_row, mc_samples, _stream(seed, _ROLE_CBAR, sample_id))
+    draws_c = enc_c.sample_np(x_row, mc_samples, keyed(seed, ROLE_C, sample_id))
+    draws_cbar = enc_cbar.sample_np(x_row, mc_samples, keyed(seed, ROLE_CBAR, sample_id))
     pred_c = head.logits_np(draws_c.reshape(mc_samples, -1)) >= 0.0
     pred_cbar = head.logits_np(draws_cbar.reshape(mc_samples, -1)) >= 0.0
     sf = float((pred_c != y_i).mean())
@@ -287,7 +283,7 @@ def sufficiency_deviation_trial(domain, enc, head, prior, n, epsilon, seed,
     compare the empirical error rate against the exact SF.  Returns
     (deviation, rhs, violated).
     """
-    gen = _stream(seed, np.uint64(0), 0)
+    gen = keyed(seed, ROLE_PLAIN, 0)
     support = domain.support()
     probs = np.array([domain.mass(p) for p in support])
     picks = gen.choice(len(support), size=n, p=probs / probs.sum())
@@ -296,7 +292,7 @@ def sufficiency_deviation_trial(domain, enc, head, prior, n, epsilon, seed,
     for j, pick in enumerate(picks):
         x_tuple, y = support[pick]
         x_row = np.asarray(x_tuple, dtype=np.float64)[None, :]
-        draw = enc.sample_np(x_row, 1, _stream(seed, _ROLE_C, j + 1))[0]
+        draw = enc.sample_np(x_row, 1, keyed(seed, ROLE_C, j + 1))[0]
         pred = head.logits_np(draw) >= 0.0
         wrong += int(pred[0]) != y
         mean, var = enc.encode_np(x_row)

@@ -17,9 +17,9 @@ above zero (else 0), kappa2(t) = t + 0.5 below zero (else 0), and
     x = sigmoid(kappa1 * kappa1)        (mixer "as_written")
     x = sigmoid(kappa1 * kappa2)        (mixer "k1k2")
 
-Per-sample draws come from a Philox stream keyed by (seed, index) with
-a fixed draw order, so any sample can be regenerated in isolation and
-files are byte-stable.
+Per-sample draws come from the Philox stream keyed by (seed, index)
+(pnsrisk.streams, plain role) with a fixed draw order, so any sample can
+be regenerated in isolation and files are byte-stable.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import sigmoid_np
 from .pns import DiscreteScm
+from .streams import ROLE_PLAIN, keyed
 
 __all__ = [
     "SynthConfig",
@@ -59,14 +61,15 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be at least 1")
+        for name, low in (("d", 1), ("n_train", 1), ("n_eval", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         for name in ("s", "label_noise", "sf_flip", "nc_keep"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.noise_scale < 0.0:
-            raise ValueError("noise_scale must be nonnegative")
+        if not 0.0 <= self.noise_scale < np.inf:
+            raise ValueError(f"noise_scale must be finite and nonnegative, got {self.noise_scale}")
         if self.mixer not in MIXERS:
             raise ValueError(f"mixer must be one of {MIXERS}, got {self.mixer!r}")
 
@@ -82,15 +85,6 @@ class SynthData:
 
     def __len__(self):
         return len(self.y)
-
-
-def _sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    ex = np.exp(t[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def generate(config, n, seed=None):
@@ -111,9 +105,7 @@ def generate(config, n, seed=None):
     sp_block = np.empty((n, d))
     ones = np.ones(d)
     for i in range(n):
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([np.uint64(seed), np.uint64(i)], dtype=np.uint64))
-        )
+        gen = keyed(seed, ROLE_PLAIN, i)
         sn = int(gen.random() < 0.5)
         noise_bit = int(gen.random() < config.label_noise)
         flip_bit = int(gen.random() < config.sf_flip)
@@ -130,7 +122,7 @@ def generate(config, n, seed=None):
         else:
             kappa2 = np.where(t < 0.0, t + 0.5, 0.0)
             mixed = kappa1 * kappa2
-        x[i] = _sigmoid(mixed)
+        x[i] = sigmoid_np(mixed)
         y[i] = sn ^ noise_bit
         sn_col[i], sf_col[i], nc_col[i] = sn, sf, nc
         sp_block[i] = sp
@@ -169,19 +161,34 @@ def write_csv(path, data):
 
 
 def read_csv(path):
+    """Inverse of write_csv; a malformed file raises ValueError naming
+    the file, and the line where one is at fault."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    try:
-        y_at = header.index("y")
-        d4 = y_at
-        d = d4 // 4
-        sp_at = header.index("sp_0")
-    except ValueError:
-        raise ValueError(f"{path}: not a benchmark csv (missing y/sp_0 columns)") from None
-    if header[:d4] != [f"x_{j}" for j in range(d4)] or d4 != 4 * d:
-        raise ValueError(f"{path}: malformed x columns")
-    raw = np.array([[float(c) for c in row] for row in rows])
+        try:
+            y_at = header.index("y")
+            d4 = y_at
+            d = d4 // 4
+            sp_at = header.index("sp_0")
+        except ValueError:
+            raise ValueError(f"{path}: not a benchmark csv (missing y/sp_0 columns)") from None
+        if header[:d4] != [f"x_{j}" for j in range(d4)] or d4 != 4 * d:
+            raise ValueError(f"{path}: malformed x columns")
+        values = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(header):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
+            try:
+                values.append([float(c) for c in cells])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not values:
+        raise ValueError(f"{path}: no data rows")
+    raw = np.array(values)
     return SynthData(
         x=raw[:, :d4],
         y=raw[:, y_at].astype(np.int64),

@@ -39,6 +39,7 @@ from .model import (
     surrogate_sf,
 )
 from .risk import estimate_risk
+from .streams import ROLE_PLAIN, keyed
 
 __all__ = [
     "VARIANTS",
@@ -84,12 +85,24 @@ class TrainConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.total_steps < 0 or self.batch_size < 1 or self.mc_samples < 1:
-            raise ValueError("total_steps >= 0, batch_size >= 1, mc_samples >= 1 required")
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
-        if min(self.lr_min, self.lr_max) <= 0.0:
-            raise ValueError("learning rates must be positive")
+        for name, low in (("total_steps", 0), ("batch_size", 1), ("mc_samples", 1),
+                          ("rep_dim", 1), ("max_every", 0), ("max_steps_per_phase", 0),
+                          ("irm_anneal_iters", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be at least 1, got {self.hidden}")
+        for name in ("lr_min", "lr_max"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        for name in ("delta", "lam", "sep_weight", "irm_weight", "mmd_weight"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(
+                    f"{name} must be finite and nonnegative, got {getattr(self, name)}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.fixed_var is not None and not 0.0 < self.fixed_var < np.inf:
+            raise ValueError(f"fixed_var must be none or finite and positive, got {self.fixed_var}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -226,11 +239,6 @@ class TrainResult:
     in_dim: int
 
 
-def _stream(seed, lane):
-    key = np.array([np.uint64(seed), np.uint64(lane)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _sgd(params, lr, velocities, momentum):
     for p in params:
         if p.grad is None:
@@ -267,9 +275,9 @@ def train(data, config, domains=None):
         if len(domains) != n:
             raise ValueError("domains must align with the data rows")
 
-    init = _stream(config.seed, 0)
-    batches = _stream(config.seed, 1)
-    noise = _stream(config.seed, 2)
+    init = keyed(config.seed, ROLE_PLAIN, 0)
+    batches = keyed(config.seed, ROLE_PLAIN, 1)
+    noise = keyed(config.seed, ROLE_PLAIN, 2)
     enc_c = GaussianEncoder(in_dim, rep_dim=config.rep_dim, hidden=config.hidden,
                             rng=init, fixed_var=config.fixed_var, prefix="enc_c")
     enc_cbar = clone_perturbed(enc_c, init, scale=0.01)
@@ -279,12 +287,8 @@ def train(data, config, domains=None):
 
     min_params = list(enc_c.parameters().values()) + list(head.parameters().values())
     adv_params = list(enc_cbar.parameters().values())
-    min_ids = {id(p) for p in min_params}
-    adv_ids = {id(p) for p in adv_params}
-
-    def assert_partition():
-        # the two players must never share a parameter
-        assert not (min_ids & adv_ids), "parameter partition violated"
+    if {id(p) for p in min_params} & {id(p) for p in adv_params}:
+        raise RuntimeError("the min and max players share a parameter")
 
     velocities = {}
     trace = []
@@ -316,7 +320,6 @@ def train(data, config, domains=None):
 
     step = 0
     for step in range(config.total_steps):
-        assert_partition()
         try:
             min_loss, _, parts = batch_objective()
             min_loss.backward()
@@ -331,9 +334,7 @@ def train(data, config, domains=None):
             and (step + 1) % config.max_every == 0
         )
         if run_phase:
-            assert config.variant != "casn_minus_m"
             for _ in range(config.max_steps_per_phase):
-                assert_partition()
                 try:
                     _, max_loss, _ = batch_objective()
                     max_loss.backward()
@@ -378,20 +379,26 @@ def save_model(path, result, extra_meta=None):
 def load_model(path):
     """Rebuild (enc_c, enc_cbar, head, meta) from a checkpoint."""
     params, meta = load_checkpoint(path)
-    in_dim = int(meta["in_dim"])
-    rep_dim = int(meta["rep_dim"])
-    hidden = tuple(int(h) for h in meta["hidden"].split(","))
-    fixed_var = None if meta["fixed_var"] == "none" else float(meta["fixed_var"])
+    try:
+        in_dim = int(meta["in_dim"])
+        rep_dim = int(meta["rep_dim"])
+        hidden = tuple(int(h) for h in meta["hidden"].split(","))
+        fixed_var = None if meta["fixed_var"] == "none" else float(meta["fixed_var"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: missing or malformed metadata: {exc}") from None
     enc_c = GaussianEncoder(in_dim, rep_dim=rep_dim, hidden=hidden,
                             fixed_var=fixed_var, prefix="enc_c")
     enc_cbar = GaussianEncoder(in_dim, rep_dim=rep_dim, hidden=hidden,
                                fixed_var=fixed_var, prefix="enc_c_twin")
     head = LinearHead(rep_dim)
-    for obj in (enc_c, enc_cbar, head):
-        for name, tensor in obj.parameters().items():
-            if name not in params:
-                raise ValueError(f"{path}: missing parameter {name}")
-            if params[name].shape != tensor.data.shape:
-                raise ValueError(f"{path}: shape mismatch for {name}")
-            tensor.data = params[name]
+    expected = {**enc_c.parameters(), **enc_cbar.parameters(), **head.parameters()}
+    unexpected = sorted(params.keys() - expected.keys())
+    if unexpected:
+        raise ValueError(f"{path}: unexpected parameter {unexpected[0]}")
+    for name, tensor in expected.items():
+        if name not in params:
+            raise ValueError(f"{path}: missing parameter {name}")
+        if params[name].shape != tensor.data.shape:
+            raise ValueError(f"{path}: shape mismatch for {name}")
+        tensor.data = params[name]
     return enc_c, enc_cbar, head, meta

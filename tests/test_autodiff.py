@@ -82,8 +82,13 @@ class TestForward:
             x.exp()
 
     def test_nan_input_rejected(self):
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError, match="entering the graph"):
             Tensor([float("nan")])
+
+    def test_non_finite_op_result_names_the_op(self):
+        with np.errstate(over="ignore"), \
+                pytest.raises(FloatingPointError, match="^mul produced a non-finite value$"):
+            Tensor([1e308]) * Tensor([10.0])
 
     def test_forward_bitwise_deterministic(self):
         rng = np.random.default_rng(3)

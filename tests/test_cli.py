@@ -8,12 +8,11 @@ from pnsrisk.cli import (
     ExperimentSpec,
     config_hash,
     main,
-    normalize_config,
     parse_config,
-    parse_train_config,
+    parse_flat,
     run_repro,
     serialize_config,
-    serialize_train_config,
+    serialize_flat,
 )
 from pnsrisk.synth import SynthConfig, generate, read_csv
 from pnsrisk.train import TrainConfig
@@ -39,43 +38,67 @@ max_every = 5
 """
 
 
+def flat_train(text):
+    return parse_flat(text, TrainConfig)
+
+
+def assert_malformed(text, lineno, message):
+    """text fails with "line <lineno>: <message>" as a flat file, and with
+    the same message one line lower inside a [train] section."""
+    with pytest.raises(ConfigError) as flat:
+        flat_train(text)
+    with pytest.raises(ConfigError) as sectioned:
+        parse_config("[train]\n" + text)
+    # only the unknown-key message names the section it was found in
+    suffix = " in [train]" if message.startswith("unknown key") else ""
+    assert str(flat.value) == f"line {lineno}: {message}"
+    assert str(sectioned.value) == f"line {lineno + 1}: {message}{suffix}"
+
+
 class TestFlatConfig:
     def test_defaults_from_empty_file(self):
-        assert parse_train_config("") == TrainConfig()
+        assert flat_train("") == TrainConfig()
 
     def test_round_trip(self):
-        cfg = parse_train_config(SMALL_TRAIN)
+        cfg = flat_train(SMALL_TRAIN)
         assert cfg.total_steps == 10
         assert cfg.hidden == (8, 6)
-        assert parse_train_config(serialize_train_config(cfg)) == cfg
+        assert flat_train(serialize_flat(cfg)) == cfg
 
     def test_comments_and_blanks_ignored(self):
-        cfg = parse_train_config("# intro\n\nlam = 0.5  # inline\n")
+        cfg = flat_train("# intro\n\nlam = 0.5  # inline\n")
         assert cfg.lam == 0.5
 
     def test_unknown_key_names_key_and_line(self):
-        with pytest.raises(ConfigError, match=r"line 2: unknown key 'lr'"):
-            parse_train_config("lam = 0.5\nlr = 1.0\n")
+        assert_malformed("lam = 0.5\nlr = 1.0\n", 2, "unknown key 'lr'")
 
     def test_missing_equals_gives_line(self):
-        with pytest.raises(ConfigError, match="line 1: expected key = value"):
-            parse_train_config("just words\n")
+        assert_malformed("just words\n", 1, "expected key = value, got 'just words'")
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate key 'lam'"):
-            parse_train_config("lam = 0.5\nlam = 0.6\n")
+        assert_malformed("lam = 0.5\nlam = 0.6\n", 2, "duplicate key 'lam'")
 
     def test_bad_value_reports_line(self):
-        with pytest.raises(ConfigError, match="line 1"):
-            parse_train_config("total_steps = soon\n")
+        assert_malformed("total_steps = soon\n", 1,
+                         "invalid literal for int() with base 10: 'soon'")
 
     def test_optional_float_and_bool(self):
-        cfg = parse_train_config("fixed_var = none\nadversary_kl = false\n")
+        cfg = flat_train("fixed_var = none\nadversary_kl = false\n")
         assert cfg.fixed_var is None and cfg.adversary_kl is False
-        cfg = parse_train_config("fixed_var = 0.001\n")
+        cfg = flat_train("fixed_var = 0.001\n")
         assert cfg.fixed_var == 0.001
-        with pytest.raises(ConfigError, match="true or false"):
-            parse_train_config("adversary_kl = yes\n")
+        assert_malformed("adversary_kl = yes\n", 1, "expected true or false, got 'yes'")
+
+    def test_synth_config_round_trip(self):
+        cfg = SynthConfig(d=3, s=0.4, n_train=40, seed=7, mixer="k1k2")
+        assert parse_flat(serialize_flat(cfg), SynthConfig) == cfg
+
+    def test_range_error_names_section_only_in_spec(self):
+        with pytest.raises(ConfigError) as flat:
+            flat_train("rep_dim = 0\n")
+        with pytest.raises(ConfigError) as sectioned:
+            parse_config("[train]\nrep_dim = 0\n")
+        assert str(sectioned.value) == f"[train]: {flat.value}"
 
 
 class TestExperimentSpec:
@@ -103,9 +126,8 @@ class TestExperimentSpec:
             "# comment\n[experiment]\nname = demo\n\n[synth]\n  s = 0.7\n"
             "[train]\ntotal_steps = 5\n[grid]\nseed = 1,2\n"
             "[acceptance]\ndcor_sn_min = 0.75\n")
-        normalized = normalize_config(messy)
-        assert serialize_config(parse_config(messy)) == normalized
-        assert normalize_config(normalized) == normalized
+        normalized = serialize_config(parse_config(messy))
+        assert serialize_config(parse_config(normalized)) == normalized
         spec = parse_config(normalized)
         assert spec.name == "demo" and spec.synth.s == 0.7
         assert spec.dcor_sn_min == 0.75 and spec.ablation_margin is None
@@ -131,8 +153,8 @@ class TestExperimentSpec:
             parse_config("[grid]\nseed = 0, 0\n")
 
     def test_hash_ignores_formatting(self):
-        a = config_hash(normalize_config("[grid]\nseed = 1\n"))
-        b = config_hash(normalize_config("# x\n[grid]\n\nseed =  1\n"))
+        a = config_hash(serialize_config(parse_config("[grid]\nseed = 1\n")))
+        b = config_hash(serialize_config(parse_config("# x\n[grid]\n\nseed =  1\n")))
         assert a == b
 
 
@@ -203,6 +225,36 @@ def test_train_then_eval_round_trip(tmp_path, capsys):
     cells = row.split(",")
     assert cells[0] == "0.9" and cells[1] == "0.2" and cells[2] == "5"
     assert all(0.0 <= float(v) <= 1.0 for v in cells[3:7])
+
+
+def test_train_header_only_csv_is_clean_error(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    main(["synth", "--d", "2", "--n", "8", "--out", str(data_csv)])
+    data_csv.write_text(data_csv.read_text().splitlines()[0] + "\n")
+    config = tmp_path / "train.cfg"
+    config.write_text(SMALL_TRAIN)
+    assert main(["train", "--config", str(config), "--data", str(data_csv),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no data rows" in err
+
+
+def test_eval_truncated_checkpoint_is_clean_error(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    main(["synth", "--d", "2", "--n", "64", "--seed", "3", "--out", str(data_csv)])
+    config = tmp_path / "train.cfg"
+    config.write_text(SMALL_TRAIN)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--data", str(data_csv),
+                 "--out", str(run_dir)]) == 0
+    ckpt = run_dir / "model.ckpt"
+    lines = ckpt.read_text().splitlines()
+    ckpt.write_text("\n".join(lines[:-3]) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_csv),
+                 "--out", str(tmp_path / "eval.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ends after" in err
 
 
 def test_train_divergence_is_reported(tmp_path, capsys):

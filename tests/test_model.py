@@ -239,6 +239,31 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    def test_refuses_zero_size_array(self, tmp_path):
+        with pytest.raises(ValueError, match="no elements"):
+            save_checkpoint(tmp_path / "z.ckpt", {"v": np.zeros(0)})
+        assert not (tmp_path / "z.ckpt").exists()
+
+    @pytest.mark.parametrize("body, where", [
+        pytest.param("param m 2 3\n0x1.0p+0 0x1.0p+0\n", ":3: parameter m ends after 2 of 6",
+                     id="short-block"),
+        pytest.param("param m 2\n0x1.0p+0 zz\n", ":3: bad hex float in parameter m",
+                     id="bad-hex"),
+        pytest.param("param m\n0x1.0p+0\n", ":2: expected a meta or param line",
+                     id="missing-shape"),
+        pytest.param("meta\n", ":2: expected a meta or param line", id="missing-meta-key"),
+        pytest.param("\n", ":2: expected a meta or param line", id="blank-line"),
+        pytest.param("param m 2 x\n", ":2: bad shape for parameter m", id="bad-shape"),
+        pytest.param("param m 1\n0x1.0p+0 0x1.0p+0\n", ":3: parameter m has 2 values",
+                     id="long-block"),
+    ])
+    def test_malformed_file_names_path_and_line(self, tmp_path, body, where):
+        path = tmp_path / "bad.ckpt"
+        path.write_text("pnsrisk-checkpoint 1\n" + body)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}{where}")
+
 
 class TestClone:
     def test_perturbed_copy_structure(self):

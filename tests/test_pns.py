@@ -161,6 +161,13 @@ class TestIdentification:
             assert check_exogeneity(scm, 1, 1) and check_exogeneity(scm, 0, 1)
             assert abs(exact - ident) <= ATOL
 
+    def test_analyze_raises_when_identification_breaks(self, cat_legs_scm, monkeypatch):
+        import pnsrisk.pns as pns
+
+        monkeypatch.setattr(pns, "pns_identified", lambda *args: 0.75)
+        with pytest.raises(RuntimeError, match="disagree on an identifiable model"):
+            analyze(cat_legs_scm, 1, 0, 1)
+
     def test_identified_can_disagree_without_monotonicity(self):
         scm = bernoulli_cause_scm(lambda c, u: c ^ u, p_u1=0.15)
         exact = pns_exact(scm, 1, 0, 1)

@@ -20,13 +20,14 @@ def big_sample():
 
 
 class TestGenerator:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SynthConfig(d=0)
-        with pytest.raises(ValueError):
-            SynthConfig(s=1.5)
-        with pytest.raises(ValueError):
-            SynthConfig(mixer="kinky")
+    @pytest.mark.parametrize("field, value", [
+        ("d", 0), ("s", 1.5), ("s", float("nan")), ("mixer", "kinky"),
+        ("noise_scale", -0.1), ("noise_scale", float("nan")), ("noise_scale", float("inf")),
+        ("n_train", 0), ("n_eval", -3), ("seed", -1),
+    ])
+    def test_config_validation(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SynthConfig(**{field: value})
 
     def test_shapes(self):
         data = generate(SynthConfig(d=3, seed=0), 17)
@@ -128,6 +129,21 @@ class TestCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_csv(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda lines: lines[:1], ": no data rows", id="header-only"),
+        pytest.param(lambda lines: lines[:2] + [lines[2] + ",0.5"] + lines[3:],
+                     ":3: expected 14 cells, got 15", id="ragged"),
+        pytest.param(lambda lines: lines[:3] + ["x" + lines[3]] + lines[4:],
+                     ":4: could not convert string to float", id="non-numeric"),
+    ])
+    def test_malformed_rows_name_file_and_line(self, tmp_path, edit, message):
+        path = tmp_path / "data.csv"
+        write_csv(path, generate(SynthConfig(d=2, seed=8), 5))
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_csv(path)
+        assert str(err.value).startswith(f"{path}{message}")
 
 
 class TestInducedModels:

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -308,13 +310,29 @@ class TestTrainLoop:
         )
         assert not same
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(variant="nope")
-        with pytest.raises(ValueError):
-            TrainConfig(delta=-1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)
+    @pytest.mark.parametrize("field, value", [
+        ("variant", "nope"), ("delta", -1.0), ("delta", float("nan")), ("batch_size", 0),
+        ("total_steps", -1), ("mc_samples", 0), ("rep_dim", 0), ("hidden", (8, 0)),
+        ("max_every", -1), ("max_steps_per_phase", -1), ("irm_anneal_iters", -1),
+        ("seed", -1), ("lr_min", 0.0), ("lr_min", float("nan")), ("lr_max", float("inf")),
+        ("lam", -0.1), ("sep_weight", -1.0), ("irm_weight", float("inf")),
+        ("mmd_weight", float("nan")), ("momentum", 1.0), ("momentum", -0.1),
+        ("fixed_var", 0.0), ("fixed_var", float("nan")),
+    ])
+    def test_config_validation(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_config_edges_stay_valid(self):
+        TrainConfig(irm_anneal_iters=0, momentum=0.9, max_every=0, max_steps_per_phase=0,
+                    lam=0.0, sep_weight=0.0, delta=0.0, fixed_var=None, total_steps=0)
+
+    def test_players_sharing_a_parameter_is_refused(self, monkeypatch):
+        # the package re-exports train(), so import the module by path
+        train_module = importlib.import_module("pnsrisk.train")
+        monkeypatch.setattr(train_module, "clone_perturbed", lambda enc, rng, scale: enc)
+        with pytest.raises(RuntimeError, match="share a parameter"):
+            train(tiny_data(), TrainConfig(total_steps=1, **SMALL))
 
 
 class TestModelRoundTrip:
@@ -329,6 +347,16 @@ class TestModelRoundTrip:
                          (result.head, head)):
             for name, tensor in src.parameters().items():
                 assert dst.parameters()[name].data.tobytes() == tensor.data.tobytes()
+
+    def test_unexpected_parameter_rejected(self, tmp_path):
+        from pnsrisk.model import load_checkpoint, save_checkpoint
+
+        path = tmp_path / "run.ckpt"
+        save_model(path, train(tiny_data(), TrainConfig(total_steps=0, **SMALL)))
+        params, meta = load_checkpoint(path)
+        save_checkpoint(path, {**params, "enc_c.extra": np.ones(2)}, meta=meta)
+        with pytest.raises(ValueError, match="unexpected parameter enc_c.extra"):
+            load_model(path)
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         from pnsrisk.model import predict
