@@ -39,8 +39,8 @@ class Tensor:
     __slots__ = ("data", "grad", "parents", "_backward", "name")
 
     def __init__(self, data, parents=(), backward=None, name=None):
-        self.data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(self.data)):
+        self.data = d = np.asarray(data, dtype=np.float64)
+        if not np.isfinite(d).all():
             if parents:
                 raise FloatingPointError(f"{name} produced a non-finite value")
             raise FloatingPointError("non-finite value entering the graph")

@@ -7,6 +7,12 @@ Sampling is reparameterized (mean + sd * eps) so gradients reach the
 encoder parameters.  The labeler is sign(w.c), with the tie w.c = 0
 mapped to label 1.
 
+The training step is built from fused ops: the MLP, the KL term, the
+draw and both surrogates are each one graph node with a numpy forward
+and an analytic backward.  The generic ops in pnsrisk.autodiff build
+the same values node by node and serve as the reference they are
+tested against.
+
 Two differentiable surrogates stand in for the indicator quantities:
 
 * sufficiency surrogate: mean softplus(-ytil * w.c), ytil = 2y - 1,
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, affine, constant, elu, parameter, sigmoid, softplus
+from .autodiff import Tensor, constant, parameter, sigmoid_np
 
 __all__ = [
     "Mlp",
@@ -48,6 +54,7 @@ class Mlp:
         self.out_dim = out_dim
         self.hidden = tuple(hidden)
         dims = (in_dim, *self.hidden, out_dim)
+        self.layer_names = tuple(f"{prefix} layer {i}" for i in range(len(dims) - 1))
         self.weights = []
         self.biases = []
         for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
@@ -56,15 +63,46 @@ class Mlp:
             self.biases.append(parameter(np.zeros(b), name=f"{prefix}.b{i}"))
 
     def forward(self, x):
+        """The whole affine+ELU stack as one graph node.
+
+        Every layer's pre-activation is checked for finiteness and the
+        error names the layer: an ELU maps -inf to -1, so a check of the
+        output alone would hide an overflow.
+        """
         if not isinstance(x, Tensor):
             x = constant(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = affine(h, w, b)
-            if i != last:
-                h = elu(h)
-        return h
+        weights = [w.data for w in self.weights]
+        h = x.data
+        if h.ndim != 2 or h.shape[1] != weights[0].shape[0]:
+            raise ValueError(f"mlp: input shape {h.shape} does not fit {weights[0].shape}")
+        inputs = []
+        slopes = []
+        last = len(weights) - 1
+        for i in range(last):
+            inputs.append(h)
+            pre = h @ weights[i] + self.biases[i].data
+            if not np.isfinite(pre).all():
+                raise FloatingPointError(f"{self.layer_names[i]} produced a non-finite value")
+            neg = np.minimum(pre, 0.0)
+            h = np.where(pre > 0.0, pre, np.expm1(neg))
+            slopes.append(np.exp(neg))  # exactly 1 where pre > 0
+        inputs.append(h)
+        out = h @ weights[last] + self.biases[last].data
+
+        def backward(g):
+            grads = [None] * (2 * last + 3)
+            for i in range(last, -1, -1):
+                if i != last:
+                    g = g * slopes[i]
+                grads[2 * i + 1] = inputs[i].T @ g
+                grads[2 * i + 2] = g.sum(axis=0)
+                g = g @ weights[i].T
+            grads[0] = g
+            return grads
+
+        params = [p for pair in zip(self.weights, self.biases) for p in pair]
+        # the output layer's pre-activation is checked by Tensor itself
+        return Tensor(out, (x, *params), backward, self.layer_names[last])
 
     def forward_np(self, x):
         """Graph-free forward for evaluation and Monte Carlo estimation."""
@@ -144,15 +182,20 @@ class GaussianEncoder:
 
     def draw(self, mean, eps):
         """Reparameterized draw mean + sd * eps from an existing mean
-        node; eps enters as a constant so gradients flow to the mean
-        network and the log-variance."""
-        eps_t = constant(np.asarray(eps, dtype=np.float64))
-        if eps_t.data.shape != mean.data.shape:
-            raise ValueError(f"eps shape {eps_t.data.shape} != mean shape {mean.data.shape}")
+        node, as one graph node; eps is a constant, so gradients flow to
+        the mean network and the log-variance."""
+        eps = np.asarray(eps, dtype=np.float64)
+        if eps.shape != mean.data.shape:
+            raise ValueError(f"eps shape {eps.shape} != mean shape {mean.data.shape}")
         if self.fixed_var is not None:
-            return mean + eps_t * np.sqrt(self.fixed_var)
-        sd = (self.log_var * 0.5).exp()
-        return mean + eps_t * sd
+            return Tensor(mean.data + eps * np.sqrt(self.fixed_var), (mean,),
+                          lambda g: (g,), "draw")
+        sd = _exp(self.log_var.data * 0.5, "draw")
+
+        def backward(g):
+            return (g, (g * eps).sum(axis=0) * sd * 0.5)
+
+        return Tensor(mean.data + eps * sd, (mean, self.log_var), backward, "draw")
 
     def sample(self, x, eps):
         return self.draw(self.encode(x), eps)
@@ -164,7 +207,7 @@ class GaussianEncoder:
         return mean[None, :, :] + np.sqrt(var)[None, :, :] * eps
 
     def kl_node(self, mean, prior):
-        """Mean-over-batch KL(q(.|x) || prior) as a graph node.
+        """Mean-over-batch KL(q(.|x) || prior) as one graph node.
 
         Closed form for diagonal Gaussians; the variance part is shared
         across the batch because the posterior variance does not depend
@@ -172,23 +215,28 @@ class GaussianEncoder:
         """
         n, rep = mean.data.shape
         inv_pv = 1.0 / prior.var
-        diff = mean - constant(prior.mean)
-        mean_part = (diff * diff * constant(inv_pv)).sum(axis=1).mean()
+        diff = mean.data - prior.mean
+        mean_part = (diff * diff * inv_pv).sum(axis=1).sum() * (1.0 / n)
         log_pv_sum = float(np.log(prior.var).sum())
+
+        def mean_grad(half):
+            g = half * (1.0 / n) * inv_pv * diff
+            return g + g
+
         if self.fixed_var is not None:
-            var_part = constant(
-                log_pv_sum
-                - rep * np.log(self.fixed_var)
-                + float((self.fixed_var * inv_pv).sum())
-                - rep
-            )
-        else:
-            var_part = (
-                (self.log_var.exp() * constant(inv_pv)).sum()
-                - self.log_var.sum()
-                + constant(log_pv_sum - rep)
-            )
-        return (var_part + mean_part) * 0.5
+            var_part = (log_pv_sum - rep * np.log(self.fixed_var)
+                        + float((self.fixed_var * inv_pv).sum()) - rep)
+            return Tensor((var_part + mean_part) * 0.5, (mean,),
+                          lambda g: (mean_grad(g * 0.5),), "kl_node")
+        log_var = self.log_var.data
+        var = _exp(log_var, "kl_node")
+        var_part = (var * inv_pv).sum() - log_var.sum() + (log_pv_sum - rep)
+
+        def backward(g):
+            half = g * 0.5
+            return (mean_grad(half), half * inv_pv * var - half)
+
+        return Tensor((var_part + mean_part) * 0.5, (mean, self.log_var), backward, "kl_node")
 
     def parameters(self):
         out = self.mlp.parameters()
@@ -235,28 +283,84 @@ def predict(head, encoder, x):
     return (head.logits_np(mean) >= 0.0).astype(np.int64)
 
 
+def _exp(x, op):
+    """np.exp under the graph's rules, checked before numpy runs, so it
+    never warns: a non-finite input is refused as its op's value would
+    be, and an input above 700 raises "exp overflow"."""
+    if not np.isfinite(x).all():
+        raise FloatingPointError(f"{op} produced a non-finite value")
+    if (x > 700.0).any():
+        raise FloatingPointError("exp overflow")
+    return np.exp(x)
+
+
+def _logits(head, c):
+    """(z, parents) of the labeler on a representation node c."""
+    w = head.w.data
+    if c.data.ndim != 2 or c.data.shape[1] != w.shape[0]:
+        raise ValueError(f"matmul: {c.data.shape} @ {w.shape}")
+    z = c.data @ w
+    if head.b is None:
+        return z, (head.w,)
+    return z + head.b.data, (head.w, head.b)
+
+
+def _head_grads(head, pairs):
+    """Gradients of the labeler's parameters from (c, dL/dz) pairs."""
+    g_w = sum(c.data.T @ g_z for c, g_z in pairs)
+    if head.b is None:
+        return (g_w,)
+    return (g_w, np.array([sum(g_z.sum() for _, g_z in pairs)]))
+
+
 def _ytil(y):
     y = np.asarray(y)
-    if not np.isin(y, (0, 1)).all():
+    if not ((y == 0) | (y == 1)).all():
         raise ValueError("labels must be 0 or 1")
     return y.astype(np.float64) * 2.0 - 1.0
 
 
 def surrogate_sf(head, c, y):
     """Differentiable stand-in for P(sign(w.c) != y): mean softplus of the
-    margin deficit.  Equals ln 2 at w.c = 0 and decays to the indicator
-    as the margin grows."""
-    z = head.logits(c)
-    return softplus(z * constant(-_ytil(y))).mean()
+    margin deficit, as one graph node.  Equals ln 2 at w.c = 0 and decays
+    to the indicator as the margin grows."""
+    neg_ytil = -_ytil(y)
+    z, head_params = _logits(head, c)
+    if neg_ytil.shape not in ((), z.shape):
+        raise ValueError(f"labels of shape {neg_ytil.shape} for {z.shape[0]} rows")
+    a = z * neg_ytil
+    scale = 1.0 / a.shape[0]
+    out = (np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))).sum() * scale
+
+    def backward(g):
+        g_z = g * scale * sigmoid_np(a) * neg_ytil
+        return (np.outer(g_z, head.w.data), *_head_grads(head, ((c, g_z),)))
+
+    return Tensor(out, (c, *head_params), backward, "surrogate_sf")
 
 
 def surrogate_m(head, c, c_bar):
     """Differentiable stand-in for the probability that the two routes
-    agree in sign: mean over pairs of p*q + (1-p)*(1-q)."""
-    p = sigmoid(head.logits(c))
-    q = sigmoid(head.logits(c_bar))
-    one = constant(1.0)
-    return (p * q + (one - p) * (one - q)).mean()
+    agree in sign: mean over pairs of p*q + (1-p)*(1-q), as one graph
+    node."""
+    zc, head_params = _logits(head, c)
+    zb, _ = _logits(head, c_bar)
+    if zc.shape != zb.shape:
+        raise ValueError(f"surrogate_m: {c.data.shape} vs {c_bar.data.shape}")
+    p = sigmoid_np(zc)
+    q = sigmoid_np(zb)
+    scale = 1.0 / p.shape[0]
+    out = (p * q + (1.0 - p) * (1.0 - q)).sum() * scale
+
+    def backward(g):
+        g = g * scale
+        g_zc = (g * q - g * (1.0 - q)) * p * (1.0 - p)
+        g_zb = (g * p - g * (1.0 - p)) * q * (1.0 - q)
+        w = head.w.data
+        return (np.outer(g_zc, w), np.outer(g_zb, w),
+                *_head_grads(head, ((c, g_zc), (c_bar, g_zb))))
+
+    return Tensor(out, (c, c_bar, *head_params), backward, "surrogate_m")
 
 
 def clone_perturbed(encoder, rng, scale=0.01):
@@ -289,15 +393,26 @@ def clone_perturbed(encoder, rng, scale=0.01):
 _MAGIC = "pnsrisk-checkpoint 1"
 
 
+def _one_token(what, token):
+    if str(token).split() != [str(token)]:
+        raise ValueError(f"{what} {token!r} must be non-empty and contain no whitespace")
+
+
 def save_checkpoint(path, params, meta=None):
-    """params: {name: Tensor or ndarray}; meta: {str: str}.  Zero-size
-    arrays are refused: their header would read as a scalar's."""
+    """params: {name: Tensor or ndarray}; meta: {str: str}.  Refused with
+    ValueError, before the file is opened, is anything the line format
+    could not read back: zero-size arrays (their header would read as a
+    scalar's), empty names or keys and ones holding whitespace, and meta
+    values with line breaks, tabs, or doubled or edge spaces."""
     lines = [_MAGIC]
     for key, value in (meta or {}).items():
-        if " " in str(key):
-            raise ValueError("meta keys must not contain spaces")
+        _one_token("meta key", key)
+        if " ".join(str(value).split()) != str(value):
+            raise ValueError(f"meta value {value!r} of {key} must be words separated "
+                             "by single spaces")
         lines.append(f"meta {key} {value}")
     for name, value in params.items():
+        _one_token("parameter name", name)
         arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
         if arr.size == 0:
             raise ValueError(f"parameter {name} has no elements")

@@ -162,7 +162,8 @@ def write_csv(path, data):
 
 def read_csv(path):
     """Inverse of write_csv; a malformed file raises ValueError naming
-    the file, and the line where one is at fault."""
+    the file, and the line where one is at fault.  Every cell must be
+    finite, and every label cell (y, sn, sf, nc) exactly 0 or 1."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         try:
@@ -175,6 +176,7 @@ def read_csv(path):
         if header[:d4] != [f"x_{j}" for j in range(d4)] or d4 != 4 * d:
             raise ValueError(f"{path}: malformed x columns")
         values = []
+        linenos = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -186,9 +188,18 @@ def read_csv(path):
                 values.append([float(c) for c in cells])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            linenos.append(lineno)
     if not values:
         raise ValueError(f"{path}: no data rows")
     raw = np.array(values)
+    bad = ~np.isfinite(raw)
+    labels = raw[:, y_at : y_at + 4]
+    bad[:, y_at : y_at + 4] |= (labels != 0.0) & (labels != 1.0)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        value = float(raw[row, col])
+        what = "must be 0 or 1" if np.isfinite(value) else "is not finite"
+        raise ValueError(f"{path}:{linenos[row]}: {header[col]} = {value!r} {what}")
     return SynthData(
         x=raw[:, :d4],
         y=raw[:, y_at].astype(np.int64),

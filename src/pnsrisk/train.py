@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import constant, pairwise_mean_distance, relu, sigmoid
+from .autodiff import Tensor, constant, pairwise_mean_distance, sigmoid
 from .model import (
     GaussianEncoder,
     GaussianPrior,
@@ -117,15 +117,31 @@ class TrainingDiverged(RuntimeError):
 
 def separation_penalty(c, c_bar, delta):
     """Mean squared hinge on the pairwise representation gap:
-    mean over pairs of max(0, delta - ||c - cbar||_2)^2.
+    mean over pairs of max(0, delta - ||c - cbar||_2)^2, as one graph
+    node.
 
     The distance carries a 1e-18 stabilizer inside the square root, so
     coincident pairs cost (delta - 1e-9)^2 instead of tripping on the
     sqrt gradient.
     """
-    diff = c - c_bar
-    dist = ((diff * diff).sum(axis=1) + 1e-18).sqrt()
-    return relu(constant(float(delta)) - dist).square().mean()
+    delta = float(delta)
+    if not np.isfinite(delta):
+        raise FloatingPointError("non-finite value entering the graph")
+    if c.data.ndim != 2 or c.data.shape != c_bar.data.shape:
+        raise ValueError(f"separation_penalty: {c.data.shape} vs {c_bar.data.shape}")
+    diff = c.data - c_bar.data
+    dist = np.sqrt((diff * diff).sum(axis=1) + 1e-18)
+    hinge = np.maximum(delta - dist, 0.0)
+    scale = 1.0 / hinge.shape[0]
+
+    def backward(g):
+        g_hinge = g * scale * hinge  # zero where the pair is far enough apart
+        g_sq = -(g_hinge + g_hinge) * 0.5 / dist
+        g_diff = g_sq[:, None] * diff
+        g_diff = g_diff + g_diff
+        return (g_diff, -g_diff)
+
+    return Tensor((hinge * hinge).sum() * scale, (c, c_bar), backward, "separation_penalty")
 
 
 def mmd_penalty(rep_groups):

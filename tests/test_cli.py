@@ -239,6 +239,27 @@ def test_train_header_only_csv_is_clean_error(tmp_path, capsys):
     assert err.startswith("error:") and "no data rows" in err
 
 
+@pytest.mark.parametrize("cell, index, message", [
+    pytest.param("1.5", 8, "y = 1.5 must be 0 or 1", id="fractional-label"),
+    pytest.param("nan", 0, "x_0 = nan is not finite", id="nan-cell"),
+])
+def test_train_bad_csv_cell_is_clean_error(tmp_path, capsys, cell, index, message):
+    data_csv = tmp_path / "data.csv"
+    main(["synth", "--d", "2", "--n", "64", "--seed", "3", "--out", str(data_csv)])
+    lines = data_csv.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[index] = cell
+    lines[5] = ",".join(cells)
+    data_csv.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "train.cfg"
+    config.write_text(SMALL_TRAIN)
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--data", str(data_csv),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"data.csv:6: {message}" in err
+
+
 def test_eval_truncated_checkpoint_is_clean_error(tmp_path, capsys):
     data_csv = tmp_path / "data.csv"
     main(["synth", "--d", "2", "--n", "64", "--seed", "3", "--out", str(data_csv)])

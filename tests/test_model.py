@@ -244,6 +244,25 @@ class TestCheckpoint:
             save_checkpoint(tmp_path / "z.ckpt", {"v": np.zeros(0)})
         assert not (tmp_path / "z.ckpt").exists()
 
+    @pytest.mark.parametrize("params, meta, message", [
+        pytest.param({"a b": np.ones(2)}, None, "parameter name 'a b'", id="name-space"),
+        pytest.param({"": np.ones(2)}, None, "parameter name ''", id="name-empty"),
+        pytest.param({"a\tb": np.ones(2)}, None, "parameter name 'a\\tb'", id="name-tab"),
+        pytest.param({}, {"a b": "1"}, "meta key 'a b'", id="key-space"),
+        pytest.param({}, {"": "1"}, "meta key ''", id="key-empty"),
+        pytest.param({}, {"k": "x\ny"}, "meta value 'x\\ny' of k", id="value-newline"),
+        pytest.param({}, {"k": "x\ty"}, "meta value 'x\\ty' of k", id="value-tab"),
+        pytest.param({}, {"k": "x  y"}, "meta value 'x  y' of k", id="value-double-space"),
+        pytest.param({}, {"k": " x"}, "meta value ' x' of k", id="value-leading-space"),
+        pytest.param({}, {"k": "x "}, "meta value 'x ' of k", id="value-trailing-space"),
+    ])
+    def test_refuses_entries_the_format_cannot_hold(self, tmp_path, params, meta, message):
+        path = tmp_path / "bad.ckpt"
+        with pytest.raises(ValueError) as err:
+            save_checkpoint(path, params, meta=meta)
+        assert str(err.value).startswith(message)
+        assert not path.exists()
+
     @pytest.mark.parametrize("body, where", [
         pytest.param("param m 2 3\n0x1.0p+0 0x1.0p+0\n", ":3: parameter m ends after 2 of 6",
                      id="short-block"),

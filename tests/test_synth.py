@@ -136,6 +136,16 @@ class TestCsv:
                      ":3: expected 14 cells, got 15", id="ragged"),
         pytest.param(lambda lines: lines[:3] + ["x" + lines[3]] + lines[4:],
                      ":4: could not convert string to float", id="non-numeric"),
+        pytest.param(lambda lines: lines[:2] + [_set_cell(lines[2], 8, "1.5")] + lines[3:],
+                     ":3: y = 1.5 must be 0 or 1", id="fractional-label"),
+        pytest.param(lambda lines: lines[:4] + [_set_cell(lines[4], 11, "-1")] + lines[5:],
+                     ":5: nc = -1.0 must be 0 or 1", id="negative-label"),
+        pytest.param(lambda lines: lines[:3] + [_set_cell(lines[3], 0, "nan")] + lines[4:],
+                     ":4: x_0 = nan is not finite", id="nan-cell"),
+        pytest.param(lambda lines: lines[:5] + [_set_cell(lines[5], 13, "-inf")],
+                     ":6: sp_1 = -inf is not finite", id="infinite-cell"),
+        pytest.param(lambda lines: lines[:2] + [_set_cell(lines[2], 9, "nan")] + lines[3:],
+                     ":3: sn = nan is not finite", id="nan-label"),
     ])
     def test_malformed_rows_name_file_and_line(self, tmp_path, edit, message):
         path = tmp_path / "data.csv"
@@ -144,6 +154,12 @@ class TestCsv:
         with pytest.raises(ValueError) as err:
             read_csv(path)
         assert str(err.value).startswith(f"{path}{message}")
+
+
+def _set_cell(line, index, text):
+    cells = line.split(",")
+    cells[index] = text
+    return ",".join(cells)
 
 
 class TestInducedModels:
