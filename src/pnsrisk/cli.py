@@ -198,9 +198,16 @@ class ExperimentSpec:
         for name, fallback in defaults.items():
             value = getattr(self, name)
             value = fallback if value is None else tuple(value)
+            if not value:
+                raise ConfigError(f"empty grid list {name[5:]!r}")
             if len(set(value)) != len(value):
                 raise ConfigError(f"duplicate values in grid list {name[5:]!r}")
+            for v in value:  # each grid value must make a valid [train] config
+                replace(self.train, **{name[5:]: v})
             object.__setattr__(self, name, value)
+        if not all(np.isfinite(getattr(self, key)) for key in _CHECK_KEYS
+                   if getattr(self, key) is not None):
+            raise ConfigError("acceptance thresholds must be finite")
 
     def grid(self):
         return [
@@ -263,24 +270,14 @@ def _cell(value):
     return "" if value is None or value == "" else _format_value(value)
 
 
-def _trace_rows(trace):
-    return [
-        [_cell(r.step), _cell(r.sf), _cell(r.m), _cell(r.kl_c),
-         _cell(r.kl_cbar), _cell(r.hinge)]
-        for r in trace
-    ]
+_TRACE_FIELDS = ["step", "sf", "m", "kl_c", "kl_cbar", "hinge"]
+_RISK_FIELDS = ["sf", "nc", "m", "r", "kl_c", "kl_cbar", "mc_samples"]
 
 
-def _write_trace_csv(path, trace, config_text):
-    _write_csv(path, ["step", "sf", "m", "kl_c", "kl_cbar", "hinge"],
-               _trace_rows(trace), config_text)
-
-
-def _write_risk_csv(path, risk, config_text):
-    row = [_cell(risk.sf), _cell(risk.nc), _cell(risk.m), _cell(risk.r),
-           _cell(risk.kl_c), _cell(risk.kl_cbar), _cell(risk.mc_samples)]
-    _write_csv(path, ["sf", "nc", "m", "r", "kl_c", "kl_cbar", "mc_samples"],
-               [row], config_text)
+def _write_records(path, columns, records, config_text):
+    """One row per record (a StepRecord or a RiskReport), one column per field."""
+    _write_csv(path, columns, [[_cell(getattr(r, c)) for c in columns] for r in records],
+               config_text)
 
 
 # --------------------------------------------------------------------------
@@ -310,7 +307,7 @@ def cmd_train(args):
     try:
         result = train(data, config)
     except TrainingDiverged as exc:
-        _write_trace_csv(out / "trace.csv", exc.trace, normalized)
+        _write_records(out / "trace.csv", _TRACE_FIELDS, exc.trace, normalized)
         print(f"error: training diverged at step {exc.step} ({exc.cause})",
               file=sys.stderr)
         return 1
@@ -320,15 +317,11 @@ def cmd_train(args):
         "variant": config.variant,
         "seed": str(config.seed),
     })
-    _write_trace_csv(out / "trace.csv", result.trace, normalized)
-    _write_risk_csv(out / "risk.csv", result.risk, normalized)
+    _write_records(out / "trace.csv", _TRACE_FIELDS, result.trace, normalized)
+    _write_records(out / "risk.csv", _RISK_FIELDS, [result.risk], normalized)
     print(f"wrote {out / 'model.ckpt'}: sf={result.risk.sf:.4f} "
           f"m={result.risk.m:.4f} r={result.risk.r:.4f}")
     return 0
-
-
-def _meta_text(meta):
-    return "".join(f"{k} = {meta[k]}\n" for k in sorted(meta))
 
 
 def cmd_eval(args):
@@ -348,7 +341,7 @@ def cmd_eval(args):
     _write_csv(args.out,
                ["delta", "s", "seed", "dcor_sn", "dcor_sf", "dcor_nc",
                 "dcor_sp", "accuracy"],
-               [row], _meta_text(meta))
+               [row], "".join(f"{k} = {meta[k]}\n" for k in sorted(meta)))
     print(f"wrote {args.out}: dcor_sn={report.dcor_sn:.4f} "
           f"dcor_sp={report.dcor_sp:.4f} accuracy={report.accuracy:.4f}")
     return 0
@@ -391,10 +384,6 @@ def cmd_bounds(args):
     return 0 if all_hold else 1
 
 
-def _median(values):
-    return float(statistics.median(values))
-
-
 def run_repro(spec, out_dir):
     """Generate, train every grid point, aggregate, check.  Returns True
     iff every hard acceptance check passed and no run aborted."""
@@ -427,7 +416,7 @@ def run_repro(spec, out_dir):
             "variant": variant,
             "seed": str(seed),
         })
-        _write_trace_csv(run_dir / "trace.csv", result.trace, normalized)
+        _write_records(run_dir / "trace.csv", _TRACE_FIELDS, result.trace, normalized)
         runs.append({
             "delta": delta, "lam": lam, "variant": variant, "seed": seed,
             "dcor_sn": report.dcor_sn, "dcor_sf": report.dcor_sf,
@@ -456,7 +445,7 @@ def run_repro(spec, out_dir):
         row = {"delta": delta, "lam": lam, "variant": variant,
                "seeds": len(group)}
         for key in metrics:
-            row[key] = _median([r[key] for r in group])
+            row[key] = float(statistics.median([r[key] for r in group]))
         if variant == "casn_minus_m":
             row["m"] = ""  # the intervened representation is never trained
         summary.append(row)
@@ -468,27 +457,21 @@ def run_repro(spec, out_dir):
     checks = [("runs_completed", True, not aborted,
                f"{len(runs)} finished, {len(aborted)} aborted")]
     target = [r for r in summary if r["variant"] == "casn"]
+    # with no casn cell to judge, worst is NaN and the hard check fails
     if spec.dcor_sn_min is not None:
-        worst = min((r["dcor_sn"] for r in target), default=float("inf"))
+        worst = min((r["dcor_sn"] for r in target), default=float("nan"))
         checks.append(("dcor_sn_min", True, worst >= spec.dcor_sn_min,
                        f"min over casn cells {worst:.4f} vs {spec.dcor_sn_min}"))
     if spec.dcor_gap_min is not None:
         worst = min((r["dcor_sn"] - r["dcor_sp"] for r in target),
-                    default=float("inf"))
+                    default=float("nan"))
         checks.append(("dcor_gap_min", True, worst >= spec.dcor_gap_min,
                        f"min gap over casn cells {worst:.4f} vs {spec.dcor_gap_min}"))
     if spec.ablation_margin is not None:
-        worst = float("inf")
-        for (delta, lam, variant) in cells:
-            if variant != "casn":
-                continue
-            full = next(r for r in summary
-                        if (r["delta"], r["lam"], r["variant"]) == (delta, lam, "casn"))
-            ablated = [r for r in summary
-                       if (r["delta"], r["lam"], r["variant"])
-                       == (delta, lam, "casn_minus_m")]
-            if ablated:
-                worst = min(worst, full["dcor_sn"] - ablated[0]["dcor_sn"])
+        sn = {(r["delta"], r["lam"], r["variant"]): r["dcor_sn"] for r in summary}
+        drops = [sn[(d, l, "casn")] - sn[(d, l, "casn_minus_m")]
+                 for (d, l, v) in sn if v == "casn" and (d, l, "casn_minus_m") in sn]
+        worst = min(drops, default=float("inf"))
         checks.append(("ablation_margin", False,
                        worst == float("inf") or worst >= -spec.ablation_margin,
                        f"worst dcor_sn drop {worst:.4f} vs -{spec.ablation_margin}"))

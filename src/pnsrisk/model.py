@@ -200,12 +200,6 @@ class GaussianEncoder:
     def sample(self, x, eps):
         return self.draw(self.encode(x), eps)
 
-    def sample_np(self, x, n_draws, gen):
-        """n_draws graph-free draws per input row, shape (n_draws, n, rep)."""
-        mean, var = self.encode_np(x)
-        eps = gen.standard_normal((n_draws,) + mean.shape)
-        return mean[None, :, :] + np.sqrt(var)[None, :, :] * eps
-
     def kl_node(self, mean, prior):
         """Mean-over-batch KL(q(.|x) || prior) as one graph node.
 
@@ -258,7 +252,7 @@ class LinearHead:
     def logits(self, c):
         z = c @ self.w
         if self.b is not None:
-            z = z + self.b
+            z = z + self.b.sum()  # a scalar node broadcasts across rows; (1,) does not
         return z
 
     def logits_np(self, c):

@@ -43,6 +43,16 @@ __all__ = [
 _ATOL = 1e-12
 
 
+def _check_distribution(probs, name):
+    """Raise ValueError unless probs are nonnegative and sum to 1; a NaN
+    fails the sum check."""
+    total = sum(probs)
+    if not abs(total - 1.0) <= _ATOL:
+        raise ValueError(f"{name} sum to {total}, not 1")
+    if any(p < 0 for p in probs):
+        raise ValueError(f"negative probability in {name}")
+
+
 class UndefinedConditionalError(ValueError):
     """Conditioning event has zero probability; the term is named so a
     malformed test model surfaces instead of silently contributing 0."""
@@ -64,26 +74,19 @@ class DiscreteScm:
     mechanism: object = field(repr=False)
 
     def __post_init__(self):
+        if any(len(set(v)) != len(v) for v in (self.c_values, self.u_values)):
+            raise ValueError("duplicate entries in c_values or u_values")
         if len(self.u_probs) != len(self.u_values):
             raise ValueError("u_probs must align with u_values")
-        if abs(sum(self.u_probs) - 1.0) > _ATOL:
-            raise ValueError(f"u_probs sum to {sum(self.u_probs)}, not 1")
-        if any(p < 0 for p in self.u_probs):
-            raise ValueError("negative probability in u_probs")
+        _check_distribution(self.u_probs, "u_probs")
+        marginal = all(not isinstance(v, dict) for v in self.cause_table.values())
         cond = {}
-        if all(not isinstance(v, dict) for v in self.cause_table.values()):
-            row = {c: float(self.cause_table[c]) for c in self.c_values}
-            for u in self.u_values:
-                cond[u] = row
-        else:
-            for u in self.u_values:
-                cond[u] = {c: float(self.cause_table[u][c]) for c in self.c_values}
-        for u, row in cond.items():
-            total = sum(row.values())
-            if abs(total - 1.0) > _ATOL:
-                raise ValueError(f"cause probabilities for u={u} sum to {total}, not 1")
-            if any(p < 0 for p in row.values()):
-                raise ValueError(f"negative cause probability for u={u}")
+        for u in self.u_values:
+            row = self.cause_table if marginal else self.cause_table.get(u)
+            if not isinstance(row, dict) or any(c not in row for c in self.c_values):
+                raise ValueError(f"cause table lacks P(C=c|U={u}) for some c")
+            cond[u] = {c: float(row[c]) for c in self.c_values}
+            _check_distribution(cond[u].values(), f"cause probabilities for u={u}")
         table = {}
         for c in self.c_values:
             for u in self.u_values:
@@ -288,53 +291,73 @@ def read_scm(path):
         c_probs <p> <p> ...            marginal, aligned with c_values
         c_probs_given_u <u> <p> ...    one line per u for a confounded cause
         y <c> <u> <0|1>                one line per (c, u) pair
+
+    Each directive appears once (c_probs_given_u once per u, y once per
+    pair).  A malformed table raises ValueError("<path>:<line>: ...")
+    naming the line at fault.
     """
-    c_values = u_values = u_probs = None
-    marginal = None
-    conditional = {}
-    outcomes = {}
+    vectors, conditional, outcomes = {}, {}, {}  # entry -> (line number, value)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            tokens = line.split()
-            key, args = tokens[0], tokens[1:]
+            key, *args = line.split()
             try:
-                if key == "c_values":
-                    c_values = tuple(float(a) for a in args)
-                elif key == "u_values":
-                    u_values = tuple(float(a) for a in args)
-                elif key == "u_probs":
-                    u_probs = tuple(float(a) for a in args)
-                elif key == "c_probs":
-                    marginal = [float(a) for a in args]
-                elif key == "c_probs_given_u":
-                    conditional[float(args[0])] = [float(a) for a in args[1:]]
-                elif key == "y":
-                    outcomes[(float(args[0]), float(args[1]))] = int(args[2])
+                if key in ("c_values", "u_values", "u_probs", "c_probs"):
+                    table, entry, value = vectors, key, tuple(float(a) for a in args)
+                    if key.endswith("probs"):
+                        _check_distribution(value, key)
+                    elif len(set(value)) != len(value):
+                        raise ValueError(f"duplicate entries in {key}")
+                elif key == "c_probs_given_u" and args:
+                    table, entry = conditional, float(args[0])
+                    value = tuple(float(a) for a in args[1:])
+                    _check_distribution(value, f"c_probs_given_u {entry}")
+                elif key == "y" and len(args) == 3:
+                    table, entry, value = outcomes, (float(args[0]), float(args[1])), int(args[2])
+                    if value not in (0, 1):
+                        raise ValueError(f"label {value} outside {{0, 1}}")
                 else:
-                    raise ValueError(f"unknown directive {key!r}")
-            except (ValueError, IndexError) as exc:
+                    raise ValueError(f"unknown directive or wrong arity: {line!r}")
+                if entry in table:
+                    raise ValueError(f"{key} repeats line {table[entry][0]}")
+                if "c_probs" in (key, *vectors) and (conditional or table is conditional):
+                    raise ValueError("c_probs and c_probs_given_u cannot be mixed")
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if c_values is None or u_values is None or u_probs is None:
+            table[entry] = (lineno, value)
+
+    def check(ok, lineno, message):
+        if not ok:
+            raise ValueError(f"{path}:{lineno}: {message}")
+
+    if not {"c_values", "u_values", "u_probs"} <= vectors.keys():
         raise ValueError(f"{path}: c_values, u_values and u_probs are all required")
-    if marginal is not None:
-        cause_table = dict(zip(c_values, marginal))
-    elif conditional:
-        cause_table = {u: dict(zip(c_values, conditional[u])) for u in u_values}
-    else:
+    if not ("c_probs" in vectors or conditional):
         raise ValueError(f"{path}: need c_probs or c_probs_given_u lines")
+    c_values, u_values = vectors["c_values"][1], vectors["u_values"][1]
+    rows = [(vectors["u_probs"], u_values)]
+    rows += [(entry, c_values) for entry in (vectors.get("c_probs"), *conditional.values()) if entry]
+    for (lineno, probs), values in rows:
+        check(len(probs) == len(values), lineno,
+              f"{len(probs)} probabilities for {len(values)} values")
+    for u, (lineno, _) in conditional.items():
+        check(u in u_values, lineno, f"u = {u} is not in u_values")
+    for u in u_values:
+        check(u in conditional or not conditional, vectors["u_values"][0],
+              f"no c_probs_given_u line for u = {u}")
+    for (c, u), (lineno, _) in outcomes.items():
+        check(c in c_values and u in u_values, lineno, f"y {c} {u} is outside c_values x u_values")
     missing = [(c, u) for c in c_values for u in u_values if (c, u) not in outcomes]
     if missing:
         raise ValueError(f"{path}: mechanism not total, missing y lines for {missing}")
-    return DiscreteScm(
-        c_values=c_values,
-        u_values=u_values,
-        u_probs=u_probs,
-        cause_table=cause_table,
-        mechanism=lambda c, u: outcomes[(c, u)],
-    )
+    if "c_probs" in vectors:
+        cause_table = dict(zip(c_values, vectors["c_probs"][1]))
+    else:
+        cause_table = {u: dict(zip(c_values, conditional[u][1])) for u in u_values}
+    return DiscreteScm(c_values=c_values, u_values=u_values, u_probs=vectors["u_probs"][1],
+                       cause_table=cause_table, mechanism=lambda c, u: outcomes[(c, u)][1])
 
 
 def format_report(report):

@@ -12,9 +12,10 @@ more usefully rearranged as  sf + nc = m + 2 * sf * nc  per sample,
 which the domain-shift bound exploits.
 
 Monte Carlo draws come from keyed Philox streams (pnsrisk.streams),
-keyed by (global seed ^ role, sample id), so estimates do not depend on
-batch order and the same point receives the same draws in every domain
-that contains it.
+keyed by (global seed ^ role, sample id).  The encoders run once per
+batch; only the draws are per row, each row keeping its own stream, so
+estimates do not depend on batch order and the same point receives the
+same draws in every domain that contains it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import GaussianEncoder, LinearHead, _ytil
 from .streams import ROLE_C, ROLE_CBAR, ROLE_PLAIN, keyed
 
 __all__ = [
@@ -63,7 +65,7 @@ class DiscreteDomain:
         if any(p < 0 for p in self.probs):
             raise ValueError("negative probability")
         total = sum(self.probs)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"probabilities sum to {total}, not 1")
         for x, y in self.points:
             if y not in (0, 1):
@@ -92,19 +94,27 @@ class RiskReport:
     mc_samples: int
 
 
-def _sample_triple(x_row, y_i, enc_c, enc_cbar, head, mc_samples, seed, sample_id):
-    """(sf, nc, m) for one sample from keyed Monte Carlo draws."""
-    draws_c = enc_c.sample_np(x_row, mc_samples, keyed(seed, ROLE_C, sample_id))
-    draws_cbar = enc_cbar.sample_np(x_row, mc_samples, keyed(seed, ROLE_CBAR, sample_id))
-    pred_c = head.logits_np(draws_c.reshape(mc_samples, -1)) >= 0.0
-    pred_cbar = head.logits_np(draws_cbar.reshape(mc_samples, -1)) >= 0.0
-    sf = float((pred_c != y_i).mean())
-    nc = float((pred_cbar == y_i).mean())
+def _labels(head, mean, var, mc_samples, seed, role, ids):
+    """(n, mc_samples) labels head(mu + sd * eps) >= 0 from posterior rows;
+    row i draws eps from its own stream (seed, role, ids[i])."""
+    labels = np.empty((len(mean), mc_samples), dtype=bool)
+    for i, (mu, sd, sid) in enumerate(zip(mean, np.sqrt(var), ids)):
+        eps = keyed(seed, role, sid).standard_normal((mc_samples, len(mu)))
+        labels[i] = head.logits_np(mu + sd * eps) >= 0.0
+    return labels
+
+
+def _risk_rows(head, post_c, post_cbar, y, mc_samples, seed, ids):
+    """Per-row (sf, nc, m) arrays from the posteriors (mean, var) of the
+    factual and the counterfactual encoder."""
+    pred_c = _labels(head, *post_c, mc_samples, seed, ROLE_C, ids)
+    pred_cbar = _labels(head, *post_cbar, mc_samples, seed, ROLE_CBAR, ids)
+    y = np.asarray(y)[:, None]
+    sf = (pred_c != y).mean(axis=1)
+    nc = (pred_cbar == y).mean(axis=1)
     # agreement over all draw pairs factorizes through the draw means
-    a = float(pred_c.mean())
-    b = float(pred_cbar.mean())
-    m = a * b + (1.0 - a) * (1.0 - b)
-    return sf, nc, m
+    a, b = pred_c.mean(axis=1), pred_cbar.mean(axis=1)
+    return sf, nc, a * b + (1.0 - a) * (1.0 - b)
 
 
 def estimate_risk(x, y, enc_c, enc_cbar, head, mc_samples=_DEFAULT_MC, seed=0,
@@ -112,38 +122,30 @@ def estimate_risk(x, y, enc_c, enc_cbar, head, mc_samples=_DEFAULT_MC, seed=0,
     """Monte Carlo RiskReport over a batch.
 
     sample_ids give each row a stable identity for the keyed streams;
-    they default to batch position.  Priors, when supplied, add the mean
-    closed-form KL of each encoder posterior to the report.
+    they default to batch position.  Each encoder runs once over the
+    batch, and its posterior feeds both the draws and, when a prior is
+    supplied, the mean closed-form KL in the report.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y)
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
+    y = _ytil(y) > 0.0  # the 0/1 labels, checked, as booleans
     if len(y) != len(x):
         raise ValueError("x and y must align")
     if mc_samples < 1:
         raise ValueError("mc_samples must be at least 1")
-    ids = range(len(x)) if sample_ids is None else sample_ids
-    per_sample = tuple(
-        _sample_triple(x[i : i + 1], int(y[i]), enc_c, enc_cbar, head, mc_samples, seed, sid)
-        for i, sid in zip(range(len(x)), ids)
-    )
-    sf = float(np.mean([t[0] for t in per_sample]))
-    nc = float(np.mean([t[1] for t in per_sample]))
-    m = float(np.mean([t[2] for t in per_sample]))
-    kl_c = kl_cbar = 0.0
-    if prior_c is not None:
-        mean, var = enc_c.encode_np(x)
-        kl_c = float(np.mean([gaussian_kl(mu, var[0], prior_c.mean, prior_c.var) for mu in mean]))
-    if prior_cbar is not None:
-        mean, var = enc_cbar.encode_np(x)
-        kl_cbar = float(
-            np.mean([gaussian_kl(mu, var[0], prior_cbar.mean, prior_cbar.var) for mu in mean])
-        )
-    return RiskReport(
-        sf=sf, nc=nc, m=m, r=sf + nc, per_sample=per_sample,
-        kl_c=kl_c, kl_cbar=kl_cbar, mc_samples=mc_samples,
-    )
+    ids = range(len(x)) if sample_ids is None else list(sample_ids)
+    if len(ids) != len(x):
+        raise ValueError("sample_ids and x must align")
+    post_c, post_cbar = enc_c.encode_np(x), enc_cbar.encode_np(x)
+    sf, nc, m = _risk_rows(head, post_c, post_cbar, y, mc_samples, seed, ids)
+
+    def mean_kl(post, prior):
+        return 0.0 if prior is None else float(np.mean(gaussian_kl(*post, prior.mean, prior.var)))
+
+    per_sample = tuple(zip(sf.tolist(), nc.tolist(), m.tolist()))
+    sf, nc = float(sf.mean()), float(nc.mean())
+    return RiskReport(sf=sf, nc=nc, m=float(m.mean()), r=sf + nc, per_sample=per_sample,
+                      kl_c=mean_kl(post_c, prior_c), kl_cbar=mean_kl(post_cbar, prior_cbar),
+                      mc_samples=mc_samples)
 
 
 def beta_divergence(t, s, k):
@@ -165,16 +167,17 @@ def beta_divergence(t, s, k):
 
 
 def gaussian_kl(q_mean, q_var, p_mean, p_var):
-    """KL(q || p) for diagonal Gaussians, in nats."""
+    """KL(q || p) for diagonal Gaussians, in nats, over the last axis: a
+    float for one posterior, one KL per row for an (n, rep) matrix of them."""
     q_mean, q_var = np.asarray(q_mean, dtype=float), np.asarray(q_var, dtype=float)
     p_mean, p_var = np.asarray(p_mean, dtype=float), np.asarray(p_var, dtype=float)
-    if not (q_mean.shape == q_var.shape == p_mean.shape == p_var.shape):
+    if not (q_mean.shape == q_var.shape and p_mean.shape == p_var.shape == q_mean.shape[-1:]):
         raise ValueError("mismatched shapes")
     if np.any(q_var <= 0.0) or np.any(p_var <= 0.0):
         raise ValueError("variances must be strictly positive")
-    return float(
-        0.5 * np.sum(np.log(p_var / q_var) + (q_var + (q_mean - p_mean) ** 2) / p_var - 1.0)
-    )
+    kl = 0.5 * np.sum(np.log(p_var / q_var) + (q_var + (q_mean - p_mean) ** 2) / p_var - 1.0,
+                      axis=-1)
+    return float(kl) if kl.ndim == 0 else kl
 
 
 def deviation_bound(kl_empirical, n, epsilon, c_const=0.0, slack_half=False):
@@ -222,12 +225,10 @@ def domain_shift_bound(t, s, enc_c, enc_cbar, head, mc_samples=_DEFAULT_MC, seed
     eta charges the T-mass outside supp(S) at the worst per-point risk.
     """
     union = sorted(set(t.support()) | set(s.support()))
-    triples = {}
-    for idx, point in enumerate(union):
-        x_row = np.asarray(point[0], dtype=np.float64)[None, :]
-        triples[point] = _sample_triple(
-            x_row, point[1], enc_c, enc_cbar, head, mc_samples, seed, idx
-        )
+    x = np.array([point[0] for point in union], dtype=np.float64)
+    rows = _risk_rows(head, enc_c.encode_np(x), enc_cbar.encode_np(x),
+                      [point[1] for point in union], mc_samples, seed, range(len(union)))
+    triples = dict(zip(union, zip(*(r.tolist() for r in rows))))
     lhs = sum(t.mass(p) * (triples[p][0] + triples[p][1]) for p in t.support())
     m_s = sum(s.mass(p) * triples[p][2] for p in s.support())
     sf_s = sum(s.mass(p) * triples[p][0] for p in s.support())
@@ -287,16 +288,16 @@ def sufficiency_deviation_trial(domain, enc, head, prior, n, epsilon, seed,
     support = domain.support()
     probs = np.array([domain.mass(p) for p in support])
     picks = gen.choice(len(support), size=n, p=probs / probs.sum())
-    wrong = 0
+    # each support point is encoded once, on its own; pick j draws its one
+    # representation from stream j + 1
+    posts = [enc.encode_np(np.asarray(x, dtype=np.float64)[None, :]) for x, _ in support]
+    mean, var = (np.concatenate(part) for part in zip(*posts))
+    labels = _labels(head, mean[picks], var[picks], 1, seed, ROLE_C, range(1, n + 1))[:, 0]
+    wrong = int((labels != np.array([y for _, y in support])[picks]).sum())
+    kls = gaussian_kl(mean, var, prior.mean, prior.var).tolist()
     kl_sum = 0.0
-    for j, pick in enumerate(picks):
-        x_tuple, y = support[pick]
-        x_row = np.asarray(x_tuple, dtype=np.float64)[None, :]
-        draw = enc.sample_np(x_row, 1, keyed(seed, ROLE_C, j + 1))[0]
-        pred = head.logits_np(draw) >= 0.0
-        wrong += int(pred[0]) != y
-        mean, var = enc.encode_np(x_row)
-        kl_sum += gaussian_kl(mean[0], var[0], prior.mean, prior.var)
+    for pick in picks:  # summed in pick order, one term at a time
+        kl_sum += kls[pick]
     deviation = abs(true_sufficiency_risk(domain, enc, head) - wrong / n)
     rhs = deviation_bound(kl_sum / n, n, epsilon, c_const=c_const, slack_half=slack_half)
     return deviation, rhs, deviation > rhs
@@ -309,8 +310,6 @@ def random_bound_instance(rng, x_dim=3, rep_dim=3, out_of_support=True):
     out_of_support, T also puts mass on points S never sees, so eta
     exercises a nonzero path.
     """
-    from .model import GaussianEncoder, LinearHead  # local import, no cycle at module load
-
     n_shared = int(rng.integers(2, 6))
     n_extra = int(rng.integers(1, 4)) if out_of_support else 0
     pool = []

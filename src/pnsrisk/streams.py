@@ -13,7 +13,9 @@ Roles:
   give colliding streams (train lane k and synth row k); separating
   them changes every drawn value.
 * ROLE_C, ROLE_CBAR: Monte Carlo draws of the factual and the
-  counterfactual representation, index = sample id.
+  counterfactual representation, index = sample id.  Each row of a
+  batch keeps its own stream; the risk estimators encode the batch
+  once and draw row by row.
 """
 
 from __future__ import annotations

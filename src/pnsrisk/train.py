@@ -32,6 +32,7 @@ from .model import (
     GaussianEncoder,
     GaussianPrior,
     LinearHead,
+    _ytil,
     clone_perturbed,
     load_checkpoint,
     save_checkpoint,
@@ -171,10 +172,7 @@ def irm_penalty(head, rep_groups, y_groups):
         raise ValueError("rep_groups and y_groups must align")
     total = None
     for reps, y in zip(rep_groups, y_groups):
-        y = np.asarray(y)
-        if not np.isin(y, (0, 1)).all():
-            raise ValueError("labels must be 0 or 1")
-        neg_ytil = constant(-(y.astype(np.float64) * 2.0 - 1.0))
+        neg_ytil = constant(-_ytil(y))
         a = head.logits(reps) * neg_ytil
         grad_s = (a * sigmoid(a)).mean()
         term = grad_s.square()

@@ -118,8 +118,25 @@ class TestExperimentSpec:
         assert len(set(spec.grid())) == 8
 
     def test_empty_grid_list(self):
-        spec = parse_config("[grid]\nseed =\n")
-        assert spec.grid() == []
+        with pytest.raises(ConfigError, match="empty grid list 'seed'"):
+            parse_config("[grid]\nseed =\n")
+        with pytest.raises(ConfigError, match="empty grid list 'variant'"):
+            ExperimentSpec(grid_variant=())
+
+    @pytest.mark.parametrize("line, message", [
+        ("delta = 0.5, nan", "delta must be finite and nonnegative, got nan"),
+        ("lam = -1.0", "lam must be finite and nonnegative"),
+        ("variant = casn, bogus", "variant must be one of"),
+        ("seed = -1", "seed must be at least 0"),
+    ])
+    def test_grid_values_are_checked_as_train_values(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f"[grid]\n{line}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_acceptance_thresholds_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match="acceptance thresholds must be finite"):
+            parse_config(f"[acceptance]\ndcor_gap_min = {value}\n")
 
     def test_round_trip_is_normalization(self):
         messy = (
@@ -186,6 +203,16 @@ def test_oracle_bad_file_is_clean_error(tmp_path, capsys):
     assert main(["oracle", "--scm", str(scm_path), "--c", "1",
                  "--cbar", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_oracle_nan_probability_is_clean_error(tmp_path, capsys):
+    scm_path = tmp_path / "scm.txt"
+    scm_path.write_text(CAT_LEGS_SCM.replace("u_probs 0.5 0.5", "u_probs 0.5 nan"))
+    assert main(["oracle", "--scm", str(scm_path), "--c", "1",
+                 "--cbar", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {scm_path}:4: u_probs sum to nan, not 1\n"
 
 
 def test_bounds_all_hold(tmp_path):
@@ -315,15 +342,23 @@ seed = 0, 1
 
 
 class TestRepro:
-    def test_empty_grid_is_vacuous_pass(self, tmp_path, capsys):
+    def test_empty_grid_is_config_error(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.txt"
         spec_file.write_text("[grid]\nseed =\n")
         assert main(["repro", "--spec", str(spec_file),
-                     "--out", str(tmp_path / "out")]) == 0
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "error: empty grid list 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_hard_check_without_casn_cell_fails(self, tmp_path, capsys):
+        spec = parse_config(REPRO_SPEC.replace("variant = casn, casn_minus_m",
+                                               "variant = casn_minus_m")
+                            + "\n[acceptance]\ndcor_sn_min = 0.0\ndcor_gap_min = -1.0\n")
+        assert run_repro(spec, tmp_path / "out") is False
         out = capsys.readouterr().out
         assert "PASS runs_completed" in out
-        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
-        assert len(summary) == 1  # header only
+        assert "FAIL dcor_sn_min (hard): min over casn cells nan vs 0.0" in out
+        assert "FAIL dcor_gap_min (hard): min gap over casn cells nan vs -1.0" in out
 
     def test_grid_summary_shape_and_ablation_blank(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.txt"

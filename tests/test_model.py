@@ -63,15 +63,6 @@ class TestEncoder:
         eps = rng.standard_normal((2, 3))
         assert np.array_equal(enc.sample(x, eps).data, enc.sample(x, eps).data)
 
-    def test_sample_np_moments(self):
-        rng = np.random.default_rng(5)
-        enc = GaussianEncoder(3, rep_dim=2, rng=rng, fixed_var=0.04)
-        x = rng.standard_normal((1, 3))
-        draws = enc.sample_np(x, 200000, np.random.default_rng(6))
-        mean, _ = enc.encode_np(x)
-        assert np.allclose(draws.mean(axis=0), mean, atol=2e-3)
-        assert np.allclose(draws.std(axis=0), 0.2, atol=2e-3)
-
     def test_reparameterized_gradient(self):
         rng = np.random.default_rng(7)
         enc = GaussianEncoder(3, rep_dim=2, hidden=(5, 4), rng=rng)

@@ -226,6 +226,46 @@ class TestScmFile:
         with pytest.raises(ValueError, match=":2:"):
             read_scm(path)
 
+    @pytest.mark.parametrize("edit, lineno, message", [
+        # a confounded table missing the row for u = 1
+        (("c_probs 0.5 0.5", "c_probs_given_u 0 0.5 0.5"), 2,
+         "no c_probs_given_u line for u = 1.0"),
+        (("c_probs 0.5 0.5", "c_probs 1.0"), 4, "1 probabilities for 2 values"),
+        (("u_probs 0.5 0.5", "u_probs 0.5 nan"), 3, "u_probs sum to nan, not 1"),
+        (("c_probs 0.5 0.5", "c_probs 0.5 nan"), 4, "c_probs sum to nan, not 1"),
+        (("u_probs 0.5 0.5", "u_probs 1.5 -0.5"), 3, "negative probability in u_probs"),
+        (("y 1 1 1", "y 1 1 2"), 8, "label 2 outside {0, 1}"),
+        (("y 1 1 1", "y 1 1 1\ny 2 0 1"), 9, "y 2.0 0.0 is outside c_values x u_values"),
+        (("y 1 1 1", "y 1 1 1\ny 1 1 0"), 9, "y repeats line 8"),
+        (("y 1 1 1", "y 1 1"), 8, "unknown directive or wrong arity: 'y 1 1'"),
+        (("c_values 0 1", "c_values 0 0"), 1, "duplicate entries in c_values"),
+        (("c_probs 0.5 0.5", "c_probs 0.5 0.5\nc_probs_given_u 0 0.5 0.5"), 5,
+         "c_probs and c_probs_given_u cannot be mixed"),
+        (("c_probs 0.5 0.5", "c_probs_given_u 0 0.5 0.5\nc_probs_given_u 1 0.5 0.5\n"
+          "c_probs_given_u 2 0.5 0.5"), 6, "u = 2.0 is not in u_values"),
+    ])
+    def test_malformed_table_names_file_and_line(self, tmp_path, edit, lineno, message):
+        good = ("c_values 0 1\nu_values 0 1\nu_probs 0.5 0.5\nc_probs 0.5 0.5\n"
+                "y 0 0 0\ny 0 1 1\ny 1 0 1\ny 1 1 1\n")
+        assert good.count(edit[0]) == 1
+        path = tmp_path / "bad.scm"
+        path.write_text(good.replace(*edit))
+        with pytest.raises(ValueError) as info:
+            read_scm(path)
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(f"{path}:{lineno}: {message}")
+
+    @pytest.mark.parametrize("table, message", [
+        ({0: 0.5}, r"lacks P\(C=c\|U=0\)"),
+        ({0: {0: 1.0, 1: 0.0}}, r"lacks P\(C=c\|U=1\)"),
+        ({0: {0: 1.0, 1: 0.0}, 1: {0: float("nan"), 1: 1.0}},
+         "cause probabilities for u=1 sum to nan"),
+    ])
+    def test_constructor_refuses_incomplete_cause_table(self, table, message):
+        with pytest.raises(ValueError, match=message) as info:
+            DiscreteScm((0, 1), (0, 1), (0.5, 0.5), table, lambda c, u: c)
+        assert type(info.value) is ValueError
+
     def test_report_formatting(self, cat_legs_scm):
         text = format_report(analyze(cat_legs_scm, 1, 0, 1))
         assert "pns = 0.5" in text

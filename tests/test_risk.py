@@ -16,6 +16,7 @@ from pnsrisk.risk import (
     sufficiency_deviation_trial,
     true_sufficiency_risk,
 )
+from pnsrisk.streams import ROLE_C, ROLE_CBAR, ROLE_PLAIN, keyed
 
 INF = math.inf
 
@@ -32,10 +33,71 @@ class ShiftEncoder:
         mean = np.atleast_2d(np.asarray(x, dtype=float)) + self.shift
         return mean, np.full(mean.shape, self.sd**2)
 
-    def sample_np(self, x, n_draws, gen):
-        mean, var = self.encode_np(x)
-        eps = gen.standard_normal((n_draws,) + mean.shape)
-        return mean[None] + np.sqrt(var)[None] * eps
+
+def ref_sample_triple(x_row, y_i, enc_c, enc_cbar, head, mc_samples, seed, sample_id):
+    """(sf, nc, m) of one row the per-row way: a one-row encode of each
+    encoder and the row's own keyed draws."""
+
+    def labels(enc, role):
+        mean, var = enc.encode_np(x_row)
+        eps = keyed(seed, role, sample_id).standard_normal((mc_samples,) + mean.shape)
+        draws = mean[None] + np.sqrt(var)[None] * eps
+        return head.logits_np(draws.reshape(mc_samples, -1)) >= 0.0
+
+    pred_c, pred_cbar = labels(enc_c, ROLE_C), labels(enc_cbar, ROLE_CBAR)
+    a, b = float(pred_c.mean()), float(pred_cbar.mean())
+    return (float((pred_c != y_i).mean()), float((pred_cbar == y_i).mean()),
+            a * b + (1.0 - a) * (1.0 - b))
+
+
+def ref_shift_terms(t, s, enc_c, enc_cbar, head, mc_samples, seed):
+    """(lhs, m_s, sf_s, eta, m_t) of the shift bound from per-row triples."""
+    union = sorted(set(t.support()) | set(s.support()))
+    triples = {
+        p: ref_sample_triple(np.asarray(p[0], dtype=np.float64)[None, :], p[1],
+                             enc_c, enc_cbar, head, mc_samples, seed, idx)
+        for idx, p in enumerate(union)
+    }
+    lhs = sum(t.mass(p) * (triples[p][0] + triples[p][1]) for p in t.support())
+    m_s = sum(s.mass(p) * triples[p][2] for p in s.support())
+    sf_s = sum(s.mass(p) * triples[p][0] for p in s.support())
+    outside = [p for p in t.support() if s.mass(p) <= 0.0]
+    eta = (sum(t.mass(p) for p in outside)
+           * max((triples[p][0] + triples[p][1] for p in outside), default=0.0))
+    m_t = sum(t.mass(p) * triples[p][2] for p in t.support())
+    return lhs, m_s, sf_s, eta, m_t
+
+
+def ref_deviation_trial(domain, enc, head, prior, n, epsilon, seed):
+    """The deviation trial the per-pick way: a one-row encode per pick."""
+    support = domain.support()
+    probs = np.array([domain.mass(p) for p in support])
+    picks = keyed(seed, ROLE_PLAIN, 0).choice(len(support), size=n, p=probs / probs.sum())
+    wrong = 0
+    kl_sum = 0.0
+    for j, pick in enumerate(picks):
+        x_tuple, y = support[pick]
+        x_row = np.asarray(x_tuple, dtype=np.float64)[None, :]
+        mean, var = enc.encode_np(x_row)
+        draw = mean + np.sqrt(var) * keyed(seed, ROLE_C, j + 1).standard_normal(mean.shape)
+        wrong += int(head.logits_np(draw)[0] >= 0.0) != y
+        kl_sum += gaussian_kl(mean[0], var[0], prior.mean, prior.var)
+    deviation = abs(true_sufficiency_risk(domain, enc, head) - wrong / n)
+    rhs = deviation_bound(kl_sum / n, n, epsilon, slack_half=True)
+    return deviation, rhs, deviation > rhs
+
+
+def count_philox(monkeypatch):
+    """A list that grows by one per Philox stream created."""
+    created = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        created.append(None)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    return created
 
 
 def identity_head(dim=1):
@@ -154,6 +216,12 @@ class TestMonteCarloConvergence:
         exact = true_sufficiency_risk(domain, ShiftEncoder(0.0, sd=1.0), identity_head())
         want = 0.5 * (1.0 + math.erf(-0.3 / math.sqrt(2.0)))
         assert abs(exact - want) < 1e-12
+
+
+@pytest.mark.parametrize("probs", [(float("nan"), 0.5), (0.7, 0.7), (1.5, -0.5)])
+def test_domain_probabilities_validated(probs):
+    with pytest.raises(ValueError):
+        DiscreteDomain((((0.0,), 0), ((1.0,), 1)), probs)
 
 
 class TestBetaDivergence:
@@ -335,3 +403,62 @@ class TestDeviationTrial:
         a = sufficiency_deviation_trial(domain, enc, head, prior, 50, 0.1, seed=9)
         b = sufficiency_deviation_trial(domain, enc, head, prior, 50, 0.1, seed=9)
         assert a == b
+
+
+class TestPerRowReference:
+    """The batched estimators give exactly the numbers of a per-row path
+    with one-row encodes, and create the same Philox streams."""
+
+    def test_estimate_risk_matches_per_row(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        _, _, enc_c, enc_cbar, head = random_bound_instance(rng)
+        x = rng.uniform(-2.0, 2.0, size=(40, 3))
+        y = rng.integers(0, 2, size=40)
+        ids = rng.permutation(1000)[:40].tolist()
+        prior = GaussianPrior.standard(3)
+        created = count_philox(monkeypatch)
+        report = estimate_risk(x, y, enc_c, enc_cbar, head, mc_samples=16, seed=3,
+                               sample_ids=ids, prior_c=prior, prior_cbar=prior)
+        assert len(created) == 2 * len(x)
+        want = tuple(ref_sample_triple(x[i : i + 1], int(y[i]), enc_c, enc_cbar, head,
+                                       16, 3, sid)
+                     for i, sid in enumerate(ids))
+        assert report.per_sample == want
+        assert report.sf == float(np.mean([t[0] for t in want]))
+        assert report.m == float(np.mean([t[2] for t in want]))
+        mean, var = enc_cbar.encode_np(x)
+        assert report.kl_cbar == float(
+            np.mean([gaussian_kl(mu, var[0], prior.mean, prior.var) for mu in mean]))
+
+    def test_sample_ids_must_align(self):
+        enc = ShiftEncoder()
+        with pytest.raises(ValueError, match="sample_ids"):
+            estimate_risk(np.zeros((2, 1)), np.array([0, 1]), enc, enc, identity_head(),
+                          sample_ids=[5])
+
+    @pytest.mark.parametrize("m_under_test", [False, True])
+    def test_domain_shift_bound_matches_per_row(self, m_under_test):
+        rng = np.random.default_rng(17)
+        for i in range(20):
+            t, s, enc_c, enc_cbar, head = random_bound_instance(rng)
+            report = domain_shift_bound(t, s, enc_c, enc_cbar, head, mc_samples=8, seed=i,
+                                        m_under_test=m_under_test)
+            lhs, m_s, sf_s, eta, m_t = ref_shift_terms(t, s, enc_c, enc_cbar, head, 8, i)
+            beta = beta_divergence(t, s, INF)
+            rhs = (m_t + beta * 2.0 * sf_s + eta if m_under_test
+                   else beta * (m_s + 2.0 * sf_s) + eta)
+            assert (report.lhs, report.rhs, report.eta, report.sf_term) == (lhs, rhs, eta, sf_s)
+            assert report.m_term == (m_t if m_under_test else m_s)
+
+    def test_deviation_trial_matches_per_pick(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        _, source, enc, _, head = random_bound_instance(rng, out_of_support=False)
+        prior = GaussianPrior.standard(enc.rep_dim)
+        for seed in range(5):
+            want = ref_deviation_trial(source, enc, head, prior, 300, 0.1, seed)
+            created = count_philox(monkeypatch)
+            got = sufficiency_deviation_trial(source, enc, head, prior, n=300, epsilon=0.1,
+                                              seed=seed)
+            assert len(created) == 300 + 1
+            monkeypatch.undo()
+            assert got == want

@@ -129,6 +129,18 @@ class TestIrmPenalty:
         params = [reps, head.w]
         assert check_gradients(lambda: irm_penalty(head, [reps], [y]), params) < 1e-5
 
+    def test_biased_head(self):
+        rng = np.random.default_rng(8)
+        head = LinearHead(3, rng=rng, bias=True)
+        head.b.data[:] = 0.4
+        reps = parameter(rng.standard_normal((8, 3)))
+        y = rng.integers(0, 2, size=8)
+        a = -(y * 2.0 - 1.0) * (reps.data @ head.w.data + 0.4)
+        want = np.mean(a / (1.0 + np.exp(-a))) ** 2
+        assert abs(irm_penalty(head, [reps], [y]).item() - want) < 1e-12
+        params = [reps, head.w, head.b]
+        assert check_gradients(lambda: irm_penalty(head, [reps], [y]), params) < 1e-5
+
 
 class TestObjective:
     def test_parts_and_losses(self):
