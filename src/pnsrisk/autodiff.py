@@ -3,9 +3,12 @@
 Define-by-run: every operation returns a Tensor holding its value, its
 parents, and the local backward rule.  backward() on a scalar loss walks
 the graph once in reverse topological order and writes .grad on every
-node it reaches.  Broadcasting is limited to what the models and losses
-need: equal shapes, scalars, and a trailing-axis row broadcast of a
-(k,) vector against an (n, k) matrix.
+node it reaches.  backward(wrt=leaves) prunes that walk to the nodes
+that depend on one of the leaves: the backward rules of everything else
+(constant inputs, another player's subgraph) never run, and those nodes
+keep the .grad they had.  Broadcasting is limited to what the models
+and losses need: equal shapes, scalars, and a trailing-axis row
+broadcast of a (k,) vector against an (n, k) matrix.
 """
 
 from __future__ import annotations
@@ -111,28 +114,32 @@ class Tensor:
     def log(self):
         return _log(self)
 
-    def backward(self):
-        """Populate .grad on every node reachable from this scalar."""
+    def backward(self, wrt=None):
+        """Populate .grad on the nodes of this scalar's graph.
+
+        Without wrt, every node reachable from the loss gets a gradient.
+        With wrt (an iterable of nodes, usually a player's parameters),
+        only nodes that depend on one of them do: the walk runs the
+        backward rules of those nodes alone, in the same order as the
+        full walk, so each wrt node receives the same gradient bytes.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss, got shape %s" % (self.shape,))
-        order = _toposort(self)
-        grads = {id(self): np.ones_like(self.data)}
-        for node in order:
-            g = grads.get(id(node))
+        grads = {self: np.ones_like(self.data)}
+        for node in _toposort(self, None if wrt is None else set(wrt)):
+            g = grads.get(node)
             if g is None:
                 continue
             node.grad = g
             if node._backward is None:
                 continue
-            contribs = node._backward(g)
-            for parent, contrib in zip(node.parents, contribs):
+            for parent, contrib in zip(node.parents, node._backward(g)):
                 if contrib is None:
                     continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + contrib
+                if parent in grads:
+                    grads[parent] = grads[parent] + contrib
                 else:
-                    grads[key] = contrib
+                    grads[parent] = contrib
 
 
 def parameter(data, name=None):
@@ -151,22 +158,35 @@ def _wrap(x):
     return Tensor(x)
 
 
-def _toposort(root):
-    """Reverse topological order by iterative postorder DFS."""
+def _toposort(root, needed=None):
+    """Reverse topological order by iterative postorder DFS.
+
+    needed, when given, is a set of nodes; the order then keeps only the
+    nodes in it and those with a parent kept, adding each to the set.  A
+    postorder lists every parent before its children, so one pass
+    decides each node.
+    """
     order = []
     visited = set()
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            if needed is None or node in needed:
+                order.append(node)
+            else:
+                for parent in node.parents:
+                    if parent in needed:
+                        needed.add(node)
+                        order.append(node)
+                        break
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent in node.parents:
-            if id(parent) not in visited:
+            if parent not in visited:
                 stack.append((parent, False))
     order.reverse()
     return order
@@ -318,14 +338,12 @@ def elu(a):
 
 
 def sigmoid_np(x):
-    """Logistic function of an array, branch-stabilized so neither tail
-    overflows."""
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function of an array, stable in both tails: with
+    e = exp(-|x|), which never overflows, it is 1 / (1 + e) for x >= 0
+    and e / (1 + e) below."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0.0, 1.0 / d, e / d)
 
 
 def sigmoid(a):

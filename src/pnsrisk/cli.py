@@ -285,8 +285,8 @@ def _write_records(path, columns, records, config_text):
 
 
 def cmd_synth(args):
-    config = SynthConfig(d=args.d, s=args.s, n_train=args.n, seed=args.seed,
-                         mixer=args.mixer)
+    config = _build(SynthConfig, dict(d=args.d, s=args.s, n_train=args.n, seed=args.seed,
+                                      mixer=args.mixer))
     data = generate(config, args.n)
     write_csv(args.out, data)
     config_text = serialize_flat(config)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, constant, parameter, sigmoid_np
+from .autodiff import Tensor, parameter, sigmoid_np
 
 __all__ = [
     "Mlp",
@@ -67,12 +67,18 @@ class Mlp:
 
         Every layer's pre-activation is checked for finiteness and the
         error names the layer: an ELU maps -inf to -1, so a check of the
-        output alone would hide an overflow.
+        output alone would hide an overflow.  A Tensor input is a parent
+        and gets a gradient; a plain array is data, so neither a leaf
+        for it nor its gradient matmul is made.
         """
-        if not isinstance(x, Tensor):
-            x = constant(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+        input_grad = isinstance(x, Tensor)
+        if input_grad:
+            h = x.data
+        else:
+            h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+            if not np.isfinite(h).all():
+                raise FloatingPointError("non-finite value entering the graph")
         weights = [w.data for w in self.weights]
-        h = x.data
         if h.ndim != 2 or h.shape[1] != weights[0].shape[0]:
             raise ValueError(f"mlp: input shape {h.shape} does not fit {weights[0].shape}")
         inputs = []
@@ -90,19 +96,20 @@ class Mlp:
         out = h @ weights[last] + self.biases[last].data
 
         def backward(g):
-            grads = [None] * (2 * last + 3)
+            grads = [None] * (2 * last + 2)
             for i in range(last, -1, -1):
                 if i != last:
                     g = g * slopes[i]
-                grads[2 * i + 1] = inputs[i].T @ g
-                grads[2 * i + 2] = g.sum(axis=0)
-                g = g @ weights[i].T
-            grads[0] = g
-            return grads
+                grads[2 * i] = inputs[i].T @ g
+                grads[2 * i + 1] = g.sum(axis=0)
+                if i or input_grad:
+                    g = g @ weights[i].T
+            return [g, *grads] if input_grad else grads
 
         params = [p for pair in zip(self.weights, self.biases) for p in pair]
+        parents = (x, *params) if input_grad else params
         # the output layer's pre-activation is checked by Tensor itself
-        return Tensor(out, (x, *params), backward, self.layer_names[last])
+        return Tensor(out, parents, backward, self.layer_names[last])
 
     def forward_np(self, x):
         """Graph-free forward for evaluation and Monte Carlo estimation."""
@@ -205,12 +212,15 @@ class GaussianEncoder:
 
         Closed form for diagonal Gaussians; the variance part is shared
         across the batch because the posterior variance does not depend
-        on x.
+        on x.  A mean term that overflows is computed quietly as inf, so
+        the node's own check raises FloatingPointError naming the op,
+        with no numpy warning first.
         """
         n, rep = mean.data.shape
         inv_pv = 1.0 / prior.var
-        diff = mean.data - prior.mean
-        mean_part = (diff * diff * inv_pv).sum(axis=1).sum() * (1.0 / n)
+        with np.errstate(over="ignore"):
+            diff = mean.data - prior.mean
+            mean_part = (diff * diff * inv_pv).sum(axis=1).sum() * (1.0 / n)
         log_pv_sum = float(np.log(prior.var).sum())
 
         def mean_grad(half):

@@ -255,25 +255,36 @@ def _normal_cdf(z):
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-def true_sufficiency_risk(domain, enc, head):
-    """Exact SF on a discrete domain with a Gaussian encoder: the logit
-    w.c + b is Gaussian per point, so the error mass is a normal CDF."""
+def _exact_sf(labels, probs, mean, var, head):
+    """Exact SF from per-point posteriors: the logit w.c + b of a
+    Gaussian c is Gaussian, so each point's error mass is a normal CDF.
+    Summed in point order."""
     total = 0.0
     bias = head.b.data[0] if head.b is not None else 0.0
-    for point, prob in zip(domain.points, domain.probs):
-        if prob <= 0.0:
-            continue
-        x_row = np.asarray(point[0], dtype=np.float64)[None, :]
-        mean, var = enc.encode_np(x_row)
-        mu = float(mean[0] @ head.w.data) + bias
-        sd = math.sqrt(float(var[0] @ (head.w.data**2)))
+    for y, prob, mu_row, var_row in zip(labels, probs, mean, var):
+        mu = float(mu_row @ head.w.data) + bias
+        sd = math.sqrt(float(var_row @ (head.w.data**2)))
         if sd == 0.0:
             p_hit = 1.0 if mu >= 0.0 else 0.0
         else:
             p_hit = _normal_cdf(mu / sd)
-        wrong = 1.0 - p_hit if point[1] == 1 else p_hit
+        wrong = 1.0 - p_hit if y == 1 else p_hit
         total += prob * wrong
     return total
+
+
+def _encode_each(enc, points):
+    """(mean, var) of the points' x, each encoded on its own as one row."""
+    posts = [enc.encode_np(np.asarray(x, dtype=np.float64)[None, :]) for x, _ in points]
+    return tuple(np.concatenate(part) for part in zip(*posts))
+
+
+def true_sufficiency_risk(domain, enc, head):
+    """Exact SF on a discrete domain with a Gaussian encoder: the logit
+    w.c + b is Gaussian per point, so the error mass is a normal CDF."""
+    support = domain.support()
+    return _exact_sf([y for _, y in support], [domain.mass(p) for p in support],
+                     *_encode_each(enc, support), head)
 
 
 def sufficiency_deviation_trial(domain, enc, head, prior, n, epsilon, seed,
@@ -288,17 +299,18 @@ def sufficiency_deviation_trial(domain, enc, head, prior, n, epsilon, seed,
     support = domain.support()
     probs = np.array([domain.mass(p) for p in support])
     picks = gen.choice(len(support), size=n, p=probs / probs.sum())
-    # each support point is encoded once, on its own; pick j draws its one
-    # representation from stream j + 1
-    posts = [enc.encode_np(np.asarray(x, dtype=np.float64)[None, :]) for x, _ in support]
-    mean, var = (np.concatenate(part) for part in zip(*posts))
-    labels = _labels(head, mean[picks], var[picks], 1, seed, ROLE_C, range(1, n + 1))[:, 0]
-    wrong = int((labels != np.array([y for _, y in support])[picks]).sum())
+    # each support point is encoded once, on its own, for its draws, its KL
+    # and the exact SF; pick j draws its one representation from stream j + 1
+    mean, var = _encode_each(enc, support)
+    labels = np.array([y for _, y in support])
+    drawn = _labels(head, mean[picks], var[picks], 1, seed, ROLE_C, range(1, n + 1))[:, 0]
+    wrong = int((drawn != labels[picks]).sum())
     kls = gaussian_kl(mean, var, prior.mean, prior.var).tolist()
     kl_sum = 0.0
     for pick in picks:  # summed in pick order, one term at a time
         kl_sum += kls[pick]
-    deviation = abs(true_sufficiency_risk(domain, enc, head) - wrong / n)
+    exact = _exact_sf(labels.tolist(), probs.tolist(), mean, var, head)
+    deviation = abs(exact - wrong / n)
     rhs = deviation_bound(kl_sum / n, n, epsilon, c_const=c_const, slack_half=slack_half)
     return deviation, rhs, deviation > rhs
 

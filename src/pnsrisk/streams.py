@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ROLE_PLAIN", "ROLE_C", "ROLE_CBAR", "keyed"]
+__all__ = ["ROLE_PLAIN", "ROLE_C", "ROLE_CBAR", "SEED_MAX", "keyed"]
 
 ROLE_PLAIN = np.uint64(0)
 ROLE_C = np.uint64(0x9E3779B97F4A7C15)
 ROLE_CBAR = np.uint64(0xC2B2AE3D27D4EB4F)
+
+# the largest seed a key word holds; the configs refuse seeds above it
+SEED_MAX = 2**64 - 1
 
 
 def keyed(seed, role, index):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .autodiff import sigmoid_np
 from .pns import DiscreteScm
-from .streams import ROLE_PLAIN, keyed
+from .streams import ROLE_PLAIN, SEED_MAX, keyed
 
 __all__ = [
     "SynthConfig",
@@ -64,6 +64,8 @@ class SynthConfig:
         for name, low in (("d", 1), ("n_train", 1), ("n_eval", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if self.seed > SEED_MAX - 1:  # the evaluation split is keyed by seed + 1
+            raise ValueError(f"seed must be at most {SEED_MAX - 1}, got {self.seed}")
         for name in ("s", "label_noise", "sf_flip", "nc_keep"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

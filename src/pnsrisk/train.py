@@ -40,7 +40,7 @@ from .model import (
     surrogate_sf,
 )
 from .risk import estimate_risk
-from .streams import ROLE_PLAIN, keyed
+from .streams import ROLE_PLAIN, SEED_MAX, keyed
 
 __all__ = [
     "VARIANTS",
@@ -91,6 +91,8 @@ class TrainConfig:
                           ("irm_anneal_iters", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if self.seed > SEED_MAX:  # the stream keys are uint64
+            raise ValueError(f"seed must be at most {SEED_MAX}, got {self.seed}")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be at least 1, got {self.hidden}")
         for name in ("lr_min", "lr_max"):
@@ -123,15 +125,19 @@ def separation_penalty(c, c_bar, delta):
 
     The distance carries a 1e-18 stabilizer inside the square root, so
     coincident pairs cost (delta - 1e-9)^2 instead of tripping on the
-    sqrt gradient.
+    sqrt gradient.  A distance that overflows raises FloatingPointError
+    naming the op, with no numpy warning first.
     """
     delta = float(delta)
     if not np.isfinite(delta):
         raise FloatingPointError("non-finite value entering the graph")
     if c.data.ndim != 2 or c.data.shape != c_bar.data.shape:
         raise ValueError(f"separation_penalty: {c.data.shape} vs {c_bar.data.shape}")
-    diff = c.data - c_bar.data
-    dist = np.sqrt((diff * diff).sum(axis=1) + 1e-18)
+    with np.errstate(over="ignore"):
+        diff = c.data - c_bar.data
+        dist = np.sqrt((diff * diff).sum(axis=1) + 1e-18)
+    if not np.isfinite(dist).all():
+        raise FloatingPointError("separation_penalty produced a non-finite value")
     hinge = np.maximum(delta - dist, 0.0)
     scale = 1.0 / hinge.shape[0]
 
@@ -180,6 +186,49 @@ def irm_penalty(head, rep_groups, y_groups):
     return total
 
 
+def _draw_means(groups):
+    """Per group of (nodes, weight), the mean of the nodes' values over
+    the draws: their sum, left to right, times 1 / len(nodes)."""
+    means = []
+    for nodes, _ in groups:
+        total = nodes[0].data
+        for node in nodes[1:]:
+            total = total + node.data
+        means.append(total * (1.0 / len(nodes)))
+    return means
+
+
+def _objective_node(groups, means, negate=False):
+    """The objective's scalar sum as one graph node: over groups of
+    (nodes, weight) and their _draw_means, left to right, the sum of
+    mean * weight, negated when asked.
+
+    These are the float operations, in the same order, of the chain of
+    add, mul and neg nodes that builds the same sum, so the value and
+    every gradient are the same bytes: a weight of 1.0 and the scale
+    1/1 of a single node are exact.  The parents are the nodes in group
+    order, the chain's left-to-right order, so a backward walk meets the
+    rest of the graph in the same order too.
+    """
+    value = None
+    for mean, (_, weight) in zip(means, groups):
+        term = mean * weight
+        value = term if value is None else value + term
+    if negate:
+        value = -value
+
+    def backward(g):
+        if negate:
+            g = -g
+        contribs = []
+        for nodes, weight in groups:
+            contribs += [g * weight * (1.0 / len(nodes))] * len(nodes)
+        return contribs
+
+    parents = [node for nodes, _ in groups for node in nodes]
+    return Tensor(value, parents, backward, "casn_objective")
+
+
 def casn_objective(x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
                    eps_c, eps_cbar):
     """Build the step objective; returns (min_loss, max_loss, parts).
@@ -187,7 +236,8 @@ def casn_objective(x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
     min_loss is what the (phi, w) player descends; max_loss is its
     negation for the xi player (dropping xi's KL term when
     adversary_kl is off).  casn_minus_m never touches the twin, so its
-    max_loss is None and no xi node enters the graph.
+    max_loss is None and no xi node enters the graph.  Each loss is one
+    node over the fused terms (see _objective_node).
 
     eps_c / eps_cbar have shape (mc_samples, n, rep_dim); surrogate
     terms are averaged over draws.
@@ -196,35 +246,30 @@ def casn_objective(x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
     mean_c = enc_c.encode(x)
     kl_c = enc_c.kl_node(mean_c, prior_c)
     if config.variant == "casn_minus_m":
-        sf = None
-        for k in range(s_draws):
-            c = enc_c.draw(mean_c, eps_c[k])
-            term = surrogate_sf(head, c, y)
-            sf = term if sf is None else sf + term
-        sf = sf * (1.0 / s_draws)
-        min_loss = sf + kl_c * config.lam
-        parts = {"sf": sf.item(), "m": 0.0, "kl_c": kl_c.item(), "kl_cbar": 0.0,
-                 "hinge": 0.0}
-        return min_loss, None, parts
+        sfs = [surrogate_sf(head, enc_c.draw(mean_c, eps_c[k]), y) for k in range(s_draws)]
+        groups = [(sfs, 1.0), ([kl_c], config.lam)]
+        means = _draw_means(groups)
+        sf, kl = map(float, means)
+        parts = {"sf": sf, "m": 0.0, "kl_c": kl, "kl_cbar": 0.0, "hinge": 0.0}
+        return _objective_node(groups, means), None, parts
     mean_cbar = enc_cbar.encode(x)
     kl_cbar = enc_cbar.kl_node(mean_cbar, prior_cbar)
-    sf = m = hinge = None
+    sfs, ms, hinges = [], [], []
     for k in range(s_draws):
         c = enc_c.draw(mean_c, eps_c[k])
         c_bar = enc_cbar.draw(mean_cbar, eps_cbar[k])
-        sf_k = surrogate_sf(head, c, y)
-        m_k = surrogate_m(head, c, c_bar)
-        h_k = separation_penalty(c, c_bar, config.delta)
-        sf = sf_k if sf is None else sf + sf_k
-        m = m_k if m is None else m + m_k
-        hinge = h_k if hinge is None else hinge + h_k
-    scale = 1.0 / s_draws
-    sf, m, hinge = sf * scale, m * scale, hinge * scale
-    base = m + sf + kl_c * config.lam + hinge * config.sep_weight
-    min_loss = base + kl_cbar * config.lam
-    max_loss = -min_loss if config.adversary_kl else -base
-    parts = {"sf": sf.item(), "m": m.item(), "kl_c": kl_c.item(),
-             "kl_cbar": kl_cbar.item(), "hinge": hinge.item()}
+        sfs.append(surrogate_sf(head, c, y))
+        ms.append(surrogate_m(head, c, c_bar))
+        hinges.append(separation_penalty(c, c_bar, config.delta))
+    groups = [(ms, 1.0), (sfs, 1.0), ([kl_c], config.lam), (hinges, config.sep_weight),
+              ([kl_cbar], config.lam)]
+    means = _draw_means(groups)
+    min_loss = _objective_node(groups, means)
+    if config.adversary_kl:
+        max_loss = _objective_node(groups, means, negate=True)
+    else:  # the max player's sum leaves the twin's KL out
+        max_loss = _objective_node(groups[:-1], means[:-1], negate=True)
+    parts = dict(zip(("m", "sf", "kl_c", "hinge", "kl_cbar"), map(float, means)))
     return min_loss, max_loss, parts
 
 
@@ -336,7 +381,7 @@ def train(data, config, domains=None):
     for step in range(config.total_steps):
         try:
             min_loss, _, parts = batch_objective()
-            min_loss.backward()
+            min_loss.backward(min_params)
         except FloatingPointError as exc:
             raise TrainingDiverged(step, trace, exc) from exc
         _sgd(min_params, config.lr_min, velocities, config.momentum)
@@ -351,7 +396,7 @@ def train(data, config, domains=None):
             for _ in range(config.max_steps_per_phase):
                 try:
                     _, max_loss, _ = batch_objective()
-                    max_loss.backward()
+                    max_loss.backward(adv_params)
                 except FloatingPointError as exc:
                     raise TrainingDiverged(step, trace, exc) from exc
                 # descending -objective ascends the shared objective

@@ -13,6 +13,7 @@ from pnsrisk.autodiff import (
     parameter,
     relu,
     sigmoid,
+    sigmoid_np,
     softplus,
 )
 
@@ -90,6 +91,20 @@ class TestForward:
                 pytest.raises(FloatingPointError, match="^mul produced a non-finite value$"):
             Tensor([1e308]) * Tensor([10.0])
 
+    def test_sigmoid_np_matches_two_branch_formula_bitwise(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = [0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 36.0, -36.0, 709.0, -709.0,
+                 745.0, -745.0, 1e308, -1e308]
+        x = np.concatenate([edges, np.random.default_rng(0).standard_normal(1000) * 8.0])
+        want = np.empty_like(x)
+        pos = x >= 0.0
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        want[~pos] = ex / (1.0 + ex)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = sigmoid_np(x)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
     def test_forward_bitwise_deterministic(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, 4))
@@ -145,6 +160,25 @@ class TestBackward:
         x = parameter(np.arange(6.0).reshape(2, 3))
         x.mean(axis=1).sum().backward()
         assert np.allclose(x.grad, np.full((2, 3), 1.0 / 3.0))
+
+    def test_wrt_runs_only_dependent_nodes(self):
+        a, b = parameter([1.5, -2.0]), parameter([0.5])
+        a_sq, b_sq = (a * a).sum(), (b * b).sum()
+        loss = a_sq * b_sq + a_sq
+        loss.backward(wrt=[a])
+        assert np.array_equal(a.grad, 2.0 * a.data * (b_sq.data + 1.0))
+        assert b.grad is None and b_sq.grad is None  # b's side never ran
+        assert a_sq.grad is not None
+        pruned = a.grad.copy()
+        loss.backward()
+        assert a.grad.tobytes() == pruned.tobytes()
+        assert b.grad is not None
+
+    def test_wrt_off_the_graph_sets_nothing(self):
+        a, b = parameter([1.0]), parameter([2.0])
+        loss = (a * a).sum()
+        loss.backward(wrt=[b])
+        assert a.grad is None and b.grad is None and loss.grad is None
 
     def test_leaf_grad_overwritten_between_passes(self):
         x = parameter([2.0])

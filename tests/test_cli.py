@@ -128,6 +128,7 @@ class TestExperimentSpec:
         ("lam = -1.0", "lam must be finite and nonnegative"),
         ("variant = casn, bogus", "variant must be one of"),
         ("seed = -1", "seed must be at least 0"),
+        ("seed = 0, 18446744073709551616", "seed must be at most 18446744073709551615"),
     ])
     def test_grid_values_are_checked_as_train_values(self, line, message):
         with pytest.raises(ConfigError, match=message):
@@ -185,6 +186,20 @@ def test_synth_writes_csv_config_and_sidecar(tmp_path):
     assert (tmp_path / "data.csv.config").exists()
     digest = (tmp_path / "data.csv.sha256").read_text().strip()
     assert len(digest) == 64
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551615"])
+def test_synth_seed_out_of_range_is_clean_error(tmp_path, seed, capsys):
+    out = tmp_path / "data.csv"
+    assert main(["synth", "--seed", seed, "--n", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be at ")
+    assert not out.exists()
+
+
+def test_flat_config_seed_beyond_uint64_is_config_error():
+    with pytest.raises(ConfigError, match="seed must be at most 18446744073709551615, "
+                                          "got 18446744073709551616"):
+        parse_flat("seed = 18446744073709551616\n", TrainConfig)
 
 
 def test_oracle_prints_report(tmp_path, capsys):

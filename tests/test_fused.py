@@ -22,7 +22,14 @@ from pnsrisk.model import (
     surrogate_m,
     surrogate_sf,
 )
-from pnsrisk.train import TrainConfig, casn_objective, separation_penalty
+from pnsrisk.train import (
+    VARIANTS,
+    TrainConfig,
+    casn_objective,
+    irm_penalty,
+    mmd_penalty,
+    separation_penalty,
+)
 
 # fused and per-op results agree to this fraction of the largest gradient
 RTOL = 1e-12
@@ -234,7 +241,8 @@ def test_separation_matches_per_op_graph(delta, offset):
 
 # ---- the whole step objective ----
 
-def objective_parts(variant, mc_samples, fixed_var, bias, delta, coincident=False):
+def objective_parts(variant, mc_samples, fixed_var, bias, delta, coincident=False,
+                    adversary_kl=False):
     rng = np.random.default_rng(7)
     n, rep = 6, 3
     x = rng.standard_normal((n, 4))
@@ -251,7 +259,7 @@ def objective_parts(variant, mc_samples, fixed_var, bias, delta, coincident=Fals
     eps_cbar = eps_c.copy() if coincident else rng.standard_normal((mc_samples, n, rep))
     config = TrainConfig(variant=variant, mc_samples=mc_samples, fixed_var=fixed_var,
                          rep_dim=rep, hidden=(7, 5), delta=delta, lam=0.3, sep_weight=0.7,
-                         adversary_kl=False)
+                         adversary_kl=adversary_kl)
     args = (x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config, eps_c, eps_cbar)
     params = (list(enc_c.parameters().values()) + list(head.parameters().values())
               + list(enc_cbar.parameters().values()))
@@ -281,6 +289,102 @@ def test_objective_matches_per_op_graph_on_coincident_pairs(mc_samples):
                     lambda: ref_objective(*args)[role], params)
 
 
+def chain_sum(groups, negate):
+    """The objective's sum built from generic add, mul and neg nodes over
+    the same fused term nodes, as casn_objective built it before the
+    sum became one node."""
+    total = None
+    for nodes, weight in groups:
+        mean = nodes[0]
+        for node in nodes[1:]:
+            mean = mean + node
+        term = mean * (1.0 / len(nodes)) * weight
+        total = term if total is None else total + term
+    return -total if negate else total
+
+
+@pytest.mark.parametrize("variant", ["casn", "casn_minus_m"])
+@pytest.mark.parametrize("mc_samples", [1, 3])
+@pytest.mark.parametrize("adversary_kl", [False, True])
+def test_objective_sum_node_is_the_generic_chain_bytewise(variant, mc_samples, adversary_kl):
+    args, params = objective_parts(variant, mc_samples, None, False, 4.0,
+                                   adversary_kl=adversary_kl)
+    config = args[7]
+    min_loss, max_loss, _ = casn_objective(*args)
+    terms = list(min_loss.parents)
+    s_draws = config.mc_samples
+    if variant == "casn":
+        ms, sfs = terms[:s_draws], terms[s_draws:2 * s_draws]
+        kl_c, hinges, kl_cbar = terms[2 * s_draws], terms[2 * s_draws + 1:-1], terms[-1]
+        base = [(ms, 1.0), (sfs, 1.0), ([kl_c], config.lam), (hinges, config.sep_weight)]
+        groups = base + [([kl_cbar], config.lam)]
+        pairs = [(min_loss, chain_sum(groups, False)),
+                 (max_loss, chain_sum(groups if adversary_kl else base, True))]
+    else:
+        pairs = [(min_loss, chain_sum([(terms[:-1], 1.0), (terms[-1:], config.lam)], False))]
+    for fused, chain in pairs:
+        assert fused.data.tobytes() == chain.data.tobytes()
+        grads = []
+        for loss in (fused, chain):
+            for p in params:
+                p.grad = None
+            (loss * 0.37).backward()  # an upstream gradient other than 1
+            grads.append([None if p.grad is None else p.grad.tobytes() for p in params])
+        assert grads[0] == grads[1]
+
+
+# ---- backward(wrt): each player's walk ----
+
+def step_losses(variant, mc_samples, adversary_kl):
+    """Fresh parameters and the (min, max) step losses as train() builds
+    them, the irm and mmd penalties included; returns the losses and
+    the two players' parameters."""
+    args, _ = objective_parts(variant, mc_samples, None, False, 4.0,
+                              adversary_kl=adversary_kl)
+    x, y, enc_c, enc_cbar, head = args[:5]
+    min_loss, max_loss, _ = casn_objective(*args)
+    if variant in ("casn_irm", "casn_mmd"):
+        groups = [np.arange(0, 3), np.arange(3, 6)]
+        reps = [enc_c.encode(x[g]) for g in groups]
+        if variant == "casn_mmd":
+            penalty = mmd_penalty(reps)
+        else:
+            penalty = irm_penalty(head, reps, [y[g] for g in groups])
+        min_loss = min_loss + penalty * 0.3
+        max_loss = max_loss - penalty * 0.3
+    min_params = list(enc_c.parameters().values()) + list(head.parameters().values())
+    return (min_loss, max_loss), (min_params, list(enc_cbar.parameters().values()))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("mc_samples", [1, 2])
+@pytest.mark.parametrize("adversary_kl", [False, True])
+@pytest.mark.parametrize("player", [0, 1], ids=["min", "max"])
+def test_backward_wrt_gives_each_player_the_full_gradient_bytes(variant, mc_samples,
+                                                               adversary_kl, player):
+    losses, players = step_losses(variant, mc_samples, adversary_kl)
+    if losses[player] is None:
+        assert variant == "casn_minus_m"
+        return
+    losses[player].backward(wrt=players[player])
+    pruned = [p.grad.tobytes() for p in players[player]]
+    for p in players[1 - player]:
+        assert p.grad is None, p.name  # fresh, and the walk never reached it
+    losses, players = step_losses(variant, mc_samples, adversary_kl)
+    losses[player].backward()
+    assert [p.grad.tobytes() for p in players[player]] == pruned
+
+
+def test_mlp_input_tensor_gets_its_gradient():
+    rng = np.random.default_rng(19)
+    mlp = encoder(None).mlp
+    x = leaf(rng, (5, 4))
+    params = [x] + list(mlp.parameters().values())
+    assert check_gradients(lambda: mlp.forward(x).square().sum(), params) <= 1e-6
+    # a plain array is data: no leaf for it
+    assert mlp.forward(x.data).parents == tuple(params[1:])
+
+
 def graph_size(loss):
     seen, stack = set(), [loss]
     while stack:
@@ -292,11 +396,14 @@ def graph_size(loss):
 
 
 def test_objective_graph_is_small():
-    """One node per fused op: 17 leaves, 9 fused nodes and 16 for the
-    scalar combination of the casn objective at one draw."""
+    """One node per fused op for the casn objective at one draw: 15
+    parameter leaves (the input x is data, not a leaf), 9 fused nodes and
+    one for the scalar sum.  Without the adversary's KL term the max
+    objective leaves out the twin's kl_node."""
     args, _ = objective_parts("casn", 1, None, False, 1.1)
-    min_loss, _, _ = casn_objective(*args)
-    assert graph_size(min_loss) == 42
+    min_loss, max_loss, _ = casn_objective(*args)
+    assert graph_size(min_loss) == 25
+    assert graph_size(max_loss) == 24
 
 
 # ---- gradients against central differences ----
@@ -348,6 +455,23 @@ def test_exp_overflow_raises_before_numpy_warns(op):
                 enc.kl_node(mean, GaussianPrior.standard(3))
             else:
                 enc.draw(mean, np.ones((2, 3)))
+
+
+def test_kl_mean_overflow_raises_without_a_warning():
+    enc = encoder(None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="^kl_node produced a non-finite"):
+            enc.kl_node(constant(np.full((2, 3), 1e200)), GaussianPrior.standard(3))
+
+
+def test_separation_overflow_raises_without_a_warning():
+    c = constant(np.full((2, 3), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match="^separation_penalty produced a non-finite"):
+            separation_penalty(c, constant(-c.data), 1.0)
 
 
 def test_hidden_pre_activation_overflow_names_the_layer():

@@ -394,6 +394,20 @@ class TestDeviationTrial:
         assert rhs > 0.5  # the slack term alone exceeds 1/2
         assert violated == (deviation > rhs)
 
+    def test_encodes_each_support_point_once(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        pts = tuple((tuple(rng.uniform(-1, 1, 2)), i % 2) for i in range(4))
+        domain = DiscreteDomain(pts, (0.1, 0.2, 0.3, 0.4))
+        enc = GaussianEncoder(2, rep_dim=2, hidden=(4, 3), rng=rng)
+        head = LinearHead(2, rng=rng)
+        rows = []
+        encode_np = GaussianEncoder.encode_np
+        monkeypatch.setattr(GaussianEncoder, "encode_np",
+                            lambda self, x: rows.append(len(x)) or encode_np(self, x))
+        sufficiency_deviation_trial(domain, enc, head, GaussianPrior.standard(2),
+                                    n=40, epsilon=0.1, seed=3)
+        assert rows == [1, 1, 1, 1]
+
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(15)
         domain = DiscreteDomain((((0.0, 0.0), 1), ((1.0, 1.0), 0)), (0.5, 0.5))

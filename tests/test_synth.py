@@ -23,11 +23,15 @@ class TestGenerator:
     @pytest.mark.parametrize("field, value", [
         ("d", 0), ("s", 1.5), ("s", float("nan")), ("mixer", "kinky"),
         ("noise_scale", -0.1), ("noise_scale", float("nan")), ("noise_scale", float("inf")),
-        ("n_train", 0), ("n_eval", -3), ("seed", -1),
+        ("n_train", 0), ("n_eval", -3), ("seed", -1), ("seed", 2**64 - 1),
     ])
     def test_config_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
             SynthConfig(**{field: value})
+
+    def test_largest_seed_leaves_room_for_the_evaluation_split(self):
+        cfg = SynthConfig(seed=2**64 - 2)
+        assert len(generate(cfg, 2, seed=cfg.seed + 1)) == 2
 
     def test_shapes(self):
         data = generate(SynthConfig(d=3, seed=0), 17)

@@ -329,7 +329,7 @@ class TestTrainLoop:
         ("seed", -1), ("lr_min", 0.0), ("lr_min", float("nan")), ("lr_max", float("inf")),
         ("lam", -0.1), ("sep_weight", -1.0), ("irm_weight", float("inf")),
         ("mmd_weight", float("nan")), ("momentum", 1.0), ("momentum", -0.1),
-        ("fixed_var", 0.0), ("fixed_var", float("nan")),
+        ("fixed_var", 0.0), ("fixed_var", float("nan")), ("seed", 2**64),
     ])
     def test_config_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -338,6 +338,11 @@ class TestTrainLoop:
     def test_config_edges_stay_valid(self):
         TrainConfig(irm_anneal_iters=0, momentum=0.9, max_every=0, max_steps_per_phase=0,
                     lam=0.0, sep_weight=0.0, delta=0.0, fixed_var=None, total_steps=0)
+
+    def test_largest_seed_trains(self):
+        cfg = TrainConfig(total_steps=2, max_every=1, max_steps_per_phase=1, seed=2**64 - 1,
+                          **SMALL)
+        assert len(train(tiny_data(n=32), cfg).trace) == 2
 
     def test_players_sharing_a_parameter_is_refused(self, monkeypatch):
         # the package re-exports train(), so import the module by path
