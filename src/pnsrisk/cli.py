@@ -355,6 +355,8 @@ def cmd_oracle(args):
 
 
 def cmd_bounds(args):
+    if args.instances < 1:  # no instances would be a vacuous pass
+        raise ConfigError(f"instances must be at least 1, got {args.instances}")
     rng = np.random.default_rng(args.seed)
     rows = []
     all_hold = True

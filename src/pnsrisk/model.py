@@ -7,11 +7,10 @@ Sampling is reparameterized (mean + sd * eps) so gradients reach the
 encoder parameters.  The labeler is sign(w.c), with the tie w.c = 0
 mapped to label 1.
 
-The training step is built from fused ops: the MLP, the KL term, the
-draw and both surrogates are each one graph node with a numpy forward
-and an analytic backward.  The generic ops in pnsrisk.autodiff build
-the same values node by node and serve as the reference they are
-tested against.
+Every graph op here is fused: the MLP, the KL term, the draw and both
+surrogates are each one graph node with a numpy forward and an analytic
+backward.  tests/reference_ops.py builds the same values node by node
+from generic ops and is the reference they are tested against.
 
 Two differentiable surrogates stand in for the indicator quantities:
 
@@ -204,9 +203,6 @@ class GaussianEncoder:
 
         return Tensor(mean.data + eps * sd, (mean, self.log_var), backward, "draw")
 
-    def sample(self, x, eps):
-        return self.draw(self.encode(x), eps)
-
     def kl_node(self, mean, prior):
         """Mean-over-batch KL(q(.|x) || prior) as one graph node.
 
@@ -258,12 +254,6 @@ class LinearHead:
         self.rep_dim = rep_dim
         self.w = parameter(rng.standard_normal(rep_dim) / np.sqrt(rep_dim), name=f"{prefix}.w")
         self.b = parameter(np.zeros(1), name=f"{prefix}.b") if bias else None
-
-    def logits(self, c):
-        z = c @ self.w
-        if self.b is not None:
-            z = z + self.b.sum()  # a scalar node broadcasts across rows; (1,) does not
-        return z
 
     def logits_np(self, c):
         z = np.asarray(c, dtype=np.float64) @ self.w.data

@@ -18,6 +18,13 @@ Variants:
                  entirely (plain classifier with a KL pull),
 * casn_irm:      adds an invariance penalty per domain,
 * casn_mmd:      adds a cross-domain representation distance penalty.
+
+Every loss term, the two penalties included, is one fused graph node
+with a numpy forward and an analytic backward, and each objective is
+one sum node over them (casn_objective).  The penalties read their
+domains' rows out of the batch's single posterior-mean node, so each
+encoder runs once per objective.  tests/reference_ops.py builds the
+same terms node by node from generic ops; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -27,11 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, constant, pairwise_mean_distance, sigmoid
+from .autodiff import Tensor, constant, sigmoid_np
 from .model import (
     GaussianEncoder,
     GaussianPrior,
     LinearHead,
+    _head_grads,
+    _logits,
     _ytil,
     clone_perturbed,
     load_checkpoint,
@@ -153,22 +162,45 @@ def separation_penalty(c, c_bar, delta):
 
 def mmd_penalty(rep_groups):
     """Sum over unordered domain pairs of the mean cross-domain
-    representation distance.  Fewer than two domains is legal but inert:
-    the penalty is 0 and a warning points it out."""
+    representation distance, as one graph node.  Fewer than two domains
+    is legal but inert: the penalty is 0 and a warning points it out.
+
+    Each distance carries the 1e-18 stabilizer of separation_penalty
+    inside the square root, so coincident rows have a gradient.
+    """
     if len(rep_groups) < 2:
         warnings.warn("mmd penalty needs at least two domains; returning 0", stacklevel=2)
         return constant(0.0)
     total = None
+    pairs = []
     for i in range(len(rep_groups)):
         for j in range(i + 1, len(rep_groups)):
-            term = pairwise_mean_distance(rep_groups[i], rep_groups[j])
+            a, b = rep_groups[i].data, rep_groups[j].data
+            if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+                raise ValueError(f"mmd_penalty: {a.shape} vs {b.shape}")
+            with np.errstate(over="ignore"):
+                diff = a[:, None, :] - b[None, :, :]
+                dist = np.sqrt((diff * diff).sum(axis=2) + 1e-18)
+            term = dist.mean()
             total = term if total is None else total + term
-    return total
+            pairs.append((i, j, diff, dist))
+
+    def backward(g):
+        grads = [0.0] * len(rep_groups)
+        for i, j, diff, dist in pairs:
+            unit = diff / dist[:, :, None]
+            scale = g / dist.size
+            grads[i] = grads[i] + scale * unit.sum(axis=1)
+            grads[j] = grads[j] - scale * unit.sum(axis=0)
+        return grads
+
+    return Tensor(total, rep_groups, backward, "mmd_penalty")
 
 
 def irm_penalty(head, rep_groups, y_groups):
     """Invariance penalty: squared derivative of each domain's surrogate
-    loss in a dummy scaling of the labeler, summed over domains.
+    loss in a dummy scaling of the labeler, summed over domains, as one
+    graph node.
 
     d/ds mean softplus(-ytil * s * z) at s = 1 is
     mean(-ytil * z * sigmoid(-ytil * z)), a first-order expression, so
@@ -176,14 +208,45 @@ def irm_penalty(head, rep_groups, y_groups):
     """
     if len(rep_groups) != len(y_groups):
         raise ValueError("rep_groups and y_groups must align")
+    if not rep_groups:
+        raise ValueError("irm penalty needs at least one domain")
     total = None
+    saved = []
     for reps, y in zip(rep_groups, y_groups):
-        neg_ytil = constant(-_ytil(y))
-        a = head.logits(reps) * neg_ytil
-        grad_s = (a * sigmoid(a)).mean()
-        term = grad_s.square()
+        neg_ytil = -_ytil(y)
+        z, head_params = _logits(head, reps)
+        if neg_ytil.shape not in ((), z.shape):
+            raise ValueError(f"labels of shape {neg_ytil.shape} for {z.shape[0]} rows")
+        a = z * neg_ytil
+        sig = sigmoid_np(a)
+        scale = 1.0 / a.shape[0]
+        grad_s = (a * sig).sum() * scale
+        term = grad_s * grad_s
         total = term if total is None else total + term
-    return total
+        saved.append((neg_ytil, a, sig, grad_s * scale))
+
+    def backward(g):
+        pairs = []
+        for reps, (neg_ytil, a, sig, grad_s_scaled) in zip(rep_groups, saved):
+            # d/da of a * sigmoid(a) is sigmoid(a) + a * sigmoid'(a)
+            g_a = (g + g) * grad_s_scaled * (sig + a * sig * (1.0 - sig))
+            pairs.append((reps, g_a * neg_ytil))
+        w = head.w.data
+        return (*(np.outer(g_z, w) for _, g_z in pairs), *_head_grads(head, pairs))
+
+    return Tensor(total, (*rep_groups, *head_params), backward, "irm_penalty")
+
+
+def _rows(node, positions):
+    """Rows `positions` (distinct) of a batch node, as one graph node."""
+    shape = node.data.shape
+
+    def backward(g):
+        full = np.zeros(shape)
+        full[positions] = g
+        return (full,)
+
+    return Tensor(node.data[positions], (node,), backward, "rows")
 
 
 def _draw_means(groups):
@@ -230,7 +293,7 @@ def _objective_node(groups, means, negate=False):
 
 
 def casn_objective(x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
-                   eps_c, eps_cbar):
+                   eps_c, eps_cbar, domain_rows=None, penalty_weight=None):
     """Build the step objective; returns (min_loss, max_loss, parts).
 
     min_loss is what the (phi, w) player descends; max_loss is its
@@ -241,6 +304,12 @@ def casn_objective(x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
 
     eps_c / eps_cbar have shape (mc_samples, n, rep_dim); surrogate
     terms are averaged over draws.
+
+    casn_irm and casn_mmd add their penalty, times penalty_weight
+    (default: the config's irm_weight or mmd_weight), to both losses.
+    It is computed on the posterior means of the batch's domains:
+    domain_rows lists each domain's positions in the batch, and None
+    makes the whole batch one domain.
     """
     s_draws = config.mc_samples
     mean_c = enc_c.encode(x)
@@ -250,7 +319,8 @@ def casn_objective(x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
         groups = [(sfs, 1.0), ([kl_c], config.lam)]
         means = _draw_means(groups)
         sf, kl = map(float, means)
-        parts = {"sf": sf, "m": 0.0, "kl_c": kl, "kl_cbar": 0.0, "hinge": 0.0}
+        parts = {"sf": sf, "m": 0.0, "kl_c": kl, "kl_cbar": 0.0, "hinge": 0.0,
+                 "penalty": 0.0}
         return _objective_node(groups, means), None, parts
     mean_cbar = enc_cbar.encode(x)
     kl_cbar = enc_cbar.kl_node(mean_cbar, prior_cbar)
@@ -263,14 +333,33 @@ def casn_objective(x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
         hinges.append(separation_penalty(c, c_bar, config.delta))
     groups = [(ms, 1.0), (sfs, 1.0), ([kl_c], config.lam), (hinges, config.sep_weight),
               ([kl_cbar], config.lam)]
+    if config.variant in ("casn_irm", "casn_mmd"):
+        groups.append(_penalty_group(mean_c, y, head, config, domain_rows, penalty_weight))
     means = _draw_means(groups)
     min_loss = _objective_node(groups, means)
-    if config.adversary_kl:
-        max_loss = _objective_node(groups, means, negate=True)
-    else:  # the max player's sum leaves the twin's KL out
-        max_loss = _objective_node(groups[:-1], means[:-1], negate=True)
-    parts = dict(zip(("m", "sf", "kl_c", "hinge", "kl_cbar"), map(float, means)))
+    # the max player's sum leaves the twin's KL (group 4) out when
+    # adversary_kl is off; the penalty group, if any, follows it
+    kept = 5 if config.adversary_kl else 4
+    max_loss = _objective_node(groups[:kept] + groups[5:], means[:kept] + means[5:],
+                               negate=True)
+    parts = dict(zip(("m", "sf", "kl_c", "hinge", "kl_cbar", "penalty"), map(float, means)))
+    parts.setdefault("penalty", 0.0)
     return min_loss, max_loss, parts
+
+
+def _penalty_group(mean_c, y, head, config, domain_rows, weight):
+    """The (nodes, weight) sum group of the irm or mmd penalty, on the
+    rows of the batch's posterior-mean node that each domain holds."""
+    if domain_rows is None:
+        domain_rows = [np.arange(len(y))]
+    reps = [_rows(mean_c, rows) for rows in domain_rows]
+    if config.variant == "casn_mmd":
+        penalty = mmd_penalty(reps)
+        default = config.mmd_weight
+    else:
+        penalty = irm_penalty(head, reps, [y[rows] for rows in domain_rows])
+        default = config.irm_weight
+    return [penalty], default if weight is None else weight
 
 
 @dataclass(frozen=True)
@@ -309,13 +398,6 @@ def _sgd(params, lr, velocities, momentum):
             p.data = p.data - lr * v
         else:
             p.data = p.data - lr * p.grad
-
-
-def _split_domains(idx, domains):
-    if domains is None:
-        return [idx]
-    batch_domains = domains[idx]
-    return [idx[batch_domains == d] for d in np.unique(batch_domains)]
 
 
 def train(data, config, domains=None):
@@ -357,25 +439,16 @@ def train(data, config, domains=None):
         idx = batches.integers(0, n, size=config.batch_size)
         eps_c = noise.standard_normal(shape)
         eps_cbar = noise.standard_normal(shape)
-        min_loss, max_loss, parts = casn_objective(
-            x_all[idx], y_all[idx], enc_c, enc_cbar, head,
-            prior_c, prior_cbar, config, eps_c, eps_cbar)
-        if config.variant in ("casn_irm", "casn_mmd"):
-            groups = [g for g in _split_domains(idx, domains) if len(g) > 0]
-            reps = [enc_c.encode(x_all[g]) for g in groups]
-            if config.variant == "casn_mmd":
-                penalty = mmd_penalty(reps)
-                weight = config.mmd_weight
-            else:
-                penalty = irm_penalty(head, reps, [y_all[g] for g in groups])
-                weight = 1.0 if step < config.irm_anneal_iters else config.irm_weight
-            parts["penalty"] = penalty.item()
-            min_loss = min_loss + penalty * weight
-            if max_loss is not None:
-                max_loss = max_loss - penalty * weight
-        else:
-            parts["penalty"] = 0.0
-        return min_loss, max_loss, parts
+        rows = None
+        if domains is not None and config.variant in ("casn_irm", "casn_mmd"):
+            # positions in the batch, not row ids: batches draw with replacement
+            batch_domains = domains[idx]
+            rows = [np.flatnonzero(batch_domains == d) for d in np.unique(batch_domains)]
+        # the irm warm-up weighs the penalty 1.0 for its first steps
+        warm = config.variant == "casn_irm" and step < config.irm_anneal_iters
+        return casn_objective(x_all[idx], y_all[idx], enc_c, enc_cbar, head,
+                              prior_c, prior_cbar, config, eps_c, eps_cbar,
+                              domain_rows=rows, penalty_weight=1.0 if warm else None)
 
     step = 0
     for step in range(config.total_steps):

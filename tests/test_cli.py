@@ -243,6 +243,16 @@ def test_bounds_all_hold(tmp_path):
     assert (tmp_path / "bounds.csv.sha256").exists()
 
 
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_bounds_without_instances_is_config_error(tmp_path, instances, capsys):
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--out", str(out), "--instances", instances]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: instances must be at least 1, got {instances}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_then_eval_round_trip(tmp_path, capsys):
     data_csv = tmp_path / "data.csv"
     main(["synth", "--d", "2", "--s", "0.2", "--n", "64", "--seed", "3",

@@ -1,19 +1,21 @@
 """The fused training-step ops against the per-op graph they replace.
 
-Each fused op (the MLP, the draw, the KL term, both surrogates and the
-separation hinge) is one graph node with an analytic backward.  The
-reference below builds the same quantities node by node from the
-generic ops in pnsrisk.autodiff, as the step was built before fusion,
-and every test compares values and every parameter gradient.
+Each fused op (the MLP, the draw, the KL term, both surrogates, the
+separation hinge and the irm and mmd penalties) is one graph node with
+an analytic backward.  The reference below builds the same quantities
+node by node from the generic ops in reference_ops, as the step was
+built before fusion, and every test compares values and every parameter
+gradient.
 """
 
+import importlib
 import warnings
 
 import numpy as np
 import pytest
+import reference_ops as R
 
-from pnsrisk.autodiff import affine, check_gradients, constant, elu, parameter, relu
-from pnsrisk.autodiff import sigmoid, softplus
+from pnsrisk.autodiff import check_gradients, constant, parameter
 from pnsrisk.model import (
     GaussianEncoder,
     GaussianPrior,
@@ -22,6 +24,7 @@ from pnsrisk.model import (
     surrogate_m,
     surrogate_sf,
 )
+from pnsrisk.synth import SynthConfig, generate
 from pnsrisk.train import (
     VARIANTS,
     TrainConfig,
@@ -29,7 +32,11 @@ from pnsrisk.train import (
     irm_penalty,
     mmd_penalty,
     separation_penalty,
+    train,
 )
+
+# the package re-exports train(), so import the module by path
+train_module = importlib.import_module("pnsrisk.train")
 
 # fused and per-op results agree to this fraction of the largest gradient
 RTOL = 1e-12
@@ -41,62 +48,55 @@ def ref_mlp(mlp, x):
     h = x
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        h = affine(h, w, b)
+        h = R.affine(h, w, b)
         if i != last:
-            h = elu(h)
+            h = R.elu(h)
     return h
 
 
 def ref_draw(enc, mean, eps):
     eps_t = constant(np.asarray(eps, dtype=np.float64))
     if enc.fixed_var is not None:
-        return mean + eps_t * np.sqrt(enc.fixed_var)
-    return mean + eps_t * (enc.log_var * 0.5).exp()
+        return R.add(mean, R.mul(eps_t, np.sqrt(enc.fixed_var)))
+    return R.add(mean, R.mul(eps_t, R.exp(R.mul(enc.log_var, 0.5))))
 
 
 def ref_kl(enc, mean, prior):
     n, rep = mean.data.shape
     inv_pv = 1.0 / prior.var
-    diff = mean - constant(prior.mean)
-    mean_part = (diff * diff * constant(inv_pv)).sum(axis=1).mean()
+    diff = R.sub(mean, constant(prior.mean))
+    mean_part = R.reduce_mean(R.reduce_sum(R.mul(R.mul(diff, diff), constant(inv_pv)), axis=1))
     log_pv_sum = float(np.log(prior.var).sum())
     if enc.fixed_var is not None:
         var_part = constant(log_pv_sum - rep * np.log(enc.fixed_var)
                             + float((enc.fixed_var * inv_pv).sum()) - rep)
     else:
-        var_part = ((enc.log_var.exp() * constant(inv_pv)).sum()
-                    - enc.log_var.sum() + constant(log_pv_sum - rep))
-    return (var_part + mean_part) * 0.5
-
-
-def ref_logits(head, c):
-    z = c @ head.w
-    if head.b is not None:
-        # the generic add broadcasts a scalar across rows, not a (1,) vector
-        z = z + head.b.sum()
-    return z
+        var_part = R.add(R.sub(R.reduce_sum(R.mul(R.exp(enc.log_var), constant(inv_pv))),
+                               R.reduce_sum(enc.log_var)),
+                         constant(log_pv_sum - rep))
+    return R.mul(R.add(var_part, mean_part), 0.5)
 
 
 def ref_sf(head, c, y):
     neg_ytil = -(np.asarray(y, dtype=np.float64) * 2.0 - 1.0)
-    return softplus(ref_logits(head, c) * constant(neg_ytil)).mean()
+    return R.reduce_mean(R.softplus(R.mul(R.logits(head, c), constant(neg_ytil))))
 
 
 def ref_m(head, c, c_bar):
-    p = sigmoid(ref_logits(head, c))
-    q = sigmoid(ref_logits(head, c_bar))
+    p = R.sigmoid(R.logits(head, c))
+    q = R.sigmoid(R.logits(head, c_bar))
     one = constant(1.0)
-    return (p * q + (one - p) * (one - q)).mean()
+    return R.reduce_mean(R.add(R.mul(p, q), R.mul(R.sub(one, p), R.sub(one, q))))
 
 
 def ref_separation(c, c_bar, delta):
-    diff = c - c_bar
-    dist = ((diff * diff).sum(axis=1) + 1e-18).sqrt()
-    return relu(constant(float(delta)) - dist).square().mean()
+    diff = R.sub(c, c_bar)
+    dist = R.sqrt(R.add(R.reduce_sum(R.mul(diff, diff), axis=1), 1e-18))
+    return R.reduce_mean(R.square(R.relu(R.sub(constant(float(delta)), dist))))
 
 
 def ref_objective(x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
-                  eps_c, eps_cbar):
+                  eps_c, eps_cbar, domain_rows=None, penalty_weight=None):
     s_draws = config.mc_samples
     mean_c = ref_mlp(enc_c.mlp, constant(x))
     kl_c = ref_kl(enc_c, mean_c, prior_c)
@@ -104,9 +104,9 @@ def ref_objective(x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
         sf = None
         for k in range(s_draws):
             term = ref_sf(head, ref_draw(enc_c, mean_c, eps_c[k]), y)
-            sf = term if sf is None else sf + term
-        sf = sf * (1.0 / s_draws)
-        return sf + kl_c * config.lam, None
+            sf = term if sf is None else R.add(sf, term)
+        sf = R.mul(sf, 1.0 / s_draws)
+        return R.add(sf, R.mul(kl_c, config.lam)), None
     mean_cbar = ref_mlp(enc_cbar.mlp, constant(x))
     kl_cbar = ref_kl(enc_cbar, mean_cbar, prior_cbar)
     sf = m = hinge = None
@@ -116,14 +116,25 @@ def ref_objective(x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
         sf_k = ref_sf(head, c, y)
         m_k = ref_m(head, c, c_bar)
         h_k = ref_separation(c, c_bar, config.delta)
-        sf = sf_k if sf is None else sf + sf_k
-        m = m_k if m is None else m + m_k
-        hinge = h_k if hinge is None else hinge + h_k
+        sf = sf_k if sf is None else R.add(sf, sf_k)
+        m = m_k if m is None else R.add(m, m_k)
+        hinge = h_k if hinge is None else R.add(hinge, h_k)
     scale = 1.0 / s_draws
-    sf, m, hinge = sf * scale, m * scale, hinge * scale
-    base = m + sf + kl_c * config.lam + hinge * config.sep_weight
-    min_loss = base + kl_cbar * config.lam
-    return min_loss, (-min_loss if config.adversary_kl else -base)
+    sf, m, hinge = R.mul(sf, scale), R.mul(m, scale), R.mul(hinge, scale)
+    base = R.add(R.add(R.add(m, sf), R.mul(kl_c, config.lam)),
+                 R.mul(hinge, config.sep_weight))
+    min_loss = R.add(base, R.mul(kl_cbar, config.lam))
+    max_sum = min_loss if config.adversary_kl else base
+    if config.variant in ("casn_irm", "casn_mmd"):
+        # each domain's rows encoded on their own, as train() once did
+        reps = [ref_mlp(enc_c.mlp, constant(x[rows])) for rows in domain_rows]
+        if config.variant == "casn_mmd":
+            penalty = R.mmd_penalty(reps)
+        else:
+            penalty = R.irm_penalty(head, reps, [y[rows] for rows in domain_rows])
+        term = R.mul(penalty, penalty_weight)
+        min_loss, max_sum = R.add(min_loss, term), R.add(max_sum, term)
+    return min_loss, R.neg(max_sum)
 
 
 # ---- comparison ----
@@ -183,8 +194,8 @@ def test_mlp_matches_per_op_graph(hidden):
     x = leaf(rng, (9, 4))
     weights = _same_weights(2, (9, 3))
     params = [x] + list(mlp.parameters().values())
-    assert_same(lambda: (mlp.forward(x) * weights()).sum(),
-                lambda: (ref_mlp(mlp, x) * weights()).sum(), params)
+    assert_same(lambda: R.reduce_sum(R.mul(mlp.forward(x), weights())),
+                lambda: R.reduce_sum(R.mul(ref_mlp(mlp, x), weights())), params)
 
 
 @pytest.mark.parametrize("fixed_var", [None, 0.3])
@@ -195,8 +206,8 @@ def test_draw_matches_per_op_graph(fixed_var):
     eps = rng.standard_normal((6, 3))
     weights = _same_weights(3, (6, 3))
     params = [mean] + ([enc.log_var] if fixed_var is None else [])
-    assert_same(lambda: (enc.draw(mean, eps) * weights()).sum(),
-                lambda: (ref_draw(enc, mean, eps) * weights()).sum(), params)
+    assert_same(lambda: R.reduce_sum(R.mul(enc.draw(mean, eps), weights())),
+                lambda: R.reduce_sum(R.mul(ref_draw(enc, mean, eps), weights())), params)
 
 
 @pytest.mark.parametrize("fixed_var", [None, 0.3])
@@ -239,6 +250,29 @@ def test_separation_matches_per_op_graph(delta, offset):
                 lambda: ref_separation(c, c_bar, delta), [c, c_bar])
 
 
+@pytest.mark.parametrize("sizes", [(5,), (5, 3), (5, 3, 4)], ids=["1", "2", "3"])
+@pytest.mark.parametrize("bias", [False, True])
+def test_irm_penalty_matches_per_op_graph(sizes, bias):
+    rng = np.random.default_rng(16)
+    head = head_of(3, bias)
+    groups = [leaf(rng, (k, 3)) for k in sizes]
+    y_groups = [rng.integers(0, 2, size=k) for k in sizes]
+    params = groups + list(head.parameters().values())
+    assert_same(lambda: irm_penalty(head, groups, y_groups),
+                lambda: R.irm_penalty(head, groups, y_groups), params)
+
+
+@pytest.mark.parametrize("sizes", [(5,), (5, 3), (5, 3, 4)], ids=["1", "2", "3"])
+def test_mmd_penalty_matches_per_op_graph(sizes):
+    rng = np.random.default_rng(17)
+    groups = [leaf(rng, (k, 3)) for k in sizes]
+    # the first and last groups share a row: one cross pair at distance 0
+    groups[0].data[0] = groups[-1].data[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore" if len(sizes) < 2 else "error")
+        assert_same(lambda: mmd_penalty(groups), lambda: R.mmd_penalty(groups), groups)
+
+
 # ---- the whole step objective ----
 
 def objective_parts(variant, mc_samples, fixed_var, bias, delta, coincident=False,
@@ -266,7 +300,12 @@ def objective_parts(variant, mc_samples, fixed_var, bias, delta, coincident=Fals
     return args, params
 
 
-@pytest.mark.parametrize("variant", ["casn", "casn_minus_m"])
+# two domains at positions that interleave in the batch
+TWO_DOMAINS = [np.array([0, 2, 3]), np.array([1, 4, 5])]
+PENALTY = dict(domain_rows=TWO_DOMAINS, penalty_weight=0.3)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("mc_samples", [1, 2])
 @pytest.mark.parametrize("fixed_var", [None, 0.3])
 @pytest.mark.parametrize("bias", [False, True])
@@ -274,11 +313,12 @@ def objective_parts(variant, mc_samples, fixed_var, bias, delta, coincident=Fals
                                    pytest.param(0.0, id="hinge-inactive")])
 def test_objective_matches_per_op_graph(variant, mc_samples, fixed_var, bias, delta):
     args, params = objective_parts(variant, mc_samples, fixed_var, bias, delta)
-    assert_same(lambda: casn_objective(*args)[0], lambda: ref_objective(*args)[0], params)
-    if variant == "casn":
-        assert_same(lambda: casn_objective(*args)[1], lambda: ref_objective(*args)[1], params)
-    else:
-        assert casn_objective(*args)[1] is None
+    for role in (0, 1):
+        if variant == "casn_minus_m" and role == 1:
+            assert casn_objective(*args)[1] is None
+            continue
+        assert_same(lambda: casn_objective(*args, **PENALTY)[role],
+                    lambda: ref_objective(*args, **PENALTY)[role], params)
 
 
 @pytest.mark.parametrize("mc_samples", [1, 2])
@@ -297,10 +337,10 @@ def chain_sum(groups, negate):
     for nodes, weight in groups:
         mean = nodes[0]
         for node in nodes[1:]:
-            mean = mean + node
-        term = mean * (1.0 / len(nodes)) * weight
-        total = term if total is None else total + term
-    return -total if negate else total
+            mean = R.add(mean, node)
+        term = R.mul(R.mul(mean, 1.0 / len(nodes)), weight)
+        total = term if total is None else R.add(total, term)
+    return R.neg(total) if negate else total
 
 
 @pytest.mark.parametrize("variant", ["casn", "casn_minus_m"])
@@ -328,7 +368,7 @@ def test_objective_sum_node_is_the_generic_chain_bytewise(variant, mc_samples, a
         for loss in (fused, chain):
             for p in params:
                 p.grad = None
-            (loss * 0.37).backward()  # an upstream gradient other than 1
+            R.mul(loss, 0.37).backward()  # an upstream gradient other than 1
             grads.append([None if p.grad is None else p.grad.tobytes() for p in params])
         assert grads[0] == grads[1]
 
@@ -337,21 +377,12 @@ def test_objective_sum_node_is_the_generic_chain_bytewise(variant, mc_samples, a
 
 def step_losses(variant, mc_samples, adversary_kl):
     """Fresh parameters and the (min, max) step losses as train() builds
-    them, the irm and mmd penalties included; returns the losses and
-    the two players' parameters."""
+    them on a batch of two domains, the irm and mmd penalties included;
+    returns the losses and the two players' parameters."""
     args, _ = objective_parts(variant, mc_samples, None, False, 4.0,
                               adversary_kl=adversary_kl)
-    x, y, enc_c, enc_cbar, head = args[:5]
-    min_loss, max_loss, _ = casn_objective(*args)
-    if variant in ("casn_irm", "casn_mmd"):
-        groups = [np.arange(0, 3), np.arange(3, 6)]
-        reps = [enc_c.encode(x[g]) for g in groups]
-        if variant == "casn_mmd":
-            penalty = mmd_penalty(reps)
-        else:
-            penalty = irm_penalty(head, reps, [y[g] for g in groups])
-        min_loss = min_loss + penalty * 0.3
-        max_loss = max_loss - penalty * 0.3
+    enc_c, enc_cbar, head = args[2:5]
+    min_loss, max_loss, _ = casn_objective(*args, **PENALTY)
     min_params = list(enc_c.parameters().values()) + list(head.parameters().values())
     return (min_loss, max_loss), (min_params, list(enc_cbar.parameters().values()))
 
@@ -380,7 +411,7 @@ def test_mlp_input_tensor_gets_its_gradient():
     mlp = encoder(None).mlp
     x = leaf(rng, (5, 4))
     params = [x] + list(mlp.parameters().values())
-    assert check_gradients(lambda: mlp.forward(x).square().sum(), params) <= 1e-6
+    assert check_gradients(lambda: R.reduce_sum(R.square(mlp.forward(x))), params) <= 1e-6
     # a plain array is data: no leaf for it
     assert mlp.forward(x.data).parents == tuple(params[1:])
 
@@ -399,11 +430,39 @@ def test_objective_graph_is_small():
     """One node per fused op for the casn objective at one draw: 15
     parameter leaves (the input x is data, not a leaf), 9 fused nodes and
     one for the scalar sum.  Without the adversary's KL term the max
-    objective leaves out the twin's kl_node."""
+    objective leaves out the twin's kl_node.  On two domains an irm or
+    mmd penalty adds one row-select node per domain and the penalty
+    node itself."""
     args, _ = objective_parts("casn", 1, None, False, 1.1)
     min_loss, max_loss, _ = casn_objective(*args)
     assert graph_size(min_loss) == 25
     assert graph_size(max_loss) == 24
+    for variant in ("casn_irm", "casn_mmd"):
+        args, _ = objective_parts(variant, 1, None, False, 1.1)
+        min_loss, _, _ = casn_objective(*args, domain_rows=TWO_DOMAINS)
+        assert graph_size(min_loss) == 28, variant
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_each_encoder_runs_once_per_objective(variant, monkeypatch):
+    """The penalties read their domains' rows out of the batch encode:
+    enc_c runs once per objective and the twin once (never without it)."""
+    calls = []
+    encode = GaussianEncoder.encode
+    monkeypatch.setattr(GaussianEncoder, "encode",
+                        lambda enc, x: calls.append(enc.prefix) or encode(enc, x))
+    objectives = []
+    monkeypatch.setattr(train_module, "casn_objective",
+                        lambda *a, **k: objectives.append(1) or casn_objective(*a, **k))
+    data = generate(SynthConfig(d=2, n_train=40, seed=3), 40)
+    config = TrainConfig(variant=variant, total_steps=3, batch_size=16, rep_dim=3,
+                         hidden=(6, 5), max_every=2, max_steps_per_phase=2)
+    train(data, config, domains=np.arange(40) % 2)
+    twin_calls = 0 if variant == "casn_minus_m" else len(objectives)
+    assert len(objectives) == (3 if variant == "casn_minus_m" else 5)
+    assert calls.count("enc_c") == len(objectives)
+    assert calls.count("enc_c_twin") == twin_calls
+    assert len(calls) == len(objectives) + twin_calls
 
 
 # ---- gradients against central differences ----
@@ -420,10 +479,16 @@ def fused_losses():
     prior = GaussianPrior(rng.standard_normal(3), rng.uniform(0.5, 2.0, 3))
     enc_params = list(enc.parameters().values())
     fixed_params = list(enc_fixed.parameters().values())
+    groups = [leaf(rng, (k, 3)) for k in (2, 4, 3)]
+    y_groups = [rng.integers(0, 2, size=k) for k in (2, 4, 3)]
+
+    def squared_sum(node):
+        return R.reduce_sum(R.square(node))
+
     return {
-        "mlp": (lambda: enc.encode(x).square().sum(), enc_params),
-        "draw": (lambda: enc.draw(enc.encode(x), eps).square().sum(), enc_params),
-        "draw-fixed": (lambda: enc_fixed.draw(enc_fixed.encode(x), eps).square().sum(),
+        "mlp": (lambda: squared_sum(enc.encode(x)), enc_params),
+        "draw": (lambda: squared_sum(enc.draw(enc.encode(x), eps)), enc_params),
+        "draw-fixed": (lambda: squared_sum(enc_fixed.draw(enc_fixed.encode(x), eps)),
                        fixed_params),
         "kl": (lambda: enc.kl_node(enc.encode(x), prior), enc_params),
         "kl-fixed": (lambda: enc_fixed.kl_node(enc_fixed.encode(x), prior), fixed_params),
@@ -432,6 +497,10 @@ def fused_losses():
         "m": (lambda: surrogate_m(head, c, c_bar), [c, c_bar, head.w]),
         "m-bias": (lambda: surrogate_m(head_b, c, c_bar), [c, c_bar, head_b.w, head_b.b]),
         "separation": (lambda: separation_penalty(c, c_bar, 2.5), [c, c_bar]),
+        "irm": (lambda: irm_penalty(head, groups, y_groups), [*groups, head.w]),
+        "irm-bias": (lambda: irm_penalty(head_b, groups[:2], y_groups[:2]),
+                     [*groups[:2], head_b.w, head_b.b]),
+        "mmd": (lambda: mmd_penalty(groups), groups),
     }
 
 
@@ -472,6 +541,14 @@ def test_separation_overflow_raises_without_a_warning():
         with pytest.raises(FloatingPointError,
                            match="^separation_penalty produced a non-finite"):
             separation_penalty(c, constant(-c.data), 1.0)
+
+
+def test_mmd_overflow_raises_without_a_warning():
+    c = constant(np.full((2, 3), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="^mmd_penalty produced a non-finite"):
+            mmd_penalty([c, constant(-c.data)])
 
 
 def test_hidden_pre_activation_overflow_names_the_layer():

@@ -129,6 +129,10 @@ class TestIrmPenalty:
         params = [reps, head.w]
         assert check_gradients(lambda: irm_penalty(head, [reps], [y]), params) < 1e-5
 
+    def test_no_domains_is_refused(self):
+        with pytest.raises(ValueError, match="at least one domain"):
+            irm_penalty(LinearHead(3), [], [])
+
     def test_biased_head(self):
         rng = np.random.default_rng(8)
         head = LinearHead(3, rng=rng, bias=True)
