@@ -54,10 +54,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         if self.data.size != 1:
             raise ValueError("item() needs a size-1 tensor, got shape %s" % (self.shape,))

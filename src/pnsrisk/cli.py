@@ -256,14 +256,18 @@ def config_hash(config_text):
 # CSV emission (header row + config-hash sidecar, always)
 
 
+def _write_sidecar(path, config_text):
+    """<path>.sha256: the hash of the normalized config behind path."""
+    Path(str(path) + ".sha256").write_text(config_hash(config_text) + "\n",
+                                           encoding="utf-8")
+
+
 def _write_csv(path, header, rows, config_text):
-    path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    Path(str(path) + ".sha256").write_text(config_hash(config_text) + "\n",
-                                           encoding="utf-8")
+    _write_sidecar(path, config_text)
 
 
 def _cell(value):
@@ -280,6 +284,20 @@ def _write_records(path, columns, records, config_text):
                config_text)
 
 
+def _train_run(data, config, run_dir, config_text):
+    """Train one model into run_dir: model.ckpt, trace.csv and risk.csv.
+    A diverged run writes its trace so far and re-raises."""
+    try:
+        result = train(data, config)
+    except TrainingDiverged as exc:
+        _write_records(run_dir / "trace.csv", _TRACE_FIELDS, exc.trace, config_text)
+        raise
+    save_model(run_dir / "model.ckpt", result)
+    _write_records(run_dir / "trace.csv", _TRACE_FIELDS, result.trace, config_text)
+    _write_records(run_dir / "risk.csv", _RISK_FIELDS, [result.risk], config_text)
+    return result
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -291,8 +309,7 @@ def cmd_synth(args):
     write_csv(args.out, data)
     config_text = serialize_flat(config)
     Path(str(args.out) + ".config").write_text(config_text, encoding="utf-8")
-    Path(str(args.out) + ".sha256").write_text(config_hash(config_text) + "\n",
-                                               encoding="utf-8")
+    _write_sidecar(args.out, config_text)
     print(f"wrote {args.out}: {len(data)} rows, d={args.d}, s={args.s}")
     return 0
 
@@ -305,20 +322,11 @@ def cmd_train(args):
     normalized = serialize_flat(config)
     (out / "config.txt").write_text(normalized, encoding="utf-8")
     try:
-        result = train(data, config)
+        result = _train_run(data, config, out, normalized)
     except TrainingDiverged as exc:
-        _write_records(out / "trace.csv", _TRACE_FIELDS, exc.trace, normalized)
         print(f"error: training diverged at step {exc.step} ({exc.cause})",
               file=sys.stderr)
         return 1
-    save_model(out / "model.ckpt", result, extra_meta={
-        "delta": repr(float(config.delta)),
-        "lam": repr(float(config.lam)),
-        "variant": config.variant,
-        "seed": str(config.seed),
-    })
-    _write_records(out / "trace.csv", _TRACE_FIELDS, result.trace, normalized)
-    _write_records(out / "risk.csv", _RISK_FIELDS, [result.risk], normalized)
     print(f"wrote {out / 'model.ckpt'}: sf={result.risk.sf:.4f} "
           f"m={result.risk.m:.4f} r={result.risk.r:.4f}")
     return 0
@@ -406,19 +414,12 @@ def run_repro(spec, out_dir):
         run_dir = out_dir / "runs" / tag
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
-            result = train(train_data, config)
+            result = _train_run(train_data, config, run_dir, normalized)
         except (TrainingDiverged, FloatingPointError) as exc:
             aborted.append([_cell(delta), _cell(lam), variant, _cell(seed),
                             str(exc)])
             continue
         report = evaluate(eval_data, result.enc_c, result.head)
-        save_model(run_dir / "model.ckpt", result, extra_meta={
-            "delta": repr(float(delta)),
-            "lam": repr(float(lam)),
-            "variant": variant,
-            "seed": str(seed),
-        })
-        _write_records(run_dir / "trace.csv", _TRACE_FIELDS, result.trace, normalized)
         runs.append({
             "delta": delta, "lam": lam, "variant": variant, "seed": seed,
             "dcor_sn": report.dcor_sn, "dcor_sf": report.dcor_sf,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import predict
 from .synth import factor_table
 
 __all__ = ["distance_correlation", "EvalReport", "evaluate", "group_accuracy"]
@@ -68,10 +67,11 @@ class EvalReport:
 
 
 def evaluate(data, encoder, head):
-    """EvalReport for an encoder/labeler pair on benchmark data."""
+    """EvalReport for an encoder/labeler pair on benchmark data.  One
+    posterior mean gives the dcor reps and the labels (logit >= 0)."""
     reps, _ = encoder.encode_np(data.x)
     factors = factor_table(data)
-    labels = predict(head, encoder, data.x)
+    labels = head.logits_np(reps) >= 0.0
     return EvalReport(
         dcor_sn=distance_correlation(reps, factors[:, 0]),
         dcor_sf=distance_correlation(reps, factors[:, 1]),

@@ -4,8 +4,8 @@ The encoder is a three-layer perceptron producing the posterior mean of
 a diagonal Gaussian over representations; the variance is either a
 learned per-dimension vector shared across inputs or a fixed constant.
 Sampling is reparameterized (mean + sd * eps) so gradients reach the
-encoder parameters.  The labeler is sign(w.c), with the tie w.c = 0
-mapped to label 1.
+encoder parameters.  The labeler is the linear rule sign(c @ w), with no
+bias; the tie c @ w = 0 maps to label 1.
 
 Every graph op here is fused: the MLP, the KL term, the draw and both
 surrogates are each one graph node with a numpy forward and an analytic
@@ -61,14 +61,30 @@ class Mlp:
             self.weights.append(w)
             self.biases.append(parameter(np.zeros(b), name=f"{prefix}.b{i}"))
 
-    def forward(self, x):
-        """The whole affine+ELU stack as one graph node.
+    def _stack(self, h, inputs=None, pres=None):
+        """The affine+ELU hidden layers, then the linear output layer, on
+        the array h.  Given lists, the graph path collects each layer's
+        input and each hidden pre-activation, and checks the latter for
+        finiteness with an error naming the layer: an ELU maps -inf to
+        -1, so a check of the output alone would hide an overflow."""
+        for i in range(len(self.weights) - 1):
+            if inputs is not None:
+                inputs.append(h)
+            h = h @ self.weights[i].data + self.biases[i].data
+            if pres is not None:
+                if not np.isfinite(h).all():
+                    raise FloatingPointError(f"{self.layer_names[i]} produced a non-finite value")
+                pres.append(h)
+            h = np.where(h > 0.0, h, np.expm1(np.minimum(h, 0.0)))
+        if inputs is not None:
+            inputs.append(h)
+        return h @ self.weights[-1].data + self.biases[-1].data
 
-        Every layer's pre-activation is checked for finiteness and the
-        error names the layer: an ELU maps -inf to -1, so a check of the
-        output alone would hide an overflow.  A Tensor input is a parent
-        and gets a gradient; a plain array is data, so neither a leaf
-        for it nor its gradient matmul is made.
+    def forward(self, x):
+        """The whole stack as one graph node.
+
+        A Tensor input is a parent and gets a gradient; a plain array is
+        data, so neither a leaf for it nor its gradient matmul is made.
         """
         input_grad = isinstance(x, Tensor)
         if input_grad:
@@ -81,24 +97,15 @@ class Mlp:
         if h.ndim != 2 or h.shape[1] != weights[0].shape[0]:
             raise ValueError(f"mlp: input shape {h.shape} does not fit {weights[0].shape}")
         inputs = []
-        slopes = []
+        pres = []
+        out = self._stack(h, inputs, pres)
         last = len(weights) - 1
-        for i in range(last):
-            inputs.append(h)
-            pre = h @ weights[i] + self.biases[i].data
-            if not np.isfinite(pre).all():
-                raise FloatingPointError(f"{self.layer_names[i]} produced a non-finite value")
-            neg = np.minimum(pre, 0.0)
-            h = np.where(pre > 0.0, pre, np.expm1(neg))
-            slopes.append(np.exp(neg))  # exactly 1 where pre > 0
-        inputs.append(h)
-        out = h @ weights[last] + self.biases[last].data
 
         def backward(g):
             grads = [None] * (2 * last + 2)
             for i in range(last, -1, -1):
                 if i != last:
-                    g = g * slopes[i]
+                    g = g * np.exp(np.minimum(pres[i], 0.0))  # exactly 1 where pre > 0
                 grads[2 * i] = inputs[i].T @ g
                 grads[2 * i + 1] = g.sum(axis=0)
                 if i or input_grad:
@@ -112,13 +119,7 @@ class Mlp:
 
     def forward_np(self, x):
         """Graph-free forward for evaluation and Monte Carlo estimation."""
-        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data + b.data
-            if i != last:
-                h = np.where(h > 0.0, h, np.expm1(np.minimum(h, 0.0)))
-        return h
+        return self._stack(np.atleast_2d(np.asarray(x, dtype=np.float64)))
 
     def parameters(self):
         out = {}
@@ -158,8 +159,6 @@ class GaussianEncoder:
 
     def __init__(self, in_dim, rep_dim=64, hidden=(128, 32), rng=None,
                  fixed_var=None, prefix="enc"):
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.in_dim = in_dim
         self.rep_dim = rep_dim
         self.prefix = prefix
@@ -246,26 +245,19 @@ class GaussianEncoder:
 
 
 class LinearHead:
-    """Linear labeler over representations: logit = c @ w + b."""
+    """Linear labeler over representations: logit = c @ w, no bias."""
 
-    def __init__(self, rep_dim, rng=None, bias=False, prefix="head"):
+    def __init__(self, rep_dim, rng=None, prefix="head"):
         if rng is None:
             rng = np.random.default_rng(0)
         self.rep_dim = rep_dim
         self.w = parameter(rng.standard_normal(rep_dim) / np.sqrt(rep_dim), name=f"{prefix}.w")
-        self.b = parameter(np.zeros(1), name=f"{prefix}.b") if bias else None
 
     def logits_np(self, c):
-        z = np.asarray(c, dtype=np.float64) @ self.w.data
-        if self.b is not None:
-            z = z + self.b.data[0]
-        return z
+        return np.asarray(c, dtype=np.float64) @ self.w.data
 
     def parameters(self):
-        out = {self.w.name: self.w}
-        if self.b is not None:
-            out[self.b.name] = self.b
-        return out
+        return {self.w.name: self.w}
 
 
 def predict(head, encoder, x):
@@ -289,22 +281,16 @@ def _exp(x, op):
 
 
 def _logits(head, c):
-    """(z, parents) of the labeler on a representation node c."""
+    """The labeler's logits c @ w on a representation node c."""
     w = head.w.data
     if c.data.ndim != 2 or c.data.shape[1] != w.shape[0]:
         raise ValueError(f"matmul: {c.data.shape} @ {w.shape}")
-    z = c.data @ w
-    if head.b is None:
-        return z, (head.w,)
-    return z + head.b.data, (head.w, head.b)
+    return c.data @ w
 
 
-def _head_grads(head, pairs):
-    """Gradients of the labeler's parameters from (c, dL/dz) pairs."""
-    g_w = sum(c.data.T @ g_z for c, g_z in pairs)
-    if head.b is None:
-        return (g_w,)
-    return (g_w, np.array([sum(g_z.sum() for _, g_z in pairs)]))
+def _w_grad(pairs):
+    """Gradient of the labeler's w from (c, dL/dz) pairs."""
+    return sum(c.data.T @ g_z for c, g_z in pairs)
 
 
 def _ytil(y):
@@ -314,31 +300,37 @@ def _ytil(y):
     return y.astype(np.float64) * 2.0 - 1.0
 
 
+def _margins(head, c, y):
+    """(-ytil, a) with a = -ytil * z the margin deficit of 0/1 labels y
+    on the logits z of the representation node c."""
+    neg_ytil = -_ytil(y)
+    z = _logits(head, c)
+    if neg_ytil.shape not in ((), z.shape):
+        raise ValueError(f"labels of shape {neg_ytil.shape} for {z.shape[0]} rows")
+    return neg_ytil, z * neg_ytil
+
+
 def surrogate_sf(head, c, y):
     """Differentiable stand-in for P(sign(w.c) != y): mean softplus of the
     margin deficit, as one graph node.  Equals ln 2 at w.c = 0 and decays
     to the indicator as the margin grows."""
-    neg_ytil = -_ytil(y)
-    z, head_params = _logits(head, c)
-    if neg_ytil.shape not in ((), z.shape):
-        raise ValueError(f"labels of shape {neg_ytil.shape} for {z.shape[0]} rows")
-    a = z * neg_ytil
+    neg_ytil, a = _margins(head, c, y)
     scale = 1.0 / a.shape[0]
     out = (np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))).sum() * scale
 
     def backward(g):
         g_z = g * scale * sigmoid_np(a) * neg_ytil
-        return (np.outer(g_z, head.w.data), *_head_grads(head, ((c, g_z),)))
+        return (np.outer(g_z, head.w.data), _w_grad(((c, g_z),)))
 
-    return Tensor(out, (c, *head_params), backward, "surrogate_sf")
+    return Tensor(out, (c, head.w), backward, "surrogate_sf")
 
 
 def surrogate_m(head, c, c_bar):
     """Differentiable stand-in for the probability that the two routes
     agree in sign: mean over pairs of p*q + (1-p)*(1-q), as one graph
     node."""
-    zc, head_params = _logits(head, c)
-    zb, _ = _logits(head, c_bar)
+    zc = _logits(head, c)
+    zb = _logits(head, c_bar)
     if zc.shape != zb.shape:
         raise ValueError(f"surrogate_m: {c.data.shape} vs {c_bar.data.shape}")
     p = sigmoid_np(zc)
@@ -351,10 +343,9 @@ def surrogate_m(head, c, c_bar):
         g_zc = (g * q - g * (1.0 - q)) * p * (1.0 - p)
         g_zb = (g * p - g * (1.0 - p)) * q * (1.0 - q)
         w = head.w.data
-        return (np.outer(g_zc, w), np.outer(g_zb, w),
-                *_head_grads(head, ((c, g_zc), (c_bar, g_zb))))
+        return (np.outer(g_zc, w), np.outer(g_zb, w), _w_grad(((c, g_zc), (c_bar, g_zb))))
 
-    return Tensor(out, (c, c_bar, *head_params), backward, "surrogate_m")
+    return Tensor(out, (c, c_bar, head.w), backward, "surrogate_m")
 
 
 def clone_perturbed(encoder, rng, scale=0.01):

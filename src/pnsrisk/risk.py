@@ -256,13 +256,12 @@ def _normal_cdf(z):
 
 
 def _exact_sf(labels, probs, mean, var, head):
-    """Exact SF from per-point posteriors: the logit w.c + b of a
-    Gaussian c is Gaussian, so each point's error mass is a normal CDF.
-    Summed in point order."""
+    """Exact SF from per-point posteriors: the logit w.c of a Gaussian c
+    is Gaussian, so each point's error mass is a normal CDF.  Summed in
+    point order."""
     total = 0.0
-    bias = head.b.data[0] if head.b is not None else 0.0
     for y, prob, mu_row, var_row in zip(labels, probs, mean, var):
-        mu = float(mu_row @ head.w.data) + bias
+        mu = float(mu_row @ head.w.data)
         sd = math.sqrt(float(var_row @ (head.w.data**2)))
         if sd == 0.0:
             p_hit = 1.0 if mu >= 0.0 else 0.0
@@ -281,7 +280,7 @@ def _encode_each(enc, points):
 
 def true_sufficiency_risk(domain, enc, head):
     """Exact SF on a discrete domain with a Gaussian encoder: the logit
-    w.c + b is Gaussian per point, so the error mass is a normal CDF."""
+    w.c is Gaussian per point, so the error mass is a normal CDF."""
     support = domain.support()
     return _exact_sf([y for _, y in support], [domain.mass(p) for p in support],
                      *_encode_each(enc, support), head)

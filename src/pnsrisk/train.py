@@ -39,9 +39,8 @@ from .model import (
     GaussianEncoder,
     GaussianPrior,
     LinearHead,
-    _head_grads,
-    _logits,
-    _ytil,
+    _margins,
+    _w_grad,
     clone_perturbed,
     load_checkpoint,
     save_checkpoint,
@@ -127,26 +126,34 @@ class TrainingDiverged(RuntimeError):
         self.cause = cause
 
 
+def _distances(a, b, op):
+    """(diff, dist): diff = a - b and its Euclidean norm over the last
+    axis, with a 1e-18 stabilizer inside the square root so coincident
+    rows have a gradient.  A value that overflows raises
+    FloatingPointError naming the op, with no numpy warning first."""
+    with np.errstate(over="ignore"):
+        diff = a - b
+        dist = np.sqrt((diff * diff).sum(axis=-1) + 1e-18)
+    if not np.isfinite(dist).all():
+        raise FloatingPointError(f"{op} produced a non-finite value")
+    return diff, dist
+
+
 def separation_penalty(c, c_bar, delta):
     """Mean squared hinge on the pairwise representation gap:
     mean over pairs of max(0, delta - ||c - cbar||_2)^2, as one graph
     node.
 
-    The distance carries a 1e-18 stabilizer inside the square root, so
+    The distance carries the 1e-18 stabilizer of _distances, so
     coincident pairs cost (delta - 1e-9)^2 instead of tripping on the
-    sqrt gradient.  A distance that overflows raises FloatingPointError
-    naming the op, with no numpy warning first.
+    sqrt gradient.
     """
     delta = float(delta)
     if not np.isfinite(delta):
         raise FloatingPointError("non-finite value entering the graph")
     if c.data.ndim != 2 or c.data.shape != c_bar.data.shape:
         raise ValueError(f"separation_penalty: {c.data.shape} vs {c_bar.data.shape}")
-    with np.errstate(over="ignore"):
-        diff = c.data - c_bar.data
-        dist = np.sqrt((diff * diff).sum(axis=1) + 1e-18)
-    if not np.isfinite(dist).all():
-        raise FloatingPointError("separation_penalty produced a non-finite value")
+    diff, dist = _distances(c.data, c_bar.data, "separation_penalty")
     hinge = np.maximum(delta - dist, 0.0)
     scale = 1.0 / hinge.shape[0]
 
@@ -165,8 +172,8 @@ def mmd_penalty(rep_groups):
     representation distance, as one graph node.  Fewer than two domains
     is legal but inert: the penalty is 0 and a warning points it out.
 
-    Each distance carries the 1e-18 stabilizer of separation_penalty
-    inside the square root, so coincident rows have a gradient.
+    Each distance carries the 1e-18 stabilizer of _distances, so
+    coincident rows have a gradient.
     """
     if len(rep_groups) < 2:
         warnings.warn("mmd penalty needs at least two domains; returning 0", stacklevel=2)
@@ -178,9 +185,7 @@ def mmd_penalty(rep_groups):
             a, b = rep_groups[i].data, rep_groups[j].data
             if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
                 raise ValueError(f"mmd_penalty: {a.shape} vs {b.shape}")
-            with np.errstate(over="ignore"):
-                diff = a[:, None, :] - b[None, :, :]
-                dist = np.sqrt((diff * diff).sum(axis=2) + 1e-18)
+            diff, dist = _distances(a[:, None, :], b[None, :, :], "mmd_penalty")
             term = dist.mean()
             total = term if total is None else total + term
             pairs.append((i, j, diff, dist))
@@ -213,11 +218,7 @@ def irm_penalty(head, rep_groups, y_groups):
     total = None
     saved = []
     for reps, y in zip(rep_groups, y_groups):
-        neg_ytil = -_ytil(y)
-        z, head_params = _logits(head, reps)
-        if neg_ytil.shape not in ((), z.shape):
-            raise ValueError(f"labels of shape {neg_ytil.shape} for {z.shape[0]} rows")
-        a = z * neg_ytil
+        neg_ytil, a = _margins(head, reps, y)
         sig = sigmoid_np(a)
         scale = 1.0 / a.shape[0]
         grad_s = (a * sig).sum() * scale
@@ -232,9 +233,9 @@ def irm_penalty(head, rep_groups, y_groups):
             g_a = (g + g) * grad_s_scaled * (sig + a * sig * (1.0 - sig))
             pairs.append((reps, g_a * neg_ytil))
         w = head.w.data
-        return (*(np.outer(g_z, w) for _, g_z in pairs), *_head_grads(head, pairs))
+        return (*(np.outer(g_z, w) for _, g_z in pairs), _w_grad(pairs))
 
-    return Tensor(total, (*rep_groups, *head_params), backward, "irm_penalty")
+    return Tensor(total, (*rep_groups, head.w), backward, "irm_penalty")
 
 
 def _rows(node, positions):
@@ -384,7 +385,6 @@ class TrainResult:
     trace: list
     risk: object
     config: TrainConfig
-    in_dim: int
 
 
 def _sgd(params, lr, velocities, momentum):
@@ -404,7 +404,8 @@ def train(data, config, domains=None):
     """Run the alternating scheme on a benchmark dataset.
 
     data needs .x and .y arrays; domains, when given, is an array of
-    domain ids aligned with the rows and feeds the irm/mmd penalties.
+    domain ids aligned with the rows and feeds the irm/mmd penalties;
+    casn_mmd is refused unless it holds at least two distinct ids.
     Deterministic: every random draw comes from streams keyed by
     config.seed.
     """
@@ -415,6 +416,8 @@ def train(data, config, domains=None):
         domains = np.asarray(domains)
         if len(domains) != n:
             raise ValueError("domains must align with the data rows")
+    if config.variant == "casn_mmd" and (domains is None or len(np.unique(domains)) < 2):
+        raise ValueError("variant casn_mmd needs domains with at least two distinct ids")
 
     init = keyed(config.seed, ROLE_PLAIN, 0)
     batches = keyed(config.seed, ROLE_PLAIN, 1)
@@ -450,35 +453,27 @@ def train(data, config, domains=None):
                               prior_c, prior_cbar, config, eps_c, eps_cbar,
                               domain_rows=rows, penalty_weight=1.0 if warm else None)
 
-    step = 0
     for step in range(config.total_steps):
-        try:
-            min_loss, _, parts = batch_objective()
-            min_loss.backward(min_params)
-        except FloatingPointError as exc:
-            raise TrainingDiverged(step, trace, exc) from exc
-        _sgd(min_params, config.lr_min, velocities, config.momentum)
-
         adv_value = None
         run_phase = (
             config.variant != "casn_minus_m"
             and config.max_every > 0
             and (step + 1) % config.max_every == 0
         )
-        if run_phase:
-            for _ in range(config.max_steps_per_phase):
-                try:
+        try:
+            min_loss, _, parts = batch_objective()
+            min_loss.backward(min_params)
+            _sgd(min_params, config.lr_min, velocities, config.momentum)
+            if run_phase:
+                for _ in range(config.max_steps_per_phase):
                     _, max_loss, _ = batch_objective()
                     max_loss.backward(adv_params)
-                except FloatingPointError as exc:
-                    raise TrainingDiverged(step, trace, exc) from exc
-                # descending -objective ascends the shared objective
-                _sgd(adv_params, config.lr_max, velocities, 0.0)
-                adv_value = -max_loss.item()
-        trace.append(StepRecord(step=step, sf=parts["sf"], m=parts["m"],
-                                kl_c=parts["kl_c"], kl_cbar=parts["kl_cbar"],
-                                hinge=parts["hinge"], penalty=parts["penalty"],
-                                adversary_objective=adv_value))
+                    # descending -objective ascends the shared objective
+                    _sgd(adv_params, config.lr_max, velocities, 0.0)
+                    adv_value = -max_loss.item()
+        except FloatingPointError as exc:
+            raise TrainingDiverged(step, trace, exc) from exc
+        trace.append(StepRecord(step=step, **parts, adversary_objective=adv_value))
 
     report_n = min(n, 2000)
     risk = estimate_risk(x_all[:report_n], y_all[:report_n], enc_c, enc_cbar, head,
@@ -486,20 +481,23 @@ def train(data, config, domains=None):
                          prior_c=prior_c, prior_cbar=prior_cbar)
     return TrainResult(enc_c=enc_c, enc_cbar=enc_cbar, head=head,
                        prior_c=prior_c, prior_cbar=prior_cbar,
-                       trace=trace, risk=risk, config=config, in_dim=in_dim)
+                       trace=trace, risk=risk, config=config)
 
 
-def save_model(path, result, extra_meta=None):
+def save_model(path, result):
     """Checkpoint both encoders and the labeler with enough metadata to
-    rebuild them."""
+    rebuild them, plus the run's delta, lam, variant and seed."""
     cfg = result.config
     meta = {
-        "in_dim": str(result.in_dim),
+        "in_dim": str(result.enc_c.in_dim),
         "rep_dim": str(cfg.rep_dim),
         "hidden": ",".join(str(h) for h in cfg.hidden),
         "fixed_var": "none" if cfg.fixed_var is None else repr(float(cfg.fixed_var)),
+        "delta": repr(float(cfg.delta)),
+        "lam": repr(float(cfg.lam)),
+        "variant": cfg.variant,
+        "seed": str(cfg.seed),
     }
-    meta.update(extra_meta or {})
     params = {
         **result.enc_c.parameters(),
         **result.enc_cbar.parameters(),

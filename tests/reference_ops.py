@@ -230,12 +230,8 @@ def pairwise_mean_distance(a, b):
 # ---- the model and loss terms, node by node ----
 
 def logits(head, c):
-    """The labeler c @ w (+ b) on a representation node."""
-    z = matmul(c, head.w)
-    if head.b is not None:
-        # the generic add broadcasts a scalar across rows, not a (1,) vector
-        z = add(z, reduce_sum(head.b))
-    return z
+    """The labeler c @ w on a representation node."""
+    return matmul(c, head.w)
 
 
 def mmd_penalty(rep_groups):

@@ -341,6 +341,20 @@ def test_train_divergence_is_reported(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_train_mmd_variant_is_refused(tmp_path, capsys):
+    # the dataset CSV carries no domains, so casn_mmd has no penalty to train
+    data_csv = tmp_path / "data.csv"
+    main(["synth", "--d", "2", "--n", "64", "--out", str(data_csv)])
+    config = tmp_path / "train.cfg"
+    config.write_text(SMALL_TRAIN + "variant = casn_mmd\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--data", str(data_csv),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "casn_mmd needs domains" in err
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
 REPRO_SPEC = """\
 [experiment]
 name = smoke
@@ -405,6 +419,19 @@ class TestRepro:
         assert (out_dir / "runs" / "delta0.9_lam0.01_casn_seed1"
                 / "model.ckpt").exists()
 
+    def test_run_directories_hold_model_trace_and_risk(self, tmp_path, capsys):
+        run_repro(parse_config(REPRO_SPEC), tmp_path / "out")
+        run_dirs = sorted((tmp_path / "out" / "runs").iterdir())
+        assert [d.name for d in run_dirs] == sorted(
+            f"delta0.9_lam0.01_{v}_seed{s}" for v in ("casn", "casn_minus_m") for s in (0, 1))
+        for run_dir in run_dirs:
+            assert sorted(p.name for p in run_dir.iterdir()) == [
+                "model.ckpt", "risk.csv", "risk.csv.sha256", "trace.csv",
+                "trace.csv.sha256"]
+            header, row = (run_dir / "risk.csv").read_text().splitlines()
+            assert header == "sf,nc,m,r,kl_c,kl_cbar,mc_samples"
+            assert row.endswith(",32")
+
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = parse_config(REPRO_SPEC)
         run_repro(spec, tmp_path / "a")
@@ -423,6 +450,9 @@ class TestRepro:
         out = capsys.readouterr().out
         assert "FAIL runs_completed" in out
         assert (tmp_path / "out" / "aborted.csv").exists()
+        # the diverged point keeps its trace so far and has no checkpoint
+        run_dir = tmp_path / "out" / "runs" / "delta0.9_lam0.01_casn_seed0"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["trace.csv", "trace.csv.sha256"]
 
     def test_hard_check_gates_exit(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.txt"

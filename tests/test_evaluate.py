@@ -7,14 +7,21 @@ from pnsrisk.synth import SynthConfig, generate
 
 
 class BlockEncoder:
-    """Mean representation = a fixed slice of x; no noise to speak of."""
+    """Mean representation = a fixed slice of x, less a threshold; no
+    noise to speak of.  Counts its calls."""
 
-    def __init__(self, lo, hi):
-        self.lo, self.hi = lo, hi
+    def __init__(self, lo, hi, threshold=0.0):
+        self.lo, self.hi, self.threshold = lo, hi, threshold
+        self.calls = 0
 
     def encode_np(self, x):
-        mean = np.asarray(x, dtype=float)[:, self.lo : self.hi]
+        self.calls += 1
+        mean = np.asarray(x, dtype=float)[:, self.lo : self.hi] - self.threshold
         return mean, np.full(mean.shape, 1e-18)
+
+
+# midway between the two levels of the sn-derived block of x
+SN_MIDPOINT = 0.5 * (0.5 + 1.0 / (1.0 + np.exp(-0.25)))
 
 
 class TestDistanceCorrelation:
@@ -87,25 +94,32 @@ class TestEvaluate:
     def test_plant_and_recover_cause_block(self):
         cfg = SynthConfig(noise_scale=0.0, seed=20)
         data = generate(cfg, 400)
-        enc = BlockEncoder(0, 5)  # the sn-derived block of x
-        head = LinearHead(5, bias=True)
+        enc = BlockEncoder(0, 5, SN_MIDPOINT)  # the sn-derived block of x
+        head = LinearHead(5)
         head.w.data[:] = 1.0
-        mid = 0.5 * (0.5 + 1.0 / (1.0 + np.exp(-0.25)))
-        head.b.data[0] = -5.0 * mid
         report = evaluate(data, enc, head)
         assert report.dcor_sn >= 0.95
         assert report.dcor_sp < report.dcor_sn
         assert report.n == 400
+
+    def test_one_encode_serves_the_reps_and_the_labels(self):
+        from pnsrisk.model import predict
+
+        data = generate(SynthConfig(seed=23), 300)
+        enc = BlockEncoder(0, 5, SN_MIDPOINT)
+        head = LinearHead(5, rng=np.random.default_rng(4))
+        report = evaluate(data, enc, head)
+        assert enc.calls == 1
+        assert report.accuracy == float((predict(head, enc, data.x) == data.y).mean())
 
     def test_bayes_rule_accuracy(self):
         from pnsrisk.model import predict
 
         cfg = SynthConfig(noise_scale=0.0, seed=21)
         data = generate(cfg, 20000)
-        enc = BlockEncoder(0, 5)
-        head = LinearHead(5, bias=True)
+        enc = BlockEncoder(0, 5, SN_MIDPOINT)
+        head = LinearHead(5)
         head.w.data[:] = 1.0
-        head.b.data[0] = -5.0 * 0.5 * (0.5 + 1.0 / (1.0 + np.exp(-0.25)))
         labels = predict(head, enc, data.x)
         assert np.array_equal(labels, data.sn)  # the head reads sn exactly
         # predicting sn is the Bayes rule; its hit rate is 1 - label noise

@@ -133,18 +133,6 @@ class TestIrmPenalty:
         with pytest.raises(ValueError, match="at least one domain"):
             irm_penalty(LinearHead(3), [], [])
 
-    def test_biased_head(self):
-        rng = np.random.default_rng(8)
-        head = LinearHead(3, rng=rng, bias=True)
-        head.b.data[:] = 0.4
-        reps = parameter(rng.standard_normal((8, 3)))
-        y = rng.integers(0, 2, size=8)
-        a = -(y * 2.0 - 1.0) * (reps.data @ head.w.data + 0.4)
-        want = np.mean(a / (1.0 + np.exp(-a))) ** 2
-        assert abs(irm_penalty(head, [reps], [y]).item() - want) < 1e-12
-        params = [reps, head.w, head.b]
-        assert check_gradients(lambda: irm_penalty(head, [reps], [y]), params) < 1e-5
-
 
 class TestObjective:
     def test_parts_and_losses(self):
@@ -300,12 +288,15 @@ class TestTrainLoop:
         assert len(result.trace) == 8
         assert all(np.isfinite(r.penalty) for r in result.trace)
 
-    def test_mmd_variant_single_domain_warns(self):
+    @pytest.mark.parametrize("domains", [None, "one"])
+    def test_mmd_variant_without_two_domains_is_refused(self, domains):
+        data = tiny_data()
+        if domains == "one":
+            domains = np.zeros(len(data.y), dtype=int)
         cfg = TrainConfig(total_steps=2, variant="casn_mmd", max_every=100,
                           seed=8, **SMALL)
-        with pytest.warns(UserWarning):
-            result = train(tiny_data(), cfg)
-        assert all(r.penalty == 0.0 for r in result.trace)
+        with pytest.raises(ValueError, match="casn_mmd needs domains"):
+            train(data, cfg, domains=domains)
 
     def test_mmd_variant_two_domains(self):
         data = tiny_data()
@@ -361,13 +352,25 @@ class TestModelRoundTrip:
         cfg = TrainConfig(total_steps=5, seed=11, **SMALL)
         result = train(tiny_data(), cfg)
         path = tmp_path / "run.ckpt"
-        save_model(path, result, extra_meta={"delta": repr(cfg.delta)})
+        save_model(path, result)
         enc_c, enc_cbar, head, meta = load_model(path)
         assert meta["delta"] == "0.7"
         for src, dst in ((result.enc_c, enc_c), (result.enc_cbar, enc_cbar),
                          (result.head, head)):
             for name, tensor in src.parameters().items():
                 assert dst.parameters()[name].data.tobytes() == tensor.data.tobytes()
+
+    def test_save_model_writes_run_metadata(self, tmp_path):
+        cfg = TrainConfig(total_steps=0, delta=0.35, lam=0.02, variant="casn_minus_m",
+                          seed=13, **SMALL)
+        path = tmp_path / "run.ckpt"
+        save_model(path, train(tiny_data(), cfg))
+        meta = load_model(path)[3]
+        # the run's config follows the shape metadata, in this order
+        assert list(meta) == ["in_dim", "rep_dim", "hidden", "fixed_var",
+                              "delta", "lam", "variant", "seed"]
+        assert (meta["delta"], meta["lam"], meta["variant"], meta["seed"]) == (
+            "0.35", "0.02", "casn_minus_m", "13")
 
     def test_unexpected_parameter_rejected(self, tmp_path):
         from pnsrisk.model import load_checkpoint, save_checkpoint
