@@ -39,6 +39,7 @@ from .synth import MIXERS, SynthConfig, generate, read_csv, write_csv
 from .train import (
     TrainConfig,
     TrainingDiverged,
+    check_domains,
     load_model,
     save_model,
     train,
@@ -316,6 +317,7 @@ def cmd_synth(args):
 
 def cmd_train(args):
     config = parse_flat(Path(args.config).read_text(encoding="utf-8"), TrainConfig)
+    check_domains(config.variant, None)
     data = read_csv(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -396,7 +398,10 @@ def cmd_bounds(args):
 
 def run_repro(spec, out_dir):
     """Generate, train every grid point, aggregate, check.  Returns True
-    iff every hard acceptance check passed and no run aborted."""
+    iff every hard acceptance check passed and no run aborted.  A grid
+    variant that needs domains is refused before anything is written."""
+    for variant in spec.grid_variant:
+        check_domains(variant, None)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     normalized = serialize_config(spec)

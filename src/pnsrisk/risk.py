@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GaussianEncoder, LinearHead, _ytil
-from .streams import ROLE_C, ROLE_CBAR, ROLE_PLAIN, keyed
+from .streams import ROLE_C, ROLE_CBAR, ROLE_PICK, keyed
 
 __all__ = [
     "MalformedDomainError",
@@ -294,7 +294,7 @@ def sufficiency_deviation_trial(domain, enc, head, prior, n, epsilon, seed,
     compare the empirical error rate against the exact SF.  Returns
     (deviation, rhs, violated).
     """
-    gen = keyed(seed, ROLE_PLAIN, 0)
+    gen = keyed(seed, ROLE_PICK, 0)
     support = domain.support()
     probs = np.array([domain.mass(p) for p in support])
     picks = gen.choice(len(support), size=n, p=probs / probs.sum())

@@ -17,9 +17,11 @@ above zero (else 0), kappa2(t) = t + 0.5 below zero (else 0), and
     x = sigmoid(kappa1 * kappa1)        (mixer "as_written")
     x = sigmoid(kappa1 * kappa2)        (mixer "k1k2")
 
-Per-sample draws come from the Philox stream keyed by (seed, index)
-(pnsrisk.streams, plain role) with a fixed draw order, so any sample can
-be regenerated in isolation and files are byte-stable.
+Row i draws from the Philox stream keyed by (seed ^ ROLE_SYNTH, i)
+(pnsrisk.streams) in a fixed order, four coins and then Box-Muller
+normals from (radius, angle) uniforms, so any sample can be regenerated
+in isolation and files are byte-stable.  All rows of a block are drawn
+in one vectorized Philox pass.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .autodiff import sigmoid_np
 from .pns import DiscreteScm
-from .streams import ROLE_PLAIN, SEED_MAX, keyed
+from .streams import ROLE_SYNTH, SEED_MAX, keyed_uniforms
 
 __all__ = [
     "SynthConfig",
@@ -45,6 +47,7 @@ __all__ = [
 ]
 
 MIXERS = ("as_written", "k1k2")
+_BLOCK_ROWS = 512  # rows drawn per vectorized Philox pass
 
 
 @dataclass(frozen=True)
@@ -92,43 +95,69 @@ class SynthData:
 def generate(config, n, seed=None):
     """n samples; seed defaults to config.seed.
 
-    The draw order per sample is fixed (sn coin, label coin, sf coin,
-    nc coin, d spurious normals, 4d jitter normals) and every draw is
-    consumed even when unused, so streams stay aligned across configs.
+    Row i reads the first 4 + 2m uniforms of its stream
+    (seed, ROLE_SYNTH, i), m = ceil(5d / 2), in a fixed order: four coins
+    (sn, label noise, sf flip, nc keep), then m (radius, angle) pairs.
+    Box-Muller turns pair k into the normals 2k and 2k + 1,
+    sqrt(-2 log(1 - u)) times the cosine and the sine of the angle; the
+    first d normals are the spurious noise and the next 4d the jitter.
+    Every draw is consumed even when unused, so streams stay aligned
+    across configs, and row i depends only on (seed, i), not on n.
+    Rows are drawn in blocks of at most 512, so the working set stays
+    small whatever n is.
     """
     if seed is None:
         seed = config.seed
     d = config.d
-    x = np.empty((n, 4 * d))
-    y = np.empty(n, dtype=np.int64)
-    sn_col = np.empty(n, dtype=np.int64)
-    sf_col = np.empty(n, dtype=np.int64)
-    nc_col = np.empty(n, dtype=np.int64)
-    sp_block = np.empty((n, d))
-    ones = np.ones(d)
-    for i in range(n):
-        gen = keyed(seed, ROLE_PLAIN, i)
-        sn = int(gen.random() < 0.5)
-        noise_bit = int(gen.random() < config.label_noise)
-        flip_bit = int(gen.random() < config.sf_flip)
-        keep_bit = int(gen.random() < config.nc_keep)
-        sp_eps = gen.standard_normal(d)
-        jitter = gen.standard_normal(4 * d) * config.noise_scale
-        sf = 1 if sn == 1 else flip_bit
-        nc = sn * keep_bit
-        sp = config.s * sn * ones + (1.0 - config.s) * sp_eps
-        t = np.concatenate((sn * ones, sf * ones, nc * ones, sp)) + jitter
-        kappa1 = np.where(t > 0.0, t - 0.5, 0.0)
-        if config.mixer == "as_written":
-            mixed = kappa1 * kappa1
-        else:
-            kappa2 = np.where(t < 0.0, t + 0.5, 0.0)
-            mixed = kappa1 * kappa2
-        x[i] = sigmoid_np(mixed)
-        y[i] = sn ^ noise_bit
-        sn_col[i], sf_col[i], nc_col[i] = sn, sf, nc
-        sp_block[i] = sp
-    return SynthData(x=x, y=y, sn=sn_col, sf=sf_col, nc=nc_col, sp=sp_block)
+    data = SynthData(
+        x=np.empty((n, 4 * d)),
+        y=np.empty(n, dtype=np.int64),
+        sn=np.empty(n, dtype=np.int64),
+        sf=np.empty(n, dtype=np.int64),
+        nc=np.empty(n, dtype=np.int64),
+        sp=np.empty((n, d)),
+    )
+    for start in range(0, n, _BLOCK_ROWS):
+        _fill(data, config, seed, slice(start, min(start + _BLOCK_ROWS, n)))
+    return data
+
+
+def _fill(data, config, seed, rows):
+    """Draw the rows of one block and write them into data; the block's
+    temporaries are freed on return, before the next block draws."""
+    d = config.d
+    coins, normals = _draws(seed, rows, d)
+    sn = (coins[:, 0] < 0.5).astype(np.int64)
+    noise_bit = coins[:, 1] < config.label_noise
+    flip_bit = coins[:, 2] < config.sf_flip
+    keep_bit = coins[:, 3] < config.nc_keep
+    sf = sn | flip_bit
+    nc = sn * keep_bit
+    sp = config.s * sn[:, None] + (1.0 - config.s) * normals[:, :d]
+    t = np.concatenate(
+        (np.repeat(np.column_stack((sn, sf, nc)), d, axis=1), sp), axis=1
+    ) + normals[:, d : 5 * d] * config.noise_scale
+    kappa1 = np.where(t > 0.0, t - 0.5, 0.0)
+    if config.mixer == "as_written":
+        mixed = kappa1 * kappa1
+    else:
+        kappa2 = np.where(t < 0.0, t + 0.5, 0.0)
+        mixed = kappa1 * kappa2
+    data.x[rows] = sigmoid_np(mixed)
+    data.y[rows] = sn ^ noise_bit
+    data.sn[rows], data.sf[rows], data.nc[rows] = sn, sf, nc
+    data.sp[rows] = sp
+
+
+def _draws(seed, rows, d):
+    """The four coin uniforms and the 5d Box-Muller normals of each row;
+    the uniforms and the Box-Muller temporaries are freed on return."""
+    pairs = -(-5 * d // 2)
+    u = keyed_uniforms(seed, ROLE_SYNTH, range(rows.start, rows.stop), 4 + 2 * pairs)
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 4::2]))  # 1 - u lies in (0, 1]
+    angle = (2.0 * np.pi) * u[:, 5::2]
+    normals = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=2)
+    return u[:, :4].copy(), normals.reshape(len(u), 2 * pairs)[:, : 5 * d]
 
 
 def factor_table(data):

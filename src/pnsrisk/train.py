@@ -48,7 +48,7 @@ from .model import (
     surrogate_sf,
 )
 from .risk import estimate_risk
-from .streams import ROLE_PLAIN, SEED_MAX, keyed
+from .streams import ROLE_TRAIN, SEED_MAX, keyed
 
 __all__ = [
     "VARIANTS",
@@ -60,6 +60,7 @@ __all__ = [
     "mmd_penalty",
     "irm_penalty",
     "casn_objective",
+    "check_domains",
     "train",
     "save_model",
     "load_model",
@@ -400,6 +401,13 @@ def _sgd(params, lr, velocities, momentum):
             p.data = p.data - lr * p.grad
 
 
+def check_domains(variant, domains):
+    """Refuse casn_mmd unless domains holds at least two distinct ids;
+    the command line, which has no domains, calls it before any output."""
+    if variant == "casn_mmd" and (domains is None or len(np.unique(domains)) < 2):
+        raise ValueError("variant casn_mmd needs domains with at least two distinct ids")
+
+
 def train(data, config, domains=None):
     """Run the alternating scheme on a benchmark dataset.
 
@@ -416,12 +424,11 @@ def train(data, config, domains=None):
         domains = np.asarray(domains)
         if len(domains) != n:
             raise ValueError("domains must align with the data rows")
-    if config.variant == "casn_mmd" and (domains is None or len(np.unique(domains)) < 2):
-        raise ValueError("variant casn_mmd needs domains with at least two distinct ids")
+    check_domains(config.variant, domains)
 
-    init = keyed(config.seed, ROLE_PLAIN, 0)
-    batches = keyed(config.seed, ROLE_PLAIN, 1)
-    noise = keyed(config.seed, ROLE_PLAIN, 2)
+    init = keyed(config.seed, ROLE_TRAIN, 0)
+    batches = keyed(config.seed, ROLE_TRAIN, 1)
+    noise = keyed(config.seed, ROLE_TRAIN, 2)
     enc_c = GaussianEncoder(in_dim, rep_dim=config.rep_dim, hidden=config.hidden,
                             rng=init, fixed_var=config.fixed_var, prefix="enc_c")
     enc_cbar = clone_perturbed(enc_c, init, scale=0.01)

@@ -355,6 +355,18 @@ def test_train_mmd_variant_is_refused(tmp_path, capsys):
     assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
+def test_train_mmd_variant_is_refused_before_any_output(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    main(["synth", "--d", "2", "--n", "64", "--out", str(data_csv)])
+    config = tmp_path / "train.cfg"
+    config.write_text(SMALL_TRAIN + "variant = casn_mmd\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--data", str(data_csv),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: variant casn_mmd needs domains")
+    assert not (tmp_path / "run").exists()  # no config.txt either
+
+
 REPRO_SPEC = """\
 [experiment]
 name = smoke
@@ -388,6 +400,19 @@ class TestRepro:
                      "--out", str(tmp_path / "out")]) == 2
         assert "error: empty grid list 'seed'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_mmd_variant_is_refused_before_any_output(self, tmp_path, capsys):
+        # the spec has no domains; the casn points must not train first
+        spec_file = tmp_path / "spec.txt"
+        spec_file.write_text(REPRO_SPEC.replace("variant = casn, casn_minus_m",
+                                                "variant = casn, casn_mmd"))
+        out_dir = tmp_path / "out"
+        assert main(["repro", "--spec", str(spec_file), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: variant casn_mmd needs domains")
+        assert captured.out == ""
+        assert not (out_dir / "runs").exists()
+        assert not (out_dir / "runs.csv").exists()
 
     def test_hard_check_without_casn_cell_fails(self, tmp_path, capsys):
         spec = parse_config(REPRO_SPEC.replace("variant = casn, casn_minus_m",

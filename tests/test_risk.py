@@ -16,7 +16,7 @@ from pnsrisk.risk import (
     sufficiency_deviation_trial,
     true_sufficiency_risk,
 )
-from pnsrisk.streams import ROLE_C, ROLE_CBAR, ROLE_PLAIN, keyed
+from pnsrisk.streams import ROLE_C, ROLE_CBAR, ROLE_PICK, keyed
 
 INF = math.inf
 
@@ -72,7 +72,7 @@ def ref_deviation_trial(domain, enc, head, prior, n, epsilon, seed):
     """The deviation trial the per-pick way: a one-row encode per pick."""
     support = domain.support()
     probs = np.array([domain.mass(p) for p in support])
-    picks = keyed(seed, ROLE_PLAIN, 0).choice(len(support), size=n, p=probs / probs.sum())
+    picks = keyed(seed, ROLE_PICK, 0).choice(len(support), size=n, p=probs / probs.sum())
     wrong = 0
     kl_sum = 0.0
     for j, pick in enumerate(picks):

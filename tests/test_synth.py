@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pnsrisk.pns import check_exogeneity, check_monotonicity, pns_identified
+from pnsrisk.streams import ROLE_SYNTH, keyed
 from pnsrisk.synth import (
     SynthConfig,
     factor_table,
@@ -94,6 +98,60 @@ class TestGenerator:
         large = generate(cfg, 25)
         assert np.array_equal(small.x, large.x[:10])
         assert np.array_equal(small.y, large.y[:10])
+
+    @pytest.mark.parametrize("mixer", ["as_written", "k1k2"])
+    def test_rows_follow_the_documented_draw_order(self, mixer):
+        # row by row from the row's own Generator: four coins, then
+        # (radius, angle) pairs through Box-Muller
+        cfg = SynthConfig(d=3, s=0.3, seed=13, mixer=mixer)
+        data = generate(cfg, 600)
+        for i in (0, 1, 511, 512, 599):
+            u = keyed(cfg.seed, ROLE_SYNTH, i).random(4 + 2 * 8)
+            sn, noise, flip, keep = (int(v < p) for v, p in zip(
+                u[:4], (0.5, cfg.label_noise, cfg.sf_flip, cfg.nc_keep)))
+            normals = []
+            for radius_u, angle_u in zip(u[4::2], u[5::2]):
+                radius = math.sqrt(-2.0 * math.log(1.0 - radius_u))
+                normals += [radius * math.cos(2.0 * math.pi * angle_u),
+                            radius * math.sin(2.0 * math.pi * angle_u)]
+            sp = [cfg.s * sn + (1.0 - cfg.s) * e for e in normals[:3]]
+            sf, nc = max(sn, flip), sn * keep
+            t = [v + cfg.noise_scale * e
+                 for v, e in zip([sn] * 3 + [sf] * 3 + [nc] * 3 + sp, normals[3:15])]
+            k1 = [v - 0.5 if v > 0.0 else 0.0 for v in t]
+            k2 = k1 if mixer == "as_written" else [v + 0.5 if v < 0.0 else 0.0 for v in t]
+            x = [1.0 / (1.0 + math.exp(-a * b)) for a, b in zip(k1, k2)]
+            assert (data.y[i], data.sn[i], data.sf[i], data.nc[i]) == (sn ^ noise, sn, sf, nc)
+            assert np.allclose(data.sp[i], sp, rtol=0.0, atol=1e-13)
+            assert np.allclose(data.x[i], x, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("k", [1, 511, 512, 513])
+    def test_prefix_stability_across_a_block_boundary(self, k):
+        # rows are drawn 512 at a time; a block edge changes no row
+        cfg = SynthConfig(d=3, seed=12)
+        small, large = generate(cfg, k), generate(cfg, 1500)
+        for name in ("x", "y", "sn", "sf", "nc", "sp"):
+            assert getattr(small, name).tobytes() == getattr(large, name)[:k].tobytes(), name
+
+    def test_zero_rows(self):
+        data = generate(SynthConfig(d=3, seed=0), 0)
+        assert data.x.shape == (0, 12) and data.sp.shape == (0, 3)
+        for name in ("y", "sn", "sf", "nc"):
+            column = getattr(data, name)
+            assert column.shape == (0,) and column.dtype == np.int64
+        assert len(data) == 0
+
+    def test_working_set_stays_small(self):
+        # blocked draws: the peak above the result is one block's
+        # temporaries, not a per-row copy of the whole draw
+        tracemalloc.start()
+        try:
+            data = generate(SynthConfig(d=5), 6000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = sum(getattr(data, name).nbytes for name in ("x", "y", "sn", "sf", "nc", "sp"))
+        assert peak - size <= 1_000_000, (peak, size)
 
     def test_factor_table(self, big_sample):
         table = factor_table(big_sample)
