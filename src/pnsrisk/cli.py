@@ -37,6 +37,7 @@ from .pns import analyze, format_report, read_scm
 from .risk import domain_shift_bound, random_bound_instance, sufficiency_deviation_trial
 from .synth import MIXERS, SynthConfig, generate, read_csv, write_csv
 from .train import (
+    StepRecord,
     TrainConfig,
     TrainingDiverged,
     check_domains,
@@ -275,7 +276,6 @@ def _cell(value):
     return "" if value is None or value == "" else _format_value(value)
 
 
-_TRACE_FIELDS = ["step", "sf", "m", "kl_c", "kl_cbar", "hinge"]
 _RISK_FIELDS = ["sf", "nc", "m", "r", "kl_c", "kl_cbar", "mc_samples"]
 
 
@@ -288,13 +288,14 @@ def _write_records(path, columns, records, config_text):
 def _train_run(data, config, run_dir, config_text):
     """Train one model into run_dir: model.ckpt, trace.csv and risk.csv.
     A diverged run writes its trace so far and re-raises."""
+    trace_fields = [f.name for f in fields(StepRecord)]
     try:
         result = train(data, config)
     except TrainingDiverged as exc:
-        _write_records(run_dir / "trace.csv", _TRACE_FIELDS, exc.trace, config_text)
+        _write_records(run_dir / "trace.csv", trace_fields, exc.trace, config_text)
         raise
     save_model(run_dir / "model.ckpt", result)
-    _write_records(run_dir / "trace.csv", _TRACE_FIELDS, result.trace, config_text)
+    _write_records(run_dir / "trace.csv", trace_fields, result.trace, config_text)
     _write_records(run_dir / "risk.csv", _RISK_FIELDS, [result.risk], config_text)
     return result
 

@@ -186,21 +186,27 @@ class GaussianEncoder:
         return mean, np.broadcast_to(self.var_np(), mean.shape)
 
     def draw(self, mean, eps):
-        """Reparameterized draw mean + sd * eps from an existing mean
+        """Reparameterized draws mean + sd * eps from an existing mean
         node, as one graph node; eps is a constant, so gradients flow to
-        the mean network and the log-variance."""
-        eps = np.asarray(eps, dtype=np.float64)
-        if eps.shape != mean.data.shape:
-            raise ValueError(f"eps shape {eps.shape} != mean shape {mean.data.shape}")
-        if self.fixed_var is not None:
-            return Tensor(mean.data + eps * np.sqrt(self.fixed_var), (mean,),
-                          lambda g: (g,), "draw")
-        sd = _exp(self.log_var.data * 0.5, "draw")
+        the mean network and the log-variance.  eps of shape (n, rep_dim)
+        gives one draw per row; eps of shape (draws, n, rep_dim) gives
+        every draw's rows, draw-major, as one (draws * n, rep_dim) node."""
+        shape = mean.data.shape
+        draws = np.asarray(eps, dtype=np.float64)
+        if draws.ndim not in (2, 3) or draws.shape[-2:] != shape:
+            raise ValueError(f"eps shape {draws.shape} does not fit mean shape {shape}")
+        draws = draws.reshape(-1, *shape)
+        fixed = self.fixed_var is not None
+        sd = np.sqrt(self.fixed_var) if fixed else _exp(self.log_var.data * 0.5, "draw")
 
         def backward(g):
-            return (g, (g * eps).sum(axis=0) * sd * 0.5)
+            g_mean = g if len(draws) == 1 else g.reshape(draws.shape).sum(axis=0)
+            if fixed:
+                return (g_mean,)
+            return (g_mean, (g * draws.reshape(g.shape)).sum(axis=0) * sd * 0.5)
 
-        return Tensor(mean.data + eps * sd, (mean, self.log_var), backward, "draw")
+        parents = (mean,) if fixed else (mean, self.log_var)
+        return Tensor((mean.data + draws * sd).reshape(-1, shape[1]), parents, backward, "draw")
 
     def kl_node(self, mean, prior):
         """Mean-over-batch KL(q(.|x) || prior) as one graph node.
@@ -424,11 +430,15 @@ def load_checkpoint(path):
         tokens = lines[i].split()
         i += 1
         if tokens[:1] == ["meta"] and len(tokens) >= 2:
+            if tokens[1] in meta:
+                raise ValueError(f"{path}:{i}: repeated meta key {tokens[1]}")
             meta[tokens[1]] = " ".join(tokens[2:])
             continue
         if tokens[:1] != ["param"] or len(tokens) < 3:
             raise ValueError(f"{path}:{i}: expected a meta or param line, got {lines[i - 1]!r}")
         name = tokens[1]
+        if name in params:
+            raise ValueError(f"{path}:{i}: repeated parameter {name}")
         shape = tuple(int(d) if d.isdecimal() else -1 for d in tokens[2:])
         shape = () if shape == (0,) else shape
         if any(d < 1 for d in shape):

@@ -172,17 +172,17 @@ def factor_table(data):
     )
 
 
+def _header(d):
+    """The dataset CSV's columns for d-dimensional blocks."""
+    xs = [f"x_{j}" for j in range(4 * d)]
+    return xs + ["y", "sn", "sf", "nc"] + [f"sp_{j}" for j in range(d)]
+
+
 def write_csv(path, data):
     """Header x_0..x_{4d-1}, y, sn, sf, nc, sp_0..sp_{d-1}; shortest
     round-trip float formatting, so bytes are a pure function of values."""
-    d = data.sp.shape[1]
-    header = (
-        [f"x_{j}" for j in range(4 * d)]
-        + ["y", "sn", "sf", "nc"]
-        + [f"sp_{j}" for j in range(d)]
-    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(_header(data.sp.shape[1])) + "\n")
         for i in range(len(data)):
             cells = [repr(float(v)) for v in data.x[i]]
             cells += [str(int(data.y[i])), str(int(data.sn[i])), str(int(data.sf[i])),
@@ -197,15 +197,10 @@ def read_csv(path):
     finite, and every label cell (y, sn, sf, nc) exactly 0 or 1."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
-        try:
-            y_at = header.index("y")
-            d4 = y_at
-            d = d4 // 4
-            sp_at = header.index("sp_0")
-        except ValueError:
-            raise ValueError(f"{path}: not a benchmark csv (missing y/sp_0 columns)") from None
-        if header[:d4] != [f"x_{j}" for j in range(d4)] or d4 != 4 * d:
-            raise ValueError(f"{path}: malformed x columns")
+        d = header.index("y") // 4 if "y" in header else 0
+        if d < 1 or header != _header(d):
+            raise ValueError(f"{path}:1: not a benchmark csv header; write_csv writes "
+                             "x_0..x_{4d-1},y,sn,sf,nc,sp_0..sp_{d-1}")
         values = []
         linenos = []
         for lineno, line in enumerate(fh, start=2):
@@ -224,21 +219,15 @@ def read_csv(path):
         raise ValueError(f"{path}: no data rows")
     raw = np.array(values)
     bad = ~np.isfinite(raw)
-    labels = raw[:, y_at : y_at + 4]
-    bad[:, y_at : y_at + 4] |= (labels != 0.0) & (labels != 1.0)
+    labels = raw[:, 4 * d : 4 * d + 4]
+    bad[:, 4 * d : 4 * d + 4] |= (labels != 0.0) & (labels != 1.0)
     if bad.any():
         row, col = np.argwhere(bad)[0]
         value = float(raw[row, col])
         what = "must be 0 or 1" if np.isfinite(value) else "is not finite"
         raise ValueError(f"{path}:{linenos[row]}: {header[col]} = {value!r} {what}")
-    return SynthData(
-        x=raw[:, :d4],
-        y=raw[:, y_at].astype(np.int64),
-        sn=raw[:, y_at + 1].astype(np.int64),
-        sf=raw[:, y_at + 2].astype(np.int64),
-        nc=raw[:, y_at + 3].astype(np.int64),
-        sp=raw[:, sp_at : sp_at + d],
-    )
+    y, sn, sf, nc = labels.T.astype(np.int64)
+    return SynthData(x=raw[:, : 4 * d], y=y, sn=sn, sf=sf, nc=nc, sp=raw[:, 4 * d + 4 :])
 
 
 def label_scm(config):

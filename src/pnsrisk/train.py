@@ -2,14 +2,16 @@
 
 The min player owns the factual encoder phi and the labeler w; the max
 player owns the twin encoder xi that proposes counterfactual
-representations.  Both optimize the same objective
+representations.  They play one game: the min player descends the
+objective
 
-    M_hat + SF_hat + lambda * (KL_phi + KL_xi) + sep_weight * hinge
+    M_hat + SF_hat + lambda * KL_phi + sep_weight * hinge [+ lambda * KL_xi]
 
-where the hinge term charges pairs whose representations sit closer
-than delta.  The min player takes an SGD step every iteration; every
-max_every iterations the max player runs a short ascent phase on xi
-with its own learning rate, drawing a fresh minibatch per ascent step.
+and the max player descends its negation.  The hinge charges pairs whose
+representations sit closer than delta; lambda * KL_xi is a term when
+adversary_kl is on.  The min player takes an SGD step every iteration;
+every max_every iterations the max player runs a short ascent phase on
+xi with its own learning rate, drawing a fresh minibatch per ascent step.
 
 Variants:
 
@@ -20,11 +22,12 @@ Variants:
 * casn_mmd:      adds a cross-domain representation distance penalty.
 
 Every loss term, the two penalties included, is one fused graph node
-with a numpy forward and an analytic backward, and each objective is
-one sum node over them (casn_objective).  The penalties read their
-domains' rows out of the batch's single posterior-mean node, so each
-encoder runs once per objective.  tests/reference_ops.py builds the
-same terms node by node from generic ops; the tests compare the two.
+with a numpy forward and an analytic backward, however many Monte Carlo
+draws, and the objective is one sum node over them (casn_objective).
+The penalties read their domains' rows out of the batch's single
+posterior-mean node, so each encoder runs once per objective.
+tests/reference_ops.py builds the same terms node by node from generic
+ops; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -251,117 +254,68 @@ def _rows(node, positions):
     return Tensor(node.data[positions], (node,), backward, "rows")
 
 
-def _draw_means(groups):
-    """Per group of (nodes, weight), the mean of the nodes' values over
-    the draws: their sum, left to right, times 1 / len(nodes)."""
-    means = []
-    for nodes, _ in groups:
-        total = nodes[0].data
-        for node in nodes[1:]:
-            total = total + node.data
-        means.append(total * (1.0 / len(nodes)))
-    return means
-
-
-def _objective_node(groups, means, negate=False):
-    """The objective's scalar sum as one graph node: over groups of
-    (nodes, weight) and their _draw_means, left to right, the sum of
-    mean * weight, negated when asked.
-
-    These are the float operations, in the same order, of the chain of
-    add, mul and neg nodes that builds the same sum, so the value and
-    every gradient are the same bytes: a weight of 1.0 and the scale
-    1/1 of a single node are exact.  The parents are the nodes in group
-    order, the chain's left-to-right order, so a backward walk meets the
-    rest of the graph in the same order too.
-    """
-    value = None
-    for mean, (_, weight) in zip(means, groups):
-        term = mean * weight
-        value = term if value is None else value + term
-    if negate:
-        value = -value
-
-    def backward(g):
-        if negate:
-            g = -g
-        contribs = []
-        for nodes, weight in groups:
-            contribs += [g * weight * (1.0 / len(nodes))] * len(nodes)
-        return contribs
-
-    parents = [node for nodes, _ in groups for node in nodes]
-    return Tensor(value, parents, backward, "casn_objective")
-
-
 def casn_objective(x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
                    eps_c, eps_cbar, domain_rows=None, penalty_weight=None):
-    """Build the step objective; returns (min_loss, max_loss, parts).
+    """Build the step's game objective; returns (min_loss, max_loss, parts).
 
-    min_loss is what the (phi, w) player descends; max_loss is its
-    negation for the xi player (dropping xi's KL term when
-    adversary_kl is off).  casn_minus_m never touches the twin, so its
-    max_loss is None and no xi node enters the graph.  Each loss is one
-    node over the fused terms (see _objective_node).
+    min_loss is the objective: one sum node over one node per loss term,
+    in the order M, SF, lam * KL_c, sep_weight * hinge, [lam * KL_xi],
+    [penalty].  The (phi, w) player descends it; the xi player descends
+    max_loss, one neg node over it.  adversary_kl only decides whether
+    lam * KL_xi is a term of the game, which the min player cannot move.
+    casn_minus_m never touches the twin: its objective is
+    SF + lam * KL_c, its max_loss is None and no xi node enters the graph.
 
-    eps_c / eps_cbar have shape (mc_samples, n, rep_dim); surrogate
-    terms are averaged over draws.
+    eps_c / eps_cbar have shape (mc_samples, n, rep_dim).  Each draw
+    term (SF, M, hinge) is one node over every draw's rows at once.
 
     casn_irm and casn_mmd add their penalty, times penalty_weight
-    (default: the config's irm_weight or mmd_weight), to both losses.
-    It is computed on the posterior means of the batch's domains:
-    domain_rows lists each domain's positions in the batch, and None
-    makes the whole batch one domain.
+    (default: the config's irm_weight or mmd_weight).  It is computed on
+    the posterior means of the batch's domains: domain_rows lists each
+    domain's positions in the batch, and None makes the whole batch one
+    domain.
     """
-    s_draws = config.mc_samples
+    y_draws = np.tile(y, config.mc_samples)
     mean_c = enc_c.encode(x)
     kl_c = enc_c.kl_node(mean_c, prior_c)
+    parts = {"m": 0.0, "kl_cbar": 0.0, "hinge": 0.0, "penalty": 0.0}
     if config.variant == "casn_minus_m":
-        sfs = [surrogate_sf(head, enc_c.draw(mean_c, eps_c[k]), y) for k in range(s_draws)]
-        groups = [(sfs, 1.0), ([kl_c], config.lam)]
-        means = _draw_means(groups)
-        sf, kl = map(float, means)
-        parts = {"sf": sf, "m": 0.0, "kl_c": kl, "kl_cbar": 0.0, "hinge": 0.0,
-                 "penalty": 0.0}
-        return _objective_node(groups, means), None, parts
-    mean_cbar = enc_cbar.encode(x)
-    kl_cbar = enc_cbar.kl_node(mean_cbar, prior_cbar)
-    sfs, ms, hinges = [], [], []
-    for k in range(s_draws):
-        c = enc_c.draw(mean_c, eps_c[k])
-        c_bar = enc_cbar.draw(mean_cbar, eps_cbar[k])
-        sfs.append(surrogate_sf(head, c, y))
-        ms.append(surrogate_m(head, c, c_bar))
-        hinges.append(separation_penalty(c, c_bar, config.delta))
-    groups = [(ms, 1.0), (sfs, 1.0), ([kl_c], config.lam), (hinges, config.sep_weight),
-              ([kl_cbar], config.lam)]
-    if config.variant in ("casn_irm", "casn_mmd"):
-        groups.append(_penalty_group(mean_c, y, head, config, domain_rows, penalty_weight))
-    means = _draw_means(groups)
-    min_loss = _objective_node(groups, means)
-    # the max player's sum leaves the twin's KL (group 4) out when
-    # adversary_kl is off; the penalty group, if any, follows it
-    kept = 5 if config.adversary_kl else 4
-    max_loss = _objective_node(groups[:kept] + groups[5:], means[:kept] + means[5:],
-                               negate=True)
-    parts = dict(zip(("m", "sf", "kl_c", "hinge", "kl_cbar", "penalty"), map(float, means)))
-    parts.setdefault("penalty", 0.0)
-    return min_loss, max_loss, parts
-
-
-def _penalty_group(mean_c, y, head, config, domain_rows, weight):
-    """The (nodes, weight) sum group of the irm or mmd penalty, on the
-    rows of the batch's posterior-mean node that each domain holds."""
-    if domain_rows is None:
-        domain_rows = [np.arange(len(y))]
-    reps = [_rows(mean_c, rows) for rows in domain_rows]
-    if config.variant == "casn_mmd":
-        penalty = mmd_penalty(reps)
-        default = config.mmd_weight
+        sf = surrogate_sf(head, enc_c.draw(mean_c, eps_c), y_draws)
+        terms = [(sf, 1.0), (kl_c, config.lam)]
     else:
-        penalty = irm_penalty(head, reps, [y[rows] for rows in domain_rows])
-        default = config.irm_weight
-    return [penalty], default if weight is None else weight
+        mean_cbar = enc_cbar.encode(x)
+        kl_cbar = enc_cbar.kl_node(mean_cbar, prior_cbar)
+        c = enc_c.draw(mean_c, eps_c)
+        c_bar = enc_cbar.draw(mean_cbar, eps_cbar)
+        sf = surrogate_sf(head, c, y_draws)
+        m = surrogate_m(head, c, c_bar)
+        hinge = separation_penalty(c, c_bar, config.delta)
+        terms = [(m, 1.0), (sf, 1.0), (kl_c, config.lam), (hinge, config.sep_weight)]
+        if config.adversary_kl:
+            terms.append((kl_cbar, config.lam))
+        parts.update(m=m.item(), kl_cbar=kl_cbar.item(), hinge=hinge.item())
+    if config.variant in ("casn_irm", "casn_mmd"):
+        if domain_rows is None:
+            domain_rows = [np.arange(len(y))]
+        reps = [_rows(mean_c, rows) for rows in domain_rows]
+        if config.variant == "casn_mmd":
+            penalty, weight = mmd_penalty(reps), config.mmd_weight
+        else:
+            penalty = irm_penalty(head, reps, [y[rows] for rows in domain_rows])
+            weight = config.irm_weight
+        terms.append((penalty, weight if penalty_weight is None else penalty_weight))
+        parts["penalty"] = penalty.item()
+    parts.update(sf=sf.item(), kl_c=kl_c.item())
+    # the float operations, in order, of the add and mul chain over the
+    # same terms, so the value and every gradient are the same bytes
+    value = None
+    for node, weight in terms:
+        value = node.data * weight if value is None else value + node.data * weight
+    game = Tensor(value, [node for node, _ in terms],
+                  lambda g: [g * weight for _, weight in terms], "casn_objective")
+    if config.variant == "casn_minus_m":
+        return game, None, parts
+    return game, Tensor(-game.data, (game,), lambda g: (-g,), "neg"), parts
 
 
 @dataclass(frozen=True)
@@ -473,11 +427,11 @@ def train(data, config, domains=None):
             _sgd(min_params, config.lr_min, velocities, config.momentum)
             if run_phase:
                 for _ in range(config.max_steps_per_phase):
-                    _, max_loss, _ = batch_objective()
+                    game, max_loss, _ = batch_objective()
                     max_loss.backward(adv_params)
                     # descending -objective ascends the shared objective
                     _sgd(adv_params, config.lr_max, velocities, 0.0)
-                    adv_value = -max_loss.item()
+                    adv_value = game.item()
         except FloatingPointError as exc:
             raise TrainingDiverged(step, trace, exc) from exc
         trace.append(StepRecord(step=step, **parts, adversary_objective=adv_value))

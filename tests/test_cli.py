@@ -266,7 +266,7 @@ def test_train_then_eval_round_trip(tmp_path, capsys):
                  "trace.csv.sha256", "risk.csv.sha256"):
         assert (run_dir / name).exists()
     trace_lines = (run_dir / "trace.csv").read_text().splitlines()
-    assert trace_lines[0] == "step,sf,m,kl_c,kl_cbar,hinge"
+    assert trace_lines[0] == "step,sf,m,kl_c,kl_cbar,hinge,penalty,adversary_objective"
     assert len(trace_lines) == 11
 
     eval_csv = tmp_path / "eval.csv"

@@ -121,10 +121,10 @@ def ref_objective(x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
         hinge = h_k if hinge is None else R.add(hinge, h_k)
     scale = 1.0 / s_draws
     sf, m, hinge = R.mul(sf, scale), R.mul(m, scale), R.mul(hinge, scale)
-    base = R.add(R.add(R.add(m, sf), R.mul(kl_c, config.lam)),
+    game = R.add(R.add(R.add(m, sf), R.mul(kl_c, config.lam)),
                  R.mul(hinge, config.sep_weight))
-    min_loss = R.add(base, R.mul(kl_cbar, config.lam))
-    max_sum = min_loss if config.adversary_kl else base
+    if config.adversary_kl:
+        game = R.add(game, R.mul(kl_cbar, config.lam))
     if config.variant in ("casn_irm", "casn_mmd"):
         # each domain's rows encoded on their own, as train() once did
         reps = [ref_mlp(enc_c.mlp, constant(x[rows])) for rows in domain_rows]
@@ -132,9 +132,8 @@ def ref_objective(x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
             penalty = R.mmd_penalty(reps)
         else:
             penalty = R.irm_penalty(head, reps, [y[rows] for rows in domain_rows])
-        term = R.mul(penalty, penalty_weight)
-        min_loss, max_sum = R.add(min_loss, term), R.add(max_sum, term)
-    return min_loss, R.neg(max_sum)
+        game = R.add(game, R.mul(penalty, penalty_weight))
+    return game, R.neg(game)
 
 
 # ---- comparison ----
@@ -331,16 +330,13 @@ def test_objective_matches_per_op_graph_on_coincident_pairs(mc_samples):
                     lambda: ref_objective(*args)[role], params)
 
 
-def chain_sum(groups, negate):
+def chain_sum(terms, negate):
     """The objective's sum built from generic add, mul and neg nodes over
     the same fused term nodes, as casn_objective built it before the
     sum became one node."""
     total = None
-    for nodes, weight in groups:
-        mean = nodes[0]
-        for node in nodes[1:]:
-            mean = R.add(mean, node)
-        term = R.mul(R.mul(mean, 1.0 / len(nodes)), weight)
+    for node, weight in terms:
+        term = R.mul(node, weight)
         total = term if total is None else R.add(total, term)
     return R.neg(total) if negate else total
 
@@ -353,17 +349,14 @@ def test_objective_sum_node_is_the_generic_chain_bytewise(variant, mc_samples, a
                                    adversary_kl=adversary_kl)
     config = args[7]
     min_loss, max_loss, _ = casn_objective(*args)
-    terms = list(min_loss.parents)
-    s_draws = config.mc_samples
     if variant == "casn":
-        ms, sfs = terms[:s_draws], terms[s_draws:2 * s_draws]
-        kl_c, hinges, kl_cbar = terms[2 * s_draws], terms[2 * s_draws + 1:-1], terms[-1]
-        base = [(ms, 1.0), (sfs, 1.0), ([kl_c], config.lam), (hinges, config.sep_weight)]
-        groups = base + [([kl_cbar], config.lam)]
-        pairs = [(min_loss, chain_sum(groups, False)),
-                 (max_loss, chain_sum(groups if adversary_kl else base, True))]
+        weights = [1.0, 1.0, config.lam, config.sep_weight] + [config.lam] * adversary_kl
     else:
-        pairs = [(min_loss, chain_sum([(terms[:-1], 1.0), (terms[-1:], config.lam)], False))]
+        weights = [1.0, config.lam]
+    terms = list(zip(min_loss.parents, weights, strict=True))
+    pairs = [(min_loss, chain_sum(terms, False))]
+    if max_loss is not None:
+        pairs.append((max_loss, chain_sum(terms, True)))
     for fused, chain in pairs:
         assert fused.data.tobytes() == chain.data.tobytes()
         grads = []
@@ -429,20 +422,51 @@ def graph_size(loss):
 
 
 def test_objective_graph_is_small():
-    """One node per fused op for the casn objective at one draw: 15
-    parameter leaves (the input x is data, not a leaf), 9 fused nodes and
-    one for the scalar sum.  Without the adversary's KL term the max
-    objective leaves out the twin's kl_node.  On two domains an irm or
-    mmd penalty adds one row-select node per domain and the penalty
-    node itself."""
-    args, _ = objective_parts("casn", 1, None, False, 1.1)
-    min_loss, max_loss, _ = casn_objective(*args)
-    assert graph_size(min_loss) == 25
-    assert graph_size(max_loss) == 24
-    for variant in ("casn_irm", "casn_mmd"):
-        args, _ = objective_parts(variant, 1, None, False, 1.1)
-        min_loss, _, _ = casn_objective(*args, domain_rows=TWO_DOMAINS)
-        assert graph_size(min_loss) == 28, variant
+    """One node per fused op for the casn objective: 15 parameter leaves
+    (the input x is data, not a leaf), 8 fused nodes, the twin's kl_node
+    when adversary_kl makes it a term of the game, and one for the
+    scalar sum; the max objective adds one neg node.  On two domains an
+    irm or mmd penalty adds one row-select node per domain and the
+    penalty node itself."""
+    for adversary_kl, size in ((True, 25), (False, 24)):
+        args, _ = objective_parts("casn", 1, None, False, 1.1, adversary_kl=adversary_kl)
+        min_loss, max_loss, _ = casn_objective(*args)
+        assert graph_size(min_loss) == size
+        assert graph_size(max_loss) == size + 1
+        for variant in ("casn_irm", "casn_mmd"):
+            args, _ = objective_parts(variant, 1, None, False, 1.1, adversary_kl=adversary_kl)
+            min_loss, _, _ = casn_objective(*args, domain_rows=TWO_DOMAINS)
+            assert graph_size(min_loss) == size + 3, variant
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("adversary_kl", [False, True])
+def test_more_draws_add_no_nodes(variant, adversary_kl):
+    """Each draw term is one node over every draw's rows."""
+    sizes = []
+    for mc_samples in (1, 3):
+        args, _ = objective_parts(variant, mc_samples, None, False, 1.1,
+                                  adversary_kl=adversary_kl)
+        losses = casn_objective(*args, **PENALTY)[:2]
+        sizes.append([None if loss is None else graph_size(loss) for loss in losses])
+    assert sizes[0] == sizes[1]
+
+
+@pytest.mark.parametrize("variant", ["casn", "casn_irm", "casn_mmd"])
+@pytest.mark.parametrize("mc_samples", [1, 2])
+@pytest.mark.parametrize("adversary_kl", [False, True])
+def test_twin_descends_the_negated_objective(variant, mc_samples, adversary_kl):
+    """max_loss is min_loss negated to the bit, and the twin's gradient
+    from it is the negation of the twin's gradient from min_loss."""
+    grads = []
+    for role in (0, 1):
+        losses, players = step_losses(variant, mc_samples, adversary_kl)
+        losses[role].backward(wrt=players[1])
+        # adding 0.0 maps -0.0 to 0.0: a sum that cancels exactly is +0.0
+        # under either sign
+        grads.append([(p.grad * (1.0 - 2.0 * role) + 0.0).tobytes() for p in players[1]])
+    assert (-losses[0].data).tobytes() == losses[1].data.tobytes()
+    assert grads[0] == grads[1]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -268,6 +268,9 @@ class TestCheckpoint:
         pytest.param("param m 2 x\n", ":2: bad shape for parameter m", id="bad-shape"),
         pytest.param("param m 1\n0x1.0p+0 0x1.0p+0\n", ":3: parameter m has 2 values",
                      id="long-block"),
+        pytest.param("param a 1\n0x1.0p+1\nparam a 1\n0x1.0p+2\n", ":4: repeated parameter a",
+                     id="repeated-param"),
+        pytest.param("meta k v\nmeta k w\n", ":3: repeated meta key k", id="repeated-meta"),
     ])
     def test_malformed_file_names_path_and_line(self, tmp_path, body, where):
         path = tmp_path / "bad.ckpt"

@@ -208,6 +208,10 @@ class TestCsv:
                      ":6: sp_1 = -inf is not finite", id="infinite-cell"),
         pytest.param(lambda lines: lines[:2] + [_set_cell(lines[2], 9, "nan")] + lines[3:],
                      ":3: sn = nan is not finite", id="nan-label"),
+        pytest.param(lambda lines: [_set_cell(_set_cell(lines[0], 9, "nc"), 11, "sn")]
+                     + lines[1:], ":1: not a benchmark csv header", id="swapped-names"),
+        pytest.param(lambda lines: [lines[0] + ",junk"] + [line + ",0" for line in lines[1:]],
+                     ":1: not a benchmark csv header", id="extra-column"),
     ])
     def test_malformed_rows_name_file_and_line(self, tmp_path, edit, message):
         path = tmp_path / "data.csv"

@@ -146,17 +146,32 @@ class TestObjective:
         assert abs(min_loss.item() - want) < 1e-9
         assert abs(max_loss.item() + min_loss.item()) < 1e-15
 
-    def test_adversary_kl_flag_changes_max_loss_only(self):
-        x, y, enc_c, enc_cbar, head, prior = toy_parts(seed=1)
-        eps = np.zeros((1, 6, 2))
-        cfg_on = TrainConfig(rep_dim=2, hidden=(5, 4), adversary_kl=True)
-        cfg_off = TrainConfig(rep_dim=2, hidden=(5, 4), adversary_kl=False)
-        min_on, max_on, parts = casn_objective(
-            x, y, enc_c, enc_cbar, head, prior, prior, cfg_on, eps, eps)
-        min_off, max_off, _ = casn_objective(
-            x, y, enc_c, enc_cbar, head, prior, prior, cfg_off, eps, eps)
-        assert abs(min_on.item() - min_off.item()) < 1e-15
-        assert abs((-max_off.item()) - (min_off.item() - cfg_off.lam * parts["kl_cbar"])) < 1e-9
+    @pytest.mark.parametrize("variant", ["casn", "casn_irm", "casn_mmd"])
+    def test_adversary_kl_flag_changes_the_twin_gradient_only(self, variant):
+        """adversary_kl decides whether lam * KL_xi is a term of the game;
+        the min player cannot move that term, so its gradient bytes are
+        the same either way, while the objective and the twin's gradient
+        move by the term."""
+        min_grads, twin_grads, values = [], [], []
+        for adversary_kl in (True, False):
+            x, y, enc_c, enc_cbar, head, prior = toy_parts(seed=1)
+            rng = np.random.default_rng(10)
+            eps_c, eps_cbar = rng.standard_normal((2, 1, 6, 2))
+            cfg = TrainConfig(rep_dim=2, hidden=(5, 4), variant=variant,
+                              adversary_kl=adversary_kl)
+            min_loss, max_loss, parts = casn_objective(
+                x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps_c, eps_cbar,
+                domain_rows=[np.arange(0, 6, 2), np.arange(1, 6, 2)])
+            for loss, params, out in ((min_loss, [*enc_c.parameters().values(), head.w],
+                                       min_grads),
+                                      (max_loss, list(enc_cbar.parameters().values()),
+                                       twin_grads)):
+                loss.backward(params)
+                out.append([p.grad.tobytes() for p in params])
+            values.append(min_loss.item())
+        assert min_grads[0] == min_grads[1]
+        assert twin_grads[0] != twin_grads[1]
+        assert abs(values[0] - values[1] - cfg.lam * parts["kl_cbar"]) < 1e-12
 
     def test_ablation_never_touches_twin(self):
         x, y, enc_c, enc_cbar, head, prior = toy_parts(seed=2)
