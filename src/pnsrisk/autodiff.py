@@ -71,24 +71,18 @@ class Tensor:
         only nodes that depend on one of them do: the walk runs the
         backward rules of those nodes alone, in the same order as the
         full walk, so each wrt node receives the same gradient bytes.
+        Every node walked lies on a kept path from the loss: it has a
+        gradient, as every rule returns one array per parent.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss, got shape %s" % (self.shape,))
         grads = {self: np.ones_like(self.data)}
         for node in _toposort(self, None if wrt is None else set(wrt)):
-            g = grads.get(node)
-            if g is None:
-                continue
-            node.grad = g
+            node.grad = g = grads[node]
             if node._backward is None:
                 continue
             for parent, contrib in zip(node.parents, node._backward(g)):
-                if contrib is None:
-                    continue
-                if parent in grads:
-                    grads[parent] = grads[parent] + contrib
-                else:
-                    grads[parent] = contrib
+                grads[parent] = grads[parent] + contrib if parent in grads else contrib
 
 
 def parameter(data, name=None):

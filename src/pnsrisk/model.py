@@ -23,6 +23,7 @@ both of which approach the indicators as |w.c| grows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,6 @@ class Mlp:
     def __init__(self, in_dim, out_dim, hidden=(128, 32), rng=None, prefix="mlp"):
         if rng is None:
             rng = np.random.default_rng(0)
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.hidden = tuple(hidden)
         dims = (in_dim, *self.hidden, out_dim)
         self.layer_names = tuple(f"{prefix} layer {i}" for i in range(len(dims) - 1))
@@ -81,18 +80,12 @@ class Mlp:
         return h @ self.weights[-1].data + self.biases[-1].data
 
     def forward(self, x):
-        """The whole stack as one graph node.
-
-        A Tensor input is a parent and gets a gradient; a plain array is
-        data, so neither a leaf for it nor its gradient matmul is made.
-        """
-        input_grad = isinstance(x, Tensor)
-        if input_grad:
-            h = x.data
-        else:
-            h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-            if not np.isfinite(h).all():
-                raise FloatingPointError("non-finite value entering the graph")
+        """The whole stack on a data batch x as one graph node whose
+        parents are the weights and biases.  x is data, not a node: no
+        leaf is made for it and no gradient flows to it."""
+        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if not np.isfinite(h).all():
+            raise FloatingPointError("non-finite value entering the graph")
         weights = [w.data for w in self.weights]
         if h.ndim != 2 or h.shape[1] != weights[0].shape[0]:
             raise ValueError(f"mlp: input shape {h.shape} does not fit {weights[0].shape}")
@@ -108,14 +101,13 @@ class Mlp:
                     g = g * np.exp(np.minimum(pres[i], 0.0))  # exactly 1 where pre > 0
                 grads[2 * i] = inputs[i].T @ g
                 grads[2 * i + 1] = g.sum(axis=0)
-                if i or input_grad:
+                if i:
                     g = g @ weights[i].T
-            return [g, *grads] if input_grad else grads
+            return grads
 
         params = [p for pair in zip(self.weights, self.biases) for p in pair]
-        parents = (x, *params) if input_grad else params
         # the output layer's pre-activation is checked by Tensor itself
-        return Tensor(out, parents, backward, self.layer_names[last])
+        return Tensor(out, params, backward, self.layer_names[last])
 
     def forward_np(self, x):
         """Graph-free forward for evaluation and Monte Carlo estimation."""
@@ -256,7 +248,6 @@ class LinearHead:
     def __init__(self, rep_dim, rng=None, prefix="head"):
         if rng is None:
             rng = np.random.default_rng(0)
-        self.rep_dim = rep_dim
         self.w = parameter(rng.standard_normal(rep_dim) / np.sqrt(rep_dim), name=f"{prefix}.w")
 
     def logits_np(self, c):
@@ -391,10 +382,10 @@ def _one_token(what, token):
 
 def save_checkpoint(path, params, meta=None):
     """params: {name: Tensor or ndarray}; meta: {str: str}.  Refused with
-    ValueError, before the file is opened, is anything the line format
-    could not read back: zero-size arrays (their header would read as a
-    scalar's), empty names or keys and ones holding whitespace, and meta
-    values with line breaks, tabs, or doubled or edge spaces."""
+    ValueError, before the file is opened, is anything load_checkpoint
+    refuses: zero-size arrays (their header would read as a scalar's),
+    nan or inf, empty names or keys and ones holding whitespace, and
+    meta values with line breaks, tabs, or doubled or edge spaces."""
     lines = [_MAGIC]
     for key, value in (meta or {}).items():
         _one_token("meta key", key)
@@ -407,6 +398,8 @@ def save_checkpoint(path, params, meta=None):
         arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
         if arr.size == 0:
             raise ValueError(f"parameter {name} has no elements")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"parameter {name} holds a non-finite value")
         dims = " ".join(str(d) for d in arr.shape) if arr.ndim else "0"
         lines.append(f"param {name} {dims}")
         flat = arr.reshape(-1)
@@ -417,8 +410,8 @@ def save_checkpoint(path, params, meta=None):
 
 
 def load_checkpoint(path):
-    """Returns ({name: ndarray}, {meta key: value}).  A malformed file
-    raises ValueError("<path>:<line>: ...")."""
+    """Returns ({name: ndarray}, {meta key: value}).  A malformed file,
+    or one holding a nan or inf, raises ValueError("<path>:<line>: ...")."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _MAGIC:
@@ -450,10 +443,13 @@ def load_checkpoint(path):
                 raise ValueError(f"{path}:{i}: parameter {name} ends after "
                                  f"{len(values)} of {count} values")
             try:
-                values.extend(float.fromhex(tok) for tok in lines[i].split())
+                row = [float.fromhex(tok) for tok in lines[i].split()]
             except ValueError:
                 raise ValueError(f"{path}:{i + 1}: bad hex float in parameter {name}") from None
             i += 1
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{i}: non-finite value in parameter {name}")
+            values.extend(row)
         if len(values) != count:
             raise ValueError(f"{path}:{i}: parameter {name} has {len(values)} values, "
                              f"expected {count}")

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _DEFAULT_MC = 64
+_K_TRACE = (2, 4, 8, 16, 64)  # the finite orders in BoundReport.k_trace
 
 
 class MalformedDomainError(ValueError):
@@ -211,7 +212,7 @@ class BoundReport:
 
 
 def domain_shift_bound(t, s, enc_c, enc_cbar, head, mc_samples=_DEFAULT_MC, seed=0,
-                       m_under_test=False, k_trace=(2, 4, 8, 16, 64)):
+                       m_under_test=False):
     """Evaluate the shift bound between discrete domains T and S.
 
     Per point of the union support, one keyed Monte Carlo triple
@@ -243,8 +244,7 @@ def domain_shift_bound(t, s, enc_c, enc_cbar, head, mc_samples=_DEFAULT_MC, seed
     else:
         m_term = m_s
         rhs = beta_inf * (m_s + 2.0 * sf_s) + eta
-    trace = tuple((k, beta_divergence(t, s, k)) for k in k_trace)
-    trace += ((math.inf, beta_inf),)
+    trace = tuple((k, beta_divergence(t, s, k)) for k in _K_TRACE) + ((math.inf, beta_inf),)
     return BoundReport(
         lhs=lhs, rhs=rhs, beta_inf=beta_inf, eta=eta, m_term=m_term, sf_term=sf_s,
         k_trace=trace, holds=lhs <= rhs + 1e-9, m_under_test=m_under_test,

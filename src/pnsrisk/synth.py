@@ -64,7 +64,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("d", 1), ("n_train", 1), ("n_eval", 1), ("seed", 0)):
+        for name, low in (("d", 1), ("n_train", 1), ("n_eval", 2), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.seed > SEED_MAX - 1:  # the evaluation split is keyed by seed + 1

@@ -335,8 +335,6 @@ class TrainResult:
     enc_c: GaussianEncoder
     enc_cbar: GaussianEncoder
     head: LinearHead
-    prior_c: GaussianPrior
-    prior_cbar: GaussianPrior
     trace: list
     risk: object
     config: TrainConfig
@@ -344,8 +342,6 @@ class TrainResult:
 
 def _sgd(params, lr, velocities, momentum):
     for p in params:
-        if p.grad is None:
-            continue
         if momentum > 0.0:
             v = velocities.get(id(p))
             v = p.grad if v is None else momentum * v + p.grad
@@ -387,8 +383,7 @@ def train(data, config, domains=None):
                             rng=init, fixed_var=config.fixed_var, prefix="enc_c")
     enc_cbar = clone_perturbed(enc_c, init, scale=0.01)
     head = LinearHead(config.rep_dim, rng=init)
-    prior_c = GaussianPrior.standard(config.rep_dim)
-    prior_cbar = GaussianPrior.standard(config.rep_dim)
+    prior = GaussianPrior.standard(config.rep_dim)  # for both encoders
 
     min_params = list(enc_c.parameters().values()) + list(head.parameters().values())
     adv_params = list(enc_cbar.parameters().values())
@@ -411,7 +406,7 @@ def train(data, config, domains=None):
         # the irm warm-up weighs the penalty 1.0 for its first steps
         warm = config.variant == "casn_irm" and step < config.irm_anneal_iters
         return casn_objective(x_all[idx], y_all[idx], enc_c, enc_cbar, head,
-                              prior_c, prior_cbar, config, eps_c, eps_cbar,
+                              prior, prior, config, eps_c, eps_cbar,
                               domain_rows=rows, penalty_weight=1.0 if warm else None)
 
     for step in range(config.total_steps):
@@ -439,9 +434,8 @@ def train(data, config, domains=None):
     report_n = min(n, 2000)
     risk = estimate_risk(x_all[:report_n], y_all[:report_n], enc_c, enc_cbar, head,
                          mc_samples=32, seed=config.seed,
-                         prior_c=prior_c, prior_cbar=prior_cbar)
+                         prior_c=prior, prior_cbar=prior)
     return TrainResult(enc_c=enc_c, enc_cbar=enc_cbar, head=head,
-                       prior_c=prior_c, prior_cbar=prior_cbar,
                        trace=trace, risk=risk, config=config)
 
 
@@ -473,14 +467,13 @@ def load_model(path):
     try:
         in_dim = int(meta["in_dim"])
         rep_dim = int(meta["rep_dim"])
-        hidden = tuple(int(h) for h in meta["hidden"].split(","))
+        hidden = tuple(int(h) for h in meta["hidden"].split(",")) if meta["hidden"] else ()
         fixed_var = None if meta["fixed_var"] == "none" else float(meta["fixed_var"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: missing or malformed metadata: {exc}") from None
-    enc_c = GaussianEncoder(in_dim, rep_dim=rep_dim, hidden=hidden,
-                            fixed_var=fixed_var, prefix="enc_c")
-    enc_cbar = GaussianEncoder(in_dim, rep_dim=rep_dim, hidden=hidden,
-                               fixed_var=fixed_var, prefix="enc_c_twin")
+    enc_c, enc_cbar = (GaussianEncoder(in_dim, rep_dim=rep_dim, hidden=hidden,
+                                       fixed_var=fixed_var, prefix=prefix)
+                       for prefix in ("enc_c", "enc_c_twin"))
     head = LinearHead(rep_dim)
     expected = {**enc_c.parameters(), **enc_cbar.parameters(), **head.parameters()}
     unexpected = sorted(params.keys() - expected.keys())

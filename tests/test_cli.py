@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pnsrisk.cli as cli_module
 from pnsrisk.cli import (
     ConfigError,
     ExperimentSpec,
@@ -243,6 +244,25 @@ def test_bounds_all_hold(tmp_path):
     assert (tmp_path / "bounds.csv.sha256").exists()
 
 
+def test_bounds_exit_one_when_a_bound_fails(tmp_path, monkeypatch, capsys):
+    real = cli_module.domain_shift_bound
+    failed = []
+
+    def first_fails(*args, **kwargs):
+        report = real(*args, **kwargs)
+        if failed:
+            return report
+        failed.append(report)
+        return replace(report, holds=False)
+
+    monkeypatch.setattr(cli_module, "domain_shift_bound", first_fails)
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--out", str(out), "--instances", "2", "--seed", "1"]) == 1
+    assert capsys.readouterr().out == f"wrote {out}: 3/4 bounds hold\n"
+    rows = out.read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["false", "true", "true", "true"]
+
+
 @pytest.mark.parametrize("instances", ["0", "-3"])
 def test_bounds_without_instances_is_config_error(tmp_path, instances, capsys):
     out = tmp_path / "bounds.csv"
@@ -413,6 +433,17 @@ class TestRepro:
         assert captured.out == ""
         assert not (out_dir / "runs").exists()
         assert not (out_dir / "runs.csv").exists()
+
+    def test_single_eval_row_is_refused_before_any_output(self, tmp_path, capsys):
+        # distance correlation needs two rows; refused before training
+        spec_file = tmp_path / "spec.txt"
+        spec_file.write_text(REPRO_SPEC.replace("n_eval = 48", "n_eval = 1"))
+        out_dir = tmp_path / "out"
+        assert main(["repro", "--spec", str(spec_file), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: [synth]: n_eval must be at least 2, got 1\n"
+        assert captured.out == ""
+        assert not out_dir.exists()
 
     def test_hard_check_without_casn_cell_fails(self, tmp_path, capsys):
         spec = parse_config(REPRO_SPEC.replace("variant = casn, casn_minus_m",

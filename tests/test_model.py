@@ -238,6 +238,11 @@ class TestCheckpoint:
         assert not (tmp_path / "z.ckpt").exists()
 
     @pytest.mark.parametrize("params, meta, message", [
+        pytest.param({"v": np.array([1.0, np.nan])}, None, "parameter v holds a non-finite",
+                     id="nan"),
+        pytest.param({"v": np.array(np.inf)}, None, "parameter v holds a non-finite", id="inf"),
+        pytest.param({"v": np.array([[1.0], [-np.inf]])}, None,
+                     "parameter v holds a non-finite", id="-inf"),
         pytest.param({"a b": np.ones(2)}, None, "parameter name 'a b'", id="name-space"),
         pytest.param({"": np.ones(2)}, None, "parameter name ''", id="name-empty"),
         pytest.param({"a\tb": np.ones(2)}, None, "parameter name 'a\\tb'", id="name-tab"),
@@ -271,6 +276,11 @@ class TestCheckpoint:
         pytest.param("param a 1\n0x1.0p+1\nparam a 1\n0x1.0p+2\n", ":4: repeated parameter a",
                      id="repeated-param"),
         pytest.param("meta k v\nmeta k w\n", ":3: repeated meta key k", id="repeated-meta"),
+        pytest.param("param m 3\n0x1.0p+0\n0x1.0p+0 nan\n", ":4: non-finite value in parameter m",
+                     id="nan"),
+        pytest.param("param m 0\ninf\n", ":3: non-finite value in parameter m", id="inf"),
+        pytest.param("param m 2\n-inf 0x1.0p+0\n", ":3: non-finite value in parameter m",
+                     id="-inf"),
     ])
     def test_malformed_file_names_path_and_line(self, tmp_path, body, where):
         path = tmp_path / "bad.ckpt"

@@ -27,7 +27,7 @@ class TestGenerator:
     @pytest.mark.parametrize("field, value", [
         ("d", 0), ("s", 1.5), ("s", float("nan")), ("mixer", "kinky"),
         ("noise_scale", -0.1), ("noise_scale", float("nan")), ("noise_scale", float("inf")),
-        ("n_train", 0), ("n_eval", -3), ("seed", -1), ("seed", 2**64 - 1),
+        ("n_train", 0), ("n_eval", -3), ("n_eval", 1), ("seed", -1), ("seed", 2**64 - 1),
     ])
     def test_config_validation(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -146,6 +146,20 @@ class TestObjective:
         assert abs(min_loss.item() - want) < 1e-9
         assert abs(max_loss.item() + min_loss.item()) < 1e-15
 
+    def test_irm_without_domains_makes_the_batch_one_domain(self):
+        x, y, enc_c, enc_cbar, head, prior = toy_parts()
+        cfg = TrainConfig(variant="casn_irm", rep_dim=2, hidden=(5, 4))
+        eps = np.random.default_rng(9).standard_normal((1, 6, 2))
+        params = [*enc_c.parameters().values(), *head.parameters().values()]
+        seen = []
+        for rows in (None, [np.arange(len(y))]):
+            min_loss, _, parts = casn_objective(x, y, enc_c, enc_cbar, head, prior, prior,
+                                                cfg, eps, eps, domain_rows=rows)
+            min_loss.backward(params)
+            seen.append((min_loss.data.tobytes(), parts, [p.grad.tobytes() for p in params]))
+        assert seen[0][1]["penalty"] > 0.0
+        assert seen[0] == seen[1]
+
     @pytest.mark.parametrize("variant", ["casn", "casn_irm", "casn_mmd"])
     def test_adversary_kl_flag_changes_the_twin_gradient_only(self, variant):
         """adversary_kl decides whether lam * KL_xi is a term of the game;
@@ -303,6 +317,13 @@ class TestTrainLoop:
         assert len(result.trace) == 8
         assert all(np.isfinite(r.penalty) for r in result.trace)
 
+    def test_irm_variant_runs_without_domains(self):
+        cfg = TrainConfig(total_steps=8, variant="casn_irm", irm_anneal_iters=4,
+                          max_every=4, seed=7, **SMALL)
+        result = train(tiny_data(), cfg)
+        assert len(result.trace) == 8
+        assert all(np.isfinite(r.penalty) and r.penalty > 0.0 for r in result.trace)
+
     @pytest.mark.parametrize("domains", [None, "one"])
     def test_mmd_variant_without_two_domains_is_refused(self, domains):
         data = tiny_data()
@@ -386,6 +407,18 @@ class TestModelRoundTrip:
                               "delta", "lam", "variant", "seed"]
         assert (meta["delta"], meta["lam"], meta["variant"], meta["seed"]) == (
             "0.35", "0.02", "casn_minus_m", "13")
+
+    def test_no_hidden_layers_round_trip(self, tmp_path):
+        data = tiny_data()
+        result = train(data, TrainConfig(total_steps=5, seed=14, rep_dim=4, hidden=(),
+                                         batch_size=16))
+        path = tmp_path / "run.ckpt"
+        save_model(path, result)
+        enc_c, enc_cbar, _, meta = load_model(path)
+        assert meta["hidden"] == ""
+        for src, dst in ((result.enc_c, enc_c), (result.enc_cbar, enc_cbar)):
+            for want, got in zip(src.encode_np(data.x), dst.encode_np(data.x)):
+                assert got.tobytes() == want.tobytes()
 
     def test_unexpected_parameter_rejected(self, tmp_path):
         from pnsrisk.model import load_checkpoint, save_checkpoint
