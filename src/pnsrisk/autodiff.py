@@ -35,6 +35,8 @@ class Tensor:
     contributions for each parent, in parent order.  The value is
     checked once, here: a non-finite value raises FloatingPointError
     naming the op that produced it, or saying it entered as a leaf.
+    This is the graph's one divergence signal: train() runs its steps
+    under np.errstate, so an overflow arrives here as inf, not a warning.
     """
 
     __slots__ = ("data", "grad", "parents", "_backward", "name")

@@ -324,20 +324,17 @@ def cmd_train(args):
     out.mkdir(parents=True, exist_ok=True)
     normalized = serialize_flat(config)
     (out / "config.txt").write_text(normalized, encoding="utf-8")
-    try:
-        result = _train_run(data, config, out, normalized)
-    except TrainingDiverged as exc:
-        print(f"error: training diverged at step {exc.step} ({exc.cause})",
-              file=sys.stderr)
-        return 1
+    result = _train_run(data, config, out, normalized)
     print(f"wrote {out / 'model.ckpt'}: sf={result.risk.sf:.4f} "
           f"m={result.risk.m:.4f} r={result.risk.r:.4f}")
     return 0
 
 
 def cmd_eval(args):
-    enc_c, _, head, meta = load_model(args.checkpoint)
     data = read_csv(args.data)
+    if len(data) < 2:  # distance correlation needs two rows
+        raise ValueError(f"{args.data}: eval needs at least two rows, got {len(data)}")
+    enc_c, _, head, meta = load_model(args.checkpoint)
     report = evaluate(data, enc_c, head)
     s_value = ""
     neighbor = Path(str(args.data) + ".config")
@@ -418,7 +415,7 @@ def run_repro(spec, out_dir):
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
             result = _train_run(train_data, config, run_dir, normalized)
-        except (TrainingDiverged, FloatingPointError) as exc:
+        except TrainingDiverged as exc:
             aborted.append([_cell(delta), _cell(lam), variant, _cell(seed),
                             str(exc)])
             continue
@@ -553,9 +550,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, TrainingDiverged) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, TrainingDiverged) else 2
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GaussianEncoder, LinearHead, _ytil
+from .pns import _check_distribution
 from .streams import ROLE_C, ROLE_CBAR, ROLE_PICK, keyed
 
 __all__ = [
@@ -63,11 +64,7 @@ class DiscreteDomain:
             raise ValueError("points and probs must align")
         if len(set(self.points)) != len(self.points):
             raise ValueError("duplicate points in domain table")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("negative probability")
-        total = sum(self.probs)
-        if not abs(total - 1.0) <= 1e-12:  # NaN fails too
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        _check_distribution(self.probs, "probabilities")
         for x, y in self.points:
             if y not in (0, 1):
                 raise ValueError(f"label {y} outside {{0, 1}}")

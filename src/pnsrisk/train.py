@@ -32,7 +32,6 @@ ops; the tests compare the two.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,11 +132,11 @@ class TrainingDiverged(RuntimeError):
 def _distances(a, b, op):
     """(diff, dist): diff = a - b and its Euclidean norm over the last
     axis, with a 1e-18 stabilizer inside the square root so coincident
-    rows have a gradient.  A value that overflows raises
-    FloatingPointError naming the op, with no numpy warning first."""
-    with np.errstate(over="ignore"):
-        diff = a - b
-        dist = np.sqrt((diff * diff).sum(axis=-1) + 1e-18)
+    rows have a gradient.  A distance that overflows raises
+    FloatingPointError naming the op: the separation hinge would map it
+    to 0, where the node's own check cannot see it."""
+    diff = a - b
+    dist = np.sqrt((diff * diff).sum(axis=-1) + 1e-18)
     if not np.isfinite(dist).all():
         raise FloatingPointError(f"{op} produced a non-finite value")
     return diff, dist
@@ -153,8 +152,6 @@ def separation_penalty(c, c_bar, delta):
     sqrt gradient.
     """
     delta = float(delta)
-    if not np.isfinite(delta):
-        raise FloatingPointError("non-finite value entering the graph")
     if c.data.ndim != 2 or c.data.shape != c_bar.data.shape:
         raise ValueError(f"separation_penalty: {c.data.shape} vs {c_bar.data.shape}")
     diff, dist = _distances(c.data, c_bar.data, "separation_penalty")
@@ -173,14 +170,13 @@ def separation_penalty(c, c_bar, delta):
 
 def mmd_penalty(rep_groups):
     """Sum over unordered domain pairs of the mean cross-domain
-    representation distance, as one graph node.  Fewer than two domains
-    is legal but inert: the penalty is 0 and a warning points it out.
+    representation distance, as one graph node.  A batch that drew one
+    domain's rows has no cross-domain pair, so its penalty is 0.
 
     Each distance carries the 1e-18 stabilizer of _distances, so
     coincident rows have a gradient.
     """
     if len(rep_groups) < 2:
-        warnings.warn("mmd penalty needs at least two domains; returning 0", stacklevel=2)
         return constant(0.0)
     total = None
     pairs = []
@@ -366,10 +362,16 @@ def train(data, config, domains=None):
     casn_mmd is refused unless it holds at least two distinct ids.
     Deterministic: every random draw comes from streams keyed by
     config.seed.
+
+    One failure rule: bad input raises ValueError before step 0, and the
+    steps run under one np.errstate: numpy never warns, and a non-finite
+    value is TrainingDiverged naming the step and the node that made it.
     """
     x_all = np.asarray(data.x, dtype=np.float64)
     y_all = np.asarray(data.y)
     n, in_dim = x_all.shape
+    if not np.isfinite(x_all).all():
+        raise ValueError("data.x holds a non-finite value")
     if domains is not None:
         domains = np.asarray(domains)
         if len(domains) != n:
@@ -409,27 +411,28 @@ def train(data, config, domains=None):
                               prior, prior, config, eps_c, eps_cbar,
                               domain_rows=rows, penalty_weight=1.0 if warm else None)
 
-    for step in range(config.total_steps):
-        adv_value = None
-        run_phase = (
-            config.variant != "casn_minus_m"
-            and config.max_every > 0
-            and (step + 1) % config.max_every == 0
-        )
-        try:
-            min_loss, _, parts = batch_objective()
-            min_loss.backward(min_params)
-            _sgd(min_params, config.lr_min, velocities, config.momentum)
-            if run_phase:
-                for _ in range(config.max_steps_per_phase):
-                    game, max_loss, _ = batch_objective()
-                    max_loss.backward(adv_params)
-                    # descending -objective ascends the shared objective
-                    _sgd(adv_params, config.lr_max, velocities, 0.0)
-                    adv_value = game.item()
-        except FloatingPointError as exc:
-            raise TrainingDiverged(step, trace, exc) from exc
-        trace.append(StepRecord(step=step, **parts, adversary_objective=adv_value))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(config.total_steps):
+            adv_value = None
+            run_phase = (
+                config.variant != "casn_minus_m"
+                and config.max_every > 0
+                and (step + 1) % config.max_every == 0
+            )
+            try:
+                min_loss, _, parts = batch_objective()
+                min_loss.backward(min_params)
+                _sgd(min_params, config.lr_min, velocities, config.momentum)
+                if run_phase:
+                    for _ in range(config.max_steps_per_phase):
+                        game, max_loss, _ = batch_objective()
+                        max_loss.backward(adv_params)
+                        # descending -objective ascends the shared objective
+                        _sgd(adv_params, config.lr_max, velocities, 0.0)
+                        adv_value = game.item()
+            except FloatingPointError as exc:
+                raise TrainingDiverged(step, trace, exc) from exc
+            trace.append(StepRecord(step=step, **parts, adversary_objective=adv_value))
 
     report_n = min(n, 2000)
     risk = estimate_risk(x_all[:report_n], y_all[:report_n], enc_c, enc_cbar, head,

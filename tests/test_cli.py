@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -361,6 +362,46 @@ def test_train_divergence_is_reported(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+# a config whose factual encoder overflows its first hidden layer at step 4
+CRAFTED_TRAIN = ("total_steps = 300\nbatch_size = 16\nrep_dim = 4\nhidden = 8, 6\n"
+                 "lr_min = 1000\nfixed_var = 0.1\nseed = 3\n")
+
+
+def test_train_divergence_is_one_error_line(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    main(["synth", "--d", "2", "--n", "256", "--seed", "1", "--out", str(data_csv)])
+    config = tmp_path / "train.cfg"
+    config.write_text(CRAFTED_TRAIN)
+    run_dir = tmp_path / "run"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", str(config), "--data", str(data_csv),
+                     "--out", str(run_dir)]) == 1
+    assert capsys.readouterr().err == ("error: training diverged at step 4: "
+                                       "enc_c.mean layer 1 produced a non-finite value\n")
+    assert (run_dir / "trace.csv").exists() and not (run_dir / "model.ckpt").exists()
+
+
+def test_eval_one_row_is_refused_naming_the_file(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    main(["synth", "--d", "2", "--n", "64", "--seed", "3", "--out", str(data_csv)])
+    config = tmp_path / "train.cfg"
+    config.write_text(SMALL_TRAIN)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--data", str(data_csv),
+                 "--out", str(run_dir)]) == 0
+    one_row = tmp_path / "one.csv"
+    main(["synth", "--d", "2", "--n", "1", "--seed", "3", "--out", str(one_row)])
+    capsys.readouterr()
+    eval_csv = tmp_path / "eval.csv"
+    assert main(["eval", "--checkpoint", str(run_dir / "model.ckpt"),
+                 "--data", str(one_row), "--out", str(eval_csv)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {one_row}: eval needs at least two rows, got 1\n")
+    assert not eval_csv.exists()
+
+
 def test_train_mmd_variant_is_refused(tmp_path, capsys):
     # the dataset CSV carries no domains, so casn_mmd has no penalty to train
     data_csv = tmp_path / "data.csv"
@@ -509,6 +550,18 @@ class TestRepro:
         # the diverged point keeps its trace so far and has no checkpoint
         run_dir = tmp_path / "out" / "runs" / "delta0.9_lam0.01_casn_seed0"
         assert sorted(p.name for p in run_dir.iterdir()) == ["trace.csv", "trace.csv.sha256"]
+
+    def test_diverged_run_aborts_without_a_warning(self, tmp_path, capsys):
+        spec = parse_config("[synth]\nd = 2\nn_train = 256\nn_eval = 48\nseed = 1\n\n"
+                            "[train]\n" + CRAFTED_TRAIN)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_repro(spec, tmp_path / "out") is False
+        assert "FAIL runs_completed" in capsys.readouterr().out
+        header, row = (tmp_path / "out" / "aborted.csv").read_text().splitlines()
+        assert header == "delta,lam,variant,seed,error"
+        assert row.endswith(",training diverged at step 4: "
+                            "enc_c.mean layer 1 produced a non-finite value")
 
     def test_hard_check_gates_exit(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.txt"

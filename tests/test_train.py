@@ -1,4 +1,6 @@
 import importlib
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,9 +64,11 @@ class TestMmdPenalty:
         b = constant(np.tile([0.0, 3.0], (6, 1)))
         assert abs(mmd_penalty([a, b]).item() - 3.0) < 1e-9
 
-    def test_single_domain_warns_and_returns_zero(self):
+    def test_single_domain_returns_zero_without_a_warning(self):
+        # a batch that drew one domain's rows has no cross-domain pair
         a = constant(np.zeros((3, 2)))
-        with pytest.warns(UserWarning, match="two domains"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert mmd_penalty([a]).item() == 0.0
 
     def test_matches_naive_average(self):
@@ -247,6 +251,13 @@ def tiny_data(n=256, seed=0):
 
 SMALL = dict(rep_dim=4, hidden=(8, 6), batch_size=16)
 
+# a config whose factual encoder overflows its first hidden layer at step 4
+CRAFTED = TrainConfig(total_steps=300, lr_min=1000.0, fixed_var=0.1, seed=3, **SMALL)
+
+
+def crafted_data():
+    return generate(SynthConfig(d=2, n_train=256, seed=1), 256)
+
 
 class TestTrainLoop:
     def test_trace_length_and_fields(self):
@@ -308,6 +319,24 @@ class TestTrainLoop:
             train(tiny_data(), cfg)
         assert isinstance(info.value.trace, list)
 
+    def test_divergence_names_step_and_node_without_a_warning(self):
+        # numpy's overflow in the matmul neither warns nor escapes: the
+        # layer's own check reports it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged) as info:
+                train(crafted_data(), CRAFTED)
+        assert str(info.value) == ("training diverged at step 4: "
+                                   "enc_c.mean layer 1 produced a non-finite value")
+        assert info.value.step == 4 and len(info.value.trace) == 4
+
+    def test_non_finite_input_is_refused_before_step_0(self):
+        data = generate(SynthConfig(d=2, n_train=64, seed=1), 64)
+        x = data.x.copy()
+        x[5, 0] = np.nan
+        with pytest.raises(ValueError, match="^data.x holds a non-finite value$"):
+            train(replace(data, x=x), TrainConfig(total_steps=50, seed=0, **SMALL))
+
     def test_irm_variant_runs_and_anneals(self):
         data = tiny_data()
         domains = (np.arange(len(data.y)) % 2).astype(int)
@@ -333,6 +362,17 @@ class TestTrainLoop:
                           seed=8, **SMALL)
         with pytest.raises(ValueError, match="casn_mmd needs domains"):
             train(data, cfg, domains=domains)
+
+    def test_mmd_batches_of_one_domain_add_zero_without_a_warning(self):
+        data = generate(SynthConfig(d=2, n_train=64, seed=1), 64)
+        domains = np.zeros(64, dtype=int)
+        domains[[3, 40]] = 1  # most 16-row batches draw neither row
+        cfg = TrainConfig(total_steps=50, variant="casn_mmd", seed=0, **SMALL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = train(data, cfg, domains=domains)
+        penalties = [r.penalty for r in result.trace]
+        assert len(penalties) == 50 and 0.0 in penalties and max(penalties) > 0.0
 
     def test_mmd_variant_two_domains(self):
         data = tiny_data()
