@@ -550,9 +550,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, TrainingDiverged) as exc:  # ConfigError is a ValueError
+    # ConfigError is a ValueError; a FloatingPointError is a model that
+    # overflows in eval or bounds, as TrainingDiverged is one in training
+    except (ValueError, OSError, TrainingDiverged, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, TrainingDiverged) else 2
+        return 1 if isinstance(exc, (TrainingDiverged, FloatingPointError)) else 2
 
 
 if __name__ == "__main__":

@@ -6,6 +6,10 @@ pairwise Euclidean distance matrix, take dCov^2 as the mean of the
 entrywise product, and normalize by the geometric mean of the two
 dVar^2 terms.  It is zero exactly when either argument is constant and
 lands in [0, 1] up to floating point.
+
+evaluate centers the representation's distance matrix and takes its
+dVar^2 once, and shares both across the four factors; every entrywise
+product goes through one scratch matrix.
 """
 
 from __future__ import annotations
@@ -29,12 +33,35 @@ def _as_matrix(a):
 
 
 def _centered_distances(a):
+    """The double-centered Euclidean distance matrix of the rows of a,
+    built in place in one n x n array."""
     sq = (a * a).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (a @ a.T)
-    d = np.sqrt(np.maximum(d2, 0.0))
+    d = a @ a.T
+    d *= 2.0
+    np.subtract(sq[:, None] + sq[None, :], d, out=d)
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
     row = d.mean(axis=1, keepdims=True)
     col = d.mean(axis=0, keepdims=True)
-    return d - row - col + d.mean()
+    total = d.mean()
+    d -= row
+    d -= col
+    d += total
+    return d
+
+
+def _dvar(c, scratch):
+    """dVar^2 of a centered matrix c, its product formed in scratch."""
+    return float(np.multiply(c, c, out=scratch).mean())
+
+
+def _dcor(ca, dvar_a, cb, scratch):
+    """Distance correlation from centered matrices, given dVar^2 of ca."""
+    dcov2 = float(np.multiply(ca, cb, out=scratch).mean())
+    dvar_b = _dvar(cb, scratch)
+    if dvar_a <= 0.0 or dvar_b <= 0.0:
+        return 0.0
+    return float(np.sqrt(max(dcov2, 0.0) / np.sqrt(dvar_a * dvar_b)))
 
 
 def distance_correlation(a, b):
@@ -44,13 +71,9 @@ def distance_correlation(a, b):
         raise ValueError(f"paired samples must align: {len(a)} vs {len(b)}")
     if len(a) < 2:
         raise ValueError("need at least two observations")
-    ca, cb = _centered_distances(a), _centered_distances(b)
-    dcov2 = float((ca * cb).mean())
-    dvar_a = float((ca * ca).mean())
-    dvar_b = float((cb * cb).mean())
-    if dvar_a <= 0.0 or dvar_b <= 0.0:
-        return 0.0
-    return float(np.sqrt(max(dcov2, 0.0) / np.sqrt(dvar_a * dvar_b)))
+    ca = _centered_distances(a)
+    scratch = np.empty_like(ca)
+    return _dcor(ca, _dvar(ca, scratch), _centered_distances(b), scratch)
 
 
 @dataclass(frozen=True)
@@ -68,18 +91,20 @@ class EvalReport:
 
 def evaluate(data, encoder, head):
     """EvalReport for an encoder/labeler pair on benchmark data.  One
-    posterior mean gives the dcor reps and the labels (logit >= 0)."""
+    posterior mean gives the dcor reps and the labels (logit >= 0); the
+    reps are centered, and their dVar^2 taken, once for all four factors."""
     reps, _ = encoder.encode_np(data.x)
+    if len(reps) < 2:
+        raise ValueError("need at least two observations")
     factors = factor_table(data)
     labels = head.logits_np(reps) >= 0.0
-    return EvalReport(
-        dcor_sn=distance_correlation(reps, factors[:, 0]),
-        dcor_sf=distance_correlation(reps, factors[:, 1]),
-        dcor_nc=distance_correlation(reps, factors[:, 2]),
-        dcor_sp=distance_correlation(reps, factors[:, 3]),
-        accuracy=float((labels == data.y).mean()),
-        n=len(data),
-    )
+    ca = _centered_distances(reps)
+    scratch = np.empty_like(ca)
+    dvar = _dvar(ca, scratch)
+    # factor_table's columns come in the order of EvalReport's dcor fields
+    dcor = [_dcor(ca, dvar, _centered_distances(_as_matrix(column)), scratch)
+            for column in factors.T]
+    return EvalReport(*dcor, accuracy=float((labels == data.y).mean()), n=len(data))
 
 
 def group_accuracy(y_true, y_pred, groups, expected=None):

@@ -62,22 +62,22 @@ class Mlp:
 
     def _stack(self, h, inputs=None, pres=None):
         """The affine+ELU hidden layers, then the linear output layer, on
-        the array h.  Given lists, the graph path collects each layer's
-        input and each hidden pre-activation, and checks the latter for
-        finiteness with an error naming the layer: an ELU maps -inf to
-        -1, so a check of the output alone would hide an overflow."""
-        for i in range(len(self.weights) - 1):
+        the array h.  Every pre-activation is checked for finiteness, with
+        an error naming the layer: an ELU maps -inf to -1, so a check of
+        the output alone would hide an overflow.  Given lists, the graph
+        path collects each layer's input and each hidden pre-activation."""
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if inputs is not None:
                 inputs.append(h)
-            h = h @ self.weights[i].data + self.biases[i].data
+            h = h @ w.data + b.data
+            if not np.isfinite(h).all():
+                raise FloatingPointError(f"{self.layer_names[i]} produced a non-finite value")
+            if i == last:
+                return h
             if pres is not None:
-                if not np.isfinite(h).all():
-                    raise FloatingPointError(f"{self.layer_names[i]} produced a non-finite value")
                 pres.append(h)
             h = np.where(h > 0.0, h, np.expm1(np.minimum(h, 0.0)))
-        if inputs is not None:
-            inputs.append(h)
-        return h @ self.weights[-1].data + self.biases[-1].data
 
     def forward(self, x):
         """The whole stack on a data batch x as one graph node whose
@@ -104,12 +104,14 @@ class Mlp:
             return grads
 
         params = [p for pair in zip(self.weights, self.biases) for p in pair]
-        # the output layer's pre-activation is checked by Tensor itself
         return Tensor(out, params, backward, self.layer_names[last])
 
     def forward_np(self, x):
-        """Graph-free forward for evaluation and Monte Carlo estimation."""
-        return self._stack(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+        """Graph-free forward for evaluation and Monte Carlo estimation.
+        An overflow raises the layer's FloatingPointError, not a numpy
+        warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._stack(np.atleast_2d(np.asarray(x, dtype=np.float64)))
 
     def parameters(self):
         out = {}

@@ -13,9 +13,12 @@ which the domain-shift bound exploits.
 
 Monte Carlo draws come from keyed Philox streams (pnsrisk.streams),
 keyed by (global seed ^ role, sample id).  The encoders run once per
-batch; only the draws are per row, each row keeping its own stream, so
-estimates do not depend on batch order and the same point receives the
-same draws in every domain that contains it.
+batch.  Each row keeps its own stream, so estimates do not depend on
+batch order and the same point receives the same draws in every domain
+that contains it; the draws are made and labeled a block of rows at a
+time through one re-keyed Philox per role (streams.keyed_normals).
+The seed and the sample ids are refused with a ValueError naming them
+unless each is an integer in [0, SEED_MAX].
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .model import GaussianEncoder, LinearHead, _ytil
 from .pns import _check_distribution
-from .streams import ROLE_C, ROLE_CBAR, ROLE_PICK, keyed
+from .streams import ROLE_C, ROLE_CBAR, ROLE_PICK, key_word, keyed, keyed_normals
 
 __all__ = [
     "MalformedDomainError",
@@ -95,16 +98,22 @@ class RiskReport:
 def _labels(head, mean, var, mc_samples, seed, role, ids):
     """(n, mc_samples) labels head(mu + sd * eps) >= 0 from posterior rows;
     row i draws eps from its own stream (seed, role, ids[i])."""
-    labels = np.empty((len(mean), mc_samples), dtype=bool)
-    for i, (mu, sd, sid) in enumerate(zip(mean, np.sqrt(var), ids)):
-        eps = keyed(seed, role, sid).standard_normal((mc_samples, len(mu)))
-        labels[i] = head.logits_np(mu + sd * eps) >= 0.0
+    n, rep = mean.shape
+    labels = np.empty((n, mc_samples), dtype=bool)
+    sd = np.sqrt(var)
+    for start, block in keyed_normals(seed, role, ids, (mc_samples, rep)):
+        rows = slice(start, start + len(block))
+        block *= sd[rows, None]
+        block += mean[rows, None]
+        labels[rows] = (head.logits_np(block.reshape(-1, rep)) >= 0.0).reshape(-1, mc_samples)
     return labels
 
 
 def _risk_rows(head, post_c, post_cbar, y, mc_samples, seed, ids):
     """Per-row (sf, nc, m) arrays from the posteriors (mean, var) of the
     factual and the counterfactual encoder."""
+    seed = key_word(seed, "seed")
+    ids = [key_word(i, "sample_ids") for i in ids]
     pred_c = _labels(head, *post_c, mc_samples, seed, ROLE_C, ids)
     pred_cbar = _labels(head, *post_cbar, mc_samples, seed, ROLE_CBAR, ids)
     y = np.asarray(y)[:, None]

@@ -14,15 +14,20 @@ they are given:
 * ROLE_C, ROLE_CBAR: Monte Carlo draws of the factual and the
   counterfactual representation, index = sample id.  Each row of a
   batch keeps its own stream; the risk estimators encode the batch
-  once and draw row by row.
+  once and draw a block of rows at a time.
 
 The roles are large odd constants, so seeds that differ only in their
-low bits never map two roles onto one key word.
+low bits never map two roles onto one key word.  Seeds and indices are
+integers in [0, SEED_MAX]; keyed() refuses any other with a ValueError.
 
-Two ways to read a stream, with the same values:
+Three ways to read a stream, with the same values:
 
-* keyed(seed, role, index) is a numpy Generator over it; use it when a
-  row draws many values (the risk estimators draw 32 x 16 normals).
+* keyed(seed, role, index) is a numpy Generator over it; use it for a
+  few streams that each draw many values (the trainer's lanes).
+* keyed_normals(seed, role, indices, shape) re-keys one Philox per
+  index, so a stream costs a state write, not a new Generator; use it
+  when many rows each draw many normals (the risk estimators draw
+  32 x 16 per row).
 * keyed_uniforms(seed, role, indices, count) runs Philox as array code
   over many keys at once and gives, per index, the first count doubles
   keyed(seed, role, index).random() would give.  Use it when each row
@@ -30,6 +35,8 @@ Two ways to read a stream, with the same values:
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -40,7 +47,9 @@ __all__ = [
     "ROLE_C",
     "ROLE_CBAR",
     "SEED_MAX",
+    "key_word",
     "keyed",
+    "keyed_normals",
     "keyed_words",
     "keyed_uniforms",
 ]
@@ -54,11 +63,58 @@ ROLE_CBAR = np.uint64(0xC2B2AE3D27D4EB4F)
 # the largest seed a key word holds; the configs refuse seeds above it
 SEED_MAX = 2**64 - 1
 
+# rows per keyed_normals block: the risk estimators' 128 x 32 x 16 normals
+# are 0.5 MB, where one buffer for 2000 rows would hold three 8 MB temporaries
+_BLOCK_ROWS = 128
+
+
+def key_word(value, name):
+    """value as an int key word, or a ValueError naming it unless it is
+    an integer in [0, SEED_MAX]: numpy would raise OverflowError for -1
+    and 2**64, and turn 2.5 into 2."""
+    try:
+        word = operator.index(value)
+    except TypeError:
+        word = -1
+    if not 0 <= word <= SEED_MAX:
+        raise ValueError(f"{name} must be an integer in [0, 2**64 - 1], got {value!r}")
+    return word
+
+
+def _keys(seed, role, indices):
+    """The Philox keys (seed ^ role, index) of the streams of one seed
+    and role, one row per index."""
+    index = np.asarray(indices, dtype=np.uint64).reshape(-1)
+    return np.stack((np.full(len(index), np.uint64(seed) ^ role), index), axis=-1)
+
 
 def keyed(seed, role, index):
     """A Generator over the Philox stream keyed by (seed ^ role, index)."""
-    key = np.array([np.uint64(seed) ^ role, np.uint64(index)], dtype=np.uint64)
+    key = _keys(key_word(seed, "seed"), role, key_word(index, "index"))[0]
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def keyed_normals(seed, role, indices, shape):
+    """Yield (start, block) for each run of at most _BLOCK_ROWS indices, where
+    block[j] holds keyed(seed, role, indices[start + j]).standard_normal(shape);
+    seed and indices must be key words.  A counter-based stream depends
+    only on its key, so one Philox set to each key with the counter and
+    buffer at zero serves every stream.  Each block overwrites the last.
+    """
+    keys = _keys(seed, role, list(indices))
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    inner = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": np.zeros(4, dtype=np.uint64),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    buf = np.empty((min(_BLOCK_ROWS, len(keys)), *shape))
+    for start in range(0, len(keys), _BLOCK_ROWS):
+        block = buf[: len(keys) - start]
+        for out, key in zip(block, keys[start : start + _BLOCK_ROWS]):
+            inner["key"] = key
+            bits.state = state
+            gen.standard_normal(out=out)
+        yield start, block
 
 
 # Philox4x64 round multipliers and key increments (Salmon et al., SC'11)
@@ -92,8 +148,8 @@ def keyed_words(seed, role, indices, count):
     stream (words 4b .. 4b + 3) is Philox4x64-10 of the counter
     (b + 1, 0, 0, 0).
     """
-    k0 = np.uint64(seed) ^ role
-    k1 = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
+    keys = _keys(seed, role, indices)
+    k0, k1 = keys[:, :1], keys[:, 1:]
     blocks = -(-count // 4)
     shape = (len(k1), blocks)
     c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)

@@ -364,8 +364,9 @@ def train(data, config, domains=None):
     config.seed.
 
     One failure rule: bad input raises ValueError before step 0, and the
-    steps run under one np.errstate: numpy never warns, and a non-finite
-    value is TrainingDiverged naming the step and the node that made it.
+    steps and the final risk report run under one np.errstate: numpy
+    never warns, and a non-finite value is TrainingDiverged naming the
+    step (total_steps for the report) and the node or layer that made it.
     """
     x_all = np.asarray(data.x, dtype=np.float64)
     y_all = np.asarray(data.y)
@@ -412,14 +413,14 @@ def train(data, config, domains=None):
                               domain_rows=rows, penalty_weight=1.0 if warm else None)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for step in range(config.total_steps):
-            adv_value = None
-            run_phase = (
-                config.variant != "casn_minus_m"
-                and config.max_every > 0
-                and (step + 1) % config.max_every == 0
-            )
-            try:
+        try:
+            for step in range(config.total_steps):
+                adv_value = None
+                run_phase = (
+                    config.variant != "casn_minus_m"
+                    and config.max_every > 0
+                    and (step + 1) % config.max_every == 0
+                )
                 min_loss, _, parts = batch_objective()
                 min_loss.backward(min_params)
                 _sgd(min_params, config.lr_min, velocities, config.momentum)
@@ -430,14 +431,15 @@ def train(data, config, domains=None):
                         # descending -objective ascends the shared objective
                         _sgd(adv_params, config.lr_max, velocities, 0.0)
                         adv_value = game.item()
-            except FloatingPointError as exc:
-                raise TrainingDiverged(step, trace, exc) from exc
-            trace.append(StepRecord(step=step, **parts, adversary_objective=adv_value))
-
-    report_n = min(n, 2000)
-    risk = estimate_risk(x_all[:report_n], y_all[:report_n], enc_c, enc_cbar, head,
-                         mc_samples=32, seed=config.seed,
-                         prior_c=prior, prior_cbar=prior)
+                trace.append(StepRecord(step=step, **parts, adversary_objective=adv_value))
+            # the report reads the parameters the last update left
+            step = config.total_steps
+            report_n = min(n, 2000)
+            risk = estimate_risk(x_all[:report_n], y_all[:report_n], enc_c, enc_cbar, head,
+                                 mc_samples=32, seed=config.seed,
+                                 prior_c=prior, prior_cbar=prior)
+        except FloatingPointError as exc:
+            raise TrainingDiverged(step, trace, exc) from exc
     return TrainResult(enc_c=enc_c, enc_cbar=enc_cbar, head=head,
                        trace=trace, risk=risk, config=config)
 

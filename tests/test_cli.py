@@ -16,6 +16,7 @@ from pnsrisk.cli import (
     serialize_config,
     serialize_flat,
 )
+from pnsrisk.model import load_checkpoint, save_checkpoint
 from pnsrisk.synth import SynthConfig, generate, read_csv
 from pnsrisk.train import TrainConfig
 
@@ -381,6 +382,46 @@ def test_train_divergence_is_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: training diverged at step 4: "
                                        "enc_c.mean layer 1 produced a non-finite value\n")
     assert (run_dir / "trace.csv").exists() and not (run_dir / "model.ckpt").exists()
+
+
+def test_train_divergence_in_the_final_report_is_one_error_line(tmp_path, capsys):
+    # cut to four steps, the last update overflows the encoder, which the
+    # final risk report finds: no report is made from non-finite reps
+    data_csv = tmp_path / "data.csv"
+    main(["synth", "--d", "2", "--n", "256", "--seed", "1", "--out", str(data_csv)])
+    config = tmp_path / "train.cfg"
+    config.write_text(CRAFTED_TRAIN.replace("total_steps = 300", "total_steps = 4"))
+    run_dir = tmp_path / "run"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", str(config), "--data", str(data_csv),
+                     "--out", str(run_dir)]) == 1
+    assert capsys.readouterr().err == ("error: training diverged at step 4: "
+                                       "enc_c.mean layer 1 produced a non-finite value\n")
+    assert (run_dir / "trace.csv").exists() and not (run_dir / "model.ckpt").exists()
+
+
+def test_eval_overflow_is_one_error_line(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    main(["synth", "--d", "2", "--n", "64", "--seed", "3", "--out", str(data_csv)])
+    config = tmp_path / "train.cfg"
+    config.write_text(SMALL_TRAIN)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--data", str(data_csv),
+                 "--out", str(run_dir)]) == 0
+    params, meta = load_checkpoint(run_dir / "model.ckpt")
+    params["enc_c.mean.w0"] = np.full_like(params["enc_c.mean.w0"], 1e308)
+    save_checkpoint(run_dir / "model.ckpt", params, meta=meta)
+    capsys.readouterr()
+    eval_csv = tmp_path / "eval.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "--checkpoint", str(run_dir / "model.ckpt"),
+                     "--data", str(data_csv), "--out", str(eval_csv)]) == 1
+    assert capsys.readouterr().err == (
+        "error: enc_c.mean layer 0 produced a non-finite value\n")
+    assert not eval_csv.exists()
 
 
 def test_eval_one_row_is_refused_naming_the_file(tmp_path, capsys):

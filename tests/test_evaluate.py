@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pnsrisk.evaluate import distance_correlation, evaluate, group_accuracy
-from pnsrisk.model import LinearHead
-from pnsrisk.synth import SynthConfig, generate
+from pnsrisk.model import GaussianEncoder, LinearHead
+from pnsrisk.synth import SynthConfig, factor_table, generate
 
 
 class BlockEncoder:
@@ -101,6 +103,28 @@ class TestEvaluate:
         assert report.dcor_sn >= 0.95
         assert report.dcor_sp < report.dcor_sn
         assert report.n == 400
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_dcor_is_distance_correlation_of_its_factor(self, seed):
+        # the reps are centered once for all four factors, with the same
+        # bytes as one distance_correlation per factor; nc held at one
+        # level is a constant column, whose dcor is 0
+        data = generate(SynthConfig(seed=seed), 150 + 50 * seed)
+        if seed == 2:
+            data = replace(data, nc=np.ones_like(data.nc))
+        enc = GaussianEncoder(data.x.shape[1], rep_dim=6, hidden=(8,),
+                              rng=np.random.default_rng(seed))
+        report = evaluate(data, enc, LinearHead(6, rng=np.random.default_rng(seed)))
+        reps, _ = enc.encode_np(data.x)
+        want = [distance_correlation(reps, column) for column in factor_table(data).T]
+        assert [report.dcor_sn, report.dcor_sf, report.dcor_nc, report.dcor_sp] == want
+        if seed == 2:
+            assert report.dcor_nc == 0.0
+
+    def test_one_row_is_refused(self):
+        data = generate(SynthConfig(seed=3), 1)
+        with pytest.raises(ValueError, match="^need at least two observations$"):
+            evaluate(data, BlockEncoder(0, 5), LinearHead(5))
 
     def test_one_encode_serves_the_reps_and_the_labels(self):
         from pnsrisk.model import predict

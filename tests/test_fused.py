@@ -574,13 +574,15 @@ def test_mmd_overflow_raises_without_a_warning():
 
 
 def test_hidden_pre_activation_overflow_names_the_layer():
-    """An ELU maps -inf to -1, so the output alone would look finite."""
+    """An ELU maps -inf to -1, so the output alone would look finite;
+    the graph and the graph-free forward both check the layer itself."""
     enc = encoder(None, prefix="enc_c")
     enc.mlp.biases[1].data = np.full(5, -np.inf)
     x = np.ones((2, 4))
-    assert np.isfinite(enc.mlp.forward_np(x)).all()
-    with pytest.raises(FloatingPointError, match="^enc_c.mean layer 1 produced a non-finite"):
-        enc.encode(x)
+    assert np.expm1(-np.inf) == -1.0
+    for forward in (enc.encode, enc.encode_np):
+        with pytest.raises(FloatingPointError, match="^enc_c.mean layer 1 produced a non-finite"):
+            forward(x)
 
 
 def test_output_layer_overflow_names_the_layer():

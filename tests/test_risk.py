@@ -421,7 +421,8 @@ class TestDeviationTrial:
 
 class TestPerRowReference:
     """The batched estimators give exactly the numbers of a per-row path
-    with one-row encodes, and create the same Philox streams."""
+    with one-row encodes and one new Philox per stream, while they create
+    one Philox per role and re-key it for each row."""
 
     def test_estimate_risk_matches_per_row(self, monkeypatch):
         rng = np.random.default_rng(16)
@@ -433,7 +434,7 @@ class TestPerRowReference:
         created = count_philox(monkeypatch)
         report = estimate_risk(x, y, enc_c, enc_cbar, head, mc_samples=16, seed=3,
                                sample_ids=ids, prior_c=prior, prior_cbar=prior)
-        assert len(created) == 2 * len(x)
+        assert len(created) == 2  # one per role, ROLE_C and ROLE_CBAR
         want = tuple(ref_sample_triple(x[i : i + 1], int(y[i]), enc_c, enc_cbar, head,
                                        16, 3, sid)
                      for i, sid in enumerate(ids))
@@ -443,6 +444,33 @@ class TestPerRowReference:
         mean, var = enc_cbar.encode_np(x)
         assert report.kl_cbar == float(
             np.mean([gaussian_kl(mu, var[0], prior.mean, prior.var) for mu in mean]))
+
+    def test_estimate_risk_matches_per_row_over_several_blocks(self):
+        # 300 rows are drawn in blocks of 128, 128 and 44; ids repeat
+        rng = np.random.default_rng(26)
+        _, _, enc_c, enc_cbar, head = random_bound_instance(rng)
+        x = rng.uniform(-2.0, 2.0, size=(300, 3))
+        y = rng.integers(0, 2, size=300)
+        ids = rng.integers(0, 50, size=300).tolist()
+        report = estimate_risk(x, y, enc_c, enc_cbar, head, mc_samples=4, seed=8,
+                               sample_ids=ids)
+        assert report.per_sample == tuple(
+            ref_sample_triple(x[i : i + 1], int(y[i]), enc_c, enc_cbar, head, 4, 8, sid)
+            for i, sid in enumerate(ids))
+
+    @pytest.mark.parametrize("value", [-1, 2**64, 2.5, "0"])
+    def test_bad_stream_keys_are_refused_before_any_draw(self, monkeypatch, value):
+        rng = np.random.default_rng(27)
+        t, s, enc_c, enc_cbar, head = random_bound_instance(rng)
+        x, y = np.zeros((3, 3)), np.array([0, 1, 1])
+        created = count_philox(monkeypatch)
+        with pytest.raises(ValueError, match="^seed must be an integer in"):
+            estimate_risk(x, y, enc_c, enc_cbar, head, seed=value)
+        with pytest.raises(ValueError, match="^seed must be an integer in"):
+            domain_shift_bound(t, s, enc_c, enc_cbar, head, seed=value)
+        with pytest.raises(ValueError, match="^sample_ids must be an integer in"):
+            estimate_risk(x, y, enc_c, enc_cbar, head, sample_ids=[0, value, 2])
+        assert created == []
 
     def test_sample_ids_must_align(self):
         enc = ShiftEncoder()
@@ -473,6 +501,6 @@ class TestPerRowReference:
             created = count_philox(monkeypatch)
             got = sufficiency_deviation_trial(source, enc, head, prior, n=300, epsilon=0.1,
                                               seed=seed)
-            assert len(created) == 300 + 1
+            assert len(created) == 2  # the pick stream, then one for all 300 draws
             monkeypatch.undo()
             assert got == want

@@ -9,7 +9,9 @@ from pnsrisk.streams import (
     ROLE_SYNTH,
     ROLE_TRAIN,
     SEED_MAX,
+    key_word,
     keyed,
+    keyed_normals,
     keyed_uniforms,
     keyed_words,
 )
@@ -89,6 +91,55 @@ def test_vectorized_uniforms_match_generator_random(count):
         got = keyed_uniforms(seed, ROLE_SYNTH, indices, count)
         want = np.array([keyed(seed, ROLE_SYNTH, i).random(count) for i in indices])
         assert got.tobytes() == want.tobytes()
+
+
+def drawn_normals(seed, role, indices, shape):
+    """Every block keyed_normals yields, copied before the next overwrites it."""
+    blocks = []
+    for start, block in keyed_normals(seed, role, indices, shape):
+        assert start == sum(len(b) for b in blocks) and 1 <= len(block) <= 128
+        blocks.append(block.copy())
+    return np.concatenate(blocks) if blocks else np.empty((0, *shape))
+
+
+@pytest.mark.parametrize("seed", [0, 7, SEED_MAX])
+@pytest.mark.parametrize("n", [0, 3, 128, 300])  # none, below, at and above the 128-row block
+@pytest.mark.parametrize("shape", [(1, 4), (5, 3)])
+def test_keyed_normals_match_one_generator_per_stream(seed, n, shape):
+    # non-contiguous and repeated ids, and the ends of the index range
+    ids = ([0, SEED_MAX, 11, 11, 4, 1000, 3, 11, 2**63, 5] * 30)[:n]
+    got = drawn_normals(seed, ROLE_C, ids, shape)
+    want = np.array([keyed(seed, ROLE_C, i).standard_normal(shape) for i in ids])
+    assert got.shape == (n, *shape)
+    assert got.tobytes() == want.reshape(got.shape).tobytes()
+
+
+def test_keyed_normals_open_one_philox_per_call(monkeypatch):
+    created = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        created.append(None)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    assert drawn_normals(3, ROLE_CBAR, range(300), (32, 16)).shape == (300, 32, 16)
+    assert len(created) == 1
+
+
+@pytest.mark.parametrize("value", [-1, 2**64, 2.5, 2.0, "3", None])
+def test_key_words_outside_the_range_are_refused(value):
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64 - 1\]"):
+        key_word(value, "seed")
+    with pytest.raises(ValueError, match="^seed must be"):
+        keyed(value, ROLE_TRAIN, 0)
+    with pytest.raises(ValueError, match="^index must be"):
+        keyed(0, ROLE_TRAIN, value)
+
+
+def test_key_words_accept_numpy_integers():
+    assert key_word(np.uint64(SEED_MAX), "seed") == SEED_MAX
+    assert key_word(np.int64(5), "seed") == 5
 
 
 def test_no_two_consumers_share_a_key():

@@ -330,6 +330,18 @@ class TestTrainLoop:
                                    "enc_c.mean layer 1 produced a non-finite value")
         assert info.value.step == 4 and len(info.value.trace) == 4
 
+    def test_divergence_in_the_final_report_names_total_steps(self):
+        # cut to four steps, the last update overflows the encoder; the
+        # final risk report's forward checks the layer, so no report is
+        # made from non-finite reps and numpy never warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged) as info:
+                train(crafted_data(), replace(CRAFTED, total_steps=4))
+        assert str(info.value) == ("training diverged at step 4: "
+                                   "enc_c.mean layer 1 produced a non-finite value")
+        assert info.value.step == 4 and len(info.value.trace) == 4
+
     def test_non_finite_input_is_refused_before_step_0(self):
         data = generate(SynthConfig(d=2, n_train=64, seed=1), 64)
         x = data.x.copy()
