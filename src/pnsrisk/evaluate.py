@@ -32,10 +32,14 @@ def _as_matrix(a):
     return a
 
 
-def _centered_distances(a):
+def _centered_distances(a, name):
     """The double-centered Euclidean distance matrix of the rows of a,
-    built in place in one n x n array."""
-    sq = (a * a).sum(axis=1)
+    built in place in one n x n array.  Squared row norms past a quarter
+    of the float range would overflow it: FloatingPointError names a."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (a * a).sum(axis=1)
+    if not sq.max() <= np.finfo(np.float64).max / 4:
+        raise FloatingPointError(f"{name} is out of range for distance correlation")
     d = a @ a.T
     d *= 2.0
     np.subtract(sq[:, None] + sq[None, :], d, out=d)
@@ -71,9 +75,9 @@ def distance_correlation(a, b):
         raise ValueError(f"paired samples must align: {len(a)} vs {len(b)}")
     if len(a) < 2:
         raise ValueError("need at least two observations")
-    ca = _centered_distances(a)
+    ca = _centered_distances(a, "a")
     scratch = np.empty_like(ca)
-    return _dcor(ca, _dvar(ca, scratch), _centered_distances(b), scratch)
+    return _dcor(ca, _dvar(ca, scratch), _centered_distances(b, "b"), scratch)
 
 
 @dataclass(frozen=True)
@@ -98,11 +102,11 @@ def evaluate(data, encoder, head):
         raise ValueError("need at least two observations")
     factors = factor_table(data)
     labels = head.logits_np(reps) >= 0.0
-    ca = _centered_distances(reps)
+    ca = _centered_distances(reps, "representation")
     scratch = np.empty_like(ca)
     dvar = _dvar(ca, scratch)
     # factor_table's columns come in the order of EvalReport's dcor fields
-    dcor = [_dcor(ca, dvar, _centered_distances(_as_matrix(column)), scratch)
+    dcor = [_dcor(ca, dvar, _centered_distances(_as_matrix(column), "factor"), scratch)
             for column in factors.T]
     return EvalReport(*dcor, accuracy=float((labels == data.y).mean()), n=len(data))
 

@@ -169,9 +169,14 @@ class GaussianEncoder:
         return self.mlp.forward(x)
 
     def var_np(self):
+        """The posterior variance; a learned one that overflows raises."""
         if self.fixed_var is not None:
             return np.full(self.rep_dim, self.fixed_var)
-        return np.exp(self.log_var.data)
+        with np.errstate(over="ignore"):
+            var = np.exp(self.log_var.data)
+        if not np.isfinite(var).all():
+            raise FloatingPointError(f"{self.prefix}.log_var produced a non-finite value")
+        return var
 
     def encode_np(self, x):
         mean = self.mlp.forward_np(x)

@@ -18,6 +18,10 @@ Quantities follow the standard causality-of-effects vocabulary:
 * identified PNS: P(Y=y|C=c) - P(Y=y|C=cbar), the observational
   difference that equals PNS under exogeneity plus monotonicity for a
   binary cause.
+
+Each query walks u_values once per call, one row per noise value, and
+takes every measure from those rows once, summed in u order.  Nothing is
+cached on the model or across calls.
 """
 
 from __future__ import annotations
@@ -99,9 +103,6 @@ class DiscreteScm:
 
     # ---- primitive measures ----
 
-    def outcome(self, c, u):
-        return self._table[(c, u)]
-
     def p_cause_given_noise(self, c, u):
         return self._cond_cause[u][c]
 
@@ -125,22 +126,7 @@ class DiscreteScm:
 
     def p_outcome_given_cause(self, c, y):
         pc = self.p_cause(c)
-        if pc <= 0.0:
-            raise UndefinedConditionalError(f"conditioning on C={c}, which has zero probability")
-        return self.p_joint(c, y) / pc
-
-    def posterior_u(self, c, y, term):
-        """P(U | C=c, Y=y) as a list aligned with u_values."""
-        weights = [
-            pu * self._cond_cause[u][c] if self._table[(c, u)] == y else 0.0
-            for u, pu in zip(self.u_values, self.u_probs)
-        ]
-        total = sum(weights)
-        if total <= 0.0:
-            raise UndefinedConditionalError(
-                f"{term}: conditioning event (C={c}, Y={y}) has zero probability"
-            )
-        return [w / total for w in weights]
+        return _conditional(self.p_joint(c, y), pc, c)
 
 
 def _validate_query(scm, c, c_bar, y):
@@ -150,6 +136,43 @@ def _validate_query(scm, c, c_bar, y):
         raise ValueError(f"cause values {c}, {c_bar} must come from {scm.c_values}")
     if y not in (0, 1):
         raise ValueError(f"y must be 0 or 1, got {y}")
+
+
+def _walk(scm, c, c_bar, y):
+    """The one walk over u_values behind every measure of the query
+    (c, cbar, y): per u, in u_values order, the row
+    (P(u), f(c,u) == y, f(cbar,u) == y, P(C=c|u), P(C=cbar|u))."""
+    cond, table = scm._cond_cause, scm._table
+    return [(pu, table[(c, u)] == y, table[(c_bar, u)] == y, cond[u][c], cond[u][c_bar])
+            for u, pu in zip(scm.u_values, scm.u_probs)]
+
+
+def _sums(rows):
+    """P(C=c, Y=y), P(C=cbar, Y=y), P(C=cbar, Y!=y), P(Y=y|do(c)),
+    P(Y=y|do(cbar)), P(C=c) and P(C=cbar), each summed once in u order."""
+    return (sum(pu * pc for pu, hit_c, _, pc, _ in rows if hit_c),
+            sum(pu * pb for pu, _, hit_b, _, pb in rows if hit_b),
+            sum(pu * pb for pu, _, hit_b, _, pb in rows if not hit_b),
+            sum(pu for pu, hit_c, _, _, _ in rows if hit_c),
+            sum(pu for pu, _, hit_b, _, _ in rows if hit_b),
+            sum(pu * pc for pu, _, _, pc, _ in rows),
+            sum(pu * pb for pu, _, _, _, pb in rows))
+
+
+def _conditional(joint, mass, c):
+    if mass <= 0.0:
+        raise UndefinedConditionalError(f"conditioning on C={c}, which has zero probability")
+    return joint / mass
+
+
+def _posterior(weights, term, c, y):
+    """P(U | C=c, Y=y) from the event's weights over u, normalized over
+    every u (zero weights kept), and the event's mass."""
+    total = sum(weights)
+    if total <= 0.0:
+        raise UndefinedConditionalError(
+            f"{term}: conditioning event (C={c}, Y={y}) has zero probability")
+    return [w / total for w in weights], total
 
 
 def pns_exact(scm, c, c_bar, y):
@@ -162,43 +185,42 @@ def pns_exact(scm, c, c_bar, y):
     zero-probability conditioning event raises rather than vanishing.
     """
     _validate_query(scm, c, c_bar, y)
-    post_suff = scm.posterior_u(c_bar, 1 - y, "sufficiency term")
-    suff = sum(
-        w for u, w in zip(scm.u_values, post_suff) if scm.outcome(c, u) == y
-    )
-    post_nec = scm.posterior_u(c, y, "necessity term")
-    nec = sum(
-        w for u, w in zip(scm.u_values, post_nec) if scm.outcome(c_bar, u) != y
-    )
-    return suff * scm.p_joint(c_bar, 1 - y) + nec * scm.p_joint(c, y)
+    return _pns(_walk(scm, c, c_bar, y), c, c_bar, y)
+
+
+def _pns(rows, c, c_bar, y):
+    post, mass = _posterior([pu * pb if not hit_b else 0.0 for pu, _, hit_b, _, pb in rows],
+                            "sufficiency term", c_bar, 1 - y)
+    suff = sum(w for w, (_, hit_c, _, _, _) in zip(post, rows) if hit_c) * mass
+    post, mass = _posterior([pu * pc if hit_c else 0.0 for pu, hit_c, _, pc, _ in rows],
+                            "necessity term", c, y)
+    return suff + sum(w for w, (_, _, hit_b, _, _) in zip(post, rows) if not hit_b) * mass
 
 
 def pns_identified(scm, c, c_bar, y):
     """Observational difference P(Y=y|C=c) - P(Y=y|C=cbar)."""
     _validate_query(scm, c, c_bar, y)
-    return scm.p_outcome_given_cause(c, y) - scm.p_outcome_given_cause(c_bar, y)
+    joint_c, joint_cbar, _, _, _, mass_c, mass_cbar = _sums(_walk(scm, c, c_bar, y))
+    return _conditional(joint_c, mass_c, c) - _conditional(joint_cbar, mass_cbar, c_bar)
 
 
 def check_monotonicity(scm, c, c_bar, y):
     """True when one joint counterfactual direction carries no mass,
     i.e. P(f(c,U)=y and f(cbar,U)!=y) = 0 or its mirror is 0."""
     _validate_query(scm, c, c_bar, y)
-    up = sum(
-        pu
-        for u, pu in zip(scm.u_values, scm.u_probs)
-        if scm.outcome(c, u) == y and scm.outcome(c_bar, u) != y
-    )
-    down = sum(
-        pu
-        for u, pu in zip(scm.u_values, scm.u_probs)
-        if scm.outcome(c, u) != y and scm.outcome(c_bar, u) == y
-    )
+    return _monotone(_walk(scm, c, c_bar, y))
+
+
+def _monotone(rows):
+    up = sum(pu for pu, hit_c, hit_b, _, _ in rows if hit_c and not hit_b)
+    down = sum(pu for pu, hit_c, hit_b, _, _ in rows if not hit_c and hit_b)
     return up <= _ATOL or down <= _ATOL
 
 
 def check_exogeneity(scm, c, y):
     """True when intervening and observing agree: P(Y=y|do(c)) = P(Y=y|C=c)."""
-    return abs(scm.p_do(c, y) - scm.p_outcome_given_cause(c, y)) <= _ATOL
+    joint, _, _, do, _, mass, _ = _sums(_walk(scm, c, c, y))  # both columns are c
+    return abs(do - _conditional(joint, mass, c)) <= _ATOL
 
 
 def necessity_ratio(p_y, p_y_do_cbar, p_joint_c_y):
@@ -236,17 +258,21 @@ class PnsReport:
 
 
 def analyze(scm, c, c_bar, y):
-    """Full PnsReport for one query on one model."""
+    """Full PnsReport for one query on one model, each measure taken once
+    from one walk over the noise values."""
     _validate_query(scm, c, c_bar, y)
-    p_y = scm.p_outcome(y)
-    report = PnsReport(
-        pn=necessity_ratio(p_y, scm.p_do(c_bar, y), scm.p_joint(c, y)),
-        ps=sufficiency_ratio(scm.p_do(c, y), p_y, scm.p_joint(c_bar, 1 - y)),
-        pns=pns_exact(scm, c, c_bar, y),
-        identified_pns=pns_identified(scm, c, c_bar, y),
-        monotone=check_monotonicity(scm, c, c_bar, y),
-        exogenous=check_exogeneity(scm, c, y) and check_exogeneity(scm, c_bar, y),
-    )
+    rows = _walk(scm, c, c_bar, y)
+    joint_c, joint_cbar, joint_cbar_ybar, do_c, do_cbar, mass_c, mass_cbar = _sums(rows)
+    p_y = sum(joint_c if v == c else joint_cbar if v == c_bar else scm.p_joint(v, y)
+              for v in scm.c_values)
+    # each term in the order its error takes precedence
+    pn = necessity_ratio(p_y, do_cbar, joint_c)
+    ps = sufficiency_ratio(do_c, p_y, joint_cbar_ybar)
+    pns = _pns(rows, c, c_bar, y)
+    given_c = _conditional(joint_c, mass_c, c)
+    given_cbar = _conditional(joint_cbar, mass_cbar, c_bar)
+    report = PnsReport(pn, ps, pns, given_c - given_cbar, _monotone(rows),
+                       abs(do_c - given_c) <= _ATOL and abs(do_cbar - given_cbar) <= _ATOL)
     if len(scm.c_values) == 2 and report.monotone and report.exogenous:
         # for a binary cause the two conditional terms exhaust the
         # observational difference, so the exact and identified values

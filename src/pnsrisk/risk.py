@@ -155,22 +155,24 @@ def estimate_risk(x, y, enc_c, enc_cbar, head, mc_samples=_DEFAULT_MC, seed=0,
                       mc_samples=mc_samples)
 
 
+def _betas(t, s, ks):
+    """beta_divergence at each order in ks, from one list of the
+    likelihood ratios T(p)/S(p) over the listed points of S."""
+    pairs = []
+    for point, prob in zip(s.points, s.probs):
+        if prob <= 0.0:
+            raise MalformedDomainError(f"S lists {point} with zero mass")
+        pairs.append((prob, t.mass(point) / prob))
+    return [max(r for _, r in pairs) if k == math.inf
+            else sum(w * r**k for w, r in pairs) ** (1.0 / k) for k in ks]
+
+
 def beta_divergence(t, s, k):
     """k-th moment of the likelihood ratio T/S on the support of S:
     (sum_p S(p) (T(p)/S(p))^k)^(1/k); k = inf gives the max ratio."""
     if k != math.inf and k < 1:
         raise ValueError(f"k must be >= 1 or inf, got {k}")
-    ratios = []
-    weights = []
-    for point, prob in zip(s.points, s.probs):
-        if prob <= 0.0:
-            raise MalformedDomainError(f"S lists {point} with zero mass")
-        ratios.append(t.mass(point) / prob)
-        weights.append(prob)
-    if k == math.inf:
-        return max(ratios)
-    acc = sum(w * r**k for w, r in zip(weights, ratios))
-    return acc ** (1.0 / k)
+    return _betas(t, s, (k,))[0]
 
 
 def gaussian_kl(q_mean, q_var, p_mean, p_var):
@@ -230,27 +232,31 @@ def domain_shift_bound(t, s, enc_c, enc_cbar, head, mc_samples=_DEFAULT_MC, seed
         rhs  = M_T + beta_inf 2 SF_S + eta              (m_under_test)
 
     eta charges the T-mass outside supp(S) at the worst per-point risk.
+    Each support and its masses are read once, and S's likelihood ratios
+    are listed once for beta_inf and every order in k_trace.
     """
-    union = sorted(set(t.support()) | set(s.support()))
+    t_points = [(p, t.mass(p)) for p in t.support()]
+    s_points = [(p, s.mass(p)) for p in s.support()]
+    union = sorted({p for p, _ in t_points} | {p for p, _ in s_points})
     x = np.array([point[0] for point in union], dtype=np.float64)
     rows = _risk_rows(head, enc_c.encode_np(x), enc_cbar.encode_np(x),
                       [point[1] for point in union], mc_samples, seed, range(len(union)))
     triples = dict(zip(union, zip(*(r.tolist() for r in rows))))
-    lhs = sum(t.mass(p) * (triples[p][0] + triples[p][1]) for p in t.support())
-    m_s = sum(s.mass(p) * triples[p][2] for p in s.support())
-    sf_s = sum(s.mass(p) * triples[p][0] for p in s.support())
-    beta_inf = beta_divergence(t, s, math.inf)
-    outside = [p for p in t.support() if s.mass(p) <= 0.0]
-    out_mass = sum(t.mass(p) for p in outside)
-    sup_out = max((triples[p][0] + triples[p][1] for p in outside), default=0.0)
+    lhs = sum(w * (triples[p][0] + triples[p][1]) for p, w in t_points)
+    m_s = sum(w * triples[p][2] for p, w in s_points)
+    sf_s = sum(w * triples[p][0] for p, w in s_points)
+    *betas, beta_inf = _betas(t, s, (*_K_TRACE, math.inf))
+    outside = [(p, w) for p, w in t_points if s.mass(p) <= 0.0]
+    out_mass = sum(w for _, w in outside)
+    sup_out = max((triples[p][0] + triples[p][1] for p, _ in outside), default=0.0)
     eta = out_mass * sup_out
     if m_under_test:
-        m_term = sum(t.mass(p) * triples[p][2] for p in t.support())
+        m_term = sum(w * triples[p][2] for p, w in t_points)
         rhs = m_term + beta_inf * 2.0 * sf_s + eta
     else:
         m_term = m_s
         rhs = beta_inf * (m_s + 2.0 * sf_s) + eta
-    trace = tuple((k, beta_divergence(t, s, k)) for k in _K_TRACE) + ((math.inf, beta_inf),)
+    trace = (*zip(_K_TRACE, betas), (math.inf, beta_inf))
     return BoundReport(
         lhs=lhs, rhs=rhs, beta_inf=beta_inf, eta=eta, m_term=m_term, sf_term=sf_s,
         k_trace=trace, holds=lhs <= rhs + 1e-9, m_under_test=m_under_test,

@@ -402,7 +402,9 @@ def test_train_divergence_in_the_final_report_is_one_error_line(tmp_path, capsys
     assert (run_dir / "trace.csv").exists() and not (run_dir / "model.ckpt").exists()
 
 
-def test_eval_overflow_is_one_error_line(tmp_path, capsys):
+def eval_with_parameter_set(tmp_path, capsys, name, value):
+    """Train a small model, fill one of its parameters with value, then run
+    eval with warnings as errors; returns (exit status, stderr, eval.csv)."""
     data_csv = tmp_path / "data.csv"
     main(["synth", "--d", "2", "--n", "64", "--seed", "3", "--out", str(data_csv)])
     config = tmp_path / "train.cfg"
@@ -411,16 +413,34 @@ def test_eval_overflow_is_one_error_line(tmp_path, capsys):
     assert main(["train", "--config", str(config), "--data", str(data_csv),
                  "--out", str(run_dir)]) == 0
     params, meta = load_checkpoint(run_dir / "model.ckpt")
-    params["enc_c.mean.w0"] = np.full_like(params["enc_c.mean.w0"], 1e308)
+    params[name] = np.full_like(params[name], value)
     save_checkpoint(run_dir / "model.ckpt", params, meta=meta)
     capsys.readouterr()
     eval_csv = tmp_path / "eval.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["eval", "--checkpoint", str(run_dir / "model.ckpt"),
-                     "--data", str(data_csv), "--out", str(eval_csv)]) == 1
-    assert capsys.readouterr().err == (
-        "error: enc_c.mean layer 0 produced a non-finite value\n")
+        status = main(["eval", "--checkpoint", str(run_dir / "model.ckpt"),
+                       "--data", str(data_csv), "--out", str(eval_csv)])
+    return status, capsys.readouterr().err, eval_csv
+
+
+def test_eval_overflow_is_one_error_line(tmp_path, capsys):
+    status, err, eval_csv = eval_with_parameter_set(tmp_path, capsys, "enc_c.mean.w0", 1e308)
+    assert status == 1
+    assert err == "error: enc_c.mean layer 0 produced a non-finite value\n"
+    assert not eval_csv.exists()
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("enc_c.log_var", 800.0, "enc_c.log_var produced a non-finite value"),
+    # finite representations around 1e200, whose squared norms overflow
+    ("enc_c.mean.w0", 1e200, "representation is out of range for distance correlation"),
+])
+def test_eval_on_finite_overflowing_parameters_is_one_error_line(tmp_path, capsys, name,
+                                                                  value, message):
+    status, err, eval_csv = eval_with_parameter_set(tmp_path, capsys, name, value)
+    assert status == 1
+    assert err == f"error: {message}\n"
     assert not eval_csv.exists()
 
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -158,6 +159,41 @@ class TestEvaluate:
         report = evaluate(data, enc, head)
         assert report.dcor_sp > 0.5
         assert report.dcor_sn > 0.5  # sp == sn at s=1, so both light up
+
+
+class TestOverflow:
+    """A finite input whose squared row norms overflow is refused, naming
+    it, before numpy warns or a nan reaches a report."""
+
+    def test_evaluate_names_the_representation(self):
+        data = generate(SynthConfig(seed=3), 64)
+        enc = GaussianEncoder(data.x.shape[1], rep_dim=4, hidden=(8, 6),
+                              rng=np.random.default_rng(3))
+        enc.mlp.weights[0].data *= 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match="^representation is out of range for distance correlation"):
+                evaluate(data, enc, LinearHead(4))
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_distance_correlation_names_its_argument(self, side):
+        rng = np.random.default_rng(5)
+        small = rng.standard_normal((20, 3))
+        big = small * 1e160
+        a, b = (big, small) if side == "a" else (small, big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match=f"^{side} is out of range for distance correlation"):
+                distance_correlation(a, b)
+
+    def test_largest_admitted_norm_is_admitted(self):
+        # squared row norms up to a quarter of the float range pass
+        a = np.array([[0.0], [np.sqrt(np.finfo(np.float64).max / 4)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(distance_correlation(a, [0.0, 1.0]) - 1.0) < 1e-12
 
 
 class TestGroupAccuracy:

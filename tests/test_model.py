@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,17 @@ class TestEncoder:
         enc = GaussianEncoder(4, rep_dim=3, fixed_var=0.001)
         assert np.allclose(enc.var_np(), 0.001)
         assert enc.log_var is None
+
+    def test_learned_variance_overflow_names_log_var(self):
+        enc = GaussianEncoder(4, rep_dim=3, hidden=(8, 5), prefix="enc_c")
+        enc.log_var.data[:] = [0.0, 800.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match="^enc_c.log_var produced a non-finite value$"):
+                enc.var_np()
+            with pytest.raises(FloatingPointError, match="^enc_c.log_var"):
+                enc.encode_np(np.zeros((2, 4)))
 
     def test_fixed_variance_positive(self):
         with pytest.raises(ValueError):

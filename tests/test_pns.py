@@ -3,6 +3,7 @@ import pytest
 
 from pnsrisk.pns import (
     DiscreteScm,
+    PnsReport,
     UndefinedConditionalError,
     analyze,
     check_exogeneity,
@@ -164,7 +165,15 @@ class TestIdentification:
     def test_analyze_raises_when_identification_breaks(self, cat_legs_scm, monkeypatch):
         import pnsrisk.pns as pns
 
-        monkeypatch.setattr(pns, "pns_identified", lambda *args: 0.75)
+        walk = pns._walk
+
+        def cause_table_off(*args):
+            # P(C=c|u) = P(C=cbar|u) = 0.75 is no distribution: the cause
+            # stays exogenous and the mechanism monotone, but the exact PNS
+            # grows by 1.5 while the identified difference does not
+            return [(pu, hit_c, hit_b, 0.75, 0.75) for pu, hit_c, hit_b, _, _ in walk(*args)]
+
+        monkeypatch.setattr(pns, "_walk", cause_table_off)
         with pytest.raises(RuntimeError, match="disagree on an identifiable model"):
             analyze(cat_legs_scm, 1, 0, 1)
 
@@ -174,6 +183,98 @@ class TestIdentification:
         ident = pns_identified(scm, 1, 0, 1)
         assert abs(exact - 0.85) < ATOL
         assert abs(ident - 0.7) < ATOL
+
+
+def report_from_primitives(scm, c, c_bar, y):
+    """The PnsReport assembled from the public measures, one call each."""
+    p_y = scm.p_outcome(y)
+    return PnsReport(
+        pn=necessity_ratio(p_y, scm.p_do(c_bar, y), scm.p_joint(c, y)),
+        ps=sufficiency_ratio(scm.p_do(c, y), p_y, scm.p_joint(c_bar, 1 - y)),
+        pns=pns_exact(scm, c, c_bar, y),
+        identified_pns=pns_identified(scm, c, c_bar, y),
+        monotone=check_monotonicity(scm, c, c_bar, y),
+        exogenous=check_exogeneity(scm, c, y) and check_exogeneity(scm, c_bar, y),
+    )
+
+
+# c_probs_given_u 0 0.7 0.3 / 1 0.2 0.8 over the cat-legs mechanism
+CONFOUNDED = DiscreteScm(
+    c_values=(0, 1),
+    u_values=(0, 1),
+    u_probs=(0.4, 0.6),
+    cause_table={0: {0: 0.7, 1: 0.3}, 1: {0: 0.2, 1: 0.8}},
+    mechanism=lambda c, u: 1 if c == 1 else u,
+)
+
+
+class TestOneWalk:
+    """analyze takes every measure once from one walk over the noise
+    values; its report must equal the one built from the public measures,
+    bit for bit."""
+
+    def test_random_identifiable_models(self):
+        rng = np.random.default_rng(7)
+        for _ in range(1000):
+            scm = random_identifiable_scm(rng)
+            assert analyze(scm, 1, 0, 1) == report_from_primitives(scm, 1, 0, 1)
+
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_ternary_cause_every_ordered_pair(self, eye_size_scm, y):
+        scm = eye_size_scm
+        for c in scm.c_values:
+            for c_bar in scm.c_values:
+                if c == c_bar:
+                    continue
+                try:
+                    want = report_from_primitives(scm, c, c_bar, y)
+                except UndefinedConditionalError as exc:
+                    with pytest.raises(UndefinedConditionalError) as info:
+                        analyze(scm, c, c_bar, y)
+                    assert str(info.value) == str(exc)
+                else:
+                    assert analyze(scm, c, c_bar, y) == want
+
+    def test_confounded_table(self):
+        report = analyze(CONFOUNDED, 1, 0, 1)
+        assert report == report_from_primitives(CONFOUNDED, 1, 0, 1)
+        assert (report.pn, report.ps, report.pns, report.identified_pns) == (
+            0.2, 1.0000000000000002, 0.39999999999999997, 0.7)
+        assert report.monotone and not report.exogenous and not report.within_unit_range
+
+    @pytest.mark.parametrize("mechanism, query, error, message", [
+        # the necessity ratio's zero joint is reported before the sufficiency ratio's
+        (lambda c, u: c, (0, 1, 1), UndefinedConditionalError,
+         "necessity ratio: P(C=c, Y=y) is zero"),
+        (lambda c, u: 1 if c == 1 else u, (0, 1, 1), UndefinedConditionalError,
+         "sufficiency ratio: P(C=cbar, Y!=y) is zero"),
+        (lambda c, u: c, (1, 1, 1), ValueError, "c and cbar must differ"),
+        (lambda c, u: c, (2, 0, 1), ValueError, "cause values 2, 0 must come from (0, 1)"),
+        (lambda c, u: c, (1, 0, 2), ValueError, "y must be 0 or 1, got 2"),
+    ])
+    def test_degenerate_queries(self, mechanism, query, error, message):
+        with pytest.raises(error) as info:
+            analyze(bernoulli_cause_scm(mechanism), *query)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_posterior_and_cause_errors_in_order(self):
+        # f = 0 everywhere: (C=1, Y=1) never happens, (C=0, Y=0) always can
+        scm = bernoulli_cause_scm(lambda c, u: 0)
+        with pytest.raises(UndefinedConditionalError) as info:
+            pns_exact(scm, 1, 0, 1)
+        assert str(info.value) == (
+            "necessity term: conditioning event (C=1, Y=1) has zero probability")
+        with pytest.raises(UndefinedConditionalError) as info:
+            pns_exact(scm, 0, 1, 0)
+        assert str(info.value) == (
+            "sufficiency term: conditioning event (C=1, Y=1) has zero probability")
+        never = DiscreteScm((0, 1, 2), (0,), (1.0,), {0: 1.0, 1: 0.0, 2: 0.0},
+                            lambda c, u: 1)
+        for c, c_bar in ((1, 2), (1, 0), (0, 2)):
+            with pytest.raises(UndefinedConditionalError) as info:
+                pns_identified(never, c, c_bar, 1)
+            cause = c if c else c_bar
+            assert str(info.value) == f"conditioning on C={cause}, which has zero probability"
 
 
 class TestScmFile:

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pnsrisk.model import GaussianEncoder, GaussianPrior, LinearHead
 from pnsrisk.risk import (
+    BoundReport,
     DiscreteDomain,
     MalformedDomainError,
     beta_divergence,
@@ -15,6 +17,7 @@ from pnsrisk.risk import (
     random_bound_instance,
     sufficiency_deviation_trial,
     true_sufficiency_risk,
+    _risk_rows,
 )
 from pnsrisk.streams import ROLE_C, ROLE_CBAR, ROLE_PICK, keyed
 
@@ -58,6 +61,11 @@ def ref_shift_terms(t, s, enc_c, enc_cbar, head, mc_samples, seed):
                              enc_c, enc_cbar, head, mc_samples, seed, idx)
         for idx, p in enumerate(union)
     }
+    return shift_terms(t, s, triples)
+
+
+def shift_terms(t, s, triples):
+    """(lhs, m_s, sf_s, eta, m_t) of the shift bound from per-point triples."""
     lhs = sum(t.mass(p) * (triples[p][0] + triples[p][1]) for p in t.support())
     m_s = sum(s.mass(p) * triples[p][2] for p in s.support())
     sf_s = sum(s.mass(p) * triples[p][0] for p in s.support())
@@ -182,6 +190,18 @@ class TestEstimateRisk:
         want = np.mean([gaussian_kl(mu, var[0], prior.mean, prior.var) for mu in mean])
         assert abs(report.kl_c - want) < 1e-12
         assert report.kl_c == report.kl_cbar
+
+    def test_overflowing_learned_variance_is_refused(self):
+        enc = GaussianEncoder(2, rep_dim=2, hidden=(4, 3), rng=np.random.default_rng(4),
+                              prefix="enc_c")
+        twin = GaussianEncoder(2, rep_dim=2, hidden=(4, 3), rng=np.random.default_rng(5))
+        enc.log_var.data[:] = 800.0
+        x, y = np.random.default_rng(6).standard_normal((64, 2)), np.zeros(64, dtype=int)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match="^enc_c.log_var produced a non-finite value$"):
+                estimate_risk(x, y, enc, twin, LinearHead(2))
 
     def test_input_validation(self):
         enc = ShiftEncoder()
@@ -491,6 +511,41 @@ class TestPerRowReference:
                    else beta * (m_s + 2.0 * sf_s) + eta)
             assert (report.lhs, report.rhs, report.eta, report.sf_term) == (lhs, rhs, eta, sf_s)
             assert report.m_term == (m_t if m_under_test else m_s)
+
+    @pytest.mark.parametrize("m_under_test", [False, True])
+    def test_domain_shift_bound_matches_its_parts(self, m_under_test):
+        # the whole report, against _risk_rows on the union and one
+        # beta_divergence call per order
+        rng = np.random.default_rng(19)
+        for i in range(60):
+            t, s, enc_c, enc_cbar, head = random_bound_instance(rng, out_of_support=i % 2 == 0)
+            union = sorted(set(t.support()) | set(s.support()))
+            x = np.array([p[0] for p in union], dtype=np.float64)
+            rows = _risk_rows(head, enc_c.encode_np(x), enc_cbar.encode_np(x),
+                              [p[1] for p in union], 8, i, range(len(union)))
+            triples = dict(zip(union, zip(*(r.tolist() for r in rows))))
+            lhs, m_s, sf_s, eta, m_t = shift_terms(t, s, triples)
+            beta = beta_divergence(t, s, INF)
+            rhs = (m_t + beta * 2.0 * sf_s + eta if m_under_test
+                   else beta * (m_s + 2.0 * sf_s) + eta)
+            want = BoundReport(
+                lhs=lhs, rhs=rhs, beta_inf=beta, eta=eta,
+                m_term=m_t if m_under_test else m_s, sf_term=sf_s,
+                k_trace=tuple((k, beta_divergence(t, s, k)) for k in (2, 4, 8, 16, 64, INF)),
+                holds=lhs <= rhs + 1e-9, m_under_test=m_under_test)
+            assert domain_shift_bound(t, s, enc_c, enc_cbar, head, mc_samples=8, seed=i,
+                                      m_under_test=m_under_test) == want
+
+    def test_domain_shift_bound_refuses_a_zero_mass_point_of_s(self):
+        rng = np.random.default_rng(20)
+        t, s, enc_c, enc_cbar, head = random_bound_instance(rng)
+        bad = DiscreteDomain(s.points + (((9.0, 9.0, 9.0), 1),), s.probs + (0.0,))
+        with pytest.raises(MalformedDomainError,
+                           match=r"^S lists \(\(9.0, 9.0, 9.0\), 1\) with zero mass$"):
+            domain_shift_bound(t, bad, enc_c, enc_cbar, head, mc_samples=4)
+        # the stream key is checked first, as before any draw
+        with pytest.raises(ValueError, match="^seed must be an integer in"):
+            domain_shift_bound(t, bad, enc_c, enc_cbar, head, mc_samples=4, seed=-1)
 
     def test_deviation_trial_matches_per_pick(self, monkeypatch):
         rng = np.random.default_rng(18)

@@ -342,6 +342,31 @@ class TestTrainLoop:
                                    "enc_c.mean layer 1 produced a non-finite value")
         assert info.value.step == 4 and len(info.value.trace) == 4
 
+    def test_log_var_overflow_in_the_last_update_names_total_steps(self, monkeypatch):
+        # the last update leaves a learned log-variance whose exp overflows;
+        # the final report's variance check names it, with no numpy warning
+        train_module = importlib.import_module("pnsrisk.train")
+        cfg = TrainConfig(total_steps=3, max_every=100, seed=1, **SMALL)
+        sgd = train_module._sgd
+        updates = []
+
+        def last_update_overflows(params, *args):
+            sgd(params, *args)
+            updates.append(None)
+            if len(updates) == cfg.total_steps:
+                for p in params:
+                    if p.name == "enc_c.log_var":
+                        p.data[:] = 800.0
+
+        monkeypatch.setattr(train_module, "_sgd", last_update_overflows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged) as info:
+                train(tiny_data(), cfg)
+        assert str(info.value) == ("training diverged at step 3: "
+                                   "enc_c.log_var produced a non-finite value")
+        assert info.value.step == 3 and len(info.value.trace) == 3
+
     def test_non_finite_input_is_refused_before_step_0(self):
         data = generate(SynthConfig(d=2, n_train=64, seed=1), 64)
         x = data.x.copy()
