@@ -8,11 +8,12 @@ that depend on one of the leaves: the backward rules of everything else
 (constant inputs, another player's subgraph) never run, and those nodes
 keep the .grad they had.
 
-The package builds every loss term as one fused node with a numpy
-forward and an analytic backward (see pnsrisk.model and pnsrisk.train),
-so this module holds no elementwise or reduction ops of its own: the
-per-op reference those fused nodes are tested against lives in
-tests/reference_ops.py.
+The training step builds each player's loss as one node whose parents
+are that player's parameters and whose backward is an analytic
+vector-Jacobian product (see pnsrisk.train); the public per-term ops of
+pnsrisk.model and pnsrisk.train are one node each.  So this module holds
+no elementwise or reduction ops of its own: the per-op reference those
+nodes are tested against lives in tests/reference_ops.py.
 """
 
 from __future__ import annotations
@@ -131,11 +132,13 @@ def _toposort(root, needed=None):
     return order
 
 
-def sigmoid_np(x):
+def sigmoid_np(x, e=None):
     """Logistic function of an array, stable in both tails: with
     e = exp(-|x|), which never overflows, it is 1 / (1 + e) for x >= 0
-    and e / (1 + e) below."""
-    e = np.exp(-np.abs(x))
+    and e / (1 + e) below.  A caller that already holds exp(-|x|) passes
+    it as e."""
+    if e is None:
+        e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0.0, 1.0 / d, e / d)
 

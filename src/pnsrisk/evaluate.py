@@ -14,6 +14,7 @@ product goes through one scratch matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,18 +55,30 @@ def _centered_distances(a, name):
     return d
 
 
-def _dvar(c, scratch):
-    """dVar^2 of a centered matrix c, its product formed in scratch."""
-    return float(np.multiply(c, c, out=scratch).mean())
+def _dvar(c, scratch, name):
+    """dVar^2 of a centered matrix c, its product formed in scratch.
+    A mean of squares that overflows raises FloatingPointError naming
+    the input."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dvar = float(np.multiply(c, c, out=scratch).mean())
+    if not math.isfinite(dvar):
+        raise FloatingPointError(f"{name} is out of range for distance correlation")
+    return dvar
 
 
-def _dcor(ca, dvar_a, cb, scratch):
-    """Distance correlation from centered matrices, given dVar^2 of ca."""
+def _dcor(ca, dvar_a, cb, scratch, names):
+    """Distance correlation from centered matrices, given dVar^2 of ca;
+    names are the two inputs'.  dCov^2 is bounded by the two finite
+    dVar^2, but their product can overflow: FloatingPointError."""
+    dvar_b = _dvar(cb, scratch, names[1])
     dcov2 = float(np.multiply(ca, cb, out=scratch).mean())
-    dvar_b = _dvar(cb, scratch)
     if dvar_a <= 0.0 or dvar_b <= 0.0:
         return 0.0
-    return float(np.sqrt(max(dcov2, 0.0) / np.sqrt(dvar_a * dvar_b)))
+    product = dvar_a * dvar_b
+    if not math.isfinite(product):
+        raise FloatingPointError(
+            f"{names[0]} and {names[1]} are out of range for distance correlation")
+    return float(np.sqrt(max(dcov2, 0.0) / np.sqrt(product)))
 
 
 def distance_correlation(a, b):
@@ -77,7 +90,7 @@ def distance_correlation(a, b):
         raise ValueError("need at least two observations")
     ca = _centered_distances(a, "a")
     scratch = np.empty_like(ca)
-    return _dcor(ca, _dvar(ca, scratch), _centered_distances(b, "b"), scratch)
+    return _dcor(ca, _dvar(ca, scratch, "a"), _centered_distances(b, "b"), scratch, ("a", "b"))
 
 
 @dataclass(frozen=True)
@@ -104,9 +117,10 @@ def evaluate(data, encoder, head):
     labels = head.logits_np(reps) >= 0.0
     ca = _centered_distances(reps, "representation")
     scratch = np.empty_like(ca)
-    dvar = _dvar(ca, scratch)
+    dvar = _dvar(ca, scratch, "representation")
     # factor_table's columns come in the order of EvalReport's dcor fields
-    dcor = [_dcor(ca, dvar, _centered_distances(_as_matrix(column), "factor"), scratch)
+    dcor = [_dcor(ca, dvar, _centered_distances(_as_matrix(column), "factor"), scratch,
+                  ("representation", "factor"))
             for column in factors.T]
     return EvalReport(*dcor, accuracy=float((labels == data.y).mean()), n=len(data))
 

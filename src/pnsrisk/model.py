@@ -7,10 +7,14 @@ Sampling is reparameterized (mean + sd * eps) so gradients reach the
 encoder parameters.  The labeler is the linear rule sign(c @ w), with no
 bias; the tie c @ w = 0 maps to label 1.
 
-Every graph op here is fused: the MLP, the KL term, the draw and both
-surrogates are each one graph node with a numpy forward and an analytic
-backward.  tests/reference_ops.py builds the same values node by node
-from generic ops and is the reference they are tested against.
+The math of each term (the MLP, the KL term, the draw and both
+surrogates) lives in one numpy function that returns its value and its
+vector-Jacobian product (vjp).  The training step calls those functions
+directly (pnsrisk.train.casn_objective); the public ops (Mlp.forward,
+GaussianEncoder.encode / kl_node / draw, surrogate_sf, surrogate_m)
+wrap them as one graph node each.  tests/reference_ops.py builds the
+same values node by node from generic ops and is the reference they are
+tested against.
 
 Two differentiable surrogates stand in for the indicator quantities:
 
@@ -24,7 +28,7 @@ both of which approach the indicators as |w.c| grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +48,46 @@ __all__ = [
 ]
 
 
+def _layers(weights, biases, h, names, inputs=None, pres=None):
+    """The affine+ELU hidden layers, then the linear output layer, on the
+    array h.  Every pre-activation is checked for finiteness, with an
+    error naming the layer: an ELU maps -inf to -1, so a check of the
+    output alone would hide an overflow.  Given lists, the graph path
+    collects each layer's input and each hidden pre-activation.  Stacked
+    weights (2, a, b) and biases (2, 1, b) run a pair of MLPs at once."""
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if inputs is not None:
+            inputs.append(h)
+        h = h @ w + b
+        if not np.isfinite(h).all():
+            raise FloatingPointError(f"{names[i]} produced a non-finite value")
+        if i == last:
+            return h
+        if pres is not None:
+            pres.append(h)
+        h = np.where(h > 0.0, h, np.expm1(np.minimum(h, 0.0)))
+
+
+def _mlp_vjp(weights, inputs, pres):
+    """The backward of one _layers forward: maps the gradient at its
+    output to the gradients of (w0, b0, w1, b1, ...)."""
+    last = len(weights) - 1
+
+    def vjp(g):
+        grads = [None] * (2 * last + 2)
+        for i in range(last, -1, -1):
+            if i != last:
+                g = g * np.exp(np.minimum(pres[i], 0.0))  # exactly 1 where pre > 0
+            grads[2 * i] = inputs[i].T @ g
+            grads[2 * i + 1] = g.sum(axis=0)
+            if i:
+                g = g @ weights[i].T
+        return grads
+
+    return vjp
+
+
 class Mlp:
     """in -> 128 -> 32 -> out, ELU between layers, linear output."""
 
@@ -60,58 +104,36 @@ class Mlp:
             self.weights.append(w)
             self.biases.append(parameter(np.zeros(b), name=f"{prefix}.b{i}"))
 
-    def _stack(self, h, inputs=None, pres=None):
-        """The affine+ELU hidden layers, then the linear output layer, on
-        the array h.  Every pre-activation is checked for finiteness, with
-        an error naming the layer: an ELU maps -inf to -1, so a check of
-        the output alone would hide an overflow.  Given lists, the graph
-        path collects each layer's input and each hidden pre-activation."""
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if inputs is not None:
-                inputs.append(h)
-            h = h @ w.data + b.data
-            if not np.isfinite(h).all():
-                raise FloatingPointError(f"{self.layer_names[i]} produced a non-finite value")
-            if i == last:
-                return h
-            if pres is not None:
-                pres.append(h)
-            h = np.where(h > 0.0, h, np.expm1(np.minimum(h, 0.0)))
+    def _input(self, x):
+        """The data batch x as a float64 matrix that fits the first layer."""
+        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if h.ndim != 2 or h.shape[1] != self.weights[0].shape[0]:
+            raise ValueError(f"mlp: input shape {h.shape} does not fit {self.weights[0].shape}")
+        return h
+
+    def _forward(self, x):
+        """(out, vjp) of the whole stack on a data batch x; vjp maps the
+        gradient at the output to the gradients of parameters()."""
+        h = self._input(x)
+        weights = [w.data for w in self.weights]
+        inputs, pres = [], []
+        out = _layers(weights, [b.data for b in self.biases], h, self.layer_names, inputs, pres)
+        return out, _mlp_vjp(weights, inputs, pres)
 
     def forward(self, x):
         """The whole stack on a data batch x as one graph node whose
         parents are the weights and biases.  x is data, not a node: no
         leaf is made for it and no gradient flows to it."""
-        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        weights = [w.data for w in self.weights]
-        if h.ndim != 2 or h.shape[1] != weights[0].shape[0]:
-            raise ValueError(f"mlp: input shape {h.shape} does not fit {weights[0].shape}")
-        inputs = []
-        pres = []
-        out = self._stack(h, inputs, pres)
-        last = len(weights) - 1
-
-        def backward(g):
-            grads = [None] * (2 * last + 2)
-            for i in range(last, -1, -1):
-                if i != last:
-                    g = g * np.exp(np.minimum(pres[i], 0.0))  # exactly 1 where pre > 0
-                grads[2 * i] = inputs[i].T @ g
-                grads[2 * i + 1] = g.sum(axis=0)
-                if i:
-                    g = g @ weights[i].T
-            return grads
-
-        params = [p for pair in zip(self.weights, self.biases) for p in pair]
-        return Tensor(out, params, backward, self.layer_names[last])
+        out, vjp = self._forward(x)
+        return Tensor(out, self.parameters().values(), vjp, self.layer_names[-1])
 
     def forward_np(self, x):
         """Graph-free forward for evaluation and Monte Carlo estimation.
         An overflow raises the layer's FloatingPointError, not a numpy
         warning."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._stack(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+            return _layers([w.data for w in self.weights], [b.data for b in self.biases],
+                           np.atleast_2d(np.asarray(x, dtype=np.float64)), self.layer_names)
 
     def parameters(self):
         out = {}
@@ -121,13 +143,43 @@ class Mlp:
         return out
 
 
+def _forward_pair(mlp, twin, x):
+    """Both MLPs on the data batch x as one stacked forward, as
+    ((out, vjp), (twin_out, twin_vjp)).  It runs when each of their
+    parameter pairs is the two halves, mlp's first, of one (2, ...)
+    array, as train() stores them; it returns None when they are not,
+    or when a layer is non-finite, so that the caller runs them one at a
+    time and the first non-finite layer raises in the order they run."""
+    stacks = []
+    for p, q in zip(mlp.weights + mlp.biases, twin.weights + twin.biases):
+        stack = p.data.base
+        if stack is None or q.data.base is not stack or len(stack) != 2 or p is q:
+            return None
+        stacks.append(stack)
+    h = mlp._input(x)
+    depth = len(mlp.weights)
+    weights = stacks[:depth]
+    inputs, pres = [], []
+    try:
+        out = _layers(weights, [b[:, None] for b in stacks[depth:]], h, mlp.layer_names,
+                      inputs, pres)
+    except FloatingPointError:
+        return None
+    return tuple((out[k], _mlp_vjp([w[k] for w in weights], [h] + [a[k] for a in inputs[1:]],
+                                   [a[k] for a in pres]))
+                 for k in (0, 1))
+
+
 @dataclass(frozen=True)
 class GaussianPrior:
     """Diagonal Gaussian the posteriors are pulled toward.  Plain arrays:
-    priors take no part in optimization."""
+    priors take no part in optimization.  1 / var and sum(log var), which
+    every KL term reads, are computed once here."""
 
     mean: np.ndarray
     var: np.ndarray
+    inv_var: np.ndarray = field(init=False, repr=False, compare=False)
+    log_var_sum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
@@ -136,6 +188,8 @@ class GaussianPrior:
             raise ValueError("prior mean and var must be matching vectors")
         if np.any(self.var <= 0.0):
             raise ValueError("prior variance must be strictly positive")
+        object.__setattr__(self, "inv_var", 1.0 / self.var)
+        object.__setattr__(self, "log_var_sum", float(np.log(self.var).sum()))
 
     @classmethod
     def standard(cls, dim):
@@ -182,13 +236,18 @@ class GaussianEncoder:
         mean = self.mlp.forward_np(x)
         return mean, np.broadcast_to(self.var_np(), mean.shape)
 
-    def draw(self, mean, eps):
-        """Reparameterized draws mean + sd * eps from an existing mean
-        node, as one graph node; eps is a constant, so gradients flow to
-        the mean network and the log-variance.  eps of shape (n, rep_dim)
-        gives one draw per row; eps of shape (draws, n, rep_dim) gives
-        every draw's rows, draw-major, as one (draws * n, rep_dim) node."""
-        shape = mean.data.shape
+    def _leaves(self, mean):
+        """The parents of a node over this posterior: its mean node,
+        and the log-variance when it is learned."""
+        return (mean,) if self.log_var is None else (mean, self.log_var)
+
+    def _draw(self, mean, eps):
+        """(value, vjp) of the reparameterized draws mean + sd * eps from
+        a posterior-mean array; vjp maps the gradient at the draws to the
+        gradients of (mean, [log_var]).  eps of shape (n, rep_dim) gives
+        one draw per row; eps of shape (draws, n, rep_dim) gives every
+        draw's rows, draw-major, as one (draws * n, rep_dim) array."""
+        shape = mean.shape
         draws = np.asarray(eps, dtype=np.float64)
         if draws.ndim not in (2, 3) or draws.shape[-2:] != shape:
             raise ValueError(f"eps shape {draws.shape} does not fit mean shape {shape}")
@@ -196,47 +255,59 @@ class GaussianEncoder:
         fixed = self.fixed_var is not None
         sd = np.sqrt(self.fixed_var) if fixed else np.exp(self.log_var.data * 0.5)
 
-        def backward(g):
+        def vjp(g):
             g_mean = g if len(draws) == 1 else g.reshape(draws.shape).sum(axis=0)
             if fixed:
                 return (g_mean,)
             return (g_mean, (g * draws.reshape(g.shape)).sum(axis=0) * sd * 0.5)
 
-        parents = (mean,) if fixed else (mean, self.log_var)
-        return Tensor((mean.data + draws * sd).reshape(-1, shape[1]), parents, backward, "draw")
+        return (mean + draws * sd).reshape(-1, shape[1]), vjp
 
-    def kl_node(self, mean, prior):
-        """Mean-over-batch KL(q(.|x) || prior) as one graph node.
+    def draw(self, mean, eps):
+        """Reparameterized draws from an existing mean node, as one graph
+        node (see _draw); eps is a constant, so gradients flow to the
+        mean network and the log-variance."""
+        value, vjp = self._draw(mean.data, eps)
+        return Tensor(value, self._leaves(mean), vjp, "draw")
+
+    def _kl(self, mean, prior):
+        """(value, vjp) of the mean-over-batch KL(q(.|x) || prior) on a
+        posterior-mean array; vjp maps the gradient at the KL to the
+        gradients of (mean, [log_var]).
 
         Closed form for diagonal Gaussians; the variance part is shared
         across the batch because the posterior variance does not depend
-        on x.  A term that overflows makes the node's value inf, and the
-        node raises FloatingPointError naming the op.
+        on x.  A term that overflows makes the value inf.
         """
-        n, rep = mean.data.shape
-        inv_pv = 1.0 / prior.var
-        diff = mean.data - prior.mean
+        n, rep = mean.shape
+        inv_pv = prior.inv_var
+        diff = mean - prior.mean
         mean_part = (diff * diff * inv_pv).sum(axis=1).sum() * (1.0 / n)
-        log_pv_sum = float(np.log(prior.var).sum())
 
         def mean_grad(half):
             g = half * (1.0 / n) * inv_pv * diff
             return g + g
 
         if self.fixed_var is not None:
-            var_part = (log_pv_sum - rep * np.log(self.fixed_var)
+            var_part = (prior.log_var_sum - rep * np.log(self.fixed_var)
                         + float((self.fixed_var * inv_pv).sum()) - rep)
-            return Tensor((var_part + mean_part) * 0.5, (mean,),
-                          lambda g: (mean_grad(g * 0.5),), "kl_node")
+            return (var_part + mean_part) * 0.5, lambda g: (mean_grad(g * 0.5),)
         log_var = self.log_var.data
         var = np.exp(log_var)
-        var_part = (var * inv_pv).sum() - log_var.sum() + (log_pv_sum - rep)
+        var_part = (var * inv_pv).sum() - log_var.sum() + (prior.log_var_sum - rep)
 
-        def backward(g):
+        def vjp(g):
             half = g * 0.5
             return (mean_grad(half), half * inv_pv * var - half)
 
-        return Tensor((var_part + mean_part) * 0.5, (mean, self.log_var), backward, "kl_node")
+        return (var_part + mean_part) * 0.5, vjp
+
+    def kl_node(self, mean, prior):
+        """Mean-over-batch KL(q(.|x) || prior) as one graph node (see
+        _kl); a value that overflows raises FloatingPointError naming the
+        op."""
+        value, vjp = self._kl(mean.data, prior)
+        return Tensor(value, self._leaves(mean), vjp, "kl_node")
 
     def parameters(self):
         out = self.mlp.parameters()
@@ -269,17 +340,9 @@ def predict(head, encoder, x):
     return (head.logits_np(mean) >= 0.0).astype(np.int64)
 
 
-def _logits(head, c):
-    """The labeler's logits c @ w on a representation node c."""
-    w = head.w.data
-    if c.data.ndim != 2 or c.data.shape[1] != w.shape[0]:
-        raise ValueError(f"matmul: {c.data.shape} @ {w.shape}")
-    return c.data @ w
-
-
 def _w_grad(pairs):
-    """Gradient of the labeler's w from (c, dL/dz) pairs."""
-    return sum(c.data.T @ g_z for c, g_z in pairs)
+    """Gradient of the labeler's w from (c, dL/dz) array pairs."""
+    return sum(c.T @ g_z for c, g_z in pairs)
 
 
 def _ytil(y):
@@ -289,52 +352,75 @@ def _ytil(y):
     return y.astype(np.float64) * 2.0 - 1.0
 
 
-def _margins(head, c, y):
-    """(-ytil, a) with a = -ytil * z the margin deficit of 0/1 labels y
-    on the logits z of the representation node c."""
+def _check_reps(head, *reps):
+    """Refuse representation nodes the labeler cannot read."""
+    w = head.w.data
+    for c in reps:
+        if c.data.ndim != 2 or c.data.shape[1] != w.shape[0]:
+            raise ValueError(f"matmul: {c.data.shape} @ {w.shape}")
+
+
+def _neg_ytil(head, c, y):
+    """-ytil for the 0/1 labels y of the rows of a representation node
+    c, once the labels and the shapes are checked."""
     neg_ytil = -_ytil(y)
-    z = _logits(head, c)
-    if neg_ytil.shape not in ((), z.shape):
-        raise ValueError(f"labels of shape {neg_ytil.shape} for {z.shape[0]} rows")
-    return neg_ytil, z * neg_ytil
+    _check_reps(head, c)
+    if neg_ytil.shape not in ((), c.data.shape[:1]):
+        raise ValueError(f"labels of shape {neg_ytil.shape} for {c.data.shape[0]} rows")
+    return neg_ytil
+
+
+def _sf(w, c, neg_ytil):
+    """(value, vjp) of the sufficiency surrogate on representation rows
+    c, labels given as -ytil; vjp gives the gradients of (c, w)."""
+    a = (c @ w) * neg_ytil
+    scale = 1.0 / a.shape[0]
+    e = np.exp(-np.abs(a))
+    out = (np.maximum(a, 0.0) + np.log1p(e)).sum() * scale
+
+    def vjp(g):
+        g_z = g * scale * sigmoid_np(a, e) * neg_ytil
+        return g_z[:, None] * w, _w_grad(((c, g_z),))
+
+    return out, vjp
 
 
 def surrogate_sf(head, c, y):
     """Differentiable stand-in for P(sign(w.c) != y): mean softplus of the
     margin deficit, as one graph node.  Equals ln 2 at w.c = 0 and decays
     to the indicator as the margin grows."""
-    neg_ytil, a = _margins(head, c, y)
-    scale = 1.0 / a.shape[0]
-    out = (np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))).sum() * scale
+    value, vjp = _sf(head.w.data, c.data, _neg_ytil(head, c, y))
+    return Tensor(value, (c, head.w), vjp, "surrogate_sf")
 
-    def backward(g):
-        g_z = g * scale * sigmoid_np(a) * neg_ytil
-        return (np.outer(g_z, head.w.data), _w_grad(((c, g_z),)))
 
-    return Tensor(out, (c, head.w), backward, "surrogate_sf")
+def _m(w, c, c_bar):
+    """(value, vjp) of the agreement surrogate on paired representation
+    rows; vjp gives the gradients of (c, c_bar, w)."""
+    # rows (p, q) and (1 - p, 1 - q): each elementwise op runs once for both
+    pq = sigmoid_np(np.concatenate((c @ w, c_bar @ w)).reshape(2, -1))
+    pq1 = 1.0 - pq
+    (p, q), (p1, q1) = pq, pq1
+    scale = 1.0 / p.shape[0]
+    out = (p * q + p1 * q1).sum() * scale
+
+    def vjp(g):
+        g = g * scale
+        # row 0 is (g*q - g*(1-q)) * p * (1-p), row 1 the same with p, q swapped
+        g_zc, g_zb = (g * pq[::-1] - g * pq1[::-1]) * pq * pq1
+        return g_zc[:, None] * w, g_zb[:, None] * w, _w_grad(((c, g_zc), (c_bar, g_zb)))
+
+    return out, vjp
 
 
 def surrogate_m(head, c, c_bar):
     """Differentiable stand-in for the probability that the two routes
     agree in sign: mean over pairs of p*q + (1-p)*(1-q), as one graph
     node."""
-    zc = _logits(head, c)
-    zb = _logits(head, c_bar)
-    if zc.shape != zb.shape:
+    _check_reps(head, c, c_bar)
+    if c.data.shape != c_bar.data.shape:
         raise ValueError(f"surrogate_m: {c.data.shape} vs {c_bar.data.shape}")
-    p = sigmoid_np(zc)
-    q = sigmoid_np(zb)
-    scale = 1.0 / p.shape[0]
-    out = (p * q + (1.0 - p) * (1.0 - q)).sum() * scale
-
-    def backward(g):
-        g = g * scale
-        g_zc = (g * q - g * (1.0 - q)) * p * (1.0 - p)
-        g_zb = (g * p - g * (1.0 - p)) * q * (1.0 - q)
-        w = head.w.data
-        return (np.outer(g_zc, w), np.outer(g_zb, w), _w_grad(((c, g_zc), (c_bar, g_zb))))
-
-    return Tensor(out, (c, c_bar, head.w), backward, "surrogate_m")
+    value, vjp = _m(head.w.data, c.data, c_bar.data)
+    return Tensor(value, (c, c_bar, head.w), vjp, "surrogate_m")
 
 
 def clone_perturbed(encoder, rng, scale=0.01):

@@ -219,6 +219,10 @@ def _monotone(rows):
 
 def check_exogeneity(scm, c, y):
     """True when intervening and observing agree: P(Y=y|do(c)) = P(Y=y|C=c)."""
+    if c not in scm.c_values:
+        raise ValueError(f"cause value {c} must come from {scm.c_values}")
+    if y not in (0, 1):
+        raise ValueError(f"y must be 0 or 1, got {y}")
     joint, _, _, do, _, mass, _ = _sums(_walk(scm, c, c, y))  # both columns are c
     return abs(do - _conditional(joint, mass, c)) <= _ATOL
 

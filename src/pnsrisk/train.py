@@ -21,17 +21,20 @@ Variants:
 * casn_irm:      adds an invariance penalty per domain,
 * casn_mmd:      adds a cross-domain representation distance penalty.
 
-Every loss term, the two penalties included, is one fused graph node
-with a numpy forward and an analytic backward, however many Monte Carlo
-draws, and the objective is one sum node over them (casn_objective).
-The penalties read their domains' rows out of the batch's single
-posterior-mean node, so each encoder runs once per objective.
+Each player's loss is one graph node over exactly that player's
+parameters (casn_objective).  Every term, the two penalties included,
+is computed once in numpy however many Monte Carlo draws, and the
+loss's backward adds the terms' vector-Jacobian products.  The penalties
+read their domains' rows out of the batch's one posterior mean.  When
+the twin plays, train() stores each parameter pair of the two encoders
+as the halves of one stacked array, so one forward gives both means.
 tests/reference_ops.py builds the same terms node by node from generic
 ops; the tests compare the two.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +44,14 @@ from .model import (
     GaussianEncoder,
     GaussianPrior,
     LinearHead,
-    _margins,
+    _forward_pair,
+    _m,
+    _neg_ytil,
+    _sf,
     _w_grad,
     clone_perturbed,
     load_checkpoint,
     save_checkpoint,
-    surrogate_m,
-    surrogate_sf,
 )
 from .risk import estimate_risk
 from .streams import ROLE_TRAIN, SEED_MAX, keyed
@@ -142,6 +146,23 @@ def _distances(a, b, op):
     return diff, dist
 
 
+def _separation(c, c_bar, delta):
+    """(value, vjp) of the separation hinge on paired representation
+    rows; vjp gives the gradients of (c, c_bar)."""
+    diff, dist = _distances(c, c_bar, "separation_penalty")
+    hinge = np.maximum(delta - dist, 0.0)
+    scale = 1.0 / hinge.shape[0]
+
+    def vjp(g):
+        g_hinge = g * scale * hinge  # zero where the pair is far enough apart
+        g_sq = -(g_hinge + g_hinge) * 0.5 / dist
+        g_diff = g_sq[:, None] * diff
+        g_diff = g_diff + g_diff
+        return (g_diff, -g_diff)
+
+    return (hinge * hinge).sum() * scale, vjp
+
+
 def separation_penalty(c, c_bar, delta):
     """Mean squared hinge on the pairwise representation gap:
     mean over pairs of max(0, delta - ||c - cbar||_2)^2, as one graph
@@ -151,21 +172,35 @@ def separation_penalty(c, c_bar, delta):
     coincident pairs cost (delta - 1e-9)^2 instead of tripping on the
     sqrt gradient.
     """
-    delta = float(delta)
     if c.data.ndim != 2 or c.data.shape != c_bar.data.shape:
         raise ValueError(f"separation_penalty: {c.data.shape} vs {c_bar.data.shape}")
-    diff, dist = _distances(c.data, c_bar.data, "separation_penalty")
-    hinge = np.maximum(delta - dist, 0.0)
-    scale = 1.0 / hinge.shape[0]
+    value, vjp = _separation(c.data, c_bar.data, float(delta))
+    return Tensor(value, (c, c_bar), vjp, "separation_penalty")
 
-    def backward(g):
-        g_hinge = g * scale * hinge  # zero where the pair is far enough apart
-        g_sq = -(g_hinge + g_hinge) * 0.5 / dist
-        g_diff = g_sq[:, None] * diff
-        g_diff = g_diff + g_diff
-        return (g_diff, -g_diff)
 
-    return Tensor((hinge * hinge).sum() * scale, (c, c_bar), backward, "separation_penalty")
+def _mmd(groups):
+    """(value, vjp) of the mmd penalty on two or more arrays of
+    representation rows; vjp gives one gradient per group."""
+    total = None
+    pairs = []
+    for i in range(len(groups)):
+        for j in range(i + 1, len(groups)):
+            diff, dist = _distances(groups[i][:, None, :], groups[j][None, :, :],
+                                    "mmd_penalty")
+            term = dist.mean()
+            total = term if total is None else total + term
+            pairs.append((i, j, diff, dist))
+
+    def vjp(g):
+        grads = [0.0] * len(groups)
+        for i, j, diff, dist in pairs:
+            unit = diff / dist[:, :, None]
+            scale = g / dist.size
+            grads[i] = grads[i] + scale * unit.sum(axis=1)
+            grads[j] = grads[j] - scale * unit.sum(axis=0)
+        return grads
+
+    return total, vjp
 
 
 def mmd_penalty(rep_groups):
@@ -178,28 +213,37 @@ def mmd_penalty(rep_groups):
     """
     if len(rep_groups) < 2:
         return constant(0.0)
+    groups = [reps.data for reps in rep_groups]
+    for a in groups:
+        if a.ndim != 2 or groups[0].ndim != 2 or a.shape[1] != groups[0].shape[1]:
+            raise ValueError(f"mmd_penalty: {groups[0].shape} vs {a.shape}")
+    value, vjp = _mmd(groups)
+    return Tensor(value, rep_groups, vjp, "mmd_penalty")
+
+
+def _irm(w, groups, neg_ytil_groups):
+    """(value, vjp) of the irm penalty on arrays of representation rows,
+    labels given as -ytil; vjp gives the gradients of (*groups, w)."""
     total = None
-    pairs = []
-    for i in range(len(rep_groups)):
-        for j in range(i + 1, len(rep_groups)):
-            a, b = rep_groups[i].data, rep_groups[j].data
-            if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-                raise ValueError(f"mmd_penalty: {a.shape} vs {b.shape}")
-            diff, dist = _distances(a[:, None, :], b[None, :, :], "mmd_penalty")
-            term = dist.mean()
-            total = term if total is None else total + term
-            pairs.append((i, j, diff, dist))
+    saved = []
+    for reps, neg_ytil in zip(groups, neg_ytil_groups):
+        a = (reps @ w) * neg_ytil
+        sig = sigmoid_np(a)
+        scale = 1.0 / a.shape[0]
+        grad_s = (a * sig).sum() * scale
+        term = grad_s * grad_s
+        total = term if total is None else total + term
+        saved.append((neg_ytil, a, sig, grad_s * scale))
 
-    def backward(g):
-        grads = [0.0] * len(rep_groups)
-        for i, j, diff, dist in pairs:
-            unit = diff / dist[:, :, None]
-            scale = g / dist.size
-            grads[i] = grads[i] + scale * unit.sum(axis=1)
-            grads[j] = grads[j] - scale * unit.sum(axis=0)
-        return grads
+    def vjp(g):
+        pairs = []
+        for reps, (neg_ytil, a, sig, grad_s_scaled) in zip(groups, saved):
+            # d/da of a * sigmoid(a) is sigmoid(a) + a * sigmoid'(a)
+            g_a = (g + g) * grad_s_scaled * (sig + a * sig * (1.0 - sig))
+            pairs.append((reps, g_a * neg_ytil))
+        return (*(g_z[:, None] * w for _, g_z in pairs), _w_grad(pairs))
 
-    return Tensor(total, rep_groups, backward, "mmd_penalty")
+    return total, vjp
 
 
 def irm_penalty(head, rep_groups, y_groups):
@@ -215,55 +259,46 @@ def irm_penalty(head, rep_groups, y_groups):
         raise ValueError("rep_groups and y_groups must align")
     if not rep_groups:
         raise ValueError("irm penalty needs at least one domain")
-    total = None
-    saved = []
-    for reps, y in zip(rep_groups, y_groups):
-        neg_ytil, a = _margins(head, reps, y)
-        sig = sigmoid_np(a)
-        scale = 1.0 / a.shape[0]
-        grad_s = (a * sig).sum() * scale
-        term = grad_s * grad_s
-        total = term if total is None else total + term
-        saved.append((neg_ytil, a, sig, grad_s * scale))
-
-    def backward(g):
-        pairs = []
-        for reps, (neg_ytil, a, sig, grad_s_scaled) in zip(rep_groups, saved):
-            # d/da of a * sigmoid(a) is sigmoid(a) + a * sigmoid'(a)
-            g_a = (g + g) * grad_s_scaled * (sig + a * sig * (1.0 - sig))
-            pairs.append((reps, g_a * neg_ytil))
-        w = head.w.data
-        return (*(np.outer(g_z, w) for _, g_z in pairs), _w_grad(pairs))
-
-    return Tensor(total, (*rep_groups, head.w), backward, "irm_penalty")
+    neg_ytil = [_neg_ytil(head, reps, y) for reps, y in zip(rep_groups, y_groups)]
+    value, vjp = _irm(head.w.data, [reps.data for reps in rep_groups], neg_ytil)
+    return Tensor(value, (*rep_groups, head.w), vjp, "irm_penalty")
 
 
-def _rows(node, positions):
-    """Rows `positions` (distinct) of a batch node, as one graph node."""
-    shape = node.data.shape
-
-    def backward(g):
-        full = np.zeros(shape)
-        full[positions] = g
-        return (full,)
-
-    return Tensor(node.data[positions], (node,), backward, "rows")
+def _checked(op, result):
+    """A (value, vjp) result once its value is checked: a non-finite
+    value raises FloatingPointError naming the op, as the op's own node
+    would."""
+    value = result[0]
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        raise FloatingPointError(f"{op} produced a non-finite value")
+    return result
 
 
-def casn_objective(x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
+def casn_objective(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
                    eps_c, eps_cbar, domain_rows=None, penalty_weight=None):
-    """Build the step's game objective; returns (min_loss, max_loss, parts).
+    """Build the step's game; returns (min_loss, max_loss, parts).
 
-    min_loss is the objective: one sum node over one node per loss term,
-    in the order M, SF, lam * KL_c, sep_weight * hinge, [lam * KL_xi],
-    [penalty].  The (phi, w) player descends it; the xi player descends
-    max_loss, one neg node over it.  adversary_kl only decides whether
+    ytil holds the batch's labels as -1/+1.  The game's objective is the
+    weighted sum, in this order, of M, SF, lam * KL_c, sep_weight *
+    hinge, [lam * KL_xi] and [penalty].  min_loss is that objective as
+    one node whose parents are exactly the (phi, w) player's parameters,
+    enc_c's and head.w; max_loss is its negation as one node over
+    exactly the twin's.  Every term is computed once, in numpy, and
+    each loss's backward adds the terms' vector-Jacobian products in the
+    order a walk over one node per term adds them, so the gradients are
+    the same bytes as that graph's.  adversary_kl only decides whether
     lam * KL_xi is a term of the game, which the min player cannot move.
-    casn_minus_m never touches the twin: its objective is
-    SF + lam * KL_c, its max_loss is None and no xi node enters the graph.
+    casn_minus_m never touches the twin: its objective is SF + lam * KL_c
+    and its max_loss is None.
 
-    eps_c / eps_cbar have shape (mc_samples, n, rep_dim).  Each draw
-    term (SF, M, hinge) is one node over every draw's rows at once.
+    When the two encoders' parameters are stacked, as train() stores
+    them, both posterior means come from one forward (model._forward_pair).
+    A non-finite value raises FloatingPointError naming the first op to
+    make one, in the order: enc_c's layers, kl_c, the twin's layers,
+    kl_cbar, the draws, SF, M, the hinge, the penalty, the sum.
+
+    eps_c / eps_cbar have shape (mc_samples, n, rep_dim); each draw term
+    (SF, M, hinge) is computed once over every draw's rows.
 
     casn_irm and casn_mmd add their penalty, times penalty_weight
     (default: the config's irm_weight or mmd_weight).  It is computed on
@@ -271,47 +306,93 @@ def casn_objective(x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
     domain's positions in the batch, and None makes the whole batch one
     domain.
     """
-    y_draws = np.tile(y, config.mc_samples)
-    mean_c = enc_c.encode(x)
-    kl_c = enc_c.kl_node(mean_c, prior_c)
+    twin = config.variant != "casn_minus_m"
+    w = head.w.data
+    neg_ytil = -np.concatenate((ytil,) * config.mc_samples)
+    pair = _forward_pair(enc_c.mlp, enc_cbar.mlp, x) if twin else None
+    mean_c, mlp_c = pair[0] if pair else enc_c.mlp._forward(x)
+    kl_c, kl_c_vjp = _checked("kl_node", enc_c._kl(mean_c, prior_c))
     parts = {"m": 0.0, "kl_cbar": 0.0, "hinge": 0.0, "penalty": 0.0}
-    if config.variant == "casn_minus_m":
-        sf = surrogate_sf(head, enc_c.draw(mean_c, eps_c), y_draws)
-        terms = [(sf, 1.0), (kl_c, config.lam)]
-    else:
-        mean_cbar = enc_cbar.encode(x)
-        kl_cbar = enc_cbar.kl_node(mean_cbar, prior_cbar)
-        c = enc_c.draw(mean_c, eps_c)
-        c_bar = enc_cbar.draw(mean_cbar, eps_cbar)
-        sf = surrogate_sf(head, c, y_draws)
-        m = surrogate_m(head, c, c_bar)
-        hinge = separation_penalty(c, c_bar, config.delta)
+    if twin:
+        mean_cbar, mlp_cbar = pair[1] if pair else enc_cbar.mlp._forward(x)
+        kl_cbar, kl_cbar_vjp = _checked("kl_node", enc_cbar._kl(mean_cbar, prior_cbar))
+    c, draw_c = _checked("draw", enc_c._draw(mean_c, eps_c))
+    if twin:
+        c_bar, draw_cbar = _checked("draw", enc_cbar._draw(mean_cbar, eps_cbar))
+    sf, sf_vjp = _checked("surrogate_sf", _sf(w, c, neg_ytil))
+    if twin:
+        m, m_vjp = _checked("surrogate_m", _m(w, c, c_bar))
+        hinge, hinge_vjp = _checked("separation_penalty",
+                                    _separation(c, c_bar, float(config.delta)))
         terms = [(m, 1.0), (sf, 1.0), (kl_c, config.lam), (hinge, config.sep_weight)]
         if config.adversary_kl:
             terms.append((kl_cbar, config.lam))
-        parts.update(m=m.item(), kl_cbar=kl_cbar.item(), hinge=hinge.item())
+        parts.update(m=float(m), kl_cbar=float(kl_cbar), hinge=float(hinge))
+    else:
+        terms = [(sf, 1.0), (kl_c, config.lam)]
+    penalty_vjp = None
     if config.variant in ("casn_irm", "casn_mmd"):
         if domain_rows is None:
-            domain_rows = [np.arange(len(y))]
-        reps = [_rows(mean_c, rows) for rows in domain_rows]
+            domain_rows = [np.arange(len(ytil))]
+        reps = [mean_c[rows] for rows in domain_rows]
         if config.variant == "casn_mmd":
-            penalty, weight = mmd_penalty(reps), config.mmd_weight
+            # one domain has no cross-domain pair: the penalty is a constant 0
+            penalty, penalty_vjp = (_checked("mmd_penalty", _mmd(reps)) if len(reps) > 1
+                                    else (0.0, None))
+            weight = config.mmd_weight
         else:
-            penalty = irm_penalty(head, reps, [y[rows] for rows in domain_rows])
+            penalty, penalty_vjp = _checked(
+                "irm_penalty", _irm(w, reps, [-ytil[rows] for rows in domain_rows]))
             weight = config.irm_weight
-        terms.append((penalty, weight if penalty_weight is None else penalty_weight))
-        parts["penalty"] = penalty.item()
-    parts.update(sf=sf.item(), kl_c=kl_c.item())
-    # the float operations, in order, of the add and mul chain over the
-    # same terms, so the value and every gradient are the same bytes
+        penalty_weight = weight if penalty_weight is None else penalty_weight
+        terms.append((penalty, penalty_weight))
+        parts["penalty"] = float(penalty)
+    parts.update(sf=float(sf), kl_c=float(kl_c))
     value = None
-    for node, weight in terms:
-        value = node.data * weight if value is None else value + node.data * weight
-    game = Tensor(value, [node for node, _ in terms],
-                  lambda g: [g * weight for _, weight in terms], "casn_objective")
-    if config.variant == "casn_minus_m":
-        return game, None, parts
-    return game, Tensor(-game.data, (game,), lambda g: (-g,), "neg"), parts
+    for term, weight in terms:
+        value = term * weight if value is None else value + term * weight
+
+    # Each backward adds a parameter's contributions left to right, in
+    # the order a walk over one node per term adds them: c gets M, SF,
+    # then the hinge; w gets M, SF, then irm; the mean and log_var get
+    # KL, then the draw, then the penalty's domain rows.
+    def min_backward(g):
+        if twin:
+            m_c, _, m_w = m_vjp(g * 1.0)
+            sf_c, sf_w = sf_vjp(g * 1.0)
+            g_c = m_c + sf_c + hinge_vjp(g * config.sep_weight)[0]
+            g_w = m_w + sf_w
+        else:
+            g_c, g_w = sf_vjp(g * 1.0)
+        g_mean, *g_log_var = (a + b for a, b in zip(kl_c_vjp(g * config.lam), draw_c(g_c)))
+        if penalty_vjp is not None:
+            g_reps = penalty_vjp(g * penalty_weight)
+            if config.variant == "casn_irm":
+                *g_reps, irm_w = g_reps
+                g_w = g_w + irm_w
+            for rows, g_rows in zip(domain_rows, g_reps):
+                full = np.zeros(mean_c.shape)
+                full[rows] = g_rows
+                g_mean = g_mean + full
+        return [*mlp_c(g_mean), *g_log_var, g_w]
+
+    min_params = [*enc_c.parameters().values(), head.w]
+    min_loss = Tensor(value, min_params, min_backward, "casn_objective")
+    if not twin:
+        return min_loss, None, parts
+
+    def max_backward(g):
+        g = -g
+        g_c_bar = m_vjp(g * 1.0)[1] + hinge_vjp(g * config.sep_weight)[1]
+        leaves = draw_cbar(g_c_bar)
+        if config.adversary_kl:
+            leaves = [a + b for a, b in zip(leaves, kl_cbar_vjp(g * config.lam))]
+        g_mean, *g_log_var = leaves
+        return [*mlp_cbar(g_mean), *g_log_var]
+
+    max_loss = Tensor(-min_loss.data, enc_cbar.parameters().values(), max_backward,
+                      "casn_objective")
+    return min_loss, max_loss, parts
 
 
 @dataclass(frozen=True)
@@ -337,14 +418,15 @@ class TrainResult:
 
 
 def _sgd(params, lr, velocities, momentum):
+    """One SGD step in place, so a stacked parameter stays a half of its
+    stack."""
     for p in params:
+        step = p.grad
         if momentum > 0.0:
             v = velocities.get(id(p))
-            v = p.grad if v is None else momentum * v + p.grad
-            velocities[id(p)] = v
-            p.data = p.data - lr * v
-        else:
-            p.data = p.data - lr * p.grad
+            step = p.grad if v is None else momentum * v + p.grad
+            velocities[id(p)] = step
+        p.data -= lr * step
 
 
 def check_domains(variant, domains):
@@ -373,6 +455,12 @@ def train(data, config, domains=None):
     n, in_dim = x_all.shape
     if not np.isfinite(x_all).all():
         raise ValueError("data.x holds a non-finite value")
+    if y_all.shape != (n,):
+        raise ValueError(f"data.y has shape {y_all.shape}, not one label per row ({n},)")
+    bad = np.flatnonzero((y_all != 0) & (y_all != 1))
+    if bad.size:
+        raise ValueError(f"data.y row {bad[0]} is {y_all[bad[0]].item()}, not 0 or 1")
+    ytil_all = y_all.astype(np.float64) * 2.0 - 1.0
     if domains is not None:
         domains = np.asarray(domains)
         if len(domains) != n:
@@ -390,7 +478,13 @@ def train(data, config, domains=None):
 
     min_params = list(enc_c.parameters().values()) + list(head.parameters().values())
     adv_params = list(enc_cbar.parameters().values())
-    if {id(p) for p in min_params} & {id(p) for p in adv_params}:
+    if config.variant != "casn_minus_m":
+        # each parameter pair as the halves of one stack: one forward
+        # gives both posterior means (see casn_objective)
+        for p, q in zip(min_params, adv_params):
+            p.data, q.data = np.stack((p.data, q.data))
+    if ({id(p) for p in min_params} & {id(p) for p in adv_params}
+            or any(np.shares_memory(p.data, q.data) for p in min_params for q in adv_params)):
         raise RuntimeError("the min and max players share a parameter")
 
     velocities = {}
@@ -399,8 +493,7 @@ def train(data, config, domains=None):
 
     def batch_objective():
         idx = batches.integers(0, n, size=config.batch_size)
-        eps_c = noise.standard_normal(shape)
-        eps_cbar = noise.standard_normal(shape)
+        eps_c, eps_cbar = noise.standard_normal((2, *shape))
         rows = None
         if domains is not None and config.variant in ("casn_irm", "casn_mmd"):
             # positions in the batch, not row ids: batches draw with replacement
@@ -408,7 +501,7 @@ def train(data, config, domains=None):
             rows = [np.flatnonzero(batch_domains == d) for d in np.unique(batch_domains)]
         # the irm warm-up weighs the penalty 1.0 for its first steps
         warm = config.variant == "casn_irm" and step < config.irm_anneal_iters
-        return casn_objective(x_all[idx], y_all[idx], enc_c, enc_cbar, head,
+        return casn_objective(x_all[idx], ytil_all[idx], enc_c, enc_cbar, head,
                               prior, prior, config, eps_c, eps_cbar,
                               domain_rows=rows, penalty_weight=1.0 if warm else None)
 

@@ -227,6 +227,16 @@ def pairwise_mean_distance(a, b):
     return Tensor(out, (a, b), backward, "pairwise_mean_distance")
 
 
+def rows(a, positions):
+    """Rows `positions` (distinct) of a batch node."""
+    def backward(g):
+        full = np.zeros(a.data.shape)
+        full[positions] = g
+        return (full,)
+
+    return Tensor(a.data[positions], (a,), backward, "rows")
+
+
 # ---- the model and loss terms, node by node ----
 
 def logits(head, c):

@@ -435,6 +435,8 @@ def test_eval_overflow_is_one_error_line(tmp_path, capsys):
     ("enc_c.log_var", 800.0, "enc_c.log_var produced a non-finite value"),
     # finite representations around 1e200, whose squared norms overflow
     ("enc_c.mean.w0", 1e200, "representation is out of range for distance correlation"),
+    # squared norms in range, but the sum behind dVar^2 overflows
+    ("enc_c.mean.w2", 1.3e153, "representation is out of range for distance correlation"),
 ])
 def test_eval_on_finite_overflowing_parameters_is_one_error_line(tmp_path, capsys, name,
                                                                   value, message):

@@ -188,6 +188,27 @@ class TestOverflow:
                                match=f"^{side} is out of range for distance correlation"):
                 distance_correlation(a, b)
 
+    def test_overflowing_dvar_names_its_argument(self):
+        # squared row norms in range, but the mean of 64^2 squared centered
+        # distances overflows: before, 0.0 with a numpy warning
+        x = np.random.default_rng(0).standard_normal((64, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert distance_correlation(x * 1e152, x[:, 0]) > 0.5
+            with pytest.raises(FloatingPointError,
+                               match="^a is out of range for distance correlation$"):
+                distance_correlation(x * 1e153, x[:, 0])
+
+    def test_overflowing_dvar_product_names_both_arguments(self):
+        # each dVar^2 is finite, their product is not: before, 0.0 silently
+        x = np.random.default_rng(0).standard_normal((50, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert distance_correlation(x * 1e77, x * 1e77) == pytest.approx(1.0)
+            with pytest.raises(FloatingPointError,
+                               match="^a and b are out of range for distance correlation$"):
+                distance_correlation(x * 1e80, x * 1e80)
+
     def test_largest_admitted_norm_is_admitted(self):
         # squared row norms up to a quarter of the float range pass
         a = np.array([[0.0], [np.sqrt(np.finfo(np.float64).max / 4)]])

@@ -36,8 +36,9 @@ from pnsrisk.train import (
     train,
 )
 
-# the package re-exports train(), so import the module by path
+# the package re-exports train(), so import the modules by path
 train_module = importlib.import_module("pnsrisk.train")
+model_module = importlib.import_module("pnsrisk.model")
 
 # fused and per-op results agree to this fraction of the largest gradient
 RTOL = 1e-12
@@ -96,8 +97,9 @@ def ref_separation(c, c_bar, delta):
     return R.reduce_mean(R.square(R.relu(R.sub(constant(float(delta)), dist))))
 
 
-def ref_objective(x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
+def ref_objective(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
                   eps_c, eps_cbar, domain_rows=None, penalty_weight=None):
+    y = (ytil > 0).astype(np.int64)
     s_draws = config.mc_samples
     mean_c = ref_mlp(enc_c.mlp, constant(x))
     kl_c = ref_kl(enc_c, mean_c, prior_c)
@@ -281,10 +283,12 @@ def test_mmd_penalty_matches_per_op_graph(sizes):
 
 def objective_parts(variant, mc_samples, fixed_var, saturated, delta, coincident=False,
                     adversary_kl=False):
+    """casn_objective's arguments on a 6-row batch, labels as -1/+1, and
+    the two players' parameters (enc_c's and head.w; the twin's)."""
     rng = np.random.default_rng(7)
     n, rep = 6, 3
     x = rng.standard_normal((n, 4))
-    y = rng.integers(0, 2, size=n)
+    ytil = rng.integers(0, 2, size=n) * 2.0 - 1.0
     enc_c = encoder(fixed_var, seed=8, prefix="enc_c")
     if coincident:
         enc_cbar = clone_perturbed(enc_c, rng, scale=0.0)
@@ -298,10 +302,16 @@ def objective_parts(variant, mc_samples, fixed_var, saturated, delta, coincident
     config = TrainConfig(variant=variant, mc_samples=mc_samples, fixed_var=fixed_var,
                          rep_dim=rep, hidden=(7, 5), delta=delta, lam=0.3, sep_weight=0.7,
                          adversary_kl=adversary_kl)
-    args = (x, y, enc_c, enc_cbar, head, prior_c, prior_cbar, config, eps_c, eps_cbar)
-    params = (list(enc_c.parameters().values()) + list(head.parameters().values())
-              + list(enc_cbar.parameters().values()))
-    return args, params
+    args = (x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config, eps_c, eps_cbar)
+    players = ([*enc_c.parameters().values(), head.w], list(enc_cbar.parameters().values()))
+    return args, players
+
+
+def stack_players(enc_c, enc_cbar):
+    """Each parameter pair as the two halves of one stack, as train()
+    stores them when the twin plays."""
+    for p, q in zip(enc_c.parameters().values(), enc_cbar.parameters().values()):
+        p.data, q.data = np.stack((p.data, q.data))
 
 
 # two domains at positions that interleave in the batch
@@ -316,73 +326,115 @@ PENALTY = dict(domain_rows=TWO_DOMAINS, penalty_weight=0.3)
 @pytest.mark.parametrize("delta", [pytest.param(4.0, id="hinge-active"),
                                    pytest.param(0.0, id="hinge-inactive")])
 def test_objective_matches_per_op_graph(variant, mc_samples, fixed_var, saturated, delta):
-    args, params = objective_parts(variant, mc_samples, fixed_var, saturated, delta)
-    for role in (0, 1):
-        if variant == "casn_minus_m" and role == 1:
-            assert casn_objective(*args)[1] is None
-            continue
-        assert_same(lambda: casn_objective(*args, **PENALTY)[role],
-                    lambda: ref_objective(*args, **PENALTY)[role], params)
+    """Each player's loss and its gradient in each of that player's
+    parameters, separate and stacked."""
+    for stacked in (False, True):
+        args, players = objective_parts(variant, mc_samples, fixed_var, saturated, delta)
+        if stacked:
+            stack_players(*args[2:4])
+        for role in (0, 1):
+            if variant == "casn_minus_m" and role == 1:
+                assert casn_objective(*args)[1] is None
+                continue
+            assert_same(lambda: casn_objective(*args, **PENALTY)[role],
+                        lambda: ref_objective(*args, **PENALTY)[role], players[role])
 
 
 @pytest.mark.parametrize("mc_samples", [1, 2])
 def test_objective_matches_per_op_graph_on_coincident_pairs(mc_samples):
-    args, params = objective_parts("casn", mc_samples, None, False, 1.1, coincident=True)
+    args, players = objective_parts("casn", mc_samples, None, False, 1.1, coincident=True)
     for role in (0, 1):
         assert_same(lambda: casn_objective(*args)[role],
-                    lambda: ref_objective(*args)[role], params)
+                    lambda: ref_objective(*args)[role], players[role])
 
 
-def chain_sum(terms, negate):
-    """The objective's sum built from generic add, mul and neg nodes over
-    the same fused term nodes, as casn_objective built it before the
-    sum became one node."""
+def chain_sum(terms):
+    """The weighted sum of term nodes built from generic add and mul
+    nodes, term by term."""
     total = None
     for node, weight in terms:
         term = R.mul(node, weight)
         total = term if total is None else R.add(total, term)
-    return R.neg(total) if negate else total
+    return total
 
 
-@pytest.mark.parametrize("variant", ["casn", "casn_minus_m"])
+def term_graph(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config, eps_c, eps_cbar,
+               domain_rows=None, penalty_weight=None):
+    """The game as a graph of one node per loss term, from the public
+    per-term ops, summed by generic nodes: the graph casn_objective built
+    before each player's loss became one node.  Returns (objective, its
+    negation or None)."""
+    y = (ytil > 0).astype(np.int64)
+    y_draws = np.tile(y, config.mc_samples)
+    mean_c = enc_c.encode(x)
+    kl_c = enc_c.kl_node(mean_c, prior_c)
+    if config.variant == "casn_minus_m":
+        sf = surrogate_sf(head, enc_c.draw(mean_c, eps_c), y_draws)
+        return chain_sum([(sf, 1.0), (kl_c, config.lam)]), None
+    mean_cbar = enc_cbar.encode(x)
+    kl_cbar = enc_cbar.kl_node(mean_cbar, prior_cbar)
+    c = enc_c.draw(mean_c, eps_c)
+    c_bar = enc_cbar.draw(mean_cbar, eps_cbar)
+    terms = [(surrogate_m(head, c, c_bar), 1.0), (surrogate_sf(head, c, y_draws), 1.0),
+             (kl_c, config.lam), (separation_penalty(c, c_bar, config.delta), config.sep_weight)]
+    if config.adversary_kl:
+        terms.append((kl_cbar, config.lam))
+    if config.variant in ("casn_irm", "casn_mmd"):
+        reps = [R.rows(mean_c, rows) for rows in domain_rows]
+        if config.variant == "casn_mmd":
+            terms.append((mmd_penalty(reps), penalty_weight))
+        else:
+            terms.append((irm_penalty(head, reps, [y[rows] for rows in domain_rows]),
+                          penalty_weight))
+    game = chain_sum(terms)
+    return game, R.neg(game)
+
+
+def player_grad_bytes(loss, params):
+    """Each parameter's gradient bytes from a full backward of 0.37 * loss,
+    an upstream gradient other than 1."""
+    for p in params:
+        p.grad = None
+    R.mul(loss, 0.37).backward()
+    return [p.grad.tobytes() for p in params]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("mc_samples", [1, 3])
 @pytest.mark.parametrize("adversary_kl", [False, True])
 def test_objective_sum_node_is_the_generic_chain_bytewise(variant, mc_samples, adversary_kl):
-    args, params = objective_parts(variant, mc_samples, None, False, 4.0,
-                                   adversary_kl=adversary_kl)
-    config = args[7]
-    min_loss, max_loss, _ = casn_objective(*args)
-    if variant == "casn":
-        weights = [1.0, 1.0, config.lam, config.sep_weight] + [config.lam] * adversary_kl
-    else:
-        weights = [1.0, config.lam]
-    terms = list(zip(min_loss.parents, weights, strict=True))
-    pairs = [(min_loss, chain_sum(terms, False))]
-    if max_loss is not None:
-        pairs.append((max_loss, chain_sum(terms, True)))
-    for fused, chain in pairs:
-        assert fused.data.tobytes() == chain.data.tobytes()
-        grads = []
-        for loss in (fused, chain):
-            for p in params:
-                p.grad = None
-            R.mul(loss, 0.37).backward()  # an upstream gradient other than 1
-            grads.append([None if p.grad is None else p.grad.tobytes() for p in params])
-        assert grads[0] == grads[1]
+    """Each player's loss node is, to the byte in its value and in every
+    gradient of its player's parameters, the term graph: one node per
+    term summed by generic nodes, the twin's through a neg node.  So the
+    fused backward adds the terms' contributions in the order that
+    graph's walk adds them, for every variant, learned or fixed
+    variance, separate or stacked players."""
+    for fixed_var, stacked in ((None, False), (0.3, False), (None, True)):
+        args, players = objective_parts(variant, mc_samples, fixed_var, False, 4.0,
+                                        adversary_kl=adversary_kl)
+        if stacked:
+            stack_players(*args[2:4])
+        fused = casn_objective(*args, **PENALTY)[:2]
+        graph = term_graph(*args, **PENALTY)
+        for role in (0, 1):
+            if graph[role] is None:
+                assert fused[role] is None
+                continue
+            assert fused[role].data.tobytes() == graph[role].data.tobytes()
+            assert (player_grad_bytes(fused[role], players[role])
+                    == player_grad_bytes(graph[role], players[role]))
 
 
-# ---- backward(wrt): each player's walk ----
+# ---- each player's loss: one node over its own parameters ----
 
 def step_losses(variant, mc_samples, adversary_kl):
     """Fresh parameters and the (min, max) step losses as train() builds
     them on a batch of two domains, the irm and mmd penalties included;
     returns the losses and the two players' parameters."""
-    args, _ = objective_parts(variant, mc_samples, None, False, 4.0,
-                              adversary_kl=adversary_kl)
-    enc_c, enc_cbar, head = args[2:5]
+    args, players = objective_parts(variant, mc_samples, None, False, 4.0,
+                                    adversary_kl=adversary_kl)
     min_loss, max_loss, _ = casn_objective(*args, **PENALTY)
-    min_params = list(enc_c.parameters().values()) + list(head.parameters().values())
-    return (min_loss, max_loss), (min_params, list(enc_cbar.parameters().values()))
+    return (min_loss, max_loss), players
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -391,10 +443,14 @@ def step_losses(variant, mc_samples, adversary_kl):
 @pytest.mark.parametrize("player", [0, 1], ids=["min", "max"])
 def test_backward_wrt_gives_each_player_the_full_gradient_bytes(variant, mc_samples,
                                                                adversary_kl, player):
+    """A loss's parents are exactly its player's parameters, so the
+    backward pruned to them gives the full walk's bytes and never
+    reaches the other player."""
     losses, players = step_losses(variant, mc_samples, adversary_kl)
     if losses[player] is None:
         assert variant == "casn_minus_m"
         return
+    assert losses[player].parents == tuple(players[player])
     losses[player].backward(wrt=players[player])
     pruned = [p.grad.tobytes() for p in players[player]]
     for p in players[1 - player]:
@@ -415,34 +471,31 @@ def graph_size(loss):
 
 
 def test_objective_graph_is_small():
-    """One node per fused op for the casn objective: 15 parameter leaves
-    (the input x is data, not a leaf), 8 fused nodes, the twin's kl_node
-    when adversary_kl makes it a term of the game, and one for the
-    scalar sum; the max objective adds one neg node.  On two domains an
-    irm or mmd penalty adds one row-select node per domain and the
-    penalty node itself."""
-    for adversary_kl, size in ((True, 25), (False, 24)):
-        args, _ = objective_parts("casn", 1, None, False, 1.1, adversary_kl=adversary_kl)
-        min_loss, max_loss, _ = casn_objective(*args)
-        assert graph_size(min_loss) == size
-        assert graph_size(max_loss) == size + 1
-        for variant in ("casn_irm", "casn_mmd"):
-            args, _ = objective_parts(variant, 1, None, False, 1.1, adversary_kl=adversary_kl)
-            min_loss, _, _ = casn_objective(*args, domain_rows=TWO_DOMAINS)
-            assert graph_size(min_loss) == size + 3, variant
+    """Each player's loss is one node over its parameter leaves,
+    whatever the variant, the twin's KL term or the penalty: 9 nodes for
+    the min player (enc_c's 7 leaves and head.w), 8 for the twin, one
+    fewer each with a fixed variance.  The input x is data, not a leaf."""
+    for variant in VARIANTS:
+        for adversary_kl in (True, False):
+            for fixed_var, size in ((None, 9), (0.3, 8)):
+                args, _ = objective_parts(variant, 1, fixed_var, False, 1.1,
+                                          adversary_kl=adversary_kl)
+                min_loss, max_loss, _ = casn_objective(*args, **PENALTY)
+                assert graph_size(min_loss) == size, variant
+                assert max_loss is None or graph_size(max_loss) == size - 1, variant
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("adversary_kl", [False, True])
 def test_more_draws_add_no_nodes(variant, adversary_kl):
-    """Each draw term is one node over every draw's rows."""
+    """Each draw term is computed once over every draw's rows."""
     sizes = []
     for mc_samples in (1, 3):
         args, _ = objective_parts(variant, mc_samples, None, False, 1.1,
                                   adversary_kl=adversary_kl)
         losses = casn_objective(*args, **PENALTY)[:2]
         sizes.append([None if loss is None else graph_size(loss) for loss in losses])
-    assert sizes[0] == sizes[1]
+    assert sizes[0] == sizes[1] == [9, None if variant == "casn_minus_m" else 8]
 
 
 @pytest.mark.parametrize("variant", ["casn", "casn_irm", "casn_mmd"])
@@ -450,11 +503,15 @@ def test_more_draws_add_no_nodes(variant, adversary_kl):
 @pytest.mark.parametrize("adversary_kl", [False, True])
 def test_twin_descends_the_negated_objective(variant, mc_samples, adversary_kl):
     """max_loss is min_loss negated to the bit, and the twin's gradient
-    from it is the negation of the twin's gradient from min_loss."""
+    from it is the negation of the twin's gradient of the objective, as
+    the term graph gives it."""
     grads = []
     for role in (0, 1):
-        losses, players = step_losses(variant, mc_samples, adversary_kl)
-        losses[role].backward(wrt=players[1])
+        args, players = objective_parts(variant, mc_samples, None, False, 4.0,
+                                        adversary_kl=adversary_kl)
+        losses = casn_objective(*args, **PENALTY)[:2]
+        loss = losses[1] if role else term_graph(*args, **PENALTY)[0]
+        loss.backward(wrt=players[1])
         # adding 0.0 maps -0.0 to 0.0: a sum that cancels exactly is +0.0
         # under either sign
         grads.append([(p.grad * (1.0 - 2.0 * role) + 0.0).tobytes() for p in players[1]])
@@ -464,24 +521,53 @@ def test_twin_descends_the_negated_objective(variant, mc_samples, adversary_kl):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_each_encoder_runs_once_per_objective(variant, monkeypatch):
-    """The penalties read their domains' rows out of the batch encode:
-    enc_c runs once per objective and the twin once (never without it)."""
-    calls = []
-    encode = GaussianEncoder.encode
-    monkeypatch.setattr(GaussianEncoder, "encode",
-                        lambda enc, x: calls.append(enc.prefix) or encode(enc, x))
+    """The penalties read their domains' rows out of the batch encode,
+    and when the twin plays one stacked forward gives both means: each
+    objective of train() runs one MLP forward, enc_c's alone for
+    casn_minus_m and the stacked pair otherwise."""
+    forwards = []
+    layers = model_module._layers
+    monkeypatch.setattr(model_module, "_layers", lambda weights, biases, h, names, *lists: (
+        forwards.append((names[0], weights[0].ndim)) or layers(weights, biases, h, names, *lists)))
     objectives = []
-    monkeypatch.setattr(train_module, "casn_objective",
-                        lambda *a, **k: objectives.append(1) or casn_objective(*a, **k))
+
+    def counted(*args, **kwargs):
+        start = len(forwards)
+        result = casn_objective(*args, **kwargs)
+        objectives.append(forwards[start:])
+        return result
+
+    monkeypatch.setattr(train_module, "casn_objective", counted)
     data = generate(SynthConfig(d=2, n_train=40, seed=3), 40)
     config = TrainConfig(variant=variant, total_steps=3, batch_size=16, rep_dim=3,
                          hidden=(6, 5), max_every=2, max_steps_per_phase=2)
     train(data, config, domains=np.arange(40) % 2)
-    twin_calls = 0 if variant == "casn_minus_m" else len(objectives)
-    assert len(objectives) == (3 if variant == "casn_minus_m" else 5)
-    assert calls.count("enc_c") == len(objectives)
-    assert calls.count("enc_c_twin") == twin_calls
-    assert len(calls) == len(objectives) + twin_calls
+    if variant == "casn_minus_m":
+        assert objectives == [[("enc_c.mean layer 0", 2)]] * 3
+    else:
+        assert objectives == [[("enc_c.mean layer 0", 3)]] * 5
+
+
+@pytest.mark.parametrize("variant", ["casn", "casn_minus_m"])
+def test_stacked_halves_share_no_memory(variant):
+    """When the twin plays, train() keeps each enc_c/twin parameter pair
+    as the two halves of one stack, through every in-place update; no
+    parameter of one player shares memory with the other's."""
+    data = generate(SynthConfig(d=2, n_train=40, seed=3), 40)
+    config = TrainConfig(variant=variant, total_steps=4, batch_size=16, rep_dim=3,
+                         hidden=(6, 5), max_every=2, max_steps_per_phase=2, momentum=0.5)
+    result = train(data, config)
+    mins = [*result.enc_c.parameters().values(), result.head.w]
+    twins = list(result.enc_cbar.parameters().values())
+    for p in mins:
+        for q in twins:
+            assert not np.shares_memory(p.data, q.data), (p.name, q.name)
+    for p, q in zip(mins, twins):
+        if variant == "casn_minus_m":
+            assert p.data.base is None and q.data.base is None
+        else:
+            assert p.data.base is q.data.base
+            assert p.data.base.shape == (2, *p.data.shape)
 
 
 # ---- gradients against central differences ----
@@ -597,3 +683,26 @@ def test_non_finite_delta_is_refused():
     c = constant(np.zeros((2, 3)))
     with overflow_raises("separation_penalty"):
         separation_penalty(c, c, float("nan"))
+
+
+@pytest.mark.parametrize("plant, op", [
+    ("enc_c layer 2", "enc_c.mean layer 2"),
+    ("kl_c", "kl_node"),
+    (None, "enc_cbar.mean layer 0"),
+])
+def test_stacked_twin_overflow_is_named_after_the_ops_before_it(plant, op):
+    """One stacked forward runs both encoders, but a twin layer that
+    overflows with a later enc_c layer or kl_c is reported after them,
+    as when enc_c, kl_c and then the twin ran one at a time."""
+    args, _ = objective_parts("casn", 1, None, False, 1.1)
+    enc_c, enc_cbar = args[2:4]
+    stack_players(enc_c, enc_cbar)
+    assert model_module._forward_pair(enc_c.mlp, enc_cbar.mlp, args[0]) is not None
+    # in place, so each parameter stays a half of its stack
+    enc_cbar.mlp.biases[0].data[:] = np.inf
+    if plant == "enc_c layer 2":
+        enc_c.mlp.biases[2].data[:] = np.inf
+    elif plant == "kl_c":
+        enc_c.log_var.data[:] = 1500.0
+    with overflow_raises(op):
+        casn_objective(*args)

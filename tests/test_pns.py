@@ -64,6 +64,17 @@ class TestPrimitives:
         assert check_exogeneity(cat_legs_scm, 1, 1)
         assert check_exogeneity(cat_legs_scm, 0, 1)
 
+    @pytest.mark.parametrize("c, y, message", [
+        (7, 1, "cause value 7 must come from (0, 1)"),
+        (1, 2, "y must be 0 or 1, got 2"),
+    ])
+    def test_exogeneity_refuses_a_bad_query(self, cat_legs_scm, c, y, message):
+        # as check_monotonicity and pns_exact do: before, c = 7 was a
+        # bare KeyError and y = 2 read True
+        with pytest.raises(ValueError) as info:
+            check_exogeneity(cat_legs_scm, c, y)
+        assert type(info.value) is ValueError and str(info.value) == message
+
     def test_exogeneity_fails_when_confounded(self):
         scm = DiscreteScm(
             c_values=(0, 1),

@@ -22,9 +22,11 @@ from pnsrisk.train import (
 
 
 def toy_parts(seed=0, n=6, in_dim=3, rep=2):
+    """A batch with -1/+1 labels, as casn_objective takes them, and the
+    game's parts."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, in_dim))
-    y = rng.integers(0, 2, size=n)
+    y = rng.integers(0, 2, size=n) * 2.0 - 1.0
     enc_c = GaussianEncoder(in_dim, rep_dim=rep, hidden=(5, 4),
                             rng=np.random.default_rng(seed + 1))
     enc_cbar = GaussianEncoder(in_dim, rep_dim=rep, hidden=(5, 4),
@@ -204,21 +206,20 @@ class TestObjective:
             assert p.grad is None
 
     def test_full_objective_gradients(self):
+        """Each player's loss against central differences in every one of
+        that player's parameters."""
         x, y, enc_c, enc_cbar, head, prior = toy_parts(seed=3)
         cfg = TrainConfig(rep_dim=2, hidden=(5, 4))
         rng = np.random.default_rng(8)
         eps_c = rng.standard_normal((1, 6, 2))
         eps_cbar = rng.standard_normal((1, 6, 2))
-        params = (list(enc_c.parameters().values())
-                  + list(enc_cbar.parameters().values())
-                  + list(head.parameters().values()))
+        players = ([*enc_c.parameters().values(), head.w], list(enc_cbar.parameters().values()))
+        for role, params in enumerate(players):
+            def loss():
+                return casn_objective(
+                    x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps_c, eps_cbar)[role]
 
-        def loss():
-            min_loss, _, _ = casn_objective(
-                x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps_c, eps_cbar)
-            return min_loss
-
-        assert check_gradients(loss, params) < 1e-5
+            assert check_gradients(loss, params) < 1e-5
 
     def test_multi_draw_average(self):
         x, y, enc_c, enc_cbar, head, prior = toy_parts(seed=4)
@@ -366,6 +367,27 @@ class TestTrainLoop:
         assert str(info.value) == ("training diverged at step 3: "
                                    "enc_c.log_var produced a non-finite value")
         assert info.value.step == 3 and len(info.value.trace) == 3
+
+    @pytest.mark.parametrize("bad_rows, first", [([2999], 2999), (slice(None), 0)],
+                             ids=["one-row-no-batch-draws", "all"])
+    def test_labels_other_than_0_or_1_are_refused_before_step_0(self, bad_rows, first):
+        # row 2999 is checked though no batch of a 3-step run draws it
+        data = generate(SynthConfig(d=2, n_train=3000, seed=1), 3000)
+        y = data.y.copy()
+        y[bad_rows] = 2
+        with pytest.raises(ValueError, match=f"^data.y row {first} is 2, not 0 or 1$"):
+            train(replace(data, y=y), TrainConfig(total_steps=3, seed=0, **SMALL))
+
+    @pytest.mark.parametrize("labels_of, shape", [(lambda y: y[:10], "(10,)"),
+                                                  (lambda y: y[:, None], "(64, 1)")],
+                             ids=["short", "column"])
+    def test_labels_not_one_per_row_are_refused_before_step_0(self, labels_of, shape):
+        # before, a short y was an IndexError at step 0 and a (64, 1) one
+        # a numpy broadcast error
+        data = generate(SynthConfig(d=2, n_train=64, seed=1), 64)
+        with pytest.raises(ValueError) as info:
+            train(replace(data, y=labels_of(data.y)), TrainConfig(total_steps=3, seed=0, **SMALL))
+        assert str(info.value) == f"data.y has shape {shape}, not one label per row (64,)"
 
     def test_non_finite_input_is_refused_before_step_0(self):
         data = generate(SynthConfig(d=2, n_train=64, seed=1), 64)
