@@ -190,7 +190,7 @@ class TestOverflow:
 
     def test_overflowing_dvar_names_its_argument(self):
         # squared row norms in range, but the mean of 64^2 squared centered
-        # distances overflows: before, 0.0 with a numpy warning
+        # distances overflows
         x = np.random.default_rng(0).standard_normal((64, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -200,7 +200,7 @@ class TestOverflow:
                 distance_correlation(x * 1e153, x[:, 0])
 
     def test_overflowing_dvar_product_names_both_arguments(self):
-        # each dVar^2 is finite, their product is not: before, 0.0 silently
+        # each dVar^2 is finite, their product is not
         x = np.random.default_rng(0).standard_normal((50, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -361,8 +361,8 @@ def chain_sum(terms):
 def term_graph(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config, eps_c, eps_cbar,
                domain_rows=None, penalty_weight=None):
     """The game as a graph of one node per loss term, from the public
-    per-term ops, summed by generic nodes: the graph casn_objective built
-    before each player's loss became one node.  Returns (objective, its
+    per-term ops, summed by generic nodes: the walk whose order of
+    gradient sums the fused losses reproduce.  Returns (objective, its
     negation or None)."""
     y = (ytil > 0).astype(np.int64)
     y_draws = np.tile(y, config.mc_samples)

@@ -69,8 +69,7 @@ class TestPrimitives:
         (1, 2, "y must be 0 or 1, got 2"),
     ])
     def test_exogeneity_refuses_a_bad_query(self, cat_legs_scm, c, y, message):
-        # as check_monotonicity and pns_exact do: before, c = 7 was a
-        # bare KeyError and y = 2 read True
+        # refused as check_monotonicity and pns_exact refuse them
         with pytest.raises(ValueError) as info:
             check_exogeneity(cat_legs_scm, c, y)
         assert type(info.value) is ValueError and str(info.value) == message

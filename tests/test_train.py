@@ -382,8 +382,6 @@ class TestTrainLoop:
                                                   (lambda y: y[:, None], "(64, 1)")],
                              ids=["short", "column"])
     def test_labels_not_one_per_row_are_refused_before_step_0(self, labels_of, shape):
-        # before, a short y was an IndexError at step 0 and a (64, 1) one
-        # a numpy broadcast error
         data = generate(SynthConfig(d=2, n_train=64, seed=1), 64)
         with pytest.raises(ValueError) as info:
             train(replace(data, y=labels_of(data.y)), TrainConfig(total_steps=3, seed=0, **SMALL))
