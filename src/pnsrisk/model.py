@@ -48,29 +48,8 @@ __all__ = [
 ]
 
 
-def _layers(weights, biases, h, names, inputs=None, pres=None):
-    """The affine+ELU hidden layers, then the linear output layer, on the
-    array h.  Every pre-activation is checked for finiteness, with an
-    error naming the layer: an ELU maps -inf to -1, so a check of the
-    output alone would hide an overflow.  Given lists, the graph path
-    collects each layer's input and each hidden pre-activation.  Stacked
-    weights (2, a, b) and biases (2, 1, b) run a pair of MLPs at once."""
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if inputs is not None:
-            inputs.append(h)
-        h = h @ w + b
-        if not np.isfinite(h).all():
-            raise FloatingPointError(f"{names[i]} produced a non-finite value")
-        if i == last:
-            return h
-        if pres is not None:
-            pres.append(h)
-        h = np.where(h > 0.0, h, np.expm1(np.minimum(h, 0.0)))
-
-
 def _mlp_vjp(weights, inputs, pres):
-    """The backward of one _layers forward: maps the gradient at its
+    """The backward of one Mlp._stack forward: maps the gradient at its
     output to the gradients of (w0, b0, w1, b1, ...)."""
     last = len(weights) - 1
 
@@ -104,6 +83,30 @@ class Mlp:
             self.weights.append(w)
             self.biases.append(parameter(np.zeros(b), name=f"{prefix}.b{i}"))
 
+    def _stack(self, h, inputs=None, pres=None, stacks=None):
+        """The affine+ELU hidden layers, then the linear output layer, on
+        the array h.  Every pre-activation is checked for finiteness, with
+        an error naming the layer: an ELU maps -inf to -1, so a check of
+        the output alone would hide an overflow.  Given lists, the graph
+        path collects each layer's input and each hidden pre-activation.
+        Given stacks, the (2, a, b) weights and then the (2, b) biases of
+        this MLP and its twin, it runs both at once (see _forward_pair)."""
+        depth = len(self.weights)
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if inputs is not None:
+                inputs.append(h)
+            if stacks is None:
+                h = h @ w.data + b.data
+            else:
+                h = h @ stacks[i] + stacks[depth + i][:, None]
+            if not np.isfinite(h).all():
+                raise FloatingPointError(f"{self.layer_names[i]} produced a non-finite value")
+            if i == depth - 1:
+                return h
+            if pres is not None:
+                pres.append(h)
+            h = np.where(h > 0.0, h, np.expm1(np.minimum(h, 0.0)))
+
     def _input(self, x):
         """The data batch x as a float64 matrix that fits the first layer."""
         h = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -114,11 +117,9 @@ class Mlp:
     def _forward(self, x):
         """(out, vjp) of the whole stack on a data batch x; vjp maps the
         gradient at the output to the gradients of parameters()."""
-        h = self._input(x)
-        weights = [w.data for w in self.weights]
         inputs, pres = [], []
-        out = _layers(weights, [b.data for b in self.biases], h, self.layer_names, inputs, pres)
-        return out, _mlp_vjp(weights, inputs, pres)
+        out = self._stack(self._input(x), inputs, pres)
+        return out, _mlp_vjp([w.data for w in self.weights], inputs, pres)
 
     def forward(self, x):
         """The whole stack on a data batch x as one graph node whose
@@ -132,8 +133,7 @@ class Mlp:
         An overflow raises the layer's FloatingPointError, not a numpy
         warning."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return _layers([w.data for w in self.weights], [b.data for b in self.biases],
-                           np.atleast_2d(np.asarray(x, dtype=np.float64)), self.layer_names)
+            return self._stack(np.atleast_2d(np.asarray(x, dtype=np.float64)))
 
     def parameters(self):
         out = {}
@@ -157,12 +157,10 @@ def _forward_pair(mlp, twin, x):
             return None
         stacks.append(stack)
     h = mlp._input(x)
-    depth = len(mlp.weights)
-    weights = stacks[:depth]
+    weights = stacks[:len(mlp.weights)]
     inputs, pres = [], []
     try:
-        out = _layers(weights, [b[:, None] for b in stacks[depth:]], h, mlp.layer_names,
-                      inputs, pres)
+        out = mlp._stack(h, inputs, pres, stacks)
     except FloatingPointError:
         return None
     return tuple((out[k], _mlp_vjp([w[k] for w in weights], [h] + [a[k] for a in inputs[1:]],

@@ -21,6 +21,7 @@ from pnsrisk.model import (
     GaussianEncoder,
     GaussianPrior,
     LinearHead,
+    Mlp,
     clone_perturbed,
     surrogate_m,
     surrogate_sf,
@@ -526,9 +527,10 @@ def test_each_encoder_runs_once_per_objective(variant, monkeypatch):
     objective of train() runs one MLP forward, enc_c's alone for
     casn_minus_m and the stacked pair otherwise."""
     forwards = []
-    layers = model_module._layers
-    monkeypatch.setattr(model_module, "_layers", lambda weights, biases, h, names, *lists: (
-        forwards.append((names[0], weights[0].ndim)) or layers(weights, biases, h, names, *lists)))
+    stack = Mlp._stack
+    monkeypatch.setattr(Mlp, "_stack", lambda mlp, h, inputs=None, pres=None, stacks=None: (
+        forwards.append((mlp.layer_names[0], stacks is not None))
+        or stack(mlp, h, inputs, pres, stacks)))
     objectives = []
 
     def counted(*args, **kwargs):
@@ -543,9 +545,9 @@ def test_each_encoder_runs_once_per_objective(variant, monkeypatch):
                          hidden=(6, 5), max_every=2, max_steps_per_phase=2)
     train(data, config, domains=np.arange(40) % 2)
     if variant == "casn_minus_m":
-        assert objectives == [[("enc_c.mean layer 0", 2)]] * 3
+        assert objectives == [[("enc_c.mean layer 0", False)]] * 3
     else:
-        assert objectives == [[("enc_c.mean layer 0", 3)]] * 5
+        assert objectives == [[("enc_c.mean layer 0", True)]] * 5
 
 
 @pytest.mark.parametrize("variant", ["casn", "casn_minus_m"])
