@@ -3,17 +3,14 @@
 Define-by-run: every operation returns a Tensor holding its value, its
 parents, and the local backward rule.  backward() on a scalar loss walks
 the graph once in reverse topological order and writes .grad on every
-node it reaches.  backward(wrt=leaves) prunes that walk to the nodes
-that depend on one of the leaves: the backward rules of everything else
-(constant inputs, another player's subgraph) never run, and those nodes
-keep the .grad they had.
+node it reaches.
 
 The training step builds each player's loss as one node whose parents
-are that player's parameters and whose backward is an analytic
-vector-Jacobian product (see pnsrisk.train); the public per-term ops of
-pnsrisk.model and pnsrisk.train are one node each.  So this module holds
-no elementwise or reduction ops of its own: the per-op reference those
-nodes are tested against lives in tests/reference_ops.py.
+are exactly that player's parameters and whose backward adds the
+vector-Jacobian products of the loss terms, which are numpy functions
+(see pnsrisk.train).  So this module holds no elementwise or reduction
+ops of its own: the per-op reference the terms are tested against lives
+in tests/reference_ops.py.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "parameter",
-    "constant",
     "sigmoid_np",
     "check_gradients",
 ]
@@ -66,21 +62,12 @@ class Tensor:
         tag = self.name or "tensor"
         return f"Tensor({tag}, shape={self.shape})"
 
-    def backward(self, wrt=None):
-        """Populate .grad on the nodes of this scalar's graph.
-
-        Without wrt, every node reachable from the loss gets a gradient.
-        With wrt (an iterable of nodes, usually a player's parameters),
-        only nodes that depend on one of them do: the walk runs the
-        backward rules of those nodes alone, in the same order as the
-        full walk, so each wrt node receives the same gradient bytes.
-        Every node walked lies on a kept path from the loss: it has a
-        gradient, as every rule returns one array per parent.
-        """
+    def backward(self):
+        """Populate .grad on every node reachable from this scalar loss."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss, got shape %s" % (self.shape,))
         grads = {self: np.ones_like(self.data)}
-        for node in _toposort(self, None if wrt is None else set(wrt)):
+        for node in _toposort(self):
             node.grad = g = grads[node]
             if node._backward is None:
                 continue
@@ -93,33 +80,15 @@ def parameter(data, name=None):
     return Tensor(np.array(data, dtype=np.float64), name=name)
 
 
-def constant(data, name=None):
-    """An untrained leaf; unlike parameter(), it wraps data without copying."""
-    return Tensor(data, name=name)
-
-
-def _toposort(root, needed=None):
-    """Reverse topological order by iterative postorder DFS.
-
-    needed, when given, is a set of nodes; the order then keeps only the
-    nodes in it and those with a parent kept, adding each to the set.  A
-    postorder lists every parent before its children, so one pass
-    decides each node.
-    """
+def _toposort(root):
+    """Reverse topological order by iterative postorder DFS."""
     order = []
     visited = set()
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
-            if needed is None or node in needed:
-                order.append(node)
-            else:
-                for parent in node.parents:
-                    if parent in needed:
-                        needed.add(node)
-                        order.append(node)
-                        break
+            order.append(node)
             continue
         if node in visited:
             continue

@@ -68,8 +68,12 @@ def _format_value(value):
 
 
 def _list_of(parse, text):
-    """A comma-separated list; empty items are skipped."""
-    return tuple(parse(tok.strip()) for tok in text.split(",") if tok.strip())
+    """A comma-separated list; an empty value is the empty list, and an
+    empty item is refused."""
+    items = [tok.strip() for tok in text.split(",")] if text else []
+    if "" in items:
+        raise ValueError(f"empty item in {text!r}")
+    return tuple(parse(tok) for tok in items)
 
 
 def _parse_like(text, default):

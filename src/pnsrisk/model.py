@@ -7,14 +7,13 @@ Sampling is reparameterized (mean + sd * eps) so gradients reach the
 encoder parameters.  The labeler is the linear rule sign(c @ w), with no
 bias; the tie c @ w = 0 maps to label 1.
 
-The math of each term (the MLP, the KL term, the draw and both
-surrogates) lives in one numpy function that returns its value and its
-vector-Jacobian product (vjp).  The training step calls those functions
-directly (pnsrisk.train.casn_objective); the public ops (Mlp.forward,
-GaussianEncoder.encode / kl_node / draw, surrogate_sf, surrogate_m)
-wrap them as one graph node each.  tests/reference_ops.py builds the
-same values node by node from generic ops and is the reference they are
-tested against.
+Each term of the training objective (the MLP, the KL term, the draw and
+both surrogates) is one numpy function on arrays that returns its value
+and its vector-Jacobian product (vjp): Mlp._forward behind
+GaussianEncoder.encode, GaussianEncoder.kl_node and draw, surrogate_sf
+and surrogate_m.  The training step (pnsrisk.train.casn_objective) calls
+them and adds their vjps into one loss node per player; there are no
+per-term graph nodes.
 
 Two differentiable surrogates stand in for the indicator quantities:
 
@@ -121,13 +120,6 @@ class Mlp:
         out = self._stack(self._input(x), inputs, pres)
         return out, _mlp_vjp([w.data for w in self.weights], inputs, pres)
 
-    def forward(self, x):
-        """The whole stack on a data batch x as one graph node whose
-        parents are the weights and biases.  x is data, not a node: no
-        leaf is made for it and no gradient flows to it."""
-        out, vjp = self._forward(x)
-        return Tensor(out, self.parameters().values(), vjp, self.layer_names[-1])
-
     def forward_np(self, x):
         """Graph-free forward for evaluation and Monte Carlo estimation.
         An overflow raises the layer's FloatingPointError, not a numpy
@@ -217,8 +209,10 @@ class GaussianEncoder:
             self.fixed_var = float(fixed_var)
 
     def encode(self, x):
-        """Posterior mean as a graph node, shape (n, rep_dim)."""
-        return self.mlp.forward(x)
+        """(mean, vjp): the posterior mean of a data batch x, shape
+        (n, rep_dim), and the map from its gradient to the gradients of
+        the mean network's parameters (Mlp._forward)."""
+        return self.mlp._forward(x)
 
     def var_np(self):
         """The posterior variance; a learned one that overflows raises."""
@@ -234,17 +228,14 @@ class GaussianEncoder:
         mean = self.mlp.forward_np(x)
         return mean, np.broadcast_to(self.var_np(), mean.shape)
 
-    def _leaves(self, mean):
-        """The parents of a node over this posterior: its mean node,
-        and the log-variance when it is learned."""
-        return (mean,) if self.log_var is None else (mean, self.log_var)
-
-    def _draw(self, mean, eps):
+    def draw(self, mean, eps):
         """(value, vjp) of the reparameterized draws mean + sd * eps from
         a posterior-mean array; vjp maps the gradient at the draws to the
-        gradients of (mean, [log_var]).  eps of shape (n, rep_dim) gives
-        one draw per row; eps of shape (draws, n, rep_dim) gives every
-        draw's rows, draw-major, as one (draws * n, rep_dim) array."""
+        gradients of (mean, [log_var]), so gradients flow to the mean
+        network and the log-variance, not to the noise eps.  eps of shape
+        (n, rep_dim) gives one draw per row; eps of shape
+        (draws, n, rep_dim) gives every draw's rows, draw-major, as one
+        (draws * n, rep_dim) array."""
         shape = mean.shape
         draws = np.asarray(eps, dtype=np.float64)
         if draws.ndim not in (2, 3) or draws.shape[-2:] != shape:
@@ -261,21 +252,16 @@ class GaussianEncoder:
 
         return (mean + draws * sd).reshape(-1, shape[1]), vjp
 
-    def draw(self, mean, eps):
-        """Reparameterized draws from an existing mean node, as one graph
-        node (see _draw); eps is a constant, so gradients flow to the
-        mean network and the log-variance."""
-        value, vjp = self._draw(mean.data, eps)
-        return Tensor(value, self._leaves(mean), vjp, "draw")
-
-    def _kl(self, mean, prior):
+    def kl_node(self, mean, prior):
         """(value, vjp) of the mean-over-batch KL(q(.|x) || prior) on a
         posterior-mean array; vjp maps the gradient at the KL to the
-        gradients of (mean, [log_var]).
+        gradients of (mean, [log_var]).  The name is the one the
+        benchmark's model.kl_node span times.
 
         Closed form for diagonal Gaussians; the variance part is shared
         across the batch because the posterior variance does not depend
-        on x.  A term that overflows makes the value inf.
+        on x.  A term that overflows makes the value inf, which the
+        caller's finiteness check reports as kl_node's.
         """
         n, rep = mean.shape
         inv_pv = prior.inv_var
@@ -299,13 +285,6 @@ class GaussianEncoder:
             return (mean_grad(half), half * inv_pv * var - half)
 
         return (var_part + mean_part) * 0.5, vjp
-
-    def kl_node(self, mean, prior):
-        """Mean-over-batch KL(q(.|x) || prior) as one graph node (see
-        _kl); a value that overflows raises FloatingPointError naming the
-        op."""
-        value, vjp = self._kl(mean.data, prior)
-        return Tensor(value, self._leaves(mean), vjp, "kl_node")
 
     def parameters(self):
         out = self.mlp.parameters()
@@ -350,27 +329,12 @@ def _ytil(y):
     return y.astype(np.float64) * 2.0 - 1.0
 
 
-def _check_reps(head, *reps):
-    """Refuse representation nodes the labeler cannot read."""
-    w = head.w.data
-    for c in reps:
-        if c.data.ndim != 2 or c.data.shape[1] != w.shape[0]:
-            raise ValueError(f"matmul: {c.data.shape} @ {w.shape}")
-
-
-def _neg_ytil(head, c, y):
-    """-ytil for the 0/1 labels y of the rows of a representation node
-    c, once the labels and the shapes are checked."""
-    neg_ytil = -_ytil(y)
-    _check_reps(head, c)
-    if neg_ytil.shape not in ((), c.data.shape[:1]):
-        raise ValueError(f"labels of shape {neg_ytil.shape} for {c.data.shape[0]} rows")
-    return neg_ytil
-
-
-def _sf(w, c, neg_ytil):
-    """(value, vjp) of the sufficiency surrogate on representation rows
-    c, labels given as -ytil; vjp gives the gradients of (c, w)."""
+def surrogate_sf(w, c, neg_ytil):
+    """(value, vjp) of the differentiable stand-in for
+    P(sign(w.c) != y) on representation rows c, labels given as -ytil
+    (ytil = 2y - 1): the mean softplus of the margin deficit -ytil * w.c.
+    It equals ln 2 at w.c = 0 and decays to the indicator as the margin
+    grows.  vjp gives the gradients of (c, w)."""
     a = (c @ w) * neg_ytil
     scale = 1.0 / a.shape[0]
     e = np.exp(-np.abs(a))
@@ -383,17 +347,13 @@ def _sf(w, c, neg_ytil):
     return out, vjp
 
 
-def surrogate_sf(head, c, y):
-    """Differentiable stand-in for P(sign(w.c) != y): mean softplus of the
-    margin deficit, as one graph node.  Equals ln 2 at w.c = 0 and decays
-    to the indicator as the margin grows."""
-    value, vjp = _sf(head.w.data, c.data, _neg_ytil(head, c, y))
-    return Tensor(value, (c, head.w), vjp, "surrogate_sf")
-
-
-def _m(w, c, c_bar):
-    """(value, vjp) of the agreement surrogate on paired representation
-    rows; vjp gives the gradients of (c, c_bar, w)."""
+def surrogate_m(w, c, c_bar):
+    """(value, vjp) of the differentiable stand-in for the probability
+    that the two routes agree in sign, on paired representation rows:
+    the mean over pairs of p*q + (1-p)*(1-q), p = sigmoid(w.c),
+    q = sigmoid(w.cbar).  vjp gives the gradients of (c, c_bar, w)."""
+    if c.shape != c_bar.shape:
+        raise ValueError(f"surrogate_m: {c.shape} vs {c_bar.shape}")
     # rows (p, q) and (1 - p, 1 - q): each elementwise op runs once for both
     pq = sigmoid_np(np.concatenate((c @ w, c_bar @ w)).reshape(2, -1))
     pq1 = 1.0 - pq
@@ -408,17 +368,6 @@ def _m(w, c, c_bar):
         return g_zc[:, None] * w, g_zb[:, None] * w, _w_grad(((c, g_zc), (c_bar, g_zb)))
 
     return out, vjp
-
-
-def surrogate_m(head, c, c_bar):
-    """Differentiable stand-in for the probability that the two routes
-    agree in sign: mean over pairs of p*q + (1-p)*(1-q), as one graph
-    node."""
-    _check_reps(head, c, c_bar)
-    if c.data.shape != c_bar.data.shape:
-        raise ValueError(f"surrogate_m: {c.data.shape} vs {c_bar.data.shape}")
-    value, vjp = _m(head.w.data, c.data, c_bar.data)
-    return Tensor(value, (c, c_bar, head.w), vjp, "surrogate_m")
 
 
 def clone_perturbed(encoder, rng, scale=0.01):

@@ -103,9 +103,6 @@ class DiscreteScm:
 
     # ---- primitive measures ----
 
-    def p_cause_given_noise(self, c, u):
-        return self._cond_cause[u][c]
-
     def p_joint(self, c, y):
         """Observational P(C=c, Y=y)."""
         return sum(
@@ -123,10 +120,6 @@ class DiscreteScm:
     def p_do(self, c, y):
         """Interventional P(Y=y | do(C=c)): fix c, average the noise."""
         return sum(pu for u, pu in zip(self.u_values, self.u_probs) if self._table[(c, u)] == y)
-
-    def p_outcome_given_cause(self, c, y):
-        pc = self.p_cause(c)
-        return _conditional(self.p_joint(c, y), pc, c)
 
 
 def _validate_query(scm, c, c_bar, y):

@@ -43,7 +43,6 @@ __all__ = [
     "read_csv",
     "label_scm",
     "feature_scm",
-    "functional_intervention",
 ]
 
 MIXERS = ("as_written", "k1k2")
@@ -278,31 +277,3 @@ def feature_scm(config, feature):
         mechanism=lambda c, u: u[0] ^ u[2],
     )
 
-
-def functional_intervention(config, feature, y=1):
-    """P(Y=y | do(F=f)) for a functional intervention that replaces the
-    feature's mechanism but keeps its dependence on sn, versus the plain
-    observational conditional.  Returns {f: (interventional, observational)}.
-
-    The intervention decomposes through the root cause:
-    P(Y=y | do(F=f)) = sum_sn P(Y=y | do(sn)) P(sn | F=f).
-    """
-    scm = feature_scm(config, feature)
-    label = label_scm(config)
-    out = {}
-    for f in (0, 1):
-        p_f = scm.p_cause(f)
-        if p_f <= 0.0:
-            raise ValueError(f"feature value {f} has zero probability")
-        p_sn_given_f = {}
-        for sn in (0, 1):
-            mass = sum(
-                pu * scm.p_cause_given_noise(f, u)
-                for u, pu in zip(scm.u_values, scm.u_probs)
-                if u[0] == sn
-            )
-            p_sn_given_f[sn] = mass / p_f
-        do_value = sum(label.p_do(sn, y) * p_sn_given_f[sn] for sn in (0, 1))
-        obs_value = scm.p_outcome_given_cause(f, y)
-        out[f] = (do_value, obs_value)
-    return out

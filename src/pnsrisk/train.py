@@ -21,13 +21,16 @@ Variants:
 * casn_irm:      adds an invariance penalty per domain,
 * casn_mmd:      adds a cross-domain representation distance penalty.
 
-Each player's loss is one graph node over exactly that player's
-parameters (casn_objective).  Every term, the two penalties included,
-is computed once in numpy however many Monte Carlo draws, and the
-loss's backward adds the terms' vector-Jacobian products.  The penalties
-read their domains' rows out of the batch's one posterior mean.  When
-the twin plays, train() stores each parameter pair of the two encoders
-as the halves of one stacked array, so one forward gives both means.
+Each term is one numpy function that returns its value and its
+vector-Jacobian product (vjp): separation_penalty, irm_penalty and
+mmd_penalty here, the encoder's terms and both surrogates in
+pnsrisk.model.  Each player's loss is one graph node over exactly that
+player's parameters (casn_objective).  Every term is computed once
+however many Monte Carlo draws, and the loss's backward adds the terms'
+vjps.  The penalties read their domains' rows out of the batch's one
+posterior mean.  When the twin plays, train() stores each parameter
+pair of the two encoders as the halves of one stacked array, so one
+forward gives both means.
 tests/reference_ops.py builds the same terms node by node from generic
 ops; the tests compare the two.
 """
@@ -39,19 +42,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, constant, sigmoid_np
+from .autodiff import Tensor, sigmoid_np
 from .model import (
     GaussianEncoder,
     GaussianPrior,
     LinearHead,
     _forward_pair,
-    _m,
-    _neg_ytil,
-    _sf,
     _w_grad,
     clone_perturbed,
     load_checkpoint,
     save_checkpoint,
+    surrogate_m,
+    surrogate_sf,
 )
 from .risk import estimate_risk
 from .streams import ROLE_TRAIN, SEED_MAX, keyed
@@ -146,9 +148,17 @@ def _distances(a, b, op):
     return diff, dist
 
 
-def _separation(c, c_bar, delta):
-    """(value, vjp) of the separation hinge on paired representation
-    rows; vjp gives the gradients of (c, c_bar)."""
+def separation_penalty(c, c_bar, delta):
+    """(value, vjp) of the mean squared hinge on the pairwise
+    representation gap, mean over pairs of max(0, delta - ||c - cbar||_2)^2,
+    on paired representation rows; vjp gives the gradients of (c, c_bar).
+
+    The distance carries the 1e-18 stabilizer of _distances, so
+    coincident pairs cost (delta - 1e-9)^2 instead of tripping on the
+    sqrt gradient.
+    """
+    if c.ndim != 2 or c.shape != c_bar.shape:
+        raise ValueError(f"separation_penalty: {c.shape} vs {c_bar.shape}")
     diff, dist = _distances(c, c_bar, "separation_penalty")
     hinge = np.maximum(delta - dist, 0.0)
     scale = 1.0 / hinge.shape[0]
@@ -163,24 +173,20 @@ def _separation(c, c_bar, delta):
     return (hinge * hinge).sum() * scale, vjp
 
 
-def separation_penalty(c, c_bar, delta):
-    """Mean squared hinge on the pairwise representation gap:
-    mean over pairs of max(0, delta - ||c - cbar||_2)^2, as one graph
-    node.
+def mmd_penalty(groups):
+    """(value, vjp) of the sum over unordered domain pairs of the mean
+    cross-domain representation distance, on two or more arrays of
+    representation rows; vjp gives one gradient per group.
 
-    The distance carries the 1e-18 stabilizer of _distances, so
-    coincident pairs cost (delta - 1e-9)^2 instead of tripping on the
-    sqrt gradient.
+    Each distance carries the 1e-18 stabilizer of _distances, so
+    coincident rows have a gradient.  One domain has no cross-domain
+    pair: the caller adds no penalty for it (casn_objective).
     """
-    if c.data.ndim != 2 or c.data.shape != c_bar.data.shape:
-        raise ValueError(f"separation_penalty: {c.data.shape} vs {c_bar.data.shape}")
-    value, vjp = _separation(c.data, c_bar.data, float(delta))
-    return Tensor(value, (c, c_bar), vjp, "separation_penalty")
-
-
-def _mmd(groups):
-    """(value, vjp) of the mmd penalty on two or more arrays of
-    representation rows; vjp gives one gradient per group."""
+    if len(groups) < 2:
+        raise ValueError("mmd penalty needs at least two domains")
+    for a in groups:
+        if a.ndim != 2 or groups[0].ndim != 2 or a.shape[1] != groups[0].shape[1]:
+            raise ValueError(f"mmd_penalty: {groups[0].shape} vs {a.shape}")
     total = None
     pairs = []
     for i in range(len(groups)):
@@ -203,27 +209,19 @@ def _mmd(groups):
     return total, vjp
 
 
-def mmd_penalty(rep_groups):
-    """Sum over unordered domain pairs of the mean cross-domain
-    representation distance, as one graph node.  A batch that drew one
-    domain's rows has no cross-domain pair, so its penalty is 0.
+def irm_penalty(w, groups, neg_ytil_groups):
+    """(value, vjp) of the invariance penalty on arrays of representation
+    rows, labels given as -ytil: the squared derivative of each domain's
+    surrogate loss in a dummy scaling of the labeler, summed over
+    domains.  vjp gives the gradients of (*groups, w).
 
-    Each distance carries the 1e-18 stabilizer of _distances, so
-    coincident rows have a gradient.
+    d/ds mean softplus(-ytil * s * z) at s = 1 is
+    mean(-ytil * z * sigmoid(-ytil * z)), a first-order expression in z.
     """
-    if len(rep_groups) < 2:
-        return constant(0.0)
-    groups = [reps.data for reps in rep_groups]
-    for a in groups:
-        if a.ndim != 2 or groups[0].ndim != 2 or a.shape[1] != groups[0].shape[1]:
-            raise ValueError(f"mmd_penalty: {groups[0].shape} vs {a.shape}")
-    value, vjp = _mmd(groups)
-    return Tensor(value, rep_groups, vjp, "mmd_penalty")
-
-
-def _irm(w, groups, neg_ytil_groups):
-    """(value, vjp) of the irm penalty on arrays of representation rows,
-    labels given as -ytil; vjp gives the gradients of (*groups, w)."""
+    if len(groups) != len(neg_ytil_groups):
+        raise ValueError("rep_groups and y_groups must align")
+    if not groups:
+        raise ValueError("irm penalty needs at least one domain")
     total = None
     saved = []
     for reps, neg_ytil in zip(groups, neg_ytil_groups):
@@ -246,28 +244,10 @@ def _irm(w, groups, neg_ytil_groups):
     return total, vjp
 
 
-def irm_penalty(head, rep_groups, y_groups):
-    """Invariance penalty: squared derivative of each domain's surrogate
-    loss in a dummy scaling of the labeler, summed over domains, as one
-    graph node.
-
-    d/ds mean softplus(-ytil * s * z) at s = 1 is
-    mean(-ytil * z * sigmoid(-ytil * z)), a first-order expression, so
-    the penalty stays inside a first-order graph.
-    """
-    if len(rep_groups) != len(y_groups):
-        raise ValueError("rep_groups and y_groups must align")
-    if not rep_groups:
-        raise ValueError("irm penalty needs at least one domain")
-    neg_ytil = [_neg_ytil(head, reps, y) for reps, y in zip(rep_groups, y_groups)]
-    value, vjp = _irm(head.w.data, [reps.data for reps in rep_groups], neg_ytil)
-    return Tensor(value, (*rep_groups, head.w), vjp, "irm_penalty")
-
-
 def _checked(op, result):
     """A (value, vjp) result once its value is checked: a non-finite
-    value raises FloatingPointError naming the op, as the op's own node
-    would."""
+    value raises FloatingPointError naming the op, in the words of the
+    graph's own check (autodiff.Tensor)."""
     value = result[0]
     if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
         raise FloatingPointError(f"{op} produced a non-finite value")
@@ -310,20 +290,20 @@ def casn_objective(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
     w = head.w.data
     neg_ytil = -np.concatenate((ytil,) * config.mc_samples)
     pair = _forward_pair(enc_c.mlp, enc_cbar.mlp, x) if twin else None
-    mean_c, mlp_c = pair[0] if pair else enc_c.mlp._forward(x)
-    kl_c, kl_c_vjp = _checked("kl_node", enc_c._kl(mean_c, prior_c))
+    mean_c, mlp_c = pair[0] if pair else enc_c.encode(x)
+    kl_c, kl_c_vjp = _checked("kl_node", enc_c.kl_node(mean_c, prior_c))
     parts = {"m": 0.0, "kl_cbar": 0.0, "hinge": 0.0, "penalty": 0.0}
     if twin:
-        mean_cbar, mlp_cbar = pair[1] if pair else enc_cbar.mlp._forward(x)
-        kl_cbar, kl_cbar_vjp = _checked("kl_node", enc_cbar._kl(mean_cbar, prior_cbar))
-    c, draw_c = _checked("draw", enc_c._draw(mean_c, eps_c))
+        mean_cbar, mlp_cbar = pair[1] if pair else enc_cbar.encode(x)
+        kl_cbar, kl_cbar_vjp = _checked("kl_node", enc_cbar.kl_node(mean_cbar, prior_cbar))
+    c, draw_c = _checked("draw", enc_c.draw(mean_c, eps_c))
     if twin:
-        c_bar, draw_cbar = _checked("draw", enc_cbar._draw(mean_cbar, eps_cbar))
-    sf, sf_vjp = _checked("surrogate_sf", _sf(w, c, neg_ytil))
+        c_bar, draw_cbar = _checked("draw", enc_cbar.draw(mean_cbar, eps_cbar))
+    sf, sf_vjp = _checked("surrogate_sf", surrogate_sf(w, c, neg_ytil))
     if twin:
-        m, m_vjp = _checked("surrogate_m", _m(w, c, c_bar))
+        m, m_vjp = _checked("surrogate_m", surrogate_m(w, c, c_bar))
         hinge, hinge_vjp = _checked("separation_penalty",
-                                    _separation(c, c_bar, float(config.delta)))
+                                    separation_penalty(c, c_bar, float(config.delta)))
         terms = [(m, 1.0), (sf, 1.0), (kl_c, config.lam), (hinge, config.sep_weight)]
         if config.adversary_kl:
             terms.append((kl_cbar, config.lam))
@@ -337,12 +317,12 @@ def casn_objective(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
         reps = [mean_c[rows] for rows in domain_rows]
         if config.variant == "casn_mmd":
             # one domain has no cross-domain pair: the penalty is a constant 0
-            penalty, penalty_vjp = (_checked("mmd_penalty", _mmd(reps)) if len(reps) > 1
-                                    else (0.0, None))
+            penalty, penalty_vjp = (_checked("mmd_penalty", mmd_penalty(reps))
+                                    if len(reps) > 1 else (0.0, None))
             weight = config.mmd_weight
         else:
             penalty, penalty_vjp = _checked(
-                "irm_penalty", _irm(w, reps, [-ytil[rows] for rows in domain_rows]))
+                "irm_penalty", irm_penalty(w, reps, [-ytil[rows] for rows in domain_rows]))
             weight = config.irm_weight
         penalty_weight = weight if penalty_weight is None else penalty_weight
         terms.append((penalty, penalty_weight))
@@ -515,12 +495,12 @@ def train(data, config, domains=None):
                     and (step + 1) % config.max_every == 0
                 )
                 min_loss, _, parts = batch_objective()
-                min_loss.backward(min_params)
+                min_loss.backward()
                 _sgd(min_params, config.lr_min, velocities, config.momentum)
                 if run_phase:
                     for _ in range(config.max_steps_per_phase):
                         game, max_loss, _ = batch_objective()
-                        max_loss.backward(adv_params)
+                        max_loss.backward()
                         # descending -objective ascends the shared objective
                         _sgd(adv_params, config.lr_max, velocities, 0.0)
                         adv_value = game.item()

@@ -1,11 +1,12 @@
-"""Generic per-op autodiff layer: the reference the fused ops are tested
-against.
+"""Generic per-op autodiff layer: the reference the fused terms are
+tested against.
 
 Every function here returns a pnsrisk.autodiff.Tensor with one backward
 rule per elementary op, so a loss built from them is a long chain of
-small nodes.  The library builds every loss term as one fused node
-instead; tests build the same quantity node by node from these
-functions and compare values and gradients.
+small nodes.  The library computes every loss term as one numpy
+function that returns (value, vjp); node() makes such a result one graph
+node, and tests build the same quantity node by node from the functions
+below and compare values and gradients.
 
 Broadcasting is limited to what the models and losses need: equal
 shapes, scalars, and a trailing-axis row broadcast of a (k,) vector
@@ -13,11 +14,17 @@ against an (n, k) matrix.  Operands that are not Tensors (floats,
 arrays) are wrapped as constant leaves.
 """
 
-import warnings
-
 import numpy as np
 
-from pnsrisk.autodiff import Tensor, constant, sigmoid_np
+from pnsrisk.autodiff import Tensor, sigmoid_np
+
+
+def node(name, parents, result):
+    """One graph node from a package term: result is the term's
+    (value, vjp) on the parents' arrays, and vjp returns one gradient
+    per parent, in order."""
+    value, vjp = result
+    return Tensor(value, parents, vjp, name)
 
 
 def _wrap(x):
@@ -246,10 +253,7 @@ def logits(head, c):
 
 def mmd_penalty(rep_groups):
     """Sum over unordered domain pairs of the mean cross-domain
-    representation distance; 0 with a warning for fewer than two."""
-    if len(rep_groups) < 2:
-        warnings.warn("mmd penalty needs at least two domains; returning 0", stacklevel=2)
-        return constant(0.0)
+    representation distance."""
     total = None
     for i in range(len(rep_groups)):
         for j in range(i + 1, len(rep_groups)):
@@ -266,7 +270,7 @@ def irm_penalty(head, rep_groups, y_groups):
         raise ValueError("rep_groups and y_groups must align")
     total = None
     for reps, y in zip(rep_groups, y_groups):
-        neg_ytil = constant(-(np.asarray(y, dtype=np.float64) * 2.0 - 1.0))
+        neg_ytil = Tensor(-(np.asarray(y, dtype=np.float64) * 2.0 - 1.0))
         a = mul(logits(head, reps), neg_ytil)
         term = square(reduce_mean(mul(a, sigmoid(a))))
         total = term if total is None else add(total, term)

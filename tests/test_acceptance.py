@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference_ops import node
 
 from pnsrisk.autodiff import check_gradients, parameter
 from pnsrisk.cli import parse_config, run_repro
@@ -41,7 +42,15 @@ from pnsrisk.risk import (
     sufficiency_deviation_trial,
 )
 from pnsrisk.synth import SynthConfig, generate
-from pnsrisk.train import irm_penalty, mmd_penalty, separation_penalty, train
+from pnsrisk.train import (
+    VARIANTS,
+    TrainConfig,
+    casn_objective,
+    irm_penalty,
+    mmd_penalty,
+    separation_penalty,
+    train,
+)
 
 ATOL = 1e-12
 
@@ -205,6 +214,9 @@ def test_criterion_5_deviation_bound_resampling():
 
 
 def test_criterion_6_gradient_integrity():
+    """The six loss terms, each made one graph node, on 100 seeds, and
+    both players' step losses from casn_objective (the variants in turn,
+    two domains) on 20 of them, against central differences."""
     worst = 0.0
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
@@ -217,20 +229,42 @@ def test_criterion_6_gradient_integrity():
         x = rng.standard_normal((3, 2))
         prior = GaussianPrior.standard(rep)
         delta = float(rng.uniform(0.5, 2.0))
-        losses = (
-            (lambda: surrogate_sf(head, c, y), [c, head.w]),
-            (lambda: surrogate_m(head, c, c_bar), [c, c_bar, head.w]),
-            (lambda: enc.kl_node(enc.encode(x), prior),
-             list(enc.parameters().values())),
-            (lambda: separation_penalty(c, c_bar, delta), [c, c_bar]),
-            (lambda: irm_penalty(head, [c], [y]), [c, head.w]),
-            (lambda: mmd_penalty([c, c_bar]), [c, c_bar]),
-        )
+        w, neg_ytil = head.w, -(y * 2.0 - 1.0)
+
+        def kl():
+            mean = node("encode", list(enc.mlp.parameters().values()), enc.encode(x))
+            return node("kl_node", [mean, enc.log_var], enc.kl_node(mean.data, prior))
+
+        losses = [
+            (lambda: node("surrogate_sf", [c, w], surrogate_sf(w.data, c.data, neg_ytil)),
+             [c, w]),
+            (lambda: node("surrogate_m", [c, c_bar, w], surrogate_m(w.data, c.data, c_bar.data)),
+             [c, c_bar, w]),
+            (kl, list(enc.parameters().values())),
+            (lambda: node("separation_penalty", [c, c_bar],
+                          separation_penalty(c.data, c_bar.data, delta)), [c, c_bar]),
+            (lambda: node("irm_penalty", [c, w], irm_penalty(w.data, [c.data], [neg_ytil])),
+             [c, w]),
+            (lambda: node("mmd_penalty", [c, c_bar], mmd_penalty([c.data, c_bar.data])),
+             [c, c_bar]),
+        ]
+        if seed % 5 == 0:  # the step losses on 20 seeds, each variant 5 times
+            twin = GaussianEncoder(2, rep_dim=rep, hidden=(4, 3), rng=rng, prefix="enc_twin")
+            ytil = rng.integers(0, 2, size=3) * 2.0 - 1.0
+            eps_c, eps_cbar = rng.standard_normal((2, 1, 3, rep))
+            config = TrainConfig(variant=VARIANTS[seed // 5 % len(VARIANTS)], rep_dim=rep,
+                                 hidden=(4, 3), delta=delta)
+            args = (x, ytil, enc, twin, head, prior, prior, config, eps_c, eps_cbar)
+            domains = dict(domain_rows=[np.array([0, 2]), np.array([1])], penalty_weight=1.0)
+            players = ([*enc.parameters().values(), w], list(twin.parameters().values()))
+            for role in (0, 1) if config.variant != "casn_minus_m" else (0,):
+                losses.append((lambda role=role: casn_objective(*args, **domains)[role],
+                               players[role]))
         for build, params in losses:
             worst = max(worst, check_gradients(build, params))
     ok = worst <= 1e-4
-    assert report(6, ok, f"six losses x 100 seeds, max relative gradient "
-                         f"error {worst:.2e} (tol 1e-4)")
+    assert report(6, ok, f"six loss terms x 100 seeds and both players' step losses x 20, "
+                         f"max relative gradient error {worst:.2e} (tol 1e-4)")
 
 
 @pytest.fixture(scope="module")

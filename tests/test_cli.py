@@ -92,6 +92,14 @@ class TestFlatConfig:
         assert cfg.fixed_var == 0.001
         assert_malformed("adversary_kl = yes\n", 1, "expected true or false, got 'yes'")
 
+    @pytest.mark.parametrize("value", ["8,,6", ",", "8, 6,", ", 8"])
+    def test_empty_list_item_is_refused(self, value):
+        assert_malformed(f"lam = 0.5\nhidden = {value}\n", 2, f"empty item in {value!r}")
+
+    def test_empty_list_value_is_no_hidden_layer(self):
+        assert flat_train("hidden = \n").hidden == ()
+        assert parse_config("[train]\nhidden =\n").train.hidden == ()
+
     def test_synth_config_round_trip(self):
         cfg = SynthConfig(d=3, s=0.4, n_train=40, seed=7, mixer="k1k2")
         assert parse_flat(serialize_flat(cfg), SynthConfig) == cfg
@@ -168,6 +176,10 @@ class TestExperimentSpec:
     def test_repeated_section(self):
         with pytest.raises(ConfigError, match="repeated section"):
             parse_config("[grid]\n[train]\n[grid]\n")
+
+    def test_empty_grid_item_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^line 2: empty item in '0,,1'$"):
+            parse_config("[grid]\nseed = 0,,1\n")
 
     def test_duplicate_grid_value(self):
         with pytest.raises(ConfigError, match="duplicate values"):
@@ -299,6 +311,19 @@ def test_train_then_eval_round_trip(tmp_path, capsys):
     cells = row.split(",")
     assert cells[0] == "0.9" and cells[1] == "0.2" and cells[2] == "5"
     assert all(0.0 <= float(v) <= 1.0 for v in cells[3:7])
+
+
+@pytest.mark.parametrize("value", ["8,,6", ","])
+def test_train_refuses_an_empty_list_item(tmp_path, capsys, value):
+    data_csv = tmp_path / "data.csv"
+    main(["synth", "--d", "2", "--n", "8", "--out", str(data_csv)])
+    config = tmp_path / "train.cfg"
+    config.write_text(SMALL_TRAIN.replace("hidden = 8, 6", f"hidden = {value}"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--data", str(data_csv),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: line 4: empty item in {value!r}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_header_only_csv_is_clean_error(tmp_path, capsys):

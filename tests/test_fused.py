@@ -1,11 +1,11 @@
-"""The fused training-step ops against the per-op graph they replace.
+"""The fused training-step terms against the per-op graph they replace.
 
-Each fused op (the MLP, the draw, the KL term, both surrogates, the
-separation hinge and the irm and mmd penalties) is one graph node with
-an analytic backward.  The reference below builds the same quantities
-node by node from the generic ops in reference_ops, as the step was
-built before fusion, and every test compares values and every parameter
-gradient.
+Each term (the MLP, the draw, the KL term, both surrogates, the
+separation hinge and the irm and mmd penalties) is one numpy function
+that returns (value, vjp); reference_ops.node makes it one graph node.
+The reference below builds the same quantities node by node from the
+generic ops in reference_ops, as the step was built before fusion, and
+every test compares values and every parameter gradient.
 """
 
 import contextlib
@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 import reference_ops as R
 
-from pnsrisk.autodiff import check_gradients, constant, parameter
+from pnsrisk.autodiff import Tensor, check_gradients, parameter
 from pnsrisk.model import (
     GaussianEncoder,
     GaussianPrior,
     LinearHead,
     Mlp,
+    _ytil,
     clone_perturbed,
     surrogate_m,
     surrogate_sf,
@@ -58,7 +59,7 @@ def ref_mlp(mlp, x):
 
 
 def ref_draw(enc, mean, eps):
-    eps_t = constant(np.asarray(eps, dtype=np.float64))
+    eps_t = Tensor(np.asarray(eps, dtype=np.float64))
     if enc.fixed_var is not None:
         return R.add(mean, R.mul(eps_t, np.sqrt(enc.fixed_var)))
     return R.add(mean, R.mul(eps_t, R.exp(R.mul(enc.log_var, 0.5))))
@@ -67,42 +68,42 @@ def ref_draw(enc, mean, eps):
 def ref_kl(enc, mean, prior):
     n, rep = mean.data.shape
     inv_pv = 1.0 / prior.var
-    diff = R.sub(mean, constant(prior.mean))
-    mean_part = R.reduce_mean(R.reduce_sum(R.mul(R.mul(diff, diff), constant(inv_pv)), axis=1))
+    diff = R.sub(mean, Tensor(prior.mean))
+    mean_part = R.reduce_mean(R.reduce_sum(R.mul(R.mul(diff, diff), Tensor(inv_pv)), axis=1))
     log_pv_sum = float(np.log(prior.var).sum())
     if enc.fixed_var is not None:
-        var_part = constant(log_pv_sum - rep * np.log(enc.fixed_var)
+        var_part = Tensor(log_pv_sum - rep * np.log(enc.fixed_var)
                             + float((enc.fixed_var * inv_pv).sum()) - rep)
     else:
-        var_part = R.add(R.sub(R.reduce_sum(R.mul(R.exp(enc.log_var), constant(inv_pv))),
+        var_part = R.add(R.sub(R.reduce_sum(R.mul(R.exp(enc.log_var), Tensor(inv_pv))),
                                R.reduce_sum(enc.log_var)),
-                         constant(log_pv_sum - rep))
+                         Tensor(log_pv_sum - rep))
     return R.mul(R.add(var_part, mean_part), 0.5)
 
 
 def ref_sf(head, c, y):
     neg_ytil = -(np.asarray(y, dtype=np.float64) * 2.0 - 1.0)
-    return R.reduce_mean(R.softplus(R.mul(R.logits(head, c), constant(neg_ytil))))
+    return R.reduce_mean(R.softplus(R.mul(R.logits(head, c), Tensor(neg_ytil))))
 
 
 def ref_m(head, c, c_bar):
     p = R.sigmoid(R.logits(head, c))
     q = R.sigmoid(R.logits(head, c_bar))
-    one = constant(1.0)
+    one = Tensor(1.0)
     return R.reduce_mean(R.add(R.mul(p, q), R.mul(R.sub(one, p), R.sub(one, q))))
 
 
 def ref_separation(c, c_bar, delta):
     diff = R.sub(c, c_bar)
     dist = R.sqrt(R.add(R.reduce_sum(R.mul(diff, diff), axis=1), 1e-18))
-    return R.reduce_mean(R.square(R.relu(R.sub(constant(float(delta)), dist))))
+    return R.reduce_mean(R.square(R.relu(R.sub(Tensor(float(delta)), dist))))
 
 
 def ref_objective(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
                   eps_c, eps_cbar, domain_rows=None, penalty_weight=None):
     y = (ytil > 0).astype(np.int64)
     s_draws = config.mc_samples
-    mean_c = ref_mlp(enc_c.mlp, constant(x))
+    mean_c = ref_mlp(enc_c.mlp, Tensor(x))
     kl_c = ref_kl(enc_c, mean_c, prior_c)
     if config.variant == "casn_minus_m":
         sf = None
@@ -111,7 +112,7 @@ def ref_objective(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
             sf = term if sf is None else R.add(sf, term)
         sf = R.mul(sf, 1.0 / s_draws)
         return R.add(sf, R.mul(kl_c, config.lam)), None
-    mean_cbar = ref_mlp(enc_cbar.mlp, constant(x))
+    mean_cbar = ref_mlp(enc_cbar.mlp, Tensor(x))
     kl_cbar = ref_kl(enc_cbar, mean_cbar, prior_cbar)
     sf = m = hinge = None
     for k in range(s_draws):
@@ -131,7 +132,7 @@ def ref_objective(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
         game = R.add(game, R.mul(kl_cbar, config.lam))
     if config.variant in ("casn_irm", "casn_mmd"):
         # each domain's rows encoded on their own, as train() once did
-        reps = [ref_mlp(enc_c.mlp, constant(x[rows])) for rows in domain_rows]
+        reps = [ref_mlp(enc_c.mlp, Tensor(x[rows])) for rows in domain_rows]
         if config.variant == "casn_mmd":
             penalty = R.mmd_penalty(reps)
         else:
@@ -185,11 +186,21 @@ def leaf(rng, shape):
     return parameter(rng.standard_normal(shape))
 
 
+def mlp_params(enc):
+    return list(enc.mlp.parameters().values())
+
+
+def posterior(enc, mean):
+    """The parents of a term on the posterior: its mean node, and the
+    log-variance when it is learned."""
+    return [mean] + ([] if enc.log_var is None else [enc.log_var])
+
+
 # ---- fused ops, one at a time ----
 
 def _same_weights(seed, shape):
     """A fresh generator per build, so both graphs see the same weights."""
-    return lambda: constant(np.random.default_rng(seed).standard_normal(shape))
+    return lambda: Tensor(np.random.default_rng(seed).standard_normal(shape))
 
 
 @pytest.mark.parametrize("hidden", [(7, 5), (6,), ()])
@@ -199,10 +210,10 @@ def test_mlp_matches_per_op_graph(hidden):
     x = rng.standard_normal((9, 4))
     weights = _same_weights(2, (9, 3))
     params = list(mlp.parameters().values())
-    assert_same(lambda: R.reduce_sum(R.mul(mlp.forward(x), weights())),
-                lambda: R.reduce_sum(R.mul(ref_mlp(mlp, constant(x)), weights())), params)
-    # the input is data: no leaf for it
-    assert mlp.forward(x).parents == tuple(params)
+    assert_same(lambda: R.reduce_sum(R.mul(R.node("mlp", params, mlp._forward(x)), weights())),
+                lambda: R.reduce_sum(R.mul(ref_mlp(mlp, Tensor(x)), weights())), params)
+    # the input is data: one gradient per parameter, none for x
+    assert len(mlp._forward(x)[1](np.ones((9, 3)))) == len(params)
 
 
 @pytest.mark.parametrize("fixed_var", [None, 0.3])
@@ -212,8 +223,9 @@ def test_draw_matches_per_op_graph(fixed_var):
     mean = leaf(rng, (6, 3))
     eps = rng.standard_normal((6, 3))
     weights = _same_weights(3, (6, 3))
-    params = [mean] + ([enc.log_var] if fixed_var is None else [])
-    assert_same(lambda: R.reduce_sum(R.mul(enc.draw(mean, eps), weights())),
+    params = posterior(enc, mean)
+    assert_same(lambda: R.reduce_sum(R.mul(R.node("draw", params, enc.draw(mean.data, eps)),
+                                           weights())),
                 lambda: R.reduce_sum(R.mul(ref_draw(enc, mean, eps), weights())), params)
 
 
@@ -223,8 +235,9 @@ def test_kl_matches_per_op_graph(fixed_var):
     enc = encoder(fixed_var)
     mean = leaf(rng, (6, 3))
     prior = GaussianPrior(rng.standard_normal(3), rng.uniform(0.5, 2.0, 3))
-    params = [mean] + ([enc.log_var] if fixed_var is None else [])
-    assert_same(lambda: enc.kl_node(mean, prior), lambda: ref_kl(enc, mean, prior), params)
+    params = posterior(enc, mean)
+    assert_same(lambda: R.node("kl_node", params, enc.kl_node(mean.data, prior)),
+                lambda: ref_kl(enc, mean, prior), params)
 
 
 @pytest.mark.parametrize("saturated", [False, True])
@@ -233,11 +246,13 @@ def test_surrogates_match_per_op_graph(saturated):
     head = head_of(3, saturated)
     c, c_bar = leaf(rng, (8, 3)), leaf(rng, (8, 3))
     y = rng.integers(0, 2, size=8)
-    params = [c, c_bar] + list(head.parameters().values())
-    assert_same(lambda: surrogate_sf(head, c, y), lambda: ref_sf(head, c, y), params)
-    assert_same(lambda: surrogate_m(head, c, c_bar), lambda: ref_m(head, c, c_bar), params)
-    # one node on both sides of the agreement term
-    assert_same(lambda: surrogate_m(head, c, c), lambda: ref_m(head, c, c), params)
+    w = head.w
+    params = [c, c_bar, w]
+    assert_same(lambda: R.node("surrogate_sf", [c, w], surrogate_sf(w.data, c.data, -_ytil(y))),
+                lambda: ref_sf(head, c, y), params)
+    for b in (c_bar, c):  # c on both sides of the agreement term too
+        assert_same(lambda: R.node("surrogate_m", [c, b, w], surrogate_m(w.data, c.data, b.data)),
+                    lambda: ref_m(head, c, b), params)
 
 
 @pytest.mark.parametrize("delta, offset", [
@@ -253,7 +268,8 @@ def test_separation_matches_per_op_graph(delta, offset):
         c_bar = parameter(c.data + rng.uniform(-1.0, 1.0, (7, 3)))
     else:
         c_bar = parameter(c.data + offset * rng.standard_normal((7, 3)))
-    assert_same(lambda: separation_penalty(c, c_bar, delta),
+    assert_same(lambda: R.node("separation_penalty", [c, c_bar],
+                               separation_penalty(c.data, c_bar.data, delta)),
                 lambda: ref_separation(c, c_bar, delta), [c, c_bar])
 
 
@@ -264,8 +280,10 @@ def test_irm_penalty_matches_per_op_graph(sizes, saturated):
     head = head_of(3, saturated)
     groups = [leaf(rng, (k, 3)) for k in sizes]
     y_groups = [rng.integers(0, 2, size=k) for k in sizes]
-    params = groups + list(head.parameters().values())
-    assert_same(lambda: irm_penalty(head, groups, y_groups),
+    params = groups + [head.w]
+    neg_ytil = [-_ytil(y) for y in y_groups]
+    assert_same(lambda: R.node("irm_penalty", params, irm_penalty(
+                    head.w.data, [g.data for g in groups], neg_ytil)),
                 lambda: R.irm_penalty(head, groups, y_groups), params)
 
 
@@ -273,11 +291,17 @@ def test_irm_penalty_matches_per_op_graph(sizes, saturated):
 def test_mmd_penalty_matches_per_op_graph(sizes):
     rng = np.random.default_rng(17)
     groups = [leaf(rng, (k, 3)) for k in sizes]
+    arrays = [g.data for g in groups]
+    if len(sizes) < 2:  # no cross-domain pair: the objective adds no penalty
+        with pytest.raises(ValueError, match="^mmd penalty needs at least two domains$"):
+            mmd_penalty(arrays)
+        return
     # the first and last groups share a row: one cross pair at distance 0
     groups[0].data[0] = groups[-1].data[-1]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore" if len(sizes) < 2 else "error")
-        assert_same(lambda: mmd_penalty(groups), lambda: R.mmd_penalty(groups), groups)
+        warnings.simplefilter("error")
+        assert_same(lambda: R.node("mmd_penalty", groups, mmd_penalty(arrays)),
+                    lambda: R.mmd_penalty(groups), groups)
 
 
 # ---- the whole step objective ----
@@ -361,32 +385,37 @@ def chain_sum(terms):
 
 def term_graph(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config, eps_c, eps_cbar,
                domain_rows=None, penalty_weight=None):
-    """The game as a graph of one node per loss term, from the public
-    per-term ops, summed by generic nodes: the walk whose order of
+    """The game as a graph of one node per loss term, from the package's
+    term functions, summed by generic nodes: the walk whose order of
     gradient sums the fused losses reproduce.  Returns (objective, its
     negation or None)."""
-    y = (ytil > 0).astype(np.int64)
-    y_draws = np.tile(y, config.mc_samples)
-    mean_c = enc_c.encode(x)
-    kl_c = enc_c.kl_node(mean_c, prior_c)
+    w = head.w
+    neg_ytil = -np.tile(ytil, config.mc_samples)
+    mean_c = R.node("encode", mlp_params(enc_c), enc_c.encode(x))
+    kl_c = R.node("kl_node", posterior(enc_c, mean_c), enc_c.kl_node(mean_c.data, prior_c))
+    c = R.node("draw", posterior(enc_c, mean_c), enc_c.draw(mean_c.data, eps_c))
+    sf = R.node("surrogate_sf", [c, w], surrogate_sf(w.data, c.data, neg_ytil))
     if config.variant == "casn_minus_m":
-        sf = surrogate_sf(head, enc_c.draw(mean_c, eps_c), y_draws)
         return chain_sum([(sf, 1.0), (kl_c, config.lam)]), None
-    mean_cbar = enc_cbar.encode(x)
-    kl_cbar = enc_cbar.kl_node(mean_cbar, prior_cbar)
-    c = enc_c.draw(mean_c, eps_c)
-    c_bar = enc_cbar.draw(mean_cbar, eps_cbar)
-    terms = [(surrogate_m(head, c, c_bar), 1.0), (surrogate_sf(head, c, y_draws), 1.0),
-             (kl_c, config.lam), (separation_penalty(c, c_bar, config.delta), config.sep_weight)]
+    mean_cbar = R.node("encode", mlp_params(enc_cbar), enc_cbar.encode(x))
+    kl_cbar = R.node("kl_node", posterior(enc_cbar, mean_cbar),
+                     enc_cbar.kl_node(mean_cbar.data, prior_cbar))
+    c_bar = R.node("draw", posterior(enc_cbar, mean_cbar), enc_cbar.draw(mean_cbar.data, eps_cbar))
+    terms = [(R.node("surrogate_m", [c, c_bar, w], surrogate_m(w.data, c.data, c_bar.data)), 1.0),
+             (sf, 1.0), (kl_c, config.lam),
+             (R.node("separation_penalty", [c, c_bar],
+                     separation_penalty(c.data, c_bar.data, config.delta)), config.sep_weight)]
     if config.adversary_kl:
         terms.append((kl_cbar, config.lam))
     if config.variant in ("casn_irm", "casn_mmd"):
         reps = [R.rows(mean_c, rows) for rows in domain_rows]
+        arrays = [r.data for r in reps]
         if config.variant == "casn_mmd":
-            terms.append((mmd_penalty(reps), penalty_weight))
+            penalty = R.node("mmd_penalty", reps, mmd_penalty(arrays))
         else:
-            terms.append((irm_penalty(head, reps, [y[rows] for rows in domain_rows]),
-                          penalty_weight))
+            penalty = R.node("irm_penalty", [*reps, w], irm_penalty(
+                w.data, arrays, [-ytil[rows] for rows in domain_rows]))
+        terms.append((penalty, penalty_weight))
     game = chain_sum(terms)
     return game, R.neg(game)
 
@@ -444,21 +473,19 @@ def step_losses(variant, mc_samples, adversary_kl):
 @pytest.mark.parametrize("player", [0, 1], ids=["min", "max"])
 def test_backward_wrt_gives_each_player_the_full_gradient_bytes(variant, mc_samples,
                                                                adversary_kl, player):
-    """A loss's parents are exactly its player's parameters, so the
-    backward pruned to them gives the full walk's bytes and never
-    reaches the other player."""
+    """A loss's parents are exactly its player's parameters, so its
+    backward gives each of them a gradient and never reaches the other
+    player."""
     losses, players = step_losses(variant, mc_samples, adversary_kl)
     if losses[player] is None:
         assert variant == "casn_minus_m"
         return
     assert losses[player].parents == tuple(players[player])
-    losses[player].backward(wrt=players[player])
-    pruned = [p.grad.tobytes() for p in players[player]]
+    losses[player].backward()
+    for p in players[player]:
+        assert p.grad.shape == p.data.shape, p.name
     for p in players[1 - player]:
         assert p.grad is None, p.name  # fresh, and the walk never reached it
-    losses, players = step_losses(variant, mc_samples, adversary_kl)
-    losses[player].backward()
-    assert [p.grad.tobytes() for p in players[player]] == pruned
 
 
 def graph_size(loss):
@@ -512,7 +539,7 @@ def test_twin_descends_the_negated_objective(variant, mc_samples, adversary_kl):
                                         adversary_kl=adversary_kl)
         losses = casn_objective(*args, **PENALTY)[:2]
         loss = losses[1] if role else term_graph(*args, **PENALTY)[0]
-        loss.backward(wrt=players[1])
+        loss.backward()
         # adding 0.0 maps -0.0 to 0.0: a sum that cancels exactly is +0.0
         # under either sign
         grads.append([(p.grad * (1.0 - 2.0 * role) + 0.0).tobytes() for p in players[1]])
@@ -592,18 +619,34 @@ def fused_losses():
     def squared_sum(node):
         return R.reduce_sum(R.square(node))
 
+    def mean_of(e):
+        return R.node("encode", mlp_params(e), e.encode(x))
+
+    def draws(e):
+        mean = mean_of(e)
+        return R.node("draw", posterior(e, mean), e.draw(mean.data, eps))
+
+    def kl(e):
+        mean = mean_of(e)
+        return R.node("kl_node", posterior(e, mean), e.kl_node(mean.data, prior))
+
+    w = head.w
+    arrays = [g.data for g in groups]
     return {
-        "mlp": (lambda: squared_sum(enc.encode(x)), enc_params),
-        "draw": (lambda: squared_sum(enc.draw(enc.encode(x), eps)), enc_params),
-        "draw-fixed": (lambda: squared_sum(enc_fixed.draw(enc_fixed.encode(x), eps)),
-                       fixed_params),
-        "kl": (lambda: enc.kl_node(enc.encode(x), prior), enc_params),
-        "kl-fixed": (lambda: enc_fixed.kl_node(enc_fixed.encode(x), prior), fixed_params),
-        "sf": (lambda: surrogate_sf(head, c, y), [c, head.w]),
-        "m": (lambda: surrogate_m(head, c, c_bar), [c, c_bar, head.w]),
-        "separation": (lambda: separation_penalty(c, c_bar, 2.5), [c, c_bar]),
-        "irm": (lambda: irm_penalty(head, groups, y_groups), [*groups, head.w]),
-        "mmd": (lambda: mmd_penalty(groups), groups),
+        "mlp": (lambda: squared_sum(mean_of(enc)), enc_params),
+        "draw": (lambda: squared_sum(draws(enc)), enc_params),
+        "draw-fixed": (lambda: squared_sum(draws(enc_fixed)), fixed_params),
+        "kl": (lambda: kl(enc), enc_params),
+        "kl-fixed": (lambda: kl(enc_fixed), fixed_params),
+        "sf": (lambda: R.node("surrogate_sf", [c, w], surrogate_sf(w.data, c.data, -_ytil(y))),
+               [c, w]),
+        "m": (lambda: R.node("surrogate_m", [c, c_bar, w],
+                             surrogate_m(w.data, c.data, c_bar.data)), [c, c_bar, w]),
+        "separation": (lambda: R.node("separation_penalty", [c, c_bar],
+                                      separation_penalty(c.data, c_bar.data, 2.5)), [c, c_bar]),
+        "irm": (lambda: R.node("irm_penalty", [*groups, w], irm_penalty(
+            w.data, arrays, [-_ytil(y) for y in y_groups])), [*groups, w]),
+        "mmd": (lambda: R.node("mmd_penalty", groups, mmd_penalty(arrays)), groups),
     }
 
 
@@ -634,31 +677,32 @@ def overflow_raises(op):
 @pytest.mark.parametrize("op", ["kl_node", "draw"])
 def test_exp_overflow_raises_before_numpy_warns(op):
     enc = encoder(None)
-    mean = constant(np.zeros((2, 3)))
+    mean = Tensor(np.zeros((2, 3)))
     enc.log_var.data = np.full(3, 1500.0)
     with overflow_raises(op):
         if op == "kl_node":
-            enc.kl_node(mean, GaussianPrior.standard(3))
+            R.node(op, posterior(enc, mean), enc.kl_node(mean.data, GaussianPrior.standard(3)))
         else:
-            enc.draw(mean, np.ones((2, 3)))
+            R.node(op, posterior(enc, mean), enc.draw(mean.data, np.ones((2, 3))))
 
 
 def test_kl_mean_overflow_raises_without_a_warning():
     enc = encoder(None)
+    mean = Tensor(np.full((2, 3), 1e200))
     with overflow_raises("kl_node"):
-        enc.kl_node(constant(np.full((2, 3), 1e200)), GaussianPrior.standard(3))
+        R.node("kl_node", posterior(enc, mean), enc.kl_node(mean.data, GaussianPrior.standard(3)))
 
 
 def test_separation_overflow_raises_without_a_warning():
-    c = constant(np.full((2, 3), 1e200))
+    c = np.full((2, 3), 1e200)
     with overflow_raises("separation_penalty"):
-        separation_penalty(c, constant(-c.data), 1.0)
+        separation_penalty(c, -c, 1.0)
 
 
 def test_mmd_overflow_raises_without_a_warning():
-    c = constant(np.full((2, 3), 1e200))
+    c = np.full((2, 3), 1e200)
     with overflow_raises("mmd_penalty"):
-        mmd_penalty([c, constant(-c.data)])
+        mmd_penalty([c, -c])
 
 
 def test_hidden_pre_activation_overflow_names_the_layer():
@@ -682,9 +726,9 @@ def test_output_layer_overflow_names_the_layer():
 
 def test_non_finite_delta_is_refused():
     """TrainConfig refuses a nan delta; given one anyway, the hinge is nan."""
-    c = constant(np.zeros((2, 3)))
+    c = Tensor(np.zeros((2, 3)))
     with overflow_raises("separation_penalty"):
-        separation_penalty(c, c, float("nan"))
+        R.node("separation_penalty", [c, c], separation_penalty(c.data, c.data, float("nan")))
 
 
 @pytest.mark.parametrize("plant, op", [

@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from reference_ops import add, reduce_mean, square
+from reference_ops import add, node, reduce_mean, square
 
-from pnsrisk.autodiff import check_gradients, constant
+from pnsrisk.autodiff import check_gradients
 from pnsrisk.model import (
+    _ytil,
     GaussianEncoder,
     GaussianPrior,
     LinearHead,
@@ -18,6 +19,16 @@ from pnsrisk.model import (
     surrogate_m,
     surrogate_sf,
 )
+
+
+def mean_node(enc, x):
+    return node("encode", list(enc.mlp.parameters().values()), enc.encode(x))
+
+
+def posterior(enc, mean):
+    """The parents of a term on the posterior: its mean node, and the
+    log-variance when it is learned."""
+    return [mean] + ([] if enc.log_var is None else [enc.log_var])
 
 
 def kl_closed_form(q_mean, q_var, p_mean, p_var):
@@ -58,24 +69,24 @@ class TestEncoder:
         rng = np.random.default_rng(2)
         enc = GaussianEncoder(5, rep_dim=4, hidden=(7, 6), rng=rng)
         x = rng.standard_normal((9, 5))
-        assert enc.encode(x).data.tobytes() == enc.encode_np(x)[0].tobytes()
+        assert enc.encode(x)[0].tobytes() == enc.encode_np(x)[0].tobytes()
 
     def test_sample_is_mean_plus_scaled_eps(self):
         rng = np.random.default_rng(3)
         enc = GaussianEncoder(4, rep_dim=3, rng=rng, fixed_var=0.25)
         x = rng.standard_normal((5, 4))
         eps = rng.standard_normal((5, 3))
-        draw = enc.draw(enc.encode(x), eps)
+        draw, _ = enc.draw(enc.encode(x)[0], eps)
         mean, _ = enc.encode_np(x)
-        assert np.allclose(draw.data, mean + 0.5 * eps, atol=1e-15)
+        assert np.allclose(draw, mean + 0.5 * eps, atol=1e-15)
 
     def test_same_eps_same_draw(self):
         rng = np.random.default_rng(4)
         enc = GaussianEncoder(4, rep_dim=3, rng=rng)
         x = rng.standard_normal((2, 4))
         eps = rng.standard_normal((2, 3))
-        assert np.array_equal(enc.draw(enc.encode(x), eps).data,
-                              enc.draw(enc.encode(x), eps).data)
+        assert np.array_equal(enc.draw(enc.encode(x)[0], eps)[0],
+                              enc.draw(enc.encode(x)[0], eps)[0])
 
     def test_reparameterized_gradient(self):
         rng = np.random.default_rng(7)
@@ -85,7 +96,9 @@ class TestEncoder:
         params = list(enc.parameters().values())
 
         def loss():
-            return reduce_mean(square(enc.draw(enc.encode(x), eps)))
+            mean = mean_node(enc, x)
+            return reduce_mean(square(node("draw", posterior(enc, mean),
+                                           enc.draw(mean.data, eps))))
 
         assert check_gradients(loss, params) < 1e-6
 
@@ -95,11 +108,11 @@ class TestEncoder:
         enc.log_var.data[:] = rng.uniform(-1.0, 1.0, size=4)
         prior = GaussianPrior(rng.standard_normal(4), rng.uniform(0.5, 2.0, size=4))
         x = rng.standard_normal((7, 3))
-        mean = enc.encode(x)
-        got = enc.kl_node(mean, prior).item()
+        mean, _ = enc.encode(x)
+        got, _ = enc.kl_node(mean, prior)
         q_var = enc.var_np()
         want = np.mean(
-            [kl_closed_form(row, q_var, prior.mean, prior.var) for row in mean.data]
+            [kl_closed_form(row, q_var, prior.mean, prior.var) for row in mean]
         )
         assert abs(got - want) < 1e-10
 
@@ -111,7 +124,8 @@ class TestEncoder:
         params = list(enc.parameters().values())
 
         def loss():
-            return enc.kl_node(enc.encode(x), prior)
+            mean = mean_node(enc, x)
+            return node("kl_node", posterior(enc, mean), enc.kl_node(mean.data, prior))
 
         assert check_gradients(loss, params) < 1e-6
 
@@ -155,29 +169,24 @@ class TestHeadAndSurrogates:
         assert hits == trials
 
     def test_sufficiency_surrogate_at_zero_margin(self):
-        head = LinearHead(3)
-        head.w.data[:] = 0.0
-        c = constant(np.random.default_rng(0).standard_normal((8, 3)))
-        y = np.array([0, 1] * 4)
-        assert abs(surrogate_sf(head, c, y).item() - math.log(2.0)) < 1e-12
+        c = np.random.default_rng(0).standard_normal((8, 3))
+        neg_ytil = -_ytil(np.array([0, 1] * 4))
+        assert abs(surrogate_sf(np.zeros(3), c, neg_ytil)[0] - math.log(2.0)) < 1e-12
 
     def test_sufficiency_surrogate_saturates_to_indicator(self):
-        head = LinearHead(1)
-        head.w.data[:] = 1.0
+        w = np.ones(1)
         # all correct with margin 15: indicator 0
-        c = constant(np.full((10, 1), 15.0))
-        y = np.ones(10, dtype=int)
-        assert surrogate_sf(head, c, y).item() < 1e-6
+        c = np.full((10, 1), 15.0)
+        assert surrogate_sf(w, c, -_ytil(np.ones(10, dtype=int)))[0] < 1e-6
         # all wrong with margin 15: indicator 1
-        y = np.zeros(10, dtype=int)
-        assert abs(surrogate_sf(head, c, y).item() - 15.0) < 1.0  # grows with margin
+        wrong = surrogate_sf(w, c, -_ytil(np.zeros(10, dtype=int)))[0]
+        assert abs(wrong - 15.0) < 1.0  # grows with margin
 
     def test_agreement_surrogate_values(self):
-        head = LinearHead(1)
-        head.w.data[:] = 1.0
-        same = surrogate_m(head, constant([[15.0]]), constant([[15.0]])).item()
-        opposite = surrogate_m(head, constant([[15.0]]), constant([[-15.0]])).item()
-        neutral = surrogate_m(head, constant([[0.0]]), constant([[0.0]])).item()
+        w = np.ones(1)
+        same = surrogate_m(w, np.array([[15.0]]), np.array([[15.0]]))[0]
+        opposite = surrogate_m(w, np.array([[15.0]]), np.array([[-15.0]]))[0]
+        neutral = surrogate_m(w, np.array([[0.0]]), np.array([[0.0]]))[0]
         assert abs(same - 1.0) < 1e-6
         assert opposite < 1e-6
         assert abs(neutral - 0.5) < 1e-12
@@ -196,19 +205,27 @@ class TestHeadAndSurrogates:
         head = LinearHead(2, rng=rng)
         x = rng.standard_normal((6, 3))
         eps = rng.standard_normal((6, 2))
-        y = rng.integers(0, 2, size=6)
+        y = _ytil(rng.integers(0, 2, size=6))
         params = list(enc.parameters().values()) + list(head.parameters().values())
 
         def loss():
-            c = enc.draw(enc.encode(x), eps)
-            return add(surrogate_sf(head, c, y), surrogate_m(head, c, c))
+            mean = mean_node(enc, x)
+            c = node("draw", posterior(enc, mean), enc.draw(mean.data, eps))
+            return add(node("surrogate_sf", [c, head.w], surrogate_sf(head.w.data, c.data, -y)),
+                       node("surrogate_m", [c, c, head.w],
+                            surrogate_m(head.w.data, c.data, c.data)))
 
         assert check_gradients(loss, params) < 1e-6
 
     def test_label_validation(self):
-        head = LinearHead(2)
-        with pytest.raises(ValueError):
-            surrogate_sf(head, constant(np.zeros((2, 2))), np.array([0, 2]))
+        # the surrogates take labels as -ytil; this is the 0/1 check made
+        # before they are built
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            _ytil(np.array([0, 2]))
+
+    def test_mismatched_pairs_are_refused(self):
+        with pytest.raises(ValueError, match=r"^surrogate_m: \(3, 2\) vs \(2, 2\)$"):
+            surrogate_m(np.ones(2), np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 class TestCheckpoint:

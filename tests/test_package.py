@@ -10,7 +10,7 @@ MODULES = ("autodiff", "evaluate", "model", "pns", "risk", "streams", "synth", "
 # pnsrisk.__all__ when it was a hand-written list; every name must still resolve
 EARLIER_ALL = (
     "__version__",
-    "Tensor", "parameter", "constant", "check_gradients",
+    "Tensor", "parameter", "check_gradients",
     "DiscreteScm", "PnsReport", "UndefinedConditionalError",
     "pns_exact", "pns_identified", "check_monotonicity", "check_exogeneity",
     "necessity_ratio", "sufficiency_ratio", "analyze",
@@ -24,7 +24,6 @@ EARLIER_ALL = (
     "sufficiency_deviation_trial",
     "SynthConfig", "SynthData", "generate", "factor_table",
     "write_csv", "read_csv", "label_scm", "feature_scm",
-    "functional_intervention",
     "TrainConfig", "TrainResult", "TrainingDiverged", "train",
     "save_model", "load_model",
     "distance_correlation", "EvalReport", "evaluate", "group_accuracy",

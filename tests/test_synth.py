@@ -10,7 +10,6 @@ from pnsrisk.synth import (
     SynthConfig,
     factor_table,
     feature_scm,
-    functional_intervention,
     generate,
     label_scm,
     read_csv,
@@ -252,12 +251,6 @@ class TestInducedModels:
         cfg = SynthConfig()
         assert not check_exogeneity(feature_scm(cfg, "sf"), 1, 1)
         assert not check_exogeneity(feature_scm(cfg, "nc"), 1, 1)
-
-    def test_functional_intervention_matches_observation(self):
-        cfg = SynthConfig()
-        for feature in ("sf", "nc"):
-            for f, (do_value, obs_value) in functional_intervention(cfg, feature).items():
-                assert abs(do_value - obs_value) <= 1e-12, (feature, f)
 
     def test_feature_scm_probabilities_total(self):
         scm = feature_scm(SynthConfig(), "sf")

@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference_ops import node
 
-from pnsrisk.autodiff import check_gradients, constant, parameter
-from pnsrisk.model import GaussianEncoder, GaussianPrior, LinearHead
+from pnsrisk.autodiff import Tensor, check_gradients, parameter
+from pnsrisk.model import GaussianEncoder, GaussianPrior, LinearHead, _ytil
 from pnsrisk.synth import SynthConfig, generate
 from pnsrisk.train import (
     TrainConfig,
@@ -39,39 +40,56 @@ def toy_parts(seed=0, n=6, in_dim=3, rep=2):
 class TestSeparationPenalty:
     def test_zero_delta_is_inert(self):
         rng = np.random.default_rng(0)
-        c = constant(rng.standard_normal((8, 3)))
-        c_bar = constant(rng.standard_normal((8, 3)))
-        assert separation_penalty(c, c_bar, 0.0).item() == 0.0
+        c = rng.standard_normal((8, 3))
+        c_bar = rng.standard_normal((8, 3))
+        assert separation_penalty(c, c_bar, 0.0)[0] == 0.0
 
     def test_coincident_pair_costs_delta_squared(self):
-        a = constant(np.ones((4, 3)))
-        assert abs(separation_penalty(a, a, 0.7).item() - 0.49) < 1e-8
+        a = np.ones((4, 3))
+        assert abs(separation_penalty(a, a, 0.7)[0] - 0.49) < 1e-8
 
     def test_far_pairs_cost_nothing(self):
-        c = constant(np.zeros((3, 2)))
-        c_bar = constant(np.full((3, 2), 10.0))
-        assert separation_penalty(c, c_bar, 1.5).item() == 0.0
+        c = np.zeros((3, 2))
+        c_bar = np.full((3, 2), 10.0)
+        assert separation_penalty(c, c_bar, 1.5)[0] == 0.0
 
     def test_gradient(self):
         rng = np.random.default_rng(1)
         a = parameter(rng.standard_normal((5, 3)))
-        b = constant(rng.standard_normal((5, 3)))
-        err = check_gradients(lambda: separation_penalty(a, b, 2.0), [a])
+        b = Tensor(rng.standard_normal((5, 3)))
+        err = check_gradients(
+            lambda: node("separation_penalty", [a, b], separation_penalty(a.data, b.data, 2.0)),
+            [a])
         assert err < 1e-5
+
+    def test_mismatched_pairs_are_refused(self):
+        with pytest.raises(ValueError, match=r"^separation_penalty: \(3, 2\) vs \(2, 2\)$"):
+            separation_penalty(np.zeros((3, 2)), np.zeros((2, 2)), 1.0)
 
 
 class TestMmdPenalty:
     def test_two_point_masses_at_distance_three(self):
-        a = constant(np.tile([0.0, 0.0], (4, 1)))
-        b = constant(np.tile([0.0, 3.0], (6, 1)))
-        assert abs(mmd_penalty([a, b]).item() - 3.0) < 1e-9
+        a = np.tile([0.0, 0.0], (4, 1))
+        b = np.tile([0.0, 3.0], (6, 1))
+        assert abs(mmd_penalty([a, b])[0] - 3.0) < 1e-9
 
     def test_single_domain_returns_zero_without_a_warning(self):
-        # a batch that drew one domain's rows has no cross-domain pair
-        a = constant(np.zeros((3, 2)))
+        # a batch that drew one domain's rows has no cross-domain pair: the
+        # objective adds no penalty, and mmd_penalty refuses the one group
+        x, y, enc_c, enc_cbar, head, prior = toy_parts()
+        cfg = TrainConfig(variant="casn_mmd", rep_dim=2, hidden=(5, 4))
+        eps = np.zeros((1, 6, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert mmd_penalty([a]).item() == 0.0
+            parts = casn_objective(x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps, eps,
+                                   domain_rows=[np.arange(6)])[2]
+        assert parts["penalty"] == 0.0
+        with pytest.raises(ValueError, match="^mmd penalty needs at least two domains$"):
+            mmd_penalty([np.zeros((3, 2))])
+
+    def test_unequal_widths_are_refused(self):
+        with pytest.raises(ValueError, match=r"^mmd_penalty: \(3, 2\) vs \(4, 3\)$"):
+            mmd_penalty([np.zeros((3, 2)), np.zeros((4, 3))])
 
     def test_matches_naive_average(self):
         rng = np.random.default_rng(2)
@@ -82,24 +100,24 @@ class TestMmdPenalty:
                 want += np.mean(
                     [np.linalg.norm(p - q) for p in groups[i] for q in groups[j]]
                 )
-        got = mmd_penalty([constant(g) for g in groups]).item()
+        got = mmd_penalty(groups)[0]
         assert abs(got - want) < 1e-9
 
     def test_gradient(self):
         rng = np.random.default_rng(3)
         a = parameter(rng.standard_normal((4, 3)))
-        b = constant(rng.standard_normal((5, 3)))
-        assert check_gradients(lambda: mmd_penalty([a, b]), [a]) < 1e-5
+        b = Tensor(rng.standard_normal((5, 3)))
+        err = check_gradients(lambda: node("mmd_penalty", [a, b], mmd_penalty([a.data, b.data])),
+                              [a])
+        assert err < 1e-5
 
 
 class TestIrmPenalty:
     def test_zero_labeler_is_stationary(self):
         rng = np.random.default_rng(4)
-        head = LinearHead(3)
-        head.w.data[:] = 0.0
-        reps = constant(rng.standard_normal((6, 3)))
+        reps = rng.standard_normal((6, 3))
         y = rng.integers(0, 2, size=6)
-        assert irm_penalty(head, [reps], [y]).item() == 0.0
+        assert irm_penalty(np.zeros(3), [reps], [-_ytil(y)])[0] == 0.0
 
     def test_matches_finite_difference_in_dummy_scale(self):
         rng = np.random.default_rng(5)
@@ -115,29 +133,36 @@ class TestIrmPenalty:
 
         h = 1e-6
         fd = (loss_at(1.0 + h) - loss_at(1.0 - h)) / (2.0 * h)
-        got = irm_penalty(head, [constant(reps)], [y]).item()
+        got = irm_penalty(head.w.data, [reps], [-ytil])[0]
         assert abs(got - fd * fd) < 1e-6
 
     def test_two_identical_domains_double_one(self):
         rng = np.random.default_rng(6)
-        head = LinearHead(2, rng=rng)
+        w = LinearHead(2, rng=rng).w.data
         reps = rng.standard_normal((10, 2))
-        y = rng.integers(0, 2, size=10)
-        one = irm_penalty(head, [constant(reps)], [y]).item()
-        two = irm_penalty(head, [constant(reps), constant(reps)], [y, y]).item()
+        neg_ytil = -_ytil(rng.integers(0, 2, size=10))
+        one = irm_penalty(w, [reps], [neg_ytil])[0]
+        two = irm_penalty(w, [reps, reps], [neg_ytil, neg_ytil])[0]
         assert abs(two - 2.0 * one) < 1e-12
 
     def test_gradient(self):
         rng = np.random.default_rng(7)
         head = LinearHead(3, rng=rng)
         reps = parameter(rng.standard_normal((8, 3)))
-        y = rng.integers(0, 2, size=8)
+        neg_ytil = -_ytil(rng.integers(0, 2, size=8))
         params = [reps, head.w]
-        assert check_gradients(lambda: irm_penalty(head, [reps], [y]), params) < 1e-5
+        err = check_gradients(
+            lambda: node("irm_penalty", params, irm_penalty(head.w.data, [reps.data], [neg_ytil])),
+            params)
+        assert err < 1e-5
 
     def test_no_domains_is_refused(self):
         with pytest.raises(ValueError, match="at least one domain"):
-            irm_penalty(LinearHead(3), [], [])
+            irm_penalty(np.ones(3), [], [])
+
+    def test_groups_and_labels_must_align(self):
+        with pytest.raises(ValueError, match="must align"):
+            irm_penalty(np.ones(3), [np.zeros((2, 3))] * 2, [np.ones(2)])
 
 
 class TestObjective:
@@ -161,7 +186,7 @@ class TestObjective:
         for rows in (None, [np.arange(len(y))]):
             min_loss, _, parts = casn_objective(x, y, enc_c, enc_cbar, head, prior, prior,
                                                 cfg, eps, eps, domain_rows=rows)
-            min_loss.backward(params)
+            min_loss.backward()
             seen.append((min_loss.data.tobytes(), parts, [p.grad.tobytes() for p in params]))
         assert seen[0][1]["penalty"] > 0.0
         assert seen[0] == seen[1]
@@ -186,7 +211,7 @@ class TestObjective:
                                        min_grads),
                                       (max_loss, list(enc_cbar.parameters().values()),
                                        twin_grads)):
-                loss.backward(params)
+                loss.backward()
                 out.append([p.grad.tobytes() for p in params])
             values.append(min_loss.item())
         assert min_grads[0] == min_grads[1]
