@@ -16,7 +16,7 @@ keyed by (global seed ^ role, sample id).  The encoders run once per
 batch.  Each row keeps its own stream, so estimates do not depend on
 batch order and the same point receives the same draws in every domain
 that contains it; the draws are made and labeled a block of rows at a
-time through one re-keyed Philox per role (streams.keyed_normals).
+time through one re-keyed Philox per role (streams.keyed_rows).
 The seed and the sample ids are refused with a ValueError naming them
 unless each is an integer in [0, SEED_MAX].
 """
@@ -30,7 +30,7 @@ import numpy as np
 
 from .model import GaussianEncoder, LinearHead, _ytil
 from .pns import _check_distribution
-from .streams import ROLE_C, ROLE_CBAR, ROLE_PICK, key_word, keyed, keyed_normals
+from .streams import ROLE_C, ROLE_CBAR, ROLE_PICK, key_word, keyed, keyed_rows
 
 __all__ = [
     "MalformedDomainError",
@@ -101,7 +101,7 @@ def _labels(head, mean, var, mc_samples, seed, role, ids):
     n, rep = mean.shape
     labels = np.empty((n, mc_samples), dtype=bool)
     sd = np.sqrt(var)
-    for start, block in keyed_normals(seed, role, ids, (mc_samples, rep)):
+    for start, block in keyed_rows(seed, role, ids, "standard_normal", (mc_samples, rep)):
         rows = slice(start, start + len(block))
         block *= sd[rows, None]
         block += mean[rows, None]
@@ -112,6 +112,8 @@ def _labels(head, mean, var, mc_samples, seed, role, ids):
 def _risk_rows(head, post_c, post_cbar, y, mc_samples, seed, ids):
     """Per-row (sf, nc, m) arrays from the posteriors (mean, var) of the
     factual and the counterfactual encoder."""
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be at least 1")
     seed = key_word(seed, "seed")
     ids = [key_word(i, "sample_ids") for i in ids]
     pred_c = _labels(head, *post_c, mc_samples, seed, ROLE_C, ids)
@@ -137,8 +139,8 @@ def estimate_risk(x, y, enc_c, enc_cbar, head, mc_samples=_DEFAULT_MC, seed=0,
     y = _ytil(y) > 0.0  # the 0/1 labels, checked, as booleans
     if len(y) != len(x):
         raise ValueError("x and y must align")
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be at least 1")
+    if not len(x):  # the report's means would be nan
+        raise ValueError("estimate_risk needs at least one row")
     ids = range(len(x)) if sample_ids is None else list(sample_ids)
     if len(ids) != len(x):
         raise ValueError("sample_ids and x must align")
@@ -189,11 +191,15 @@ def gaussian_kl(q_mean, q_var, p_mean, p_var):
     return float(kl) if kl.ndim == 0 else kl
 
 
+def _check_n(n):
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+
+
 def deviation_bound(kl_empirical, n, epsilon, c_const=0.0, slack_half=False):
     """Right side of the sample-deviation bound:
     kl + ln(n/eps) / (4 (n-1)) + c, plus 1/2 under the proof's extra slack."""
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    _check_n(n)
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if kl_empirical < 0.0 or c_const < 0.0:
@@ -306,6 +312,7 @@ def sufficiency_deviation_trial(domain, enc, head, prior, n, epsilon, seed,
     compare the empirical error rate against the exact SF.  Returns
     (deviation, rhs, violated).
     """
+    _check_n(n)  # before any encoding or drawing
     gen = keyed(seed, ROLE_PICK, 0)
     support = domain.support()
     probs = np.array([domain.mass(p) for p in support])

@@ -20,18 +20,15 @@ The roles are large odd constants, so seeds that differ only in their
 low bits never map two roles onto one key word.  Seeds and indices are
 integers in [0, SEED_MAX]; keyed() refuses any other with a ValueError.
 
-Three ways to read a stream, with the same values:
+Two ways to read a stream, with the same values:
 
 * keyed(seed, role, index) is a numpy Generator over it; use it for a
   few streams that each draw many values (the trainer's lanes).
-* keyed_normals(seed, role, indices, shape) re-keys one Philox per
-  index, so a stream costs a state write, not a new Generator; use it
-  when many rows each draw many normals (the risk estimators draw
-  32 x 16 per row).
-* keyed_uniforms(seed, role, indices, count) runs Philox as array code
-  over many keys at once and gives, per index, the first count doubles
-  keyed(seed, role, index).random() would give.  Use it when each row
-  draws a few values (the generator draws tens per row).
+* keyed_rows(seed, role, indices, method, shape) re-keys one Philox per
+  index and fills that index's row with one call of a Generator method,
+  so a stream costs a state write, not a new Generator; use it when
+  many rows each draw from their own stream (the risk estimators'
+  standard_normal, 32 x 16 per row; the generator's random, tens per row).
 """
 
 from __future__ import annotations
@@ -49,9 +46,7 @@ __all__ = [
     "SEED_MAX",
     "key_word",
     "keyed",
-    "keyed_normals",
-    "keyed_words",
-    "keyed_uniforms",
+    "keyed_rows",
 ]
 
 ROLE_TRAIN = np.uint64(0x165667B19E3779F9)
@@ -63,7 +58,7 @@ ROLE_CBAR = np.uint64(0xC2B2AE3D27D4EB4F)
 # the largest seed a key word holds; the configs refuse seeds above it
 SEED_MAX = 2**64 - 1
 
-# rows per keyed_normals block: the risk estimators' 128 x 32 x 16 normals
+# rows per keyed_rows block: the risk estimators' 128 x 32 x 16 normals
 # are 0.5 MB, where one buffer for 2000 rows would hold three 8 MB temporaries
 _BLOCK_ROWS = 128
 
@@ -94,16 +89,17 @@ def keyed(seed, role, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def keyed_normals(seed, role, indices, shape):
+def keyed_rows(seed, role, indices, method, shape):
     """Yield (start, block) for each run of at most _BLOCK_ROWS indices, where
-    block[j] holds keyed(seed, role, indices[start + j]).standard_normal(shape);
-    seed and indices must be key words.  A counter-based stream depends
-    only on its key, so one Philox set to each key with the counter and
-    buffer at zero serves every stream.  Each block overwrites the last.
+    block[j] holds keyed(seed, role, indices[start + j]).<method>(shape) for
+    the Generator method named ("standard_normal", "random"); seed and
+    indices must be key words.  A counter-based stream depends only on
+    its key, so one Philox set to each key with the counter and buffer
+    at zero serves every stream.  Each block overwrites the last.
     """
     keys = _keys(seed, role, list(indices))
     bits = np.random.Philox(0)
-    gen = np.random.Generator(bits)
+    fill = getattr(np.random.Generator(bits), method)
     inner = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
     state = {"bit_generator": "Philox", "state": inner, "buffer": np.zeros(4, dtype=np.uint64),
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -113,59 +109,5 @@ def keyed_normals(seed, role, indices, shape):
         for out, key in zip(block, keys[start : start + _BLOCK_ROWS]):
             inner["key"] = key
             bits.state = state
-            gen.standard_normal(out=out)
+            fill(out=out)
         yield start, block
-
-
-# Philox4x64 round multipliers and key increments (Salmon et al., SC'11)
-_M0 = np.uint64(0xD2E7470EE14C6C93)
-_M1 = np.uint64(0xCA5A826395121157)
-_W0 = np.uint64(0x9E3779B97F4A7C15)
-_W1 = np.uint64(0xBB67AE8584CAA73B)
-_ROUNDS = 10
-_LOW = np.uint64(0xFFFFFFFF)
-_HALF = np.uint64(32)
-
-
-def _mulhilo(m, a):
-    """(hi, lo) words of the 128-bit product of the constant m and the
-    uint64 array a, from 32-bit halves so no partial product overflows."""
-    m_lo, m_hi = m & _LOW, m >> _HALF
-    a_lo, a_hi = a & _LOW, a >> _HALF
-    cross_a = a_hi * m_lo
-    cross_m = a_lo * m_hi
-    mid = ((a_lo * m_lo) >> _HALF) + (cross_a & _LOW) + (cross_m & _LOW)
-    hi = a_hi * m_hi + (cross_a >> _HALF) + (cross_m >> _HALF) + (mid >> _HALF)
-    return hi, a * m
-
-
-def keyed_words(seed, role, indices, count):
-    """The first count raw uint64 words of each stream (seed ^ role, i)
-    for i in indices, shape (len(indices), count): the words
-    np.random.Philox(key=...).random_raw(count) gives.
-
-    numpy's Philox bumps its counter before each block, so block b of a
-    stream (words 4b .. 4b + 3) is Philox4x64-10 of the counter
-    (b + 1, 0, 0, 0).
-    """
-    keys = _keys(seed, role, indices)
-    k0, k1 = keys[:, :1], keys[:, 1:]
-    blocks = -(-count // 4)
-    shape = (len(k1), blocks)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
-    with np.errstate(over="ignore"):  # the key schedule wraps mod 2**64
-        for r in range(_ROUNDS):
-            if r:
-                k0 = k0 + _W0
-                k1 = k1 + _W1
-            hi0, lo0 = _mulhilo(_M0, c0)
-            hi1, lo1 = _mulhilo(_M1, c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3), axis=-1).reshape(len(k1), 4 * blocks)[:, :count]
-
-
-def keyed_uniforms(seed, role, indices, count):
-    """The first count doubles keyed(seed, role, i).random() gives, for
-    each i in indices: (word >> 11) * 2**-53, shape (len(indices), count)."""
-    return (keyed_words(seed, role, indices, count) >> np.uint64(11)) * 2.0**-53

@@ -20,8 +20,8 @@ above zero (else 0), kappa2(t) = t + 0.5 below zero (else 0), and
 Row i draws from the Philox stream keyed by (seed ^ ROLE_SYNTH, i)
 (pnsrisk.streams) in a fixed order, four coins and then Box-Muller
 normals from (radius, angle) uniforms, so any sample can be regenerated
-in isolation and files are byte-stable.  All rows of a block are drawn
-in one vectorized Philox pass.
+in isolation and files are byte-stable.  The rows' uniforms are read a
+block at a time through streams.keyed_rows, one re-keyed Philox per call.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .autodiff import sigmoid_np
 from .pns import DiscreteScm
-from .streams import ROLE_SYNTH, SEED_MAX, keyed_uniforms
+from .streams import ROLE_SYNTH, SEED_MAX, key_word, keyed_rows
 
 __all__ = [
     "SynthConfig",
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 MIXERS = ("as_written", "k1k2")
-_BLOCK_ROWS = 512  # rows drawn per vectorized Philox pass
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,8 @@ class SynthData:
 
 
 def generate(config, n, seed=None):
-    """n samples; seed defaults to config.seed.
+    """n samples; seed defaults to config.seed.  n and seed must be
+    integers in [0, SEED_MAX]; any other is refused with a ValueError.
 
     Row i reads the first 4 + 2m uniforms of its stream
     (seed, ROLE_SYNTH, i), m = ceil(5d / 2), in a fixed order: four coins
@@ -102,11 +102,11 @@ def generate(config, n, seed=None):
     first d normals are the spurious noise and the next 4d the jitter.
     Every draw is consumed even when unused, so streams stay aligned
     across configs, and row i depends only on (seed, i), not on n.
-    Rows are drawn in blocks of at most 512, so the working set stays
-    small whatever n is.
+    Rows are drawn in the reader's blocks of at most 128, so the working
+    set stays small whatever n is.
     """
-    if seed is None:
-        seed = config.seed
+    n = key_word(n, "n")
+    seed = key_word(config.seed if seed is None else seed, "seed")
     d = config.d
     data = SynthData(
         x=np.empty((n, 4 * d)),
@@ -116,20 +116,25 @@ def generate(config, n, seed=None):
         nc=np.empty(n, dtype=np.int64),
         sp=np.empty((n, d)),
     )
-    for start in range(0, n, _BLOCK_ROWS):
-        _fill(data, config, seed, slice(start, min(start + _BLOCK_ROWS, n)))
+    pairs = -(-5 * d // 2)
+    for start, u in keyed_rows(seed, ROLE_SYNTH, range(n), "random", (4 + 2 * pairs,)):
+        _fill(data, config, slice(start, start + len(u)), u)
     return data
 
 
-def _fill(data, config, seed, rows):
-    """Draw the rows of one block and write them into data; the block's
-    temporaries are freed on return, before the next block draws."""
+def _fill(data, config, rows, u):
+    """Turn one block's uniforms u into its rows of data: four coins,
+    then the Box-Muller normals of the (radius, angle) pairs.  The
+    block's temporaries are freed on return, before the next block draws."""
     d = config.d
-    coins, normals = _draws(seed, rows, d)
-    sn = (coins[:, 0] < 0.5).astype(np.int64)
-    noise_bit = coins[:, 1] < config.label_noise
-    flip_bit = coins[:, 2] < config.sf_flip
-    keep_bit = coins[:, 3] < config.nc_keep
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 4::2]))  # 1 - u lies in (0, 1]
+    angle = (2.0 * np.pi) * u[:, 5::2]
+    normals = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=2).reshape(
+        len(u), -1)
+    sn = (u[:, 0] < 0.5).astype(np.int64)
+    noise_bit = u[:, 1] < config.label_noise
+    flip_bit = u[:, 2] < config.sf_flip
+    keep_bit = u[:, 3] < config.nc_keep
     sf = sn | flip_bit
     nc = sn * keep_bit
     sp = config.s * sn[:, None] + (1.0 - config.s) * normals[:, :d]
@@ -146,17 +151,6 @@ def _fill(data, config, seed, rows):
     data.y[rows] = sn ^ noise_bit
     data.sn[rows], data.sf[rows], data.nc[rows] = sn, sf, nc
     data.sp[rows] = sp
-
-
-def _draws(seed, rows, d):
-    """The four coin uniforms and the 5d Box-Muller normals of each row;
-    the uniforms and the Box-Muller temporaries are freed on return."""
-    pairs = -(-5 * d // 2)
-    u = keyed_uniforms(seed, ROLE_SYNTH, range(rows.start, rows.stop), 4 + 2 * pairs)
-    radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 4::2]))  # 1 - u lies in (0, 1]
-    angle = (2.0 * np.pi) * u[:, 5::2]
-    normals = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=2)
-    return u[:, :4].copy(), normals.reshape(len(u), 2 * pairs)[:, : 5 * d]
 
 
 def factor_table(data):

@@ -211,6 +211,15 @@ class TestEstimateRisk:
         with pytest.raises(ValueError):
             estimate_risk(np.zeros((2, 1)), np.array([0, 1]), enc, enc, head, mc_samples=0)
 
+    def test_an_empty_batch_is_refused_without_a_warning(self):
+        # its means would be nan, with numpy's empty-slice warnings
+        enc = ShiftEncoder()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^estimate_risk needs at least one row$"):
+                estimate_risk(np.zeros((0, 1)), np.zeros(0, dtype=np.int64), enc, enc,
+                              identity_head())
+
 
 class TestMonteCarloConvergence:
     def test_error_shrinks_toward_enumeration(self):
@@ -438,6 +447,22 @@ class TestDeviationTrial:
         b = sufficiency_deviation_trial(domain, enc, head, prior, 50, 0.1, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_picks_are_refused_before_any_encoding(self, monkeypatch, n):
+        rng = np.random.default_rng(15)
+        domain = DiscreteDomain((((0.0, 0.0), 1), ((1.0, 1.0), 0)), (0.5, 0.5))
+        enc = GaussianEncoder(2, rep_dim=2, hidden=(4, 3), rng=rng)
+        head = LinearHead(2, rng=rng)
+        rows = []
+        encode_np = GaussianEncoder.encode_np
+        monkeypatch.setattr(GaussianEncoder, "encode_np",
+                            lambda self, x: rows.append(len(x)) or encode_np(self, x))
+        created = count_philox(monkeypatch)
+        with pytest.raises(ValueError, match=f"^n must be at least 2, got {n}$"):
+            sufficiency_deviation_trial(domain, enc, head, GaussianPrior.standard(2), n, 0.1,
+                                        seed=0)
+        assert rows == [] and created == []
+
 
 class TestPerRowReference:
     """The batched estimators give exactly the numbers of a per-row path
@@ -490,6 +515,18 @@ class TestPerRowReference:
             domain_shift_bound(t, s, enc_c, enc_cbar, head, seed=value)
         with pytest.raises(ValueError, match="^sample_ids must be an integer in"):
             estimate_risk(x, y, enc_c, enc_cbar, head, sample_ids=[0, value, 2])
+        assert created == []
+
+    @pytest.mark.parametrize("mc_samples", [0, -1])
+    def test_mc_samples_below_one_are_refused_before_any_draw(self, monkeypatch, mc_samples):
+        rng = np.random.default_rng(27)
+        t, s, enc_c, enc_cbar, head = random_bound_instance(rng)
+        x, y = np.zeros((3, 3)), np.array([0, 1, 1])
+        created = count_philox(monkeypatch)
+        with pytest.raises(ValueError, match="^mc_samples must be at least 1$"):
+            estimate_risk(x, y, enc_c, enc_cbar, head, mc_samples=mc_samples)
+        with pytest.raises(ValueError, match="^mc_samples must be at least 1$"):
+            domain_shift_bound(t, s, enc_c, enc_cbar, head, mc_samples=mc_samples)
         assert created == []
 
     def test_sample_ids_must_align(self):

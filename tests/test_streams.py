@@ -11,9 +11,7 @@ from pnsrisk.streams import (
     SEED_MAX,
     key_word,
     keyed,
-    keyed_normals,
-    keyed_uniforms,
-    keyed_words,
+    keyed_rows,
 )
 from pnsrisk.synth import SynthConfig, generate
 
@@ -39,8 +37,9 @@ def test_roles_give_distinct_streams():
 
 
 def test_philox_is_looked_up_at_call_time(monkeypatch):
-    # a wrapper installed on numpy.random after import sees every stream
-    # keyed() opens; the generator's vectorized draws open none
+    # a wrapper installed on numpy.random after import sees every Philox
+    # the package opens: the generator's one re-keyed Philox per call, and
+    # the stream of each keyed() call
     created = []
     philox = np.random.Philox
 
@@ -49,67 +48,40 @@ def test_philox_is_looked_up_at_call_time(monkeypatch):
         return philox(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting)
-    generate(SynthConfig(d=2, seed=4), 5)
-    assert created == []
+    generate(SynthConfig(d=2, seed=4), 300)
+    assert created == [None]
+    created.clear()
     for index in range(3):
         keyed(4, ROLE_TRAIN, index)
     assert [list(key) for key in created] == [
         [np.uint64(4) ^ ROLE_TRAIN, i] for i in range(3)]
 
 
-def random_keys(rng, seeds, per_seed):
-    """Seeds with the ends of the range, each with random indices and
-    the ends of the index range."""
-    edge_seeds = [0, 1, SEED_MAX - 1, SEED_MAX]
-    drawn = rng.integers(0, SEED_MAX, size=seeds - len(edge_seeds), dtype=np.uint64,
-                         endpoint=True)
-    for seed in edge_seeds + [int(s) for s in drawn]:
-        indices = [0, 1, SEED_MAX] + [int(i) for i in rng.integers(
-            0, SEED_MAX, size=per_seed - 3, dtype=np.uint64, endpoint=True)]
-        yield seed, indices
-
-
-def test_vectorized_words_match_numpy_philox():
-    rng = np.random.default_rng(20)
-    count = 0
-    for role in (ROLE_SYNTH, ROLE_C):
-        for seed, indices in random_keys(rng, seeds=25, per_seed=24):
-            words = keyed_words(seed, role, indices, 18)
-            assert words.shape == (len(indices), 18) and words.dtype == np.uint64
-            for row, index in zip(words, indices):
-                key = np.array([np.uint64(seed) ^ role, index], dtype=np.uint64)
-                assert np.array_equal(row, np.random.Philox(key=key).random_raw(18)), (
-                    seed, index)
-                count += 1
-    assert count >= 1000
-
-
-@pytest.mark.parametrize("count", [1, 4, 5, 30])
-def test_vectorized_uniforms_match_generator_random(count):
-    rng = np.random.default_rng(21)
-    for seed, indices in random_keys(rng, seeds=8, per_seed=10):
-        got = keyed_uniforms(seed, ROLE_SYNTH, indices, count)
-        want = np.array([keyed(seed, ROLE_SYNTH, i).random(count) for i in indices])
-        assert got.tobytes() == want.tobytes()
-
-
-def drawn_normals(seed, role, indices, shape):
-    """Every block keyed_normals yields, copied before the next overwrites it."""
+def drawn_rows(seed, role, indices, method, shape):
+    """Every block keyed_rows yields, copied before the next overwrites it."""
     blocks = []
-    for start, block in keyed_normals(seed, role, indices, shape):
+    for start, block in keyed_rows(seed, role, indices, method, shape):
         assert start == sum(len(b) for b in blocks) and 1 <= len(block) <= 128
         blocks.append(block.copy())
     return np.concatenate(blocks) if blocks else np.empty((0, *shape))
 
 
+# the risk estimators' standard_normal rows and the generator's random rows
+# of 1 to 30 doubles, across a 4-word Philox block edge
+READS = [pytest.param("standard_normal", (1, 4), id="shape0"),
+         pytest.param("standard_normal", (5, 3), id="shape1"),
+         *(pytest.param("random", (count,), id=f"random{count}") for count in (1, 4, 5, 30))]
+
+
 @pytest.mark.parametrize("seed", [0, 7, SEED_MAX])
 @pytest.mark.parametrize("n", [0, 3, 128, 300])  # none, below, at and above the 128-row block
-@pytest.mark.parametrize("shape", [(1, 4), (5, 3)])
-def test_keyed_normals_match_one_generator_per_stream(seed, n, shape):
+@pytest.mark.parametrize("method, shape", READS)
+def test_keyed_normals_match_one_generator_per_stream(method, shape, seed, n):
+    # keyed_rows gives each index what its own Generator's method gives;
     # non-contiguous and repeated ids, and the ends of the index range
     ids = ([0, SEED_MAX, 11, 11, 4, 1000, 3, 11, 2**63, 5] * 30)[:n]
-    got = drawn_normals(seed, ROLE_C, ids, shape)
-    want = np.array([keyed(seed, ROLE_C, i).standard_normal(shape) for i in ids])
+    got = drawn_rows(seed, ROLE_C, ids, method, shape)
+    want = np.array([getattr(keyed(seed, ROLE_C, i), method)(shape) for i in ids])
     assert got.shape == (n, *shape)
     assert got.tobytes() == want.reshape(got.shape).tobytes()
 
@@ -123,7 +95,8 @@ def test_keyed_normals_open_one_philox_per_call(monkeypatch):
         return philox(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting)
-    assert drawn_normals(3, ROLE_CBAR, range(300), (32, 16)).shape == (300, 32, 16)
+    assert drawn_rows(3, ROLE_CBAR, range(300), "standard_normal", (32, 16)).shape == (
+        300, 32, 16)
     assert len(created) == 1
 
 

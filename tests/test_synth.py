@@ -124,13 +124,26 @@ class TestGenerator:
             assert np.allclose(data.sp[i], sp, rtol=0.0, atol=1e-13)
             assert np.allclose(data.x[i], x, rtol=0.0, atol=1e-13)
 
-    @pytest.mark.parametrize("k", [1, 511, 512, 513])
+    @pytest.mark.parametrize("k", [1, 127, 128, 129, 511, 512, 513])
     def test_prefix_stability_across_a_block_boundary(self, k):
-        # rows are drawn 512 at a time; a block edge changes no row
+        # rows are drawn 128 at a time; a block edge changes no row
         cfg = SynthConfig(d=3, seed=12)
         small, large = generate(cfg, k), generate(cfg, 1500)
         for name in ("x", "y", "sn", "sf", "nc", "sp"):
             assert getattr(small, name).tobytes() == getattr(large, name)[:k].tobytes(), name
+
+    @pytest.mark.parametrize("name, n, seed", [
+        ("n", -1, None), ("n", 2.5, None), ("n", 2.0, None), ("n", "5", None), ("n", None, None),
+        ("seed", 5, -1), ("seed", 5, 2**64), ("seed", 5, 2.5), ("seed", 5, "1"),
+    ])
+    def test_bad_n_and_seed_are_refused(self, name, n, seed):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[0, 2\*\*64 - 1\]"):
+            generate(SynthConfig(d=2), n, seed=seed)
+
+    def test_a_fractional_config_seed_is_refused(self):
+        # the config checks only the seed's range; generate reads its key word
+        with pytest.raises(ValueError, match=r"^seed must be an integer in .* got 2\.5$"):
+            generate(SynthConfig(d=2, seed=2.5), 5)
 
     def test_zero_rows(self):
         data = generate(SynthConfig(d=3, seed=0), 0)
