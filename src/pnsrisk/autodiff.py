@@ -5,15 +5,15 @@ parents, and the local backward rule.  backward() on a scalar loss walks
 the graph once in reverse topological order and writes .grad on every
 node it reaches.
 
-The training step builds each player's loss as one node whose parents
-are exactly that player's parameters and whose backward adds the
-vector-Jacobian products of the loss terms, which are numpy functions
-(see pnsrisk.train).  So this module holds no elementwise or reduction
-ops of its own: the per-op reference the terms are tested against lives
-in tests/reference_ops.py.
+The training step's loss is one node per player over its parameters,
+whose backward adds the loss terms' vector-Jacobian products (see
+pnsrisk.train), so this module holds no elementwise ops: the per-op
+reference lives in tests/reference_ops.py.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class Tensor:
 
     def __init__(self, data, parents=(), backward=None, name=None):
         self.data = d = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(d).all():
+        if not (math.isfinite(d) if d.ndim == 0 else np.isfinite(d).all()):
             if parents:
                 raise FloatingPointError(f"{name} produced a non-finite value")
             raise FloatingPointError("non-finite value entering the graph")
@@ -66,7 +66,7 @@ class Tensor:
         """Populate .grad on every node reachable from this scalar loss."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss, got shape %s" % (self.shape,))
-        grads = {self: np.ones_like(self.data)}
+        grads = {self: np.ones(self.data.shape)}
         for node in _toposort(self):
             node.grad = g = grads[node]
             if node._backward is None:
@@ -93,6 +93,9 @@ def _toposort(root):
         if node in visited:
             continue
         visited.add(node)
+        if not node.parents:  # a leaf is done when first reached
+            order.append(node)
+            continue
         stack.append((node, True))
         for parent in node.parents:
             if parent not in visited:
@@ -108,8 +111,7 @@ def sigmoid_np(x, e=None):
     it as e."""
     if e is None:
         e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0.0, 1.0 / d, e / d)
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def check_gradients(build_loss, params, step=1e-5):

@@ -7,13 +7,11 @@ Sampling is reparameterized (mean + sd * eps) so gradients reach the
 encoder parameters.  The labeler is the linear rule sign(c @ w), with no
 bias; the tie c @ w = 0 maps to label 1.
 
-Each term of the training objective (the MLP, the KL term, the draw and
-both surrogates) is one numpy function on arrays that returns its value
-and its vector-Jacobian product (vjp): Mlp._forward behind
-GaussianEncoder.encode, GaussianEncoder.kl_node and draw, surrogate_sf
-and surrogate_m.  The training step (pnsrisk.train.casn_objective) calls
-them and adds their vjps into one loss node per player; there are no
-per-term graph nodes.
+Each term of the training objective is one numpy function on arrays
+that returns its value and its vector-Jacobian product (vjp):
+GaussianEncoder.encode (the MLP), kl_node and draw, surrogate_sf and
+surrogate_m.  pnsrisk.train.casn_objective adds their vjps into one loss
+node per player; there are no per-term graph nodes.
 
 Two differentiable surrogates stand in for the indicator quantities:
 
@@ -49,16 +47,17 @@ __all__ = [
 
 def _mlp_vjp(weights, inputs, pres):
     """The backward of one Mlp._stack forward: maps the gradient at its
-    output to the gradients of (w0, b0, w1, b1, ...)."""
+    output to the gradients of (w0, b0, w1, b1, ...), in out if given."""
     last = len(weights) - 1
 
-    def vjp(g):
-        grads = [None] * (2 * last + 2)
+    def vjp(g, out=None):
+        grads = list(out) if out else [None] * (2 * last + 2)
         for i in range(last, -1, -1):
             if i != last:
-                g = g * np.exp(np.minimum(pres[i], 0.0))  # exactly 1 where pre > 0
-            grads[2 * i] = inputs[i].T @ g
-            grads[2 * i + 1] = g.sum(axis=0)
+                slope = np.minimum(pres[i], 0.0)
+                g = np.multiply(g, np.exp(slope, out=slope), out=slope)  # exactly 1 where pre > 0
+            grads[2 * i] = np.matmul(inputs[i].T, g, out=grads[2 * i])
+            grads[2 * i + 1] = g.sum(axis=0, out=grads[2 * i + 1])
             if i:
                 g = g @ weights[i].T
         return grads
@@ -88,23 +87,27 @@ class Mlp:
         an error naming the layer: an ELU maps -inf to -1, so a check of
         the output alone would hide an overflow.  Given lists, the graph
         path collects each layer's input and each hidden pre-activation.
-        Given stacks, the (2, a, b) weights and then the (2, b) biases of
-        this MLP and its twin, it runs both at once (see _forward_pair)."""
+        Given stacks, this MLP's and its twin's parameters as (2, ...)
+        views in parameters() order, it runs both (see _forward_pair)."""
         depth = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if inputs is not None:
                 inputs.append(h)
             if stacks is None:
-                h = h @ w.data + b.data
+                h = h @ w.data
+                h += b.data
             else:
-                h = h @ stacks[i] + stacks[depth + i][:, None]
+                h = h @ stacks[2 * i]
+                h += stacks[2 * i + 1][:, None]
             if not np.isfinite(h).all():
                 raise FloatingPointError(f"{self.layer_names[i]} produced a non-finite value")
             if i == depth - 1:
                 return h
             if pres is not None:
                 pres.append(h)
-            h = np.where(h > 0.0, h, np.expm1(np.minimum(h, 0.0)))
+            # ELU: expm1(h) >= h below 0, so the max is h above 0 and expm1(h) below
+            elu = np.minimum(h, 0.0)
+            h = np.maximum(h, np.expm1(elu, out=elu), out=elu)
 
     def _input(self, x):
         """The data batch x as a float64 matrix that fits the first layer."""
@@ -121,41 +124,27 @@ class Mlp:
         return out, _mlp_vjp([w.data for w in self.weights], inputs, pres)
 
     def forward_np(self, x):
-        """Graph-free forward for evaluation and Monte Carlo estimation.
-        An overflow raises the layer's FloatingPointError, not a numpy
-        warning."""
+        """Graph-free forward for evaluation and Monte Carlo estimation;
+        an overflow raises the layer's FloatingPointError, not a warning."""
         with np.errstate(over="ignore", invalid="ignore"):
             return self._stack(np.atleast_2d(np.asarray(x, dtype=np.float64)))
 
     def parameters(self):
-        out = {}
-        for w, b in zip(self.weights, self.biases):
-            out[w.name] = w
-            out[b.name] = b
-        return out
+        return {p.name: p for pair in zip(self.weights, self.biases) for p in pair}
 
 
-def _forward_pair(mlp, twin, x):
-    """Both MLPs on the data batch x as one stacked forward, as
-    ((out, vjp), (twin_out, twin_vjp)).  It runs when each of their
-    parameter pairs is the two halves, mlp's first, of one (2, ...)
-    array, as train() stores them; it returns None when they are not,
-    or when a layer is non-finite, so that the caller runs them one at a
-    time and the first non-finite layer raises in the order they run."""
-    stacks = []
-    for p, q in zip(mlp.weights + mlp.biases, twin.weights + twin.biases):
-        stack = p.data.base
-        if stack is None or q.data.base is not stack or len(stack) != 2 or p is q:
-            return None
-        stacks.append(stack)
-    h = mlp._input(x)
-    weights = stacks[:len(mlp.weights)]
-    inputs, pres = [], []
+def _forward_pair(mlp, stacks, x):
+    """mlp and its twin on the data batch x as one stacked forward, as
+    ((out, vjp), (twin_out, twin_vjp)); stacks holds each parameter pair
+    as one (2, ...) view of train()'s flat buffer, in parameters() order.
+    None when a layer is non-finite: the caller then runs the two MLPs
+    one at a time, and the first non-finite layer raises."""
+    h, inputs, pres = mlp._input(x), [], []
     try:
         out = mlp._stack(h, inputs, pres, stacks)
     except FloatingPointError:
         return None
-    return tuple((out[k], _mlp_vjp([w[k] for w in weights], [h] + [a[k] for a in inputs[1:]],
+    return tuple((out[k], _mlp_vjp([w[k] for w in stacks[::2]], [h] + [a[k] for a in inputs[1:]],
                                    [a[k] for a in pres]))
                  for k in (0, 1))
 
@@ -231,11 +220,9 @@ class GaussianEncoder:
     def draw(self, mean, eps):
         """(value, vjp) of the reparameterized draws mean + sd * eps from
         a posterior-mean array; vjp maps the gradient at the draws to the
-        gradients of (mean, [log_var]), so gradients flow to the mean
-        network and the log-variance, not to the noise eps.  eps of shape
-        (n, rep_dim) gives one draw per row; eps of shape
-        (draws, n, rep_dim) gives every draw's rows, draw-major, as one
-        (draws * n, rep_dim) array."""
+        gradients of (mean, [log_var]).  eps of shape (n, rep_dim) gives
+        one draw per row, (draws, n, rep_dim) every draw's rows,
+        draw-major, as one (draws * n, rep_dim) array."""
         shape = mean.shape
         draws = np.asarray(eps, dtype=np.float64)
         if draws.ndim not in (2, 3) or draws.shape[-2:] != shape:
@@ -255,14 +242,10 @@ class GaussianEncoder:
     def kl_node(self, mean, prior):
         """(value, vjp) of the mean-over-batch KL(q(.|x) || prior) on a
         posterior-mean array; vjp maps the gradient at the KL to the
-        gradients of (mean, [log_var]).  The name is the one the
-        benchmark's model.kl_node span times.
-
-        Closed form for diagonal Gaussians; the variance part is shared
-        across the batch because the posterior variance does not depend
-        on x.  A term that overflows makes the value inf, which the
-        caller's finiteness check reports as kl_node's.
-        """
+        gradients of (mean, [log_var]).  Closed form for diagonal
+        Gaussians; the variance part, which does not depend on x, is
+        shared across the batch.  A term that overflows makes the value
+        inf, which the caller's check reports as kl_node's."""
         n, rep = mean.shape
         inv_pv = prior.inv_var
         diff = mean - prior.mean
@@ -309,10 +292,8 @@ class LinearHead:
 
 
 def predict(head, encoder, x):
-    """Hard labels from the posterior mean: 1 where the logit is >= 0.
-
-    The tie logit == 0 maps to label 1.
-    """
+    """Hard labels from the posterior mean: 1 where the logit is >= 0,
+    so the tie logit == 0 maps to label 1."""
     mean, _ = encoder.encode_np(x)
     return (head.logits_np(mean) >= 0.0).astype(np.int64)
 
@@ -351,7 +332,8 @@ def surrogate_m(w, c, c_bar):
     """(value, vjp) of the differentiable stand-in for the probability
     that the two routes agree in sign, on paired representation rows:
     the mean over pairs of p*q + (1-p)*(1-q), p = sigmoid(w.c),
-    q = sigmoid(w.cbar).  vjp gives the gradients of (c, c_bar, w)."""
+    q = sigmoid(w.cbar).  vjp gives the gradients of (c, c_bar, w);
+    vjp(g, twin=True) computes only c_bar's, the twin's."""
     if c.shape != c_bar.shape:
         raise ValueError(f"surrogate_m: {c.shape} vs {c_bar.shape}")
     # rows (p, q) and (1 - p, 1 - q): each elementwise op runs once for both
@@ -361,8 +343,10 @@ def surrogate_m(w, c, c_bar):
     scale = 1.0 / p.shape[0]
     out = (p * q + p1 * q1).sum() * scale
 
-    def vjp(g):
+    def vjp(g, twin=False):
         g = g * scale
+        if twin:
+            return ((g * p - g * p1) * q * q1)[:, None] * w
         # row 0 is (g*q - g*(1-q)) * p * (1-p), row 1 the same with p, q swapped
         g_zc, g_zb = (g * pq[::-1] - g * pq1[::-1]) * pq * pq1
         return g_zc[:, None] * w, g_zb[:, None] * w, _w_grad(((c, g_zc), (c_bar, g_zb)))
@@ -373,17 +357,10 @@ def surrogate_m(w, c, c_bar):
 def clone_perturbed(encoder, rng, scale=0.01):
     """Fresh encoder with the same architecture whose parameters start a
     small random step away from the source's."""
-    twin = GaussianEncoder(
-        encoder.in_dim,
-        rep_dim=encoder.rep_dim,
-        hidden=encoder.mlp.hidden,
-        rng=np.random.default_rng(0),
-        fixed_var=encoder.fixed_var,
-        prefix=f"{encoder.prefix}_twin",
-    )
-    src = list(encoder.parameters().values())
-    dst = list(twin.parameters().values())
-    for s, d in zip(src, dst):
+    twin = GaussianEncoder(encoder.in_dim, rep_dim=encoder.rep_dim, hidden=encoder.mlp.hidden,
+                           rng=np.random.default_rng(0), fixed_var=encoder.fixed_var,
+                           prefix=f"{encoder.prefix}_twin")
+    for s, d in zip(encoder.parameters().values(), twin.parameters().values()):
         d.data = s.data + scale * rng.standard_normal(s.data.shape)
     return twin
 

@@ -63,6 +63,21 @@ SEED_MAX = 2**64 - 1
 _BLOCK_ROWS = 128
 
 
+def integer(value, name, low=None, high=None):
+    """value as an int, or a ValueError naming it unless it is an integer
+    within the bounds given (operator.index refuses 2.5 and "5")."""
+    try:
+        word = operator.index(value)
+    except TypeError:
+        bounds = "" if high is None else f" in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer{bounds}, got {value!r}") from None
+    if low is not None and word < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    if high is not None and word > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
+    return word
+
+
 def key_word(value, name):
     """value as an int key word, or a ValueError naming it unless it is
     an integer in [0, SEED_MAX]: numpy would raise OverflowError for -1

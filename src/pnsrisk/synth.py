@@ -32,7 +32,7 @@ import numpy as np
 
 from .autodiff import sigmoid_np
 from .pns import DiscreteScm
-from .streams import ROLE_SYNTH, SEED_MAX, key_word, keyed_rows
+from .streams import ROLE_SYNTH, SEED_MAX, integer, key_word, keyed_rows
 
 __all__ = [
     "SynthConfig",
@@ -62,11 +62,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("d", 1), ("n_train", 1), ("n_eval", 2), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if self.seed > SEED_MAX - 1:  # the evaluation split is keyed by seed + 1
-            raise ValueError(f"seed must be at most {SEED_MAX - 1}, got {self.seed}")
+        for name, low in (("d", 1), ("n_train", 1), ("n_eval", 2)):
+            integer(getattr(self, name), name, low)
+        integer(self.seed, "seed", 0, SEED_MAX - 1)  # the evaluation split is keyed by seed + 1
         for name in ("s", "label_noise", "sf_flip", "nc_keep"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

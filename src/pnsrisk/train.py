@@ -23,16 +23,11 @@ Variants:
 
 Each term is one numpy function that returns its value and its
 vector-Jacobian product (vjp): separation_penalty, irm_penalty and
-mmd_penalty here, the encoder's terms and both surrogates in
-pnsrisk.model.  Each player's loss is one graph node over exactly that
-player's parameters (casn_objective).  Every term is computed once
-however many Monte Carlo draws, and the loss's backward adds the terms'
-vjps.  The penalties read their domains' rows out of the batch's one
-posterior mean.  When the twin plays, train() stores each parameter
-pair of the two encoders as the halves of one stacked array, so one
-forward gives both means.
-tests/reference_ops.py builds the same terms node by node from generic
-ops; the tests compare the two.
+mmd_penalty here, the others in pnsrisk.model.  Each player's loss is
+one graph node over exactly its parameters (casn_objective).  train()
+keeps both players' parameters in one flat buffer (_Game): one forward
+gives both means, the gradients are written in place, and an update is
+one vector op.  tests/reference_ops.py builds the terms node by node.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ from .model import (
     surrogate_sf,
 )
 from .risk import estimate_risk
-from .streams import ROLE_TRAIN, SEED_MAX, keyed
+from .streams import ROLE_TRAIN, SEED_MAX, integer, keyed
 
 __all__ = [
     "VARIANTS",
@@ -105,12 +100,10 @@ class TrainConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         for name, low in (("total_steps", 0), ("batch_size", 1), ("mc_samples", 1),
                           ("rep_dim", 1), ("max_every", 0), ("max_steps_per_phase", 0),
-                          ("irm_anneal_iters", 0), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if self.seed > SEED_MAX:  # the stream keys are uint64
-            raise ValueError(f"seed must be at most {SEED_MAX}, got {self.seed}")
-        if any(width < 1 for width in self.hidden):
+                          ("irm_anneal_iters", 0)):
+            integer(getattr(self, name), name, low)
+        integer(self.seed, "seed", 0, SEED_MAX)  # the stream keys are uint64
+        if any(integer(width, "hidden width") < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be at least 1, got {self.hidden}")
         for name in ("lr_min", "lr_max"):
             if not 0.0 < getattr(self, name) < np.inf:
@@ -137,10 +130,9 @@ class TrainingDiverged(RuntimeError):
 
 def _distances(a, b, op):
     """(diff, dist): diff = a - b and its Euclidean norm over the last
-    axis, with a 1e-18 stabilizer inside the square root so coincident
-    rows have a gradient.  A distance that overflows raises
-    FloatingPointError naming the op: the separation hinge would map it
-    to 0, where the node's own check cannot see it."""
+    axis, + 1e-18 inside the root so coincident rows have a gradient.  A
+    distance that overflows raises FloatingPointError naming the op: the
+    hinge would map it to 0, where no later check could see it."""
     diff = a - b
     dist = np.sqrt((diff * diff).sum(axis=-1) + 1e-18)
     if not np.isfinite(dist).all():
@@ -151,11 +143,9 @@ def _distances(a, b, op):
 def separation_penalty(c, c_bar, delta):
     """(value, vjp) of the mean squared hinge on the pairwise
     representation gap, mean over pairs of max(0, delta - ||c - cbar||_2)^2,
-    on paired representation rows; vjp gives the gradients of (c, c_bar).
-
-    The distance carries the 1e-18 stabilizer of _distances, so
-    coincident pairs cost (delta - 1e-9)^2 instead of tripping on the
-    sqrt gradient.
+    on paired representation rows; vjp gives the gradients of (c, c_bar),
+    vjp(g, twin=True) only c_bar's.  With the stabilizer of _distances,
+    coincident pairs cost (delta - 1e-9)^2 and have a gradient.
     """
     if c.ndim != 2 or c.shape != c_bar.shape:
         raise ValueError(f"separation_penalty: {c.shape} vs {c_bar.shape}")
@@ -163,12 +153,12 @@ def separation_penalty(c, c_bar, delta):
     hinge = np.maximum(delta - dist, 0.0)
     scale = 1.0 / hinge.shape[0]
 
-    def vjp(g):
+    def vjp(g, twin=False):
         g_hinge = g * scale * hinge  # zero where the pair is far enough apart
         g_sq = -(g_hinge + g_hinge) * 0.5 / dist
         g_diff = g_sq[:, None] * diff
         g_diff = g_diff + g_diff
-        return (g_diff, -g_diff)
+        return -g_diff if twin else (g_diff, -g_diff)
 
     return (hinge * hinge).sum() * scale, vjp
 
@@ -176,11 +166,8 @@ def separation_penalty(c, c_bar, delta):
 def mmd_penalty(groups):
     """(value, vjp) of the sum over unordered domain pairs of the mean
     cross-domain representation distance, on two or more arrays of
-    representation rows; vjp gives one gradient per group.
-
-    Each distance carries the 1e-18 stabilizer of _distances, so
-    coincident rows have a gradient.  One domain has no cross-domain
-    pair: the caller adds no penalty for it (casn_objective).
+    representation rows; vjp gives one gradient per group.  One domain
+    has no cross-domain pair: casn_objective adds no penalty for it.
     """
     if len(groups) < 2:
         raise ValueError("mmd penalty needs at least two domains")
@@ -244,72 +231,111 @@ def irm_penalty(w, groups, neg_ytil_groups):
     return total, vjp
 
 
-def _checked(op, result):
-    """A (value, vjp) result once its value is checked: a non-finite
-    value raises FloatingPointError naming the op, in the words of the
-    graph's own check (autodiff.Tensor)."""
-    value = result[0]
+def _check(op, value):
+    """Raise FloatingPointError naming op unless value is finite, in the
+    words of the graph's own check (autodiff.Tensor)."""
     if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
         raise FloatingPointError(f"{op} produced a non-finite value")
-    return result
+
+
+def _into(out, first, *rest):
+    """first + rest, added left to right, in out when it is given (a
+    gradient view of train()'s flat buffer)."""
+    for term in rest:
+        first = np.add(first, term, out=out)
+    if out is not None and first is not out:
+        out[...] = first
+    return first if out is None else out
+
+
+class _Game:
+    """The players' parameters: enc_c's in parameters() order and head.w,
+    then the twin's.  flat=True (train) moves them into one (2, size)
+    buffer, theta, row 0 the first player's, row 1 the twin's at the same
+    offsets, each .data a view into it; outs are the matching views of
+    grad, which the losses' backward writes, and stacks each mean-network
+    pair as one (2, ...) view (model._forward_pair).  Without flat the
+    gradients are fresh arrays and the encoders run one at a time."""
+
+    def __init__(self, enc_c, enc_cbar, head, flat=False):
+        self.players = ((*enc_c.parameters().values(), head.w),
+                        tuple(enc_cbar.parameters().values()))
+        self.outs, self.stacks = tuple([None] * len(p) for p in self.players), None
+        if not flat:
+            return
+        if {id(p) for p in self.players[0]} & {id(q) for q in self.players[1]}:
+            raise RuntimeError("the min and max players share a parameter")
+        bounds = np.cumsum([0] + [p.data.size for p in self.players[0]]).tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        self.theta, self.grad = np.zeros((2, 2, bounds[-1]))
+        self.outs = ([], [])
+        for k, player in enumerate(self.players):
+            for p, (start, end) in zip(player, spans):
+                self.theta[k, start:end] = p.data.reshape(-1)
+                p.data = self.theta[k, start:end].reshape(p.data.shape)
+                self.outs[k].append(self.grad[k, start:end].reshape(p.data.shape))
+        self.stacks = [self.theta[:, start:end].reshape(2, *p.data.shape)
+                       for p, (start, end) in zip(enc_c.mlp.parameters().values(), spans)]
 
 
 def casn_objective(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
-                   eps_c, eps_cbar, domain_rows=None, penalty_weight=None):
+                   eps_c, eps_cbar, domain_rows=None, penalty_weight=None, game=None):
     """Build the step's game; returns (min_loss, max_loss, parts).
 
-    ytil holds the batch's labels as -1/+1.  The game's objective is the
+    ytil holds the batch's labels as -1/+1.  The objective is the
     weighted sum, in this order, of M, SF, lam * KL_c, sep_weight *
     hinge, [lam * KL_xi] and [penalty].  min_loss is that objective as
-    one node whose parents are exactly the (phi, w) player's parameters,
-    enc_c's and head.w; max_loss is its negation as one node over
-    exactly the twin's.  Every term is computed once, in numpy, and
-    each loss's backward adds the terms' vector-Jacobian products in the
-    order a walk over one node per term adds them, so the gradients are
-    the same bytes as that graph's.  adversary_kl only decides whether
-    lam * KL_xi is a term of the game, which the min player cannot move.
-    casn_minus_m never touches the twin: its objective is SF + lam * KL_c
-    and its max_loss is None.
+    one node whose parents are exactly enc_c's parameters and head.w;
+    max_loss is its negation as one node over exactly the twin's (None
+    for casn_minus_m, whose objective is SF + lam * KL_c).  Each term is
+    computed once, and each loss's backward computes only its player's
+    gradients, adding the terms' vjps in the order a walk over one node
+    per term adds them, so they are that graph's bytes.
 
-    When the two encoders' parameters are stacked, as train() stores
-    them, both posterior means come from one forward (model._forward_pair).
-    A non-finite value raises FloatingPointError naming the first op to
-    make one, in the order: enc_c's layers, kl_c, the twin's layers,
-    kl_cbar, the draws, SF, M, the hinge, the penalty, the sum.
+    game is train()'s flat layout (_Game): the backward writes into its
+    gradient views, and one forward over its stacked views gives both
+    means.  A non-finite value raises FloatingPointError naming the
+    first op to make one, in the order: enc_c's layers, kl_c, the twin's
+    layers, kl_cbar, the draws, SF, M, the hinge, the penalty, the sum.
 
-    eps_c / eps_cbar have shape (mc_samples, n, rep_dim); each draw term
-    (SF, M, hinge) is computed once over every draw's rows.
-
-    casn_irm and casn_mmd add their penalty, times penalty_weight
-    (default: the config's irm_weight or mmd_weight).  It is computed on
-    the posterior means of the batch's domains: domain_rows lists each
-    domain's positions in the batch, and None makes the whole batch one
-    domain.
+    eps_c / eps_cbar have shape (mc_samples, n, rep_dim).  casn_irm and
+    casn_mmd add their penalty, times penalty_weight (default: the
+    config's irm_weight or mmd_weight), on the posterior means of the
+    batch's domains: domain_rows lists each domain's positions in the
+    batch, and None makes the whole batch one domain.
     """
     twin = config.variant != "casn_minus_m"
+    game = game or _Game(enc_c, enc_cbar, head)
     w = head.w.data
     neg_ytil = -np.concatenate((ytil,) * config.mc_samples)
-    pair = _forward_pair(enc_c.mlp, enc_cbar.mlp, x) if twin else None
+    pair = _forward_pair(enc_c.mlp, game.stacks, x) if twin and game.stacks else None
     mean_c, mlp_c = pair[0] if pair else enc_c.encode(x)
-    kl_c, kl_c_vjp = _checked("kl_node", enc_c.kl_node(mean_c, prior_c))
-    parts = {"m": 0.0, "kl_cbar": 0.0, "hinge": 0.0, "penalty": 0.0}
+    kl_c, kl_c_vjp = enc_c.kl_node(mean_c, prior_c)
+    _check("kl_node", kl_c)
     if twin:
         mean_cbar, mlp_cbar = pair[1] if pair else enc_cbar.encode(x)
-        kl_cbar, kl_cbar_vjp = _checked("kl_node", enc_cbar.kl_node(mean_cbar, prior_cbar))
-    c, draw_c = _checked("draw", enc_c.draw(mean_c, eps_c))
+        kl_cbar, kl_cbar_vjp = enc_cbar.kl_node(mean_cbar, prior_cbar)
+        _check("kl_node", kl_cbar)
+    c, draw_c = enc_c.draw(mean_c, eps_c)
+    _check("draw", c)
     if twin:
-        c_bar, draw_cbar = _checked("draw", enc_cbar.draw(mean_cbar, eps_cbar))
-    sf, sf_vjp = _checked("surrogate_sf", surrogate_sf(w, c, neg_ytil))
+        c_bar, draw_cbar = enc_cbar.draw(mean_cbar, eps_cbar)
+        _check("draw", c_bar)
+    sf, sf_vjp = surrogate_sf(w, c, neg_ytil)
+    _check("surrogate_sf", sf)
+    parts = dict(sf=float(sf), m=0.0, kl_c=float(kl_c), kl_cbar=0.0, hinge=0.0, penalty=0.0)
     if twin:
-        m, m_vjp = _checked("surrogate_m", surrogate_m(w, c, c_bar))
-        hinge, hinge_vjp = _checked("separation_penalty",
-                                    separation_penalty(c, c_bar, float(config.delta)))
-        terms = [(m, 1.0), (sf, 1.0), (kl_c, config.lam), (hinge, config.sep_weight)]
+        m, m_vjp = surrogate_m(w, c, c_bar)
+        _check("surrogate_m", m)
+        hinge, hinge_vjp = separation_penalty(c, c_bar, float(config.delta))
+        _check("separation_penalty", hinge)
+        # x * 1.0 is x to the bit: the unit weights of M and SF are not multiplied
+        value = m + sf + kl_c * config.lam + hinge * config.sep_weight
         if config.adversary_kl:
-            terms.append((kl_cbar, config.lam))
+            value = value + kl_cbar * config.lam
         parts.update(m=float(m), kl_cbar=float(kl_cbar), hinge=float(hinge))
     else:
-        terms = [(sf, 1.0), (kl_c, config.lam)]
+        value = sf + kl_c * config.lam
     penalty_vjp = None
     if config.variant in ("casn_irm", "casn_mmd"):
         if domain_rows is None:
@@ -317,61 +343,62 @@ def casn_objective(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
         reps = [mean_c[rows] for rows in domain_rows]
         if config.variant == "casn_mmd":
             # one domain has no cross-domain pair: the penalty is a constant 0
-            penalty, penalty_vjp = (_checked("mmd_penalty", mmd_penalty(reps))
-                                    if len(reps) > 1 else (0.0, None))
-            weight = config.mmd_weight
+            penalty, penalty_vjp = mmd_penalty(reps) if len(reps) > 1 else (0.0, None)
+            op, weight = "mmd_penalty", config.mmd_weight
         else:
-            penalty, penalty_vjp = _checked(
-                "irm_penalty", irm_penalty(w, reps, [-ytil[rows] for rows in domain_rows]))
-            weight = config.irm_weight
+            penalty, penalty_vjp = irm_penalty(w, reps, [neg_ytil[rows] for rows in domain_rows])
+            op, weight = "irm_penalty", config.irm_weight
+        _check(op, penalty)
         penalty_weight = weight if penalty_weight is None else penalty_weight
-        terms.append((penalty, penalty_weight))
+        value = value + penalty * penalty_weight
         parts["penalty"] = float(penalty)
-    parts.update(sf=float(sf), kl_c=float(kl_c))
-    value = None
-    for term, weight in terms:
-        value = term * weight if value is None else value + term * weight
+    depth, (min_outs, max_outs) = 2 * len(enc_c.mlp.weights), game.outs
 
-    # Each backward adds a parameter's contributions left to right, in
-    # the order a walk over one node per term adds them: c gets M, SF,
-    # then the hinge; w gets M, SF, then irm; the mean and log_var get
-    # KL, then the draw, then the penalty's domain rows.
+    # Each backward adds a parameter's contributions left to right: c gets
+    # M, SF, then the hinge; w gets M, SF, then irm; the mean and log_var
+    # get KL, then the draw, then the penalty's domain rows.
     def min_backward(g):
+        g_c, sf_w = sf_vjp(g)
+        g_w = [sf_w]
         if twin:
-            m_c, _, m_w = m_vjp(g * 1.0)
-            sf_c, sf_w = sf_vjp(g * 1.0)
-            g_c = m_c + sf_c + hinge_vjp(g * config.sep_weight)[0]
-            g_w = m_w + sf_w
-        else:
-            g_c, g_w = sf_vjp(g * 1.0)
-        g_mean, *g_log_var = (a + b for a, b in zip(kl_c_vjp(g * config.lam), draw_c(g_c)))
+            m_c, _, m_w = m_vjp(g)
+            g_c = m_c + g_c + hinge_vjp(g * config.sep_weight)[0]
+            g_w = [m_w, sf_w]
+        kl_g, draw_g = kl_c_vjp(g * config.lam), draw_c(g_c)
+        g_mean = kl_g[0] + draw_g[0]
         if penalty_vjp is not None:
             g_reps = penalty_vjp(g * penalty_weight)
             if config.variant == "casn_irm":
                 *g_reps, irm_w = g_reps
-                g_w = g_w + irm_w
+                g_w.append(irm_w)
             for rows, g_rows in zip(domain_rows, g_reps):
                 full = np.zeros(mean_c.shape)
                 full[rows] = g_rows
                 g_mean = g_mean + full
-        return [*mlp_c(g_mean), *g_log_var, g_w]
+        grads = mlp_c(g_mean, min_outs[:depth])
+        if len(kl_g) > 1:
+            grads.append(_into(min_outs[depth], kl_g[1], draw_g[1]))
+        grads.append(_into(min_outs[-1], *g_w))
+        return grads
 
-    min_params = [*enc_c.parameters().values(), head.w]
-    min_loss = Tensor(value, min_params, min_backward, "casn_objective")
+    min_loss = Tensor(value, game.players[0], min_backward, "casn_objective")
     if not twin:
         return min_loss, None, parts
 
     def max_backward(g):
         g = -g
-        g_c_bar = m_vjp(g * 1.0)[1] + hinge_vjp(g * config.sep_weight)[1]
-        leaves = draw_cbar(g_c_bar)
+        g_mean, *g_log_var = draw_cbar(m_vjp(g, twin=True)
+                                       + hinge_vjp(g * config.sep_weight, twin=True))
+        kl_log_var = []
         if config.adversary_kl:
-            leaves = [a + b for a, b in zip(leaves, kl_cbar_vjp(g * config.lam))]
-        g_mean, *g_log_var = leaves
-        return [*mlp_cbar(g_mean), *g_log_var]
+            kl_mean, *kl_log_var = kl_cbar_vjp(g * config.lam)
+            g_mean = g_mean + kl_mean
+        grads = mlp_cbar(g_mean, max_outs[:depth])
+        if g_log_var:
+            grads.append(_into(max_outs[depth], *g_log_var, *kl_log_var))
+        return grads
 
-    max_loss = Tensor(-min_loss.data, enc_cbar.parameters().values(), max_backward,
-                      "casn_objective")
+    max_loss = Tensor(-min_loss.data, game.players[1], max_backward, "casn_objective")
     return min_loss, max_loss, parts
 
 
@@ -397,18 +424,6 @@ class TrainResult:
     config: TrainConfig
 
 
-def _sgd(params, lr, velocities, momentum):
-    """One SGD step in place, so a stacked parameter stays a half of its
-    stack."""
-    for p in params:
-        step = p.grad
-        if momentum > 0.0:
-            v = velocities.get(id(p))
-            step = p.grad if v is None else momentum * v + p.grad
-            velocities[id(p)] = step
-        p.data -= lr * step
-
-
 def check_domains(variant, domains):
     """Refuse casn_mmd unless domains holds at least two distinct ids;
     the command line, which has no domains, calls it before any output."""
@@ -419,11 +434,9 @@ def check_domains(variant, domains):
 def train(data, config, domains=None):
     """Run the alternating scheme on a benchmark dataset.
 
-    data needs .x and .y arrays; domains, when given, is an array of
-    domain ids aligned with the rows and feeds the irm/mmd penalties;
-    casn_mmd is refused unless it holds at least two distinct ids.
-    Deterministic: every random draw comes from streams keyed by
-    config.seed.
+    data needs .x and .y arrays; domains, when given, holds a domain id
+    per row for the irm/mmd penalties (casn_mmd needs two distinct ids).
+    Every random draw comes from streams keyed by config.seed.
 
     One failure rule: bad input raises ValueError before step 0, and the
     steps and the final risk report run under one np.errstate: numpy
@@ -447,63 +460,57 @@ def train(data, config, domains=None):
             raise ValueError("domains must align with the data rows")
     check_domains(config.variant, domains)
 
-    init = keyed(config.seed, ROLE_TRAIN, 0)
-    batches = keyed(config.seed, ROLE_TRAIN, 1)
-    noise = keyed(config.seed, ROLE_TRAIN, 2)
+    init, batches, noise = (keyed(config.seed, ROLE_TRAIN, lane) for lane in range(3))
     enc_c = GaussianEncoder(in_dim, rep_dim=config.rep_dim, hidden=config.hidden,
                             rng=init, fixed_var=config.fixed_var, prefix="enc_c")
     enc_cbar = clone_perturbed(enc_c, init, scale=0.01)
     head = LinearHead(config.rep_dim, rng=init)
     prior = GaussianPrior.standard(config.rep_dim)  # for both encoders
 
-    min_params = list(enc_c.parameters().values()) + list(head.parameters().values())
-    adv_params = list(enc_cbar.parameters().values())
-    if config.variant != "casn_minus_m":
-        # each parameter pair as the halves of one stack: one forward
-        # gives both posterior means (see casn_objective)
-        for p, q in zip(min_params, adv_params):
-            p.data, q.data = np.stack((p.data, q.data))
-    if ({id(p) for p in min_params} & {id(p) for p in adv_params}
-            or any(np.shares_memory(p.data, q.data) for p in min_params for q in adv_params)):
-        raise RuntimeError("the min and max players share a parameter")
-
-    velocities = {}
-    trace = []
+    game = _Game(enc_c, enc_cbar, head, flat=True)
+    (theta_c, theta_cbar), (grad_c, grad_cbar) = game.theta, game.grad
+    velocity, trace = None, []
     shape = (config.mc_samples, config.batch_size, config.rep_dim)
+    penalized = domains is not None and config.variant in ("casn_irm", "casn_mmd")
+    codes = np.unique(domains, return_inverse=True)[1] if penalized else None  # ids 0, 1, ...
 
     def batch_objective():
         idx = batches.integers(0, n, size=config.batch_size)
         eps_c, eps_cbar = noise.standard_normal((2, *shape))
         rows = None
-        if domains is not None and config.variant in ("casn_irm", "casn_mmd"):
+        if codes is not None:
             # positions in the batch, not row ids: batches draw with replacement
-            batch_domains = domains[idx]
-            rows = [np.flatnonzero(batch_domains == d) for d in np.unique(batch_domains)]
+            batch_codes = codes[idx]
+            rows = [np.flatnonzero(batch_codes == d)
+                    for d in np.flatnonzero(np.bincount(batch_codes))]
         # the irm warm-up weighs the penalty 1.0 for its first steps
         warm = config.variant == "casn_irm" and step < config.irm_anneal_iters
         return casn_objective(x_all[idx], ytil_all[idx], enc_c, enc_cbar, head,
-                              prior, prior, config, eps_c, eps_cbar,
-                              domain_rows=rows, penalty_weight=1.0 if warm else None)
+                              prior, prior, config, eps_c, eps_cbar, domain_rows=rows,
+                              penalty_weight=1.0 if warm else None, game=game)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             for step in range(config.total_steps):
                 adv_value = None
-                run_phase = (
-                    config.variant != "casn_minus_m"
-                    and config.max_every > 0
-                    and (step + 1) % config.max_every == 0
-                )
+                run_phase = (config.variant != "casn_minus_m" and config.max_every > 0
+                             and (step + 1) % config.max_every == 0)
                 min_loss, _, parts = batch_objective()
                 min_loss.backward()
-                _sgd(min_params, config.lr_min, velocities, config.momentum)
+                # each player's update is one vector op on its row of the buffer
+                if velocity is not None and config.momentum > 0.0:
+                    velocity *= config.momentum
+                    velocity += grad_c
+                else:  # a copy of the gradient: 0.9 * 0 + -0.0 would be +0.0
+                    velocity = grad_c.copy()
+                theta_c -= config.lr_min * velocity
                 if run_phase:
                     for _ in range(config.max_steps_per_phase):
-                        game, max_loss, _ = batch_objective()
+                        objective, max_loss, _ = batch_objective()
                         max_loss.backward()
                         # descending -objective ascends the shared objective
-                        _sgd(adv_params, config.lr_max, velocities, 0.0)
-                        adv_value = game.item()
+                        theta_cbar -= config.lr_max * grad_cbar
+                        adv_value = objective.item()
                 trace.append(StepRecord(step=step, **parts, adversary_objective=adv_value))
             # the report reads the parameters the last update left
             step = config.total_steps

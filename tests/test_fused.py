@@ -332,11 +332,10 @@ def objective_parts(variant, mc_samples, fixed_var, saturated, delta, coincident
     return args, players
 
 
-def stack_players(enc_c, enc_cbar):
-    """Each parameter pair as the two halves of one stack, as train()
-    stores them when the twin plays."""
-    for p, q in zip(enc_c.parameters().values(), enc_cbar.parameters().values()):
-        p.data, q.data = np.stack((p.data, q.data))
+def stack_players(enc_c, enc_cbar, head):
+    """Both players' parameters in one flat buffer, as train() lays them
+    out; returns the layout, casn_objective's game."""
+    return train_module._Game(enc_c, enc_cbar, head, flat=True)
 
 
 # two domains at positions that interleave in the batch
@@ -355,13 +354,12 @@ def test_objective_matches_per_op_graph(variant, mc_samples, fixed_var, saturate
     parameters, separate and stacked."""
     for stacked in (False, True):
         args, players = objective_parts(variant, mc_samples, fixed_var, saturated, delta)
-        if stacked:
-            stack_players(*args[2:4])
+        game = stack_players(*args[2:5]) if stacked else None
         for role in (0, 1):
             if variant == "casn_minus_m" and role == 1:
-                assert casn_objective(*args)[1] is None
+                assert casn_objective(*args, game=game)[1] is None
                 continue
-            assert_same(lambda: casn_objective(*args, **PENALTY)[role],
+            assert_same(lambda: casn_objective(*args, **PENALTY, game=game)[role],
                         lambda: ref_objective(*args, **PENALTY)[role], players[role])
 
 
@@ -442,9 +440,8 @@ def test_objective_sum_node_is_the_generic_chain_bytewise(variant, mc_samples, a
     for fixed_var, stacked in ((None, False), (0.3, False), (None, True)):
         args, players = objective_parts(variant, mc_samples, fixed_var, False, 4.0,
                                         adversary_kl=adversary_kl)
-        if stacked:
-            stack_players(*args[2:4])
-        fused = casn_objective(*args, **PENALTY)[:2]
+        game = stack_players(*args[2:5]) if stacked else None
+        fused = casn_objective(*args, **PENALTY, game=game)[:2]
         graph = term_graph(*args, **PENALTY)
         for role in (0, 1):
             if graph[role] is None:
@@ -579,8 +576,9 @@ def test_each_encoder_runs_once_per_objective(variant, monkeypatch):
 
 @pytest.mark.parametrize("variant", ["casn", "casn_minus_m"])
 def test_stacked_halves_share_no_memory(variant):
-    """When the twin plays, train() keeps each enc_c/twin parameter pair
-    as the two halves of one stack, through every in-place update; no
+    """train() keeps both players' parameters in one buffer through every
+    in-place update: enc_c's and head.w in one row, the twin's at the
+    same offsets in the other, each parameter on its own slice; no
     parameter of one player shares memory with the other's."""
     data = generate(SynthConfig(d=2, n_train=40, seed=3), 40)
     config = TrainConfig(variant=variant, total_steps=4, batch_size=16, rep_dim=3,
@@ -591,12 +589,17 @@ def test_stacked_halves_share_no_memory(variant):
     for p in mins:
         for q in twins:
             assert not np.shares_memory(p.data, q.data), (p.name, q.name)
-    for p, q in zip(mins, twins):
-        if variant == "casn_minus_m":
-            assert p.data.base is None and q.data.base is None
-        else:
-            assert p.data.base is q.data.base
-            assert p.data.base.shape == (2, *p.data.shape)
+    buffer = mins[0].data.base
+    assert buffer.shape == (2, 2, sum(p.data.size for p in mins))  # parameters, gradients
+    for row, player in ((0, mins), (1, twins)):
+        offset = 0
+        for p in player:
+            assert p.data.base is buffer, p.name
+            assert p.data.flags.c_contiguous, p.name
+            start = (p.data.__array_interface__["data"][0]
+                     - buffer.__array_interface__["data"][0]) // 8
+            assert start == row * buffer.shape[2] + offset, p.name
+            offset += p.data.size
 
 
 # ---- gradients against central differences ----
@@ -742,13 +745,13 @@ def test_stacked_twin_overflow_is_named_after_the_ops_before_it(plant, op):
     as when enc_c, kl_c and then the twin ran one at a time."""
     args, _ = objective_parts("casn", 1, None, False, 1.1)
     enc_c, enc_cbar = args[2:4]
-    stack_players(enc_c, enc_cbar)
-    assert model_module._forward_pair(enc_c.mlp, enc_cbar.mlp, args[0]) is not None
-    # in place, so each parameter stays a half of its stack
+    game = stack_players(*args[2:5])
+    assert model_module._forward_pair(enc_c.mlp, game.stacks, args[0]) is not None
+    # in place, so each parameter stays in the flat buffer
     enc_cbar.mlp.biases[0].data[:] = np.inf
     if plant == "enc_c layer 2":
         enc_c.mlp.biases[2].data[:] = np.inf
     elif plant == "kl_c":
         enc_c.log_var.data[:] = 1500.0
     with overflow_raises(op):
-        casn_objective(*args)
+        casn_objective(*args, game=game)

@@ -373,18 +373,14 @@ class TestTrainLoop:
         # the final report's variance check names it, with no numpy warning
         train_module = importlib.import_module("pnsrisk.train")
         cfg = TrainConfig(total_steps=3, max_every=100, seed=1, **SMALL)
-        sgd = train_module._sgd
-        updates = []
+        estimate_risk = train_module.estimate_risk
 
-        def last_update_overflows(params, *args):
-            sgd(params, *args)
-            updates.append(None)
-            if len(updates) == cfg.total_steps:
-                for p in params:
-                    if p.name == "enc_c.log_var":
-                        p.data[:] = 800.0
+        def last_update_overflows(x, y, enc_c, *args, **kwargs):
+            # the report runs right after the last update
+            enc_c.log_var.data[:] = 800.0
+            return estimate_risk(x, y, enc_c, *args, **kwargs)
 
-        monkeypatch.setattr(train_module, "_sgd", last_update_overflows)
+        monkeypatch.setattr(train_module, "estimate_risk", last_update_overflows)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDiverged) as info:
@@ -487,6 +483,29 @@ class TestTrainLoop:
     def test_config_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("config, field, value, message", [
+        (TrainConfig, "total_steps", 2.5, "total_steps must be an integer, got 2.5"),
+        (TrainConfig, "batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+        (TrainConfig, "max_every", 1.5, "max_every must be an integer, got 1.5"),
+        (TrainConfig, "max_steps_per_phase", 2.0, "max_steps_per_phase must be an integer"),
+        (TrainConfig, "mc_samples", "2", "mc_samples must be an integer, got '2'"),
+        (TrainConfig, "irm_anneal_iters", 0.5, "irm_anneal_iters must be an integer"),
+        (TrainConfig, "rep_dim", 4.0, "rep_dim must be an integer, got 4.0"),
+        (TrainConfig, "hidden", (8, 2.5), "hidden width must be an integer, got 2.5"),
+        (TrainConfig, "seed", 2.5, r"seed must be an integer in \[0, 18446744073709551615\]"),
+        (SynthConfig, "d", 2.5, "d must be an integer, got 2.5"),
+        (SynthConfig, "n_train", 100.0, "n_train must be an integer, got 100.0"),
+        (SynthConfig, "n_eval", None, "n_eval must be an integer, got None"),
+        (SynthConfig, "seed", 1.5, r"seed must be an integer in \[0, 18446744073709551614\]"),
+    ])
+    def test_integer_fields_refuse_other_numbers(self, config, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            config(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = TrainConfig(total_steps=np.int64(3), hidden=(np.int32(8), 6), seed=np.uint64(5))
+        assert cfg.total_steps == 3 and SynthConfig(d=np.int16(2)).d == 2
 
     def test_config_edges_stay_valid(self):
         TrainConfig(irm_anneal_iters=0, momentum=0.9, max_every=0, max_steps_per_phase=0,
