@@ -136,7 +136,7 @@ class Mlp:
 def _forward_pair(mlp, stacks, x):
     """mlp and its twin on the data batch x as one stacked forward, as
     ((out, vjp), (twin_out, twin_vjp)); stacks holds each parameter pair
-    as one (2, ...) view of train()'s flat buffer, in parameters() order.
+    as one (2, ...) view of the game's flat buffer, in parameters() order.
     None when a layer is non-finite: the caller then runs the two MLPs
     one at a time, and the first non-finite layer raises."""
     h, inputs, pres = mlp._input(x), [], []
@@ -298,11 +298,6 @@ def predict(head, encoder, x):
     return (head.logits_np(mean) >= 0.0).astype(np.int64)
 
 
-def _w_grad(pairs):
-    """Gradient of the labeler's w from (c, dL/dz) array pairs."""
-    return sum(c.T @ g_z for c, g_z in pairs)
-
-
 def _ytil(y):
     y = np.asarray(y)
     if not ((y == 0) | (y == 1)).all():
@@ -323,7 +318,7 @@ def surrogate_sf(w, c, neg_ytil):
 
     def vjp(g):
         g_z = g * scale * sigmoid_np(a, e) * neg_ytil
-        return g_z[:, None] * w, _w_grad(((c, g_z),))
+        return g_z[:, None] * w, c.T @ g_z
 
     return out, vjp
 
@@ -349,7 +344,7 @@ def surrogate_m(w, c, c_bar):
             return ((g * p - g * p1) * q * q1)[:, None] * w
         # row 0 is (g*q - g*(1-q)) * p * (1-p), row 1 the same with p, q swapped
         g_zc, g_zb = (g * pq[::-1] - g * pq1[::-1]) * pq * pq1
-        return g_zc[:, None] * w, g_zb[:, None] * w, _w_grad(((c, g_zc), (c_bar, g_zb)))
+        return g_zc[:, None] * w, g_zb[:, None] * w, c.T @ g_zc + c_bar.T @ g_zb
 
     return out, vjp
 

@@ -115,10 +115,13 @@ class DiscreteScm:
         return sum(pu * self._cond_cause[u][c] for u, pu in zip(self.u_values, self.u_probs))
 
     def p_outcome(self, y):
+        """Observational P(Y=y)."""
         return sum(self.p_joint(c, y) for c in self.c_values)
 
     def p_do(self, c, y):
-        """Interventional P(Y=y | do(C=c)): fix c, average the noise."""
+        """Interventional P(Y=y | do(C=c)): fix c, average the noise.  Like
+        p_joint and p_outcome, one measure per call: the reference that
+        tests/test_pns.py compares analyze's single walk against."""
         return sum(pu for u, pu in zip(self.u_values, self.u_probs) if self._table[(c, u)] == y)
 
 

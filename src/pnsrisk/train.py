@@ -24,10 +24,10 @@ Variants:
 Each term is one numpy function that returns its value and its
 vector-Jacobian product (vjp): separation_penalty, irm_penalty and
 mmd_penalty here, the others in pnsrisk.model.  Each player's loss is
-one graph node over exactly its parameters (casn_objective).  train()
-keeps both players' parameters in one flat buffer (_Game): one forward
-gives both means, the gradients are written in place, and an update is
-one vector op.  tests/reference_ops.py builds the terms node by node.
+one graph node over exactly its parameters (casn_objective), run on the
+game (_Game): both players' parameters in one flat buffer, so one forward
+gives both means, gradients are written in place and an update is one
+vector op.  tests/reference_ops.py builds the terms node by node.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .model import (
     GaussianPrior,
     LinearHead,
     _forward_pair,
-    _w_grad,
     clone_perturbed,
     load_checkpoint,
     save_checkpoint,
@@ -62,7 +61,6 @@ __all__ = [
     "separation_penalty",
     "mmd_penalty",
     "irm_penalty",
-    "casn_objective",
     "check_domains",
     "train",
     "save_model",
@@ -174,6 +172,8 @@ def mmd_penalty(groups):
     for a in groups:
         if a.ndim != 2 or groups[0].ndim != 2 or a.shape[1] != groups[0].shape[1]:
             raise ValueError(f"mmd_penalty: {groups[0].shape} vs {a.shape}")
+        if not len(a):
+            raise ValueError("mmd_penalty: a domain group has no rows")
     total = None
     pairs = []
     for i in range(len(groups)):
@@ -209,6 +209,8 @@ def irm_penalty(w, groups, neg_ytil_groups):
         raise ValueError("rep_groups and y_groups must align")
     if not groups:
         raise ValueError("irm penalty needs at least one domain")
+    if any(not len(reps) for reps in groups):
+        raise ValueError("irm_penalty: a domain group has no rows")
     total = None
     saved = []
     for reps, neg_ytil in zip(groups, neg_ytil_groups):
@@ -221,12 +223,14 @@ def irm_penalty(w, groups, neg_ytil_groups):
         saved.append((neg_ytil, a, sig, grad_s * scale))
 
     def vjp(g):
-        pairs = []
+        g_reps, g_w = [], None
         for reps, (neg_ytil, a, sig, grad_s_scaled) in zip(groups, saved):
             # d/da of a * sigmoid(a) is sigmoid(a) + a * sigmoid'(a)
             g_a = (g + g) * grad_s_scaled * (sig + a * sig * (1.0 - sig))
-            pairs.append((reps, g_a * neg_ytil))
-        return (*(g_z[:, None] * w for _, g_z in pairs), _w_grad(pairs))
+            g_z = g_a * neg_ytil
+            g_reps.append(g_z[:, None] * w)
+            g_w = reps.T @ g_z if g_w is None else g_w + reps.T @ g_z
+        return (*g_reps, g_w)
 
     return total, vjp
 
@@ -239,30 +243,27 @@ def _check(op, value):
 
 
 def _into(out, first, *rest):
-    """first + rest, added left to right, in out when it is given (a
-    gradient view of train()'s flat buffer)."""
+    """first + rest, added left to right, in out (a gradient view of the
+    game's flat buffer)."""
     for term in rest:
         first = np.add(first, term, out=out)
-    if out is not None and first is not out:
+    if first is not out:
         out[...] = first
-    return first if out is None else out
+    return out
 
 
 class _Game:
     """The players' parameters: enc_c's in parameters() order and head.w,
-    then the twin's.  flat=True (train) moves them into one (2, size)
-    buffer, theta, row 0 the first player's, row 1 the twin's at the same
-    offsets, each .data a view into it; outs are the matching views of
-    grad, which the losses' backward writes, and stacks each mean-network
-    pair as one (2, ...) view (model._forward_pair).  Without flat the
-    gradients are fresh arrays and the encoders run one at a time."""
+    then the twin's, moved into one (2, size) buffer, theta, row 0 the
+    first player's, row 1 the twin's at the same offsets, each .data a
+    view into it; outs are the matching views of grad, which the losses'
+    backward writes, and stacks each mean-network pair as one (2, ...)
+    view (model._forward_pair).  Build it once per set of encoders: a
+    second game moves the parameters into a new buffer."""
 
-    def __init__(self, enc_c, enc_cbar, head, flat=False):
+    def __init__(self, enc_c, enc_cbar, head):
         self.players = ((*enc_c.parameters().values(), head.w),
                         tuple(enc_cbar.parameters().values()))
-        self.outs, self.stacks = tuple([None] * len(p) for p in self.players), None
-        if not flat:
-            return
         if {id(p) for p in self.players[0]} & {id(q) for q in self.players[1]}:
             raise RuntimeError("the min and max players share a parameter")
         bounds = np.cumsum([0] + [p.data.size for p in self.players[0]]).tolist()
@@ -278,25 +279,26 @@ class _Game:
                        for p, (start, end) in zip(enc_c.mlp.parameters().values(), spans)]
 
 
-def casn_objective(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
-                   eps_c, eps_cbar, domain_rows=None, penalty_weight=None, game=None):
+def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
+                   eps_c, eps_cbar, game, domain_rows=None, penalty_weight=None):
     """Build the step's game; returns (min_loss, max_loss, parts).
 
-    ytil holds the batch's labels as -1/+1.  The objective is the
-    weighted sum, in this order, of M, SF, lam * KL_c, sep_weight *
-    hinge, [lam * KL_xi] and [penalty].  min_loss is that objective as
-    one node whose parents are exactly enc_c's parameters and head.w;
-    max_loss is its negation as one node over exactly the twin's (None
-    for casn_minus_m, whose objective is SF + lam * KL_c).  Each term is
-    computed once, and each loss's backward computes only its player's
-    gradients, adding the terms' vjps in the order a walk over one node
-    per term adds them, so they are that graph's bytes.
+    neg_ytil holds the batch's labels as -ytil, as surrogate_sf takes
+    them, and game is the _Game of enc_c, enc_cbar and head.  The
+    objective is the weighted sum, in this order, of M, SF, lam * KL_c,
+    sep_weight * hinge, [lam * KL_xi] and [penalty].  min_loss is that
+    objective as one node whose parents are exactly enc_c's parameters
+    and head.w; max_loss is its negation as one node over exactly the
+    twin's (None for casn_minus_m, whose objective is SF + lam * KL_c).
+    Each term is computed once, and each loss's backward computes only
+    its player's gradients, adding the terms' vjps in the order a walk
+    over one node per term adds them, so they are that graph's bytes.
 
-    game is train()'s flat layout (_Game): the backward writes into its
-    gradient views, and one forward over its stacked views gives both
-    means.  A non-finite value raises FloatingPointError naming the
-    first op to make one, in the order: enc_c's layers, kl_c, the twin's
-    layers, kl_cbar, the draws, SF, M, the hinge, the penalty, the sum.
+    The backward writes into the game's gradient views, and with the
+    twin one forward over its stacked views gives both means.  A
+    non-finite value raises FloatingPointError naming the first op to
+    make one, in the order: enc_c's layers, kl_c, the twin's layers,
+    kl_cbar, the draws, SF, M, the hinge, the penalty, the sum.
 
     eps_c / eps_cbar have shape (mc_samples, n, rep_dim).  casn_irm and
     casn_mmd add their penalty, times penalty_weight (default: the
@@ -305,10 +307,9 @@ def casn_objective(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
     batch, and None makes the whole batch one domain.
     """
     twin = config.variant != "casn_minus_m"
-    game = game or _Game(enc_c, enc_cbar, head)
     w = head.w.data
-    neg_ytil = -np.concatenate((ytil,) * config.mc_samples)
-    pair = _forward_pair(enc_c.mlp, game.stacks, x) if twin and game.stacks else None
+    labels = np.concatenate((neg_ytil,) * config.mc_samples)  # every draw's rows
+    pair = _forward_pair(enc_c.mlp, game.stacks, x) if twin else None
     mean_c, mlp_c = pair[0] if pair else enc_c.encode(x)
     kl_c, kl_c_vjp = enc_c.kl_node(mean_c, prior_c)
     _check("kl_node", kl_c)
@@ -321,7 +322,7 @@ def casn_objective(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
     if twin:
         c_bar, draw_cbar = enc_cbar.draw(mean_cbar, eps_cbar)
         _check("draw", c_bar)
-    sf, sf_vjp = surrogate_sf(w, c, neg_ytil)
+    sf, sf_vjp = surrogate_sf(w, c, labels)
     _check("surrogate_sf", sf)
     parts = dict(sf=float(sf), m=0.0, kl_c=float(kl_c), kl_cbar=0.0, hinge=0.0, penalty=0.0)
     if twin:
@@ -339,14 +340,14 @@ def casn_objective(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
     penalty_vjp = None
     if config.variant in ("casn_irm", "casn_mmd"):
         if domain_rows is None:
-            domain_rows = [np.arange(len(ytil))]
+            domain_rows = [np.arange(len(neg_ytil))]
         reps = [mean_c[rows] for rows in domain_rows]
         if config.variant == "casn_mmd":
             # one domain has no cross-domain pair: the penalty is a constant 0
             penalty, penalty_vjp = mmd_penalty(reps) if len(reps) > 1 else (0.0, None)
             op, weight = "mmd_penalty", config.mmd_weight
         else:
-            penalty, penalty_vjp = irm_penalty(w, reps, [neg_ytil[rows] for rows in domain_rows])
+            penalty, penalty_vjp = irm_penalty(w, reps, [labels[rows] for rows in domain_rows])
             op, weight = "irm_penalty", config.irm_weight
         _check(op, penalty)
         penalty_weight = weight if penalty_weight is None else penalty_weight
@@ -453,7 +454,7 @@ def train(data, config, domains=None):
     bad = np.flatnonzero((y_all != 0) & (y_all != 1))
     if bad.size:
         raise ValueError(f"data.y row {bad[0]} is {y_all[bad[0]].item()}, not 0 or 1")
-    ytil_all = y_all.astype(np.float64) * 2.0 - 1.0
+    neg_ytil_all = 1.0 - y_all.astype(np.float64) * 2.0  # labels as casn_objective takes them
     if domains is not None:
         domains = np.asarray(domains)
         if len(domains) != n:
@@ -467,7 +468,7 @@ def train(data, config, domains=None):
     head = LinearHead(config.rep_dim, rng=init)
     prior = GaussianPrior.standard(config.rep_dim)  # for both encoders
 
-    game = _Game(enc_c, enc_cbar, head, flat=True)
+    game = _Game(enc_c, enc_cbar, head)
     (theta_c, theta_cbar), (grad_c, grad_cbar) = game.theta, game.grad
     velocity, trace = None, []
     shape = (config.mc_samples, config.batch_size, config.rep_dim)
@@ -485,9 +486,9 @@ def train(data, config, domains=None):
                     for d in np.flatnonzero(np.bincount(batch_codes))]
         # the irm warm-up weighs the penalty 1.0 for its first steps
         warm = config.variant == "casn_irm" and step < config.irm_anneal_iters
-        return casn_objective(x_all[idx], ytil_all[idx], enc_c, enc_cbar, head,
-                              prior, prior, config, eps_c, eps_cbar, domain_rows=rows,
-                              penalty_weight=1.0 if warm else None, game=game)
+        return casn_objective(x_all[idx], neg_ytil_all[idx], enc_c, enc_cbar, head,
+                              prior, prior, config, eps_c, eps_cbar, game, domain_rows=rows,
+                              penalty_weight=1.0 if warm else None)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:

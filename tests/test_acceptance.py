@@ -45,6 +45,7 @@ from pnsrisk.synth import SynthConfig, generate
 from pnsrisk.train import (
     VARIANTS,
     TrainConfig,
+    _Game,
     casn_objective,
     irm_penalty,
     mmd_penalty,
@@ -254,7 +255,10 @@ def test_criterion_6_gradient_integrity():
             eps_c, eps_cbar = rng.standard_normal((2, 1, 3, rep))
             config = TrainConfig(variant=VARIANTS[seed // 5 % len(VARIANTS)], rep_dim=rep,
                                  hidden=(4, 3), delta=delta)
-            args = (x, ytil, enc, twin, head, prior, prior, config, eps_c, eps_cbar)
+            # one game, outside the losses: each check_gradients probe
+            # moves a coordinate of the buffer this game holds
+            args = (x, -ytil, enc, twin, head, prior, prior, config, eps_c, eps_cbar,
+                    _Game(enc, twin, head))
             domains = dict(domain_rows=[np.array([0, 2]), np.array([1])], penalty_weight=1.0)
             players = ([*enc.parameters().values(), w], list(twin.parameters().values()))
             for role in (0, 1) if config.variant != "casn_minus_m" else (0,):

@@ -99,9 +99,9 @@ def ref_separation(c, c_bar, delta):
     return R.reduce_mean(R.square(R.relu(R.sub(Tensor(float(delta)), dist))))
 
 
-def ref_objective(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
+def ref_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
                   eps_c, eps_cbar, domain_rows=None, penalty_weight=None):
-    y = (ytil > 0).astype(np.int64)
+    y = (neg_ytil < 0).astype(np.int64)
     s_draws = config.mc_samples
     mean_c = ref_mlp(enc_c.mlp, Tensor(x))
     kl_c = ref_kl(enc_c, mean_c, prior_c)
@@ -308,12 +308,13 @@ def test_mmd_penalty_matches_per_op_graph(sizes):
 
 def objective_parts(variant, mc_samples, fixed_var, saturated, delta, coincident=False,
                     adversary_kl=False):
-    """casn_objective's arguments on a 6-row batch, labels as -1/+1, and
-    the two players' parameters (enc_c's and head.w; the twin's)."""
+    """casn_objective's arguments before the game on a 6-row batch,
+    labels as -ytil; the two players' parameters (enc_c's and head.w;
+    the twin's); and the game, which holds them in one flat buffer."""
     rng = np.random.default_rng(7)
     n, rep = 6, 3
     x = rng.standard_normal((n, 4))
-    ytil = rng.integers(0, 2, size=n) * 2.0 - 1.0
+    neg_ytil = 1.0 - rng.integers(0, 2, size=n) * 2.0
     enc_c = encoder(fixed_var, seed=8, prefix="enc_c")
     if coincident:
         enc_cbar = clone_perturbed(enc_c, rng, scale=0.0)
@@ -327,15 +328,9 @@ def objective_parts(variant, mc_samples, fixed_var, saturated, delta, coincident
     config = TrainConfig(variant=variant, mc_samples=mc_samples, fixed_var=fixed_var,
                          rep_dim=rep, hidden=(7, 5), delta=delta, lam=0.3, sep_weight=0.7,
                          adversary_kl=adversary_kl)
-    args = (x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config, eps_c, eps_cbar)
+    args = (x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config, eps_c, eps_cbar)
     players = ([*enc_c.parameters().values(), head.w], list(enc_cbar.parameters().values()))
-    return args, players
-
-
-def stack_players(enc_c, enc_cbar, head):
-    """Both players' parameters in one flat buffer, as train() lays them
-    out; returns the layout, casn_objective's game."""
-    return train_module._Game(enc_c, enc_cbar, head, flat=True)
+    return args, players, train_module._Game(enc_c, enc_cbar, head)
 
 
 # two domains at positions that interleave in the batch
@@ -351,23 +346,22 @@ PENALTY = dict(domain_rows=TWO_DOMAINS, penalty_weight=0.3)
                                    pytest.param(0.0, id="hinge-inactive")])
 def test_objective_matches_per_op_graph(variant, mc_samples, fixed_var, saturated, delta):
     """Each player's loss and its gradient in each of that player's
-    parameters, separate and stacked."""
-    for stacked in (False, True):
-        args, players = objective_parts(variant, mc_samples, fixed_var, saturated, delta)
-        game = stack_players(*args[2:5]) if stacked else None
-        for role in (0, 1):
-            if variant == "casn_minus_m" and role == 1:
-                assert casn_objective(*args, game=game)[1] is None
-                continue
-            assert_same(lambda: casn_objective(*args, **PENALTY, game=game)[role],
-                        lambda: ref_objective(*args, **PENALTY)[role], players[role])
+    parameters."""
+    args, players, game = objective_parts(variant, mc_samples, fixed_var, saturated, delta)
+    for role in (0, 1):
+        if variant == "casn_minus_m" and role == 1:
+            assert casn_objective(*args, game)[1] is None
+            continue
+        assert_same(lambda: casn_objective(*args, game, **PENALTY)[role],
+                    lambda: ref_objective(*args, **PENALTY)[role], players[role])
 
 
 @pytest.mark.parametrize("mc_samples", [1, 2])
 def test_objective_matches_per_op_graph_on_coincident_pairs(mc_samples):
-    args, players = objective_parts("casn", mc_samples, None, False, 1.1, coincident=True)
+    args, players, game = objective_parts("casn", mc_samples, None, False, 1.1,
+                                          coincident=True)
     for role in (0, 1):
-        assert_same(lambda: casn_objective(*args)[role],
+        assert_same(lambda: casn_objective(*args, game)[role],
                     lambda: ref_objective(*args)[role], players[role])
 
 
@@ -381,18 +375,18 @@ def chain_sum(terms):
     return total
 
 
-def term_graph(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config, eps_c, eps_cbar,
-               domain_rows=None, penalty_weight=None):
+def term_graph(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config, eps_c,
+               eps_cbar, domain_rows=None, penalty_weight=None):
     """The game as a graph of one node per loss term, from the package's
     term functions, summed by generic nodes: the walk whose order of
     gradient sums the fused losses reproduce.  Returns (objective, its
     negation or None)."""
     w = head.w
-    neg_ytil = -np.tile(ytil, config.mc_samples)
+    labels = np.tile(neg_ytil, config.mc_samples)
     mean_c = R.node("encode", mlp_params(enc_c), enc_c.encode(x))
     kl_c = R.node("kl_node", posterior(enc_c, mean_c), enc_c.kl_node(mean_c.data, prior_c))
     c = R.node("draw", posterior(enc_c, mean_c), enc_c.draw(mean_c.data, eps_c))
-    sf = R.node("surrogate_sf", [c, w], surrogate_sf(w.data, c.data, neg_ytil))
+    sf = R.node("surrogate_sf", [c, w], surrogate_sf(w.data, c.data, labels))
     if config.variant == "casn_minus_m":
         return chain_sum([(sf, 1.0), (kl_c, config.lam)]), None
     mean_cbar = R.node("encode", mlp_params(enc_cbar), enc_cbar.encode(x))
@@ -412,7 +406,7 @@ def term_graph(x, ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config, eps_
             penalty = R.node("mmd_penalty", reps, mmd_penalty(arrays))
         else:
             penalty = R.node("irm_penalty", [*reps, w], irm_penalty(
-                w.data, arrays, [-ytil[rows] for rows in domain_rows]))
+                w.data, arrays, [neg_ytil[rows] for rows in domain_rows]))
         terms.append((penalty, penalty_weight))
     game = chain_sum(terms)
     return game, R.neg(game)
@@ -436,12 +430,11 @@ def test_objective_sum_node_is_the_generic_chain_bytewise(variant, mc_samples, a
     term summed by generic nodes, the twin's through a neg node.  So the
     fused backward adds the terms' contributions in the order that
     graph's walk adds them, for every variant, learned or fixed
-    variance, separate or stacked players."""
-    for fixed_var, stacked in ((None, False), (0.3, False), (None, True)):
-        args, players = objective_parts(variant, mc_samples, fixed_var, False, 4.0,
-                                        adversary_kl=adversary_kl)
-        game = stack_players(*args[2:5]) if stacked else None
-        fused = casn_objective(*args, **PENALTY, game=game)[:2]
+    variance."""
+    for fixed_var in (None, 0.3):
+        args, players, game = objective_parts(variant, mc_samples, fixed_var, False, 4.0,
+                                              adversary_kl=adversary_kl)
+        fused = casn_objective(*args, game, **PENALTY)[:2]
         graph = term_graph(*args, **PENALTY)
         for role in (0, 1):
             if graph[role] is None:
@@ -458,9 +451,9 @@ def step_losses(variant, mc_samples, adversary_kl):
     """Fresh parameters and the (min, max) step losses as train() builds
     them on a batch of two domains, the irm and mmd penalties included;
     returns the losses and the two players' parameters."""
-    args, players = objective_parts(variant, mc_samples, None, False, 4.0,
-                                    adversary_kl=adversary_kl)
-    min_loss, max_loss, _ = casn_objective(*args, **PENALTY)
+    args, players, game = objective_parts(variant, mc_samples, None, False, 4.0,
+                                          adversary_kl=adversary_kl)
+    min_loss, max_loss, _ = casn_objective(*args, game, **PENALTY)
     return (min_loss, max_loss), players
 
 
@@ -503,9 +496,9 @@ def test_objective_graph_is_small():
     for variant in VARIANTS:
         for adversary_kl in (True, False):
             for fixed_var, size in ((None, 9), (0.3, 8)):
-                args, _ = objective_parts(variant, 1, fixed_var, False, 1.1,
-                                          adversary_kl=adversary_kl)
-                min_loss, max_loss, _ = casn_objective(*args, **PENALTY)
+                args, _, game = objective_parts(variant, 1, fixed_var, False, 1.1,
+                                                adversary_kl=adversary_kl)
+                min_loss, max_loss, _ = casn_objective(*args, game, **PENALTY)
                 assert graph_size(min_loss) == size, variant
                 assert max_loss is None or graph_size(max_loss) == size - 1, variant
 
@@ -516,9 +509,9 @@ def test_more_draws_add_no_nodes(variant, adversary_kl):
     """Each draw term is computed once over every draw's rows."""
     sizes = []
     for mc_samples in (1, 3):
-        args, _ = objective_parts(variant, mc_samples, None, False, 1.1,
-                                  adversary_kl=adversary_kl)
-        losses = casn_objective(*args, **PENALTY)[:2]
+        args, _, game = objective_parts(variant, mc_samples, None, False, 1.1,
+                                        adversary_kl=adversary_kl)
+        losses = casn_objective(*args, game, **PENALTY)[:2]
         sizes.append([None if loss is None else graph_size(loss) for loss in losses])
     assert sizes[0] == sizes[1] == [9, None if variant == "casn_minus_m" else 8]
 
@@ -532,9 +525,9 @@ def test_twin_descends_the_negated_objective(variant, mc_samples, adversary_kl):
     the term graph gives it."""
     grads = []
     for role in (0, 1):
-        args, players = objective_parts(variant, mc_samples, None, False, 4.0,
-                                        adversary_kl=adversary_kl)
-        losses = casn_objective(*args, **PENALTY)[:2]
+        args, players, game = objective_parts(variant, mc_samples, None, False, 4.0,
+                                              adversary_kl=adversary_kl)
+        losses = casn_objective(*args, game, **PENALTY)[:2]
         loss = losses[1] if role else term_graph(*args, **PENALTY)[0]
         loss.backward()
         # adding 0.0 maps -0.0 to 0.0: a sum that cancels exactly is +0.0
@@ -743,9 +736,8 @@ def test_stacked_twin_overflow_is_named_after_the_ops_before_it(plant, op):
     """One stacked forward runs both encoders, but a twin layer that
     overflows with a later enc_c layer or kl_c is reported after them,
     as when enc_c, kl_c and then the twin ran one at a time."""
-    args, _ = objective_parts("casn", 1, None, False, 1.1)
+    args, _, game = objective_parts("casn", 1, None, False, 1.1)
     enc_c, enc_cbar = args[2:4]
-    game = stack_players(*args[2:5])
     assert model_module._forward_pair(enc_c.mlp, game.stacks, args[0]) is not None
     # in place, so each parameter stays in the flat buffer
     enc_cbar.mlp.biases[0].data[:] = np.inf
@@ -754,4 +746,4 @@ def test_stacked_twin_overflow_is_named_after_the_ops_before_it(plant, op):
     elif plant == "kl_c":
         enc_c.log_var.data[:] = 1500.0
     with overflow_raises(op):
-        casn_objective(*args, game=game)
+        casn_objective(*args, game)

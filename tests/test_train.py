@@ -1,6 +1,9 @@
+import ast
 import importlib
+import inspect
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from pnsrisk.synth import SynthConfig, generate
 from pnsrisk.train import (
     TrainConfig,
     TrainingDiverged,
+    _Game,
     casn_objective,
     irm_penalty,
     load_model,
@@ -23,18 +27,18 @@ from pnsrisk.train import (
 
 
 def toy_parts(seed=0, n=6, in_dim=3, rep=2):
-    """A batch with -1/+1 labels, as casn_objective takes them, and the
-    game's parts."""
+    """A batch with labels as -ytil, as casn_objective takes them, and
+    the game's parts, the game itself last."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, in_dim))
-    y = rng.integers(0, 2, size=n) * 2.0 - 1.0
+    y = 1.0 - rng.integers(0, 2, size=n) * 2.0
     enc_c = GaussianEncoder(in_dim, rep_dim=rep, hidden=(5, 4),
                             rng=np.random.default_rng(seed + 1))
     enc_cbar = GaussianEncoder(in_dim, rep_dim=rep, hidden=(5, 4),
                                rng=np.random.default_rng(seed + 2), prefix="enc_twin")
     head = LinearHead(rep, rng=np.random.default_rng(seed + 3))
     prior = GaussianPrior.standard(rep)
-    return x, y, enc_c, enc_cbar, head, prior
+    return x, y, enc_c, enc_cbar, head, prior, _Game(enc_c, enc_cbar, head)
 
 
 class TestSeparationPenalty:
@@ -76,13 +80,13 @@ class TestMmdPenalty:
     def test_single_domain_returns_zero_without_a_warning(self):
         # a batch that drew one domain's rows has no cross-domain pair: the
         # objective adds no penalty, and mmd_penalty refuses the one group
-        x, y, enc_c, enc_cbar, head, prior = toy_parts()
+        x, y, enc_c, enc_cbar, head, prior, game = toy_parts()
         cfg = TrainConfig(variant="casn_mmd", rep_dim=2, hidden=(5, 4))
         eps = np.zeros((1, 6, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             parts = casn_objective(x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps, eps,
-                                   domain_rows=[np.arange(6)])[2]
+                                   game, domain_rows=[np.arange(6)])[2]
         assert parts["penalty"] == 0.0
         with pytest.raises(ValueError, match="^mmd penalty needs at least two domains$"):
             mmd_penalty([np.zeros((3, 2))])
@@ -90,6 +94,14 @@ class TestMmdPenalty:
     def test_unequal_widths_are_refused(self):
         with pytest.raises(ValueError, match=r"^mmd_penalty: \(3, 2\) vs \(4, 3\)$"):
             mmd_penalty([np.zeros((3, 2)), np.zeros((4, 3))])
+
+    def test_empty_domain_group_is_refused_without_a_warning(self):
+        groups = [np.ones((2, 3)), np.zeros((0, 3))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in (groups, groups[::-1]):
+                with pytest.raises(ValueError, match="^mmd_penalty: a domain group has no rows$"):
+                    mmd_penalty(pair)
 
     def test_matches_naive_average(self):
         rng = np.random.default_rng(2)
@@ -160,6 +172,14 @@ class TestIrmPenalty:
         with pytest.raises(ValueError, match="at least one domain"):
             irm_penalty(np.ones(3), [], [])
 
+    def test_empty_domain_group_is_refused_without_a_warning(self):
+        groups = [np.ones((2, 3)), np.zeros((0, 3))]
+        labels = [np.ones(2), np.ones(0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^irm_penalty: a domain group has no rows$"):
+                irm_penalty(np.ones(3), groups, labels)
+
     def test_groups_and_labels_must_align(self):
         with pytest.raises(ValueError, match="must align"):
             irm_penalty(np.ones(3), [np.zeros((2, 3))] * 2, [np.ones(2)])
@@ -167,25 +187,25 @@ class TestIrmPenalty:
 
 class TestObjective:
     def test_parts_and_losses(self):
-        x, y, enc_c, enc_cbar, head, prior = toy_parts()
+        x, y, enc_c, enc_cbar, head, prior, game = toy_parts()
         cfg = TrainConfig(total_steps=1, rep_dim=2, hidden=(5, 4))
         eps = np.zeros((1, 6, 2))
         min_loss, max_loss, parts = casn_objective(
-            x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps, eps)
+            x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps, eps, game)
         want = (parts["m"] + parts["sf"] + cfg.lam * (parts["kl_c"] + parts["kl_cbar"])
                 + cfg.sep_weight * parts["hinge"])
         assert abs(min_loss.item() - want) < 1e-9
         assert abs(max_loss.item() + min_loss.item()) < 1e-15
 
     def test_irm_without_domains_makes_the_batch_one_domain(self):
-        x, y, enc_c, enc_cbar, head, prior = toy_parts()
+        x, y, enc_c, enc_cbar, head, prior, game = toy_parts()
         cfg = TrainConfig(variant="casn_irm", rep_dim=2, hidden=(5, 4))
         eps = np.random.default_rng(9).standard_normal((1, 6, 2))
         params = [*enc_c.parameters().values(), *head.parameters().values()]
         seen = []
         for rows in (None, [np.arange(len(y))]):
             min_loss, _, parts = casn_objective(x, y, enc_c, enc_cbar, head, prior, prior,
-                                                cfg, eps, eps, domain_rows=rows)
+                                                cfg, eps, eps, game, domain_rows=rows)
             min_loss.backward()
             seen.append((min_loss.data.tobytes(), parts, [p.grad.tobytes() for p in params]))
         assert seen[0][1]["penalty"] > 0.0
@@ -199,13 +219,13 @@ class TestObjective:
         move by the term."""
         min_grads, twin_grads, values = [], [], []
         for adversary_kl in (True, False):
-            x, y, enc_c, enc_cbar, head, prior = toy_parts(seed=1)
+            x, y, enc_c, enc_cbar, head, prior, game = toy_parts(seed=1)
             rng = np.random.default_rng(10)
             eps_c, eps_cbar = rng.standard_normal((2, 1, 6, 2))
             cfg = TrainConfig(rep_dim=2, hidden=(5, 4), variant=variant,
                               adversary_kl=adversary_kl)
             min_loss, max_loss, parts = casn_objective(
-                x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps_c, eps_cbar,
+                x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps_c, eps_cbar, game,
                 domain_rows=[np.arange(0, 6, 2), np.arange(1, 6, 2)])
             for loss, params, out in ((min_loss, [*enc_c.parameters().values(), head.w],
                                        min_grads),
@@ -219,11 +239,11 @@ class TestObjective:
         assert abs(values[0] - values[1] - cfg.lam * parts["kl_cbar"]) < 1e-12
 
     def test_ablation_never_touches_twin(self):
-        x, y, enc_c, enc_cbar, head, prior = toy_parts(seed=2)
+        x, y, enc_c, enc_cbar, head, prior, game = toy_parts(seed=2)
         cfg = TrainConfig(rep_dim=2, hidden=(5, 4), variant="casn_minus_m")
         eps = np.zeros((1, 6, 2))
         min_loss, max_loss, parts = casn_objective(
-            x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps, eps)
+            x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps, eps, game)
         assert max_loss is None
         assert parts["m"] == 0.0 and parts["kl_cbar"] == 0.0
         min_loss.backward()
@@ -233,7 +253,7 @@ class TestObjective:
     def test_full_objective_gradients(self):
         """Each player's loss against central differences in every one of
         that player's parameters."""
-        x, y, enc_c, enc_cbar, head, prior = toy_parts(seed=3)
+        x, y, enc_c, enc_cbar, head, prior, game = toy_parts(seed=3)
         cfg = TrainConfig(rep_dim=2, hidden=(5, 4))
         rng = np.random.default_rng(8)
         eps_c = rng.standard_normal((1, 6, 2))
@@ -242,26 +262,47 @@ class TestObjective:
         for role, params in enumerate(players):
             def loss():
                 return casn_objective(
-                    x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps_c, eps_cbar)[role]
+                    x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps_c, eps_cbar, game)[role]
 
             assert check_gradients(loss, params) < 1e-5
 
     def test_multi_draw_average(self):
-        x, y, enc_c, enc_cbar, head, prior = toy_parts(seed=4)
+        x, y, enc_c, enc_cbar, head, prior, game = toy_parts(seed=4)
         cfg1 = TrainConfig(rep_dim=2, hidden=(5, 4), mc_samples=2)
         rng = np.random.default_rng(9)
         eps_c = rng.standard_normal((2, 6, 2))
         eps_cbar = rng.standard_normal((2, 6, 2))
         loss2, _, _ = casn_objective(
-            x, y, enc_c, enc_cbar, head, prior, prior, cfg1, eps_c, eps_cbar)
+            x, y, enc_c, enc_cbar, head, prior, prior, cfg1, eps_c, eps_cbar, game)
         cfg_single = TrainConfig(rep_dim=2, hidden=(5, 4), mc_samples=1)
         vals = []
         for k in range(2):
             lk, _, _ = casn_objective(
                 x, y, enc_c, enc_cbar, head, prior, prior, cfg_single,
-                eps_c[k : k + 1], eps_cbar[k : k + 1])
+                eps_c[k : k + 1], eps_cbar[k : k + 1], game)
             vals.append(lk.item())
         assert abs(loss2.item() - np.mean(vals)) < 1e-12
+
+    def test_benchmark_tracer_unpacks_the_signature_in_order(self):
+        """perfbench/spans.py unpacks casn_objective's first eight
+        positional arguments and counts each loss's graph against enc_c's
+        and head's parameters or enc_cbar's; a reordered signature (enc_c
+        and enc_cbar swapped, say) would make those counts wrong without
+        failing a run.  Each name the hook reads sits where the signature
+        has it."""
+        spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        hook = next(n for n in ast.walk(ast.parse(spans.read_text(encoding="utf-8")))
+                    if isinstance(n, ast.FunctionDef) and n.name == "_after_train_casn_objective")
+        unpack = next(n for n in ast.walk(hook)
+                      if isinstance(n, ast.Assign) and ast.unparse(n.value) == "args[:8]")
+        unpacked = [target.id for target in unpack.targets[0].elts]
+        read = {n.id for n in ast.walk(hook) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        assert {"enc_c", "enc_cbar", "head", "config"} <= read
+        params = list(inspect.signature(casn_objective).parameters)[:8]
+        assert len(unpacked) == len(params) == 8
+        for name, param in zip(unpacked, params):
+            assert param == name or name not in read, (param, name)
 
 
 def tiny_data(n=256, seed=0):

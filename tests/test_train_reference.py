@@ -1,11 +1,10 @@
 """train() against the loop it replaced, byte for byte.
 
 The reference below is the training loop with a per-parameter SGD step
-and an id-keyed velocity dict: it calls casn_objective without the flat
-buffer, so each encoder runs on its own and every gradient is a fresh
-array, and it finds each batch's domains with np.unique.  train() keeps
-both players in one flat buffer and updates each player with one vector
-op; the two must give the same final parameters, trace and risk report.
+and an id-keyed velocity dict, and it finds each batch's domains with
+np.unique.  train() updates each player with one vector op on its row of
+the game's flat buffer; the two must give the same final parameters,
+trace and risk report.
 """
 
 import numpy as np
@@ -15,16 +14,18 @@ from pnsrisk.model import GaussianEncoder, GaussianPrior, LinearHead, clone_pert
 from pnsrisk.risk import estimate_risk
 from pnsrisk.streams import ROLE_TRAIN, keyed
 from pnsrisk.synth import SynthConfig, generate
-from pnsrisk.train import VARIANTS, StepRecord, TrainConfig, casn_objective, train
+from pnsrisk.train import VARIANTS, StepRecord, TrainConfig, _Game, casn_objective, train
 
 
 def sgd(params, lr, velocities, momentum):
-    """One SGD step per parameter, in place."""
+    """One SGD step per parameter, in place.  A gradient is a view of the
+    game's buffer that the next backward overwrites, so the first step's
+    velocity is a copy of it."""
     for p in params:
         step = p.grad
         if momentum > 0.0:
             v = velocities.get(id(p))
-            step = p.grad if v is None else momentum * v + p.grad
+            step = p.grad.copy() if v is None else momentum * v + p.grad
             velocities[id(p)] = step
         p.data -= lr * step
 
@@ -43,6 +44,7 @@ def reference_train(data, config, domains):
     enc_cbar = clone_perturbed(enc_c, init, scale=0.01)
     head = LinearHead(config.rep_dim, rng=init)
     prior = GaussianPrior.standard(config.rep_dim)
+    game = _Game(enc_c, enc_cbar, head)
     min_params = [*enc_c.parameters().values(), head.w]
     adv_params = list(enc_cbar.parameters().values())
     velocities, trace = {}, []
@@ -54,8 +56,8 @@ def reference_train(data, config, domains):
         batch_domains = domains[idx]
         rows = [np.flatnonzero(batch_domains == d) for d in np.unique(batch_domains)]
         warm = config.variant == "casn_irm" and step < config.irm_anneal_iters
-        return casn_objective(x_all[idx], ytil_all[idx], enc_c, enc_cbar, head, prior, prior,
-                              config, eps_c, eps_cbar, domain_rows=rows,
+        return casn_objective(x_all[idx], -ytil_all[idx], enc_c, enc_cbar, head, prior, prior,
+                              config, eps_c, eps_cbar, game, domain_rows=rows,
                               penalty_weight=1.0 if warm else None)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -66,10 +68,10 @@ def reference_train(data, config, domains):
             sgd(min_params, config.lr_min, velocities, config.momentum)
             if config.variant != "casn_minus_m" and (step + 1) % config.max_every == 0:
                 for _ in range(config.max_steps_per_phase):
-                    game, max_loss, _ = batch_objective(step)
+                    objective, max_loss, _ = batch_objective(step)
                     max_loss.backward()
                     sgd(adv_params, config.lr_max, velocities, 0.0)
-                    adv_value = game.item()
+                    adv_value = objective.item()
             trace.append(StepRecord(step=step, **parts, adversary_objective=adv_value))
         risk = estimate_risk(x_all, y_all, enc_c, enc_cbar, head, mc_samples=32,
                              seed=config.seed, prior_c=prior, prior_cbar=prior)
