@@ -18,11 +18,19 @@ class.  Blank lines and ``#`` comments are ignored everywhere; unknown
 keys are errors.  Every CSV written by any subcommand gets a
 ``<name>.sha256`` sidecar holding the hash of the normalized config that
 generated it.
+
+``repro`` runs in three parts.  ``ExperimentSpec.grid`` plans one
+TrainConfig per grid point; ``_repro_point`` trains and scores one point
+into its run directory from its arguments alone and returns its
+``runs.csv`` row; ``run_repro`` sorts those rows by point, writes
+``runs.csv`` and ``aborted.csv``, takes the per-cell medians of
+``summary.csv`` over the sorted rows and runs the acceptance checks.
 """
 
 import argparse
 import csv
 import hashlib
+import itertools
 import statistics
 import sys
 from dataclasses import dataclass, fields, replace
@@ -35,6 +43,7 @@ from .evaluate import evaluate
 from .model import GaussianPrior
 from .pns import analyze, format_report, read_scm
 from .risk import domain_shift_bound, random_bound_instance, sufficiency_deviation_trial
+from .streams import integer
 from .synth import MIXERS, SynthConfig, generate, read_csv, write_csv
 from .train import (
     StepRecord,
@@ -195,34 +204,26 @@ class ExperimentSpec:
     ablation_margin: float = None
 
     def __post_init__(self):
-        defaults = {
-            "grid_delta": (self.train.delta,),
-            "grid_lam": (self.train.lam,),
-            "grid_variant": (self.train.variant,),
-            "grid_seed": (self.train.seed,),
-        }
-        for name, fallback in defaults.items():
-            value = getattr(self, name)
-            value = fallback if value is None else tuple(value)
+        for key in _GRID_PARSERS:  # an absent list is the [train] value alone
+            value = getattr(self, f"grid_{key}")
+            value = (getattr(self.train, key),) if value is None else tuple(value)
             if not value:
-                raise ConfigError(f"empty grid list {name[5:]!r}")
+                raise ConfigError(f"empty grid list {key!r}")
             if len(set(value)) != len(value):
-                raise ConfigError(f"duplicate values in grid list {name[5:]!r}")
+                raise ConfigError(f"duplicate values in grid list {key!r}")
             for v in value:  # each grid value must make a valid [train] config
-                replace(self.train, **{name[5:]: v})
-            object.__setattr__(self, name, value)
+                replace(self.train, **{key: v})
+            object.__setattr__(self, f"grid_{key}", value)
         if not all(np.isfinite(getattr(self, key)) for key in _CHECK_KEYS
                    if getattr(self, key) is not None):
             raise ConfigError("acceptance thresholds must be finite")
 
     def grid(self):
-        return [
-            (d, l, v, s)
-            for d in self.grid_delta
-            for l in self.grid_lam
-            for v in self.grid_variant
-            for s in self.grid_seed
-        ]
+        """One TrainConfig per grid point, in delta x lam x variant x seed
+        order over the lists as given."""
+        lists = (getattr(self, f"grid_{key}") for key in _GRID_PARSERS)
+        return [replace(self.train, **dict(zip(_GRID_PARSERS, point)))
+                for point in itertools.product(*lists)]
 
 
 def parse_config(text):
@@ -268,35 +269,41 @@ def _write_sidecar(path, config_text):
                                            encoding="utf-8")
 
 
-def _write_csv(path, header, rows, config_text):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    _write_sidecar(path, config_text)
-
-
 def _cell(value):
     return "" if value is None or value == "" else _format_value(value)
 
 
+def _write_csv(path, header, rows, config_text):
+    """The header, then one line per row with each value as _cell writes it."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+    _write_sidecar(path, config_text)
+
+
 _RISK_FIELDS = ["sf", "nc", "m", "r", "kl_c", "kl_cbar", "mc_samples"]
+# a grid point's scores: EvalReport's first five fields, then RiskReport's sf and m
+_SCORES = ("dcor_sn", "dcor_sf", "dcor_nc", "dcor_sp", "accuracy", "sf", "m")
 
 
 def _write_records(path, columns, records, config_text):
     """One row per record (a StepRecord or a RiskReport), one column per field."""
-    _write_csv(path, columns, [[_cell(getattr(r, c)) for c in columns] for r in records],
+    _write_csv(path, columns, ([getattr(r, c) for c in columns] for r in records),
                config_text)
 
 
 def _train_run(data, config, run_dir, config_text):
     """Train one model into run_dir: model.ckpt, trace.csv and risk.csv.
-    A diverged run writes its trace so far and re-raises."""
+    A diverged run writes its trace so far, removes any checkpoint and risk
+    report an earlier run left there, and re-raises."""
     trace_fields = [f.name for f in fields(StepRecord)]
     try:
         result = train(data, config)
     except TrainingDiverged as exc:
         _write_records(run_dir / "trace.csv", trace_fields, exc.trace, config_text)
+        for name in ("model.ckpt", "risk.csv", "risk.csv.sha256"):
+            (run_dir / name).unlink(missing_ok=True)
         raise
     save_model(run_dir / "model.ckpt", result)
     _write_records(run_dir / "trace.csv", trace_fields, result.trace, config_text)
@@ -343,17 +350,12 @@ def cmd_eval(args):
     s_value = ""
     neighbor = Path(str(args.data) + ".config")
     if neighbor.exists():
-        s_value = repr(float(parse_flat(neighbor.read_text(encoding="utf-8"),
-                                        SynthConfig).s))
-    row = [
-        meta.get("delta", ""), s_value, meta.get("seed", ""),
-        _cell(report.dcor_sn), _cell(report.dcor_sf), _cell(report.dcor_nc),
-        _cell(report.dcor_sp), _cell(report.accuracy),
-    ]
-    _write_csv(args.out,
-               ["delta", "s", "seed", "dcor_sn", "dcor_sf", "dcor_nc",
-                "dcor_sp", "accuracy"],
-               [row], "".join(f"{k} = {meta[k]}\n" for k in sorted(meta)))
+        s_value = parse_flat(neighbor.read_text(encoding="utf-8"), SynthConfig).s
+    scores = _SCORES[:5]  # the EvalReport's
+    row = [meta.get("delta", ""), s_value, meta.get("seed", ""),
+           *(getattr(report, key) for key in scores)]
+    _write_csv(args.out, ("delta", "s", "seed", *scores), [row],
+               "".join(f"{k} = {meta[k]}\n" for k in sorted(meta)))
     print(f"wrote {args.out}: dcor_sn={report.dcor_sn:.4f} "
           f"dcor_sp={report.dcor_sp:.4f} accuracy={report.accuracy:.4f}")
     return 0
@@ -367,8 +369,8 @@ def cmd_oracle(args):
 
 
 def cmd_bounds(args):
-    if args.instances < 1:  # no instances would be a vacuous pass
-        raise ConfigError(f"instances must be at least 1, got {args.instances}")
+    integer(args.instances, "instances", 1)  # no instances would be a vacuous pass
+    integer(args.seed, "seed", 0)
     rng = np.random.default_rng(args.seed)
     rows = []
     for i in range(args.instances):
@@ -376,23 +378,33 @@ def cmd_bounds(args):
         report = domain_shift_bound(t, s, enc_c, enc_cbar, head,
                                     mc_samples=32,
                                     seed=int(rng.integers(2**31)))
-        rows.append([f"shift-{i}", _cell(report.lhs), _cell(report.rhs),
-                     _cell(report.beta_inf), _cell(report.eta),
-                     _cell(report.holds)])
+        rows.append([f"shift-{i}", report.lhs, report.rhs, report.beta_inf,
+                     report.eta, report.holds])
     prior = GaussianPrior.standard(3)
     for i in range(args.instances):
         _, s, enc_c, _, head = random_bound_instance(rng, out_of_support=False)
         deviation, rhs, violated = sufficiency_deviation_trial(
             s, enc_c, head, prior, n=200, epsilon=0.1,
             seed=int(rng.integers(2**31)))
-        rows.append([f"deviation-{i}", _cell(deviation), _cell(rhs),
-                     "", "", _cell(not violated)])
+        rows.append([f"deviation-{i}", deviation, rhs, "", "", not violated])
     config_text = f"instances = {args.instances}\nseed = {args.seed}\n"
     _write_csv(args.out, ["instance_id", "lhs", "rhs", "beta_inf", "eta",
                           "holds"], rows, config_text)
-    held = sum(1 for r in rows if r[-1] == "true")
+    held = sum(r[-1] for r in rows)
     print(f"wrote {args.out}: {held}/{len(rows)} bounds hold")
     return 0 if held == len(rows) else 1
+
+
+def _repro_point(config, train_data, eval_data, out_dir, normalized):
+    """Train and score one grid point into its run directory, reading nothing
+    but the arguments.  Returns its runs.csv row, (delta, lam, variant, seed,
+    *scores); a diverged point raises TrainingDiverged."""
+    point = tuple(getattr(config, key) for key in _GRID_PARSERS)
+    run_dir = out_dir / "runs" / "delta{}_lam{}_{}_seed{}".format(*map(_cell, point))
+    run_dir.mkdir(parents=True, exist_ok=True)
+    result = _train_run(train_data, config, run_dir, normalized)
+    scores = {**vars(evaluate(eval_data, result.enc_c, result.head)), **vars(result.risk)}
+    return point + tuple(scores[key] for key in _SCORES)
 
 
 def run_repro(spec, out_dir):
@@ -409,75 +421,45 @@ def run_repro(spec, out_dir):
     train_data = generate(spec.synth, spec.synth.n_train)
     eval_data = generate(spec.synth, spec.synth.n_eval, seed=spec.synth.seed + 1)
 
-    runs = []
-    aborted = []
-    for delta, lam, variant, seed in spec.grid():
-        config = replace(spec.train, delta=delta, lam=lam, variant=variant,
-                         seed=seed)
-        tag = f"delta{_cell(delta)}_lam{_cell(lam)}_{variant}_seed{seed}"
-        run_dir = out_dir / "runs" / tag
-        run_dir.mkdir(parents=True, exist_ok=True)
+    axes = tuple(_GRID_PARSERS)
+    runs, aborted = [], []  # aborted points stay in grid order
+    for config in spec.grid():
         try:
-            result = _train_run(train_data, config, run_dir, normalized)
+            runs.append(_repro_point(config, train_data, eval_data, out_dir, normalized))
         except TrainingDiverged as exc:
-            aborted.append([_cell(delta), _cell(lam), variant, _cell(seed),
-                            str(exc)])
-            continue
-        report = evaluate(eval_data, result.enc_c, result.head)
-        runs.append({
-            "delta": delta, "lam": lam, "variant": variant, "seed": seed,
-            "dcor_sn": report.dcor_sn, "dcor_sf": report.dcor_sf,
-            "dcor_nc": report.dcor_nc, "dcor_sp": report.dcor_sp,
-            "accuracy": report.accuracy, "sf": result.risk.sf,
-            "m": result.risk.m,
-        })
+            aborted.append((*(getattr(config, key) for key in axes), str(exc)))
+    runs.sort()  # points are distinct, so no two rows compare their scores
+    _write_csv(out_dir / "runs.csv", axes + _SCORES, runs, normalized)
+    _write_csv(out_dir / "aborted.csv", axes + ("error",), aborted, normalized)
 
-    run_header = ["delta", "lam", "variant", "seed", "dcor_sn", "dcor_sf",
-                  "dcor_nc", "dcor_sp", "accuracy", "sf", "m"]
-    runs.sort(key=lambda r: (r["delta"], r["lam"], r["variant"], r["seed"]))
-    _write_csv(out_dir / "runs.csv", run_header,
-               [[_cell(r[k]) for k in run_header] for r in runs], normalized)
-    if aborted:
-        _write_csv(out_dir / "aborted.csv",
-                   ["delta", "lam", "variant", "seed", "error"], aborted,
-                   normalized)
-
-    cells = {}
-    for r in runs:
-        cells.setdefault((r["delta"], r["lam"], r["variant"]), []).append(r)
-    metrics = ("dcor_sn", "dcor_sf", "dcor_nc", "dcor_sp", "accuracy", "sf", "m")
-    summary = []
-    for (delta, lam, variant) in sorted(cells):
-        group = cells[(delta, lam, variant)]
-        row = {"delta": delta, "lam": lam, "variant": variant,
-               "seeds": len(group)}
-        for key in metrics:
-            row[key] = float(statistics.median([r[key] for r in group]))
-        if variant == "casn_minus_m":
-            row["m"] = ""  # the intervened representation is never trained
-        summary.append(row)
-    summary_header = ["delta", "lam", "variant", "seeds"] + list(metrics)
-    _write_csv(out_dir / "summary.csv", summary_header,
-               [[_cell(r[k]) for k in summary_header] for r in summary],
+    summary = []  # one row per (delta, lam, variant) cell: seeds, median scores
+    for cell, group in itertools.groupby(runs, key=lambda run: run[:3]):
+        columns = list(zip(*group))[len(axes):]
+        medians = [float(statistics.median(column)) for column in columns]
+        if cell[2] == "casn_minus_m":
+            medians[-1] = ""  # the intervened representation is never trained
+        summary.append((*cell, len(columns[0]), *medians))
+    _write_csv(out_dir / "summary.csv", axes[:3] + ("seeds",) + _SCORES, summary,
                normalized)
 
     checks = [("runs_completed", True, not aborted,
                f"{len(runs)} finished, {len(aborted)} aborted")]
-    target = [r for r in summary if r["variant"] == "casn"]
+    median = {row[:3]: dict(zip(_SCORES, row[-len(_SCORES):])) for row in summary}
+    target = [m for (_, _, variant), m in median.items() if variant == "casn"]
     # with no casn cell to judge, worst is NaN and the hard check fails
     if spec.dcor_sn_min is not None:
-        worst = min((r["dcor_sn"] for r in target), default=float("nan"))
+        worst = min((m["dcor_sn"] for m in target), default=float("nan"))
         checks.append(("dcor_sn_min", True, worst >= spec.dcor_sn_min,
                        f"min over casn cells {worst:.4f} vs {spec.dcor_sn_min}"))
     if spec.dcor_gap_min is not None:
-        worst = min((r["dcor_sn"] - r["dcor_sp"] for r in target),
+        worst = min((m["dcor_sn"] - m["dcor_sp"] for m in target),
                     default=float("nan"))
         checks.append(("dcor_gap_min", True, worst >= spec.dcor_gap_min,
                        f"min gap over casn cells {worst:.4f} vs {spec.dcor_gap_min}"))
     if spec.ablation_margin is not None:
-        sn = {(r["delta"], r["lam"], r["variant"]): r["dcor_sn"] for r in summary}
-        drops = [sn[(d, l, "casn")] - sn[(d, l, "casn_minus_m")]
-                 for (d, l, v) in sn if v == "casn" and (d, l, "casn_minus_m") in sn]
+        drops = [m["dcor_sn"] - median[d, l, "casn_minus_m"]["dcor_sn"]
+                 for (d, l, v), m in median.items()
+                 if v == "casn" and (d, l, "casn_minus_m") in median]
         worst = min(drops, default=float("inf"))
         checks.append(("ablation_margin", False,
                        worst == float("inf") or worst >= -spec.ablation_margin,

@@ -118,8 +118,7 @@ class TestExperimentSpec:
         assert spec.name == "experiment"
         assert spec.synth == SynthConfig()
         assert spec.train == TrainConfig()
-        assert spec.grid() == [(spec.train.delta, spec.train.lam,
-                                spec.train.variant, 3)]
+        assert spec.grid() == [replace(spec.train, seed=3)]
 
     def test_grid_cross_product(self):
         spec = parse_config(
@@ -287,6 +286,14 @@ def test_bounds_without_instances_is_config_error(tmp_path, instances, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bounds_negative_seed_is_refused_naming_the_flag(tmp_path, capsys):
+    assert main(["bounds", "--out", str(tmp_path / "bounds.csv"), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be at least 0, got -1\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_then_eval_round_trip(tmp_path, capsys):
     data_csv = tmp_path / "data.csv"
     main(["synth", "--d", "2", "--s", "0.2", "--n", "64", "--seed", "3",
@@ -427,6 +434,21 @@ def test_train_divergence_in_the_final_report_is_one_error_line(tmp_path, capsys
     assert (run_dir / "trace.csv").exists() and not (run_dir / "model.ckpt").exists()
 
 
+def test_train_divergence_removes_an_earlier_checkpoint(tmp_path, capsys):
+    # a passing run, then a diverging one, into one --out directory
+    data_csv = tmp_path / "data.csv"
+    main(["synth", "--d", "2", "--n", "256", "--seed", "1", "--out", str(data_csv)])
+    run_dir = tmp_path / "run"
+    for text, status in [(CRAFTED_TRAIN.replace("lr_min = 1000", "lr_min = 0.0001"), 0),
+                         (CRAFTED_TRAIN, 1)]:
+        config = tmp_path / "train.cfg"
+        config.write_text(text.replace("total_steps = 300", "total_steps = 10"))
+        assert main(["train", "--config", str(config), "--data", str(data_csv),
+                     "--out", str(run_dir)]) == status
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "config.txt", "trace.csv", "trace.csv.sha256"]
+
+
 def eval_with_parameter_set(tmp_path, capsys, name, value):
     """Train a small model, fill one of its parameters with value, then run
     eval with warnings as errors; returns (exit status, stderr, eval.csv)."""
@@ -541,6 +563,18 @@ seed = 0, 1
 """
 
 
+def csv_lines(path):
+    return path.read_text().splitlines()
+
+
+def crafted_spec(lr_min):
+    """A one-point spec that diverges at step 4 with lr_min = 1000 and
+    trains through with lr_min = 0.0001."""
+    return parse_config("[synth]\nd = 2\nn_train = 256\nn_eval = 48\nseed = 1\n\n"
+                        "[train]\n" + CRAFTED_TRAIN.replace("lr_min = 1000",
+                                                            f"lr_min = {lr_min}"))
+
+
 class TestRepro:
     def test_empty_grid_is_config_error(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.txt"
@@ -625,6 +659,49 @@ class TestRepro:
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes()), name
 
+    def test_unsorted_grid_lists_give_rows_in_point_order(self, tmp_path, capsys):
+        spec = parse_config(REPRO_SPEC.replace("delta = 0.9", "delta = 1.1, 0.9")
+                            .replace("variant = casn, casn_minus_m",
+                                     "variant = casn_minus_m, casn")
+                            .replace("seed = 0, 1", "seed = 1, 0"))
+        assert run_repro(spec, tmp_path / "out") is True
+        runs = [line.split(",") for line in csv_lines(tmp_path / "out" / "runs.csv")[1:]]
+        points = [(float(d), float(l), v, int(s)) for d, l, v, s, *_ in runs]
+        assert points == sorted(points) and len(points) == 8
+        summary = [line.split(",") for line in csv_lines(tmp_path / "out" / "summary.csv")[1:]]
+        assert [row[:4] for row in summary] == [
+            ["0.9", "0.01", "casn", "2"], ["0.9", "0.01", "casn_minus_m", "2"],
+            ["1.1", "0.01", "casn", "2"], ["1.1", "0.01", "casn_minus_m", "2"]]
+
+    def test_a_point_does_not_depend_on_the_rest_of_the_grid(self, tmp_path, capsys):
+        one_variant = REPRO_SPEC.replace("variant = casn, casn_minus_m", "variant = casn")
+        run_repro(parse_config(one_variant), tmp_path / "both")
+        run_repro(parse_config(one_variant.replace("seed = 0, 1", "seed = 1")),
+                  tmp_path / "one")
+        assert csv_lines(tmp_path / "one" / "runs.csv")[1:] == (
+            csv_lines(tmp_path / "both" / "runs.csv")[2:])
+        tag = "runs/delta0.9_lam0.01_casn_seed1"
+        # the sidecars hash the whole spec, grid lists included
+        for name in ("model.ckpt", "trace.csv", "risk.csv"):
+            assert ((tmp_path / "one" / tag / name).read_bytes()
+                    == (tmp_path / "both" / tag / name).read_bytes()), name
+
+    def test_passing_rerun_leaves_no_earlier_aborted_point(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert run_repro(crafted_spec(1000), out_dir) is False
+        assert run_repro(crafted_spec(0.0001), out_dir) is True
+        assert csv_lines(out_dir / "aborted.csv") == ["delta,lam,variant,seed,error"]
+        assert len(csv_lines(out_dir / "runs.csv")) == 2
+
+    def test_diverged_rerun_leaves_no_earlier_checkpoint(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert run_repro(crafted_spec(0.0001), out_dir) is True
+        assert run_repro(crafted_spec(1000), out_dir) is False
+        run_dir = out_dir / "runs" / "delta0.7_lam0.01_casn_seed3"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["trace.csv", "trace.csv.sha256"]
+        assert csv_lines(out_dir / "runs.csv") == [
+            "delta,lam,variant,seed,dcor_sn,dcor_sf,dcor_nc,dcor_sp,accuracy,sf,m"]
+
     def test_aborted_run_fails_pipeline(self, tmp_path, capsys):
         spec = parse_config(REPRO_SPEC)
         bad = ExperimentSpec(
@@ -640,8 +717,7 @@ class TestRepro:
         assert sorted(p.name for p in run_dir.iterdir()) == ["trace.csv", "trace.csv.sha256"]
 
     def test_diverged_run_aborts_without_a_warning(self, tmp_path, capsys):
-        spec = parse_config("[synth]\nd = 2\nn_train = 256\nn_eval = 48\nseed = 1\n\n"
-                            "[train]\n" + CRAFTED_TRAIN)
+        spec = crafted_spec(1000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_repro(spec, tmp_path / "out") is False
