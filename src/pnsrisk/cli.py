@@ -316,6 +316,7 @@ def _train_run(data, config, run_dir, config_text):
 
 
 def cmd_synth(args):
+    integer(args.n, "--n", 1)  # named as the user gave it, not as n_train
     config = _build(SynthConfig, dict(d=args.d, s=args.s, n_train=args.n, seed=args.seed,
                                       mixer=args.mixer))
     data = generate(config, args.n)
@@ -346,6 +347,9 @@ def cmd_eval(args):
     if len(data) < 2:  # distance correlation needs two rows
         raise ValueError(f"{args.data}: eval needs at least two rows, got {len(data)}")
     enc_c, _, head, meta = load_model(args.checkpoint)
+    if data.x.shape[1] != enc_c.in_dim:
+        raise ValueError(f"{args.data}: {data.x.shape[1]} feature columns, but "
+                         f"{args.checkpoint} takes {enc_c.in_dim}")
     report = evaluate(data, enc_c, head)
     s_value = ""
     neighbor = Path(str(args.data) + ".config")

@@ -165,8 +165,8 @@ class GaussianPrior:
         object.__setattr__(self, "var", np.asarray(self.var, dtype=np.float64))
         if self.mean.shape != self.var.shape or self.mean.ndim != 1:
             raise ValueError("prior mean and var must be matching vectors")
-        if np.any(self.var <= 0.0):
-            raise ValueError("prior variance must be strictly positive")
+        if not (np.isfinite(self.mean).all() and ((0.0 < self.var) & (self.var < np.inf)).all()):
+            raise ValueError("prior mean must be finite and prior variance finite and positive")
         object.__setattr__(self, "inv_var", 1.0 / self.var)
         object.__setattr__(self, "log_var_sum", float(np.log(self.var).sum()))
 
@@ -192,8 +192,8 @@ class GaussianEncoder:
             self.log_var = parameter(np.zeros(rep_dim), name=f"{prefix}.log_var")
             self.fixed_var = None
         else:
-            if fixed_var <= 0.0:
-                raise ValueError("fixed_var must be strictly positive")
+            if not 0.0 < fixed_var < np.inf:
+                raise ValueError(f"fixed_var must be finite and positive, got {fixed_var}")
             self.log_var = None
             self.fixed_var = float(fixed_var)
 
@@ -298,10 +298,13 @@ def predict(head, encoder, x):
     return (head.logits_np(mean) >= 0.0).astype(np.int64)
 
 
-def _ytil(y):
+def _ytil(y, name="labels"):
+    """0/1 labels y as ytil = 2y - 1, or a ValueError naming the first
+    row of y that is not 0 or 1: the package's one label check."""
     y = np.asarray(y)
-    if not ((y == 0) | (y == 1)).all():
-        raise ValueError("labels must be 0 or 1")
+    bad = np.flatnonzero((y != 0) & (y != 1))
+    if bad.size:
+        raise ValueError(f"{name} row {bad[0]} is {y.flat[bad[0]]}, not 0 or 1")
     return y.astype(np.float64) * 2.0 - 1.0
 
 

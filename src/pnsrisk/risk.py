@@ -30,7 +30,7 @@ import numpy as np
 
 from .model import GaussianEncoder, LinearHead, _ytil
 from .pns import _check_distribution
-from .streams import ROLE_C, ROLE_CBAR, ROLE_PICK, key_word, keyed, keyed_rows
+from .streams import ROLE_C, ROLE_CBAR, ROLE_PICK, SEED_MAX, integer, keyed, keyed_rows
 
 __all__ = [
     "MalformedDomainError",
@@ -112,10 +112,9 @@ def _labels(head, mean, var, mc_samples, seed, role, ids):
 def _risk_rows(head, post_c, post_cbar, y, mc_samples, seed, ids):
     """Per-row (sf, nc, m) arrays from the posteriors (mean, var) of the
     factual and the counterfactual encoder."""
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be at least 1")
-    seed = key_word(seed, "seed")
-    ids = [key_word(i, "sample_ids") for i in ids]
+    mc_samples = integer(mc_samples, "mc_samples", 1)
+    seed = integer(seed, "seed", 0, SEED_MAX)
+    ids = [integer(i, "sample_ids", 0, SEED_MAX) for i in ids]
     pred_c = _labels(head, *post_c, mc_samples, seed, ROLE_C, ids)
     pred_cbar = _labels(head, *post_cbar, mc_samples, seed, ROLE_CBAR, ids)
     y = np.asarray(y)[:, None]
@@ -191,19 +190,14 @@ def gaussian_kl(q_mean, q_var, p_mean, p_var):
     return float(kl) if kl.ndim == 0 else kl
 
 
-def _check_n(n):
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-
-
 def deviation_bound(kl_empirical, n, epsilon, c_const=0.0, slack_half=False):
     """Right side of the sample-deviation bound:
     kl + ln(n/eps) / (4 (n-1)) + c, plus 1/2 under the proof's extra slack."""
-    _check_n(n)
+    n = integer(n, "n", 2)
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    if kl_empirical < 0.0 or c_const < 0.0:
-        raise ValueError("kl and c_const must be nonnegative")
+    if not (0.0 <= kl_empirical < math.inf and 0.0 <= c_const < math.inf):
+        raise ValueError("kl and c_const must be finite and nonnegative")
     value = kl_empirical + math.log(n / epsilon) / (4.0 * (n - 1)) + c_const
     if slack_half:
         value += 0.5
@@ -312,7 +306,7 @@ def sufficiency_deviation_trial(domain, enc, head, prior, n, epsilon, seed,
     compare the empirical error rate against the exact SF.  Returns
     (deviation, rhs, violated).
     """
-    _check_n(n)  # before any encoding or drawing
+    n = integer(n, "n", 2)  # before any encoding or drawing
     gen = keyed(seed, ROLE_PICK, 0)
     support = domain.support()
     probs = np.array([domain.mass(p) for p in support])

@@ -44,7 +44,6 @@ __all__ = [
     "ROLE_C",
     "ROLE_CBAR",
     "SEED_MAX",
-    "key_word",
     "keyed",
     "keyed_rows",
 ]
@@ -65,29 +64,19 @@ _BLOCK_ROWS = 128
 
 def integer(value, name, low=None, high=None):
     """value as an int, or a ValueError naming it unless it is an integer
-    within the bounds given (operator.index refuses 2.5 and "5")."""
+    within the bounds given (operator.index refuses 2.5 and "5").  The
+    package's one integer check: seeds, sample ids and counts.  With high,
+    low must be given too, and every refusal has one message."""
     try:
         word = operator.index(value)
     except TypeError:
-        bounds = "" if high is None else f" in [{low}, {high}]"
-        raise ValueError(f"{name} must be an integer{bounds}, got {value!r}") from None
+        word = None
+    if high is not None and (word is None or not low <= word <= high):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    if word is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if low is not None and word < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
-    if high is not None and word > high:
-        raise ValueError(f"{name} must be at most {high}, got {value}")
-    return word
-
-
-def key_word(value, name):
-    """value as an int key word, or a ValueError naming it unless it is
-    an integer in [0, SEED_MAX]: numpy would raise OverflowError for -1
-    and 2**64, and turn 2.5 into 2."""
-    try:
-        word = operator.index(value)
-    except TypeError:
-        word = -1
-    if not 0 <= word <= SEED_MAX:
-        raise ValueError(f"{name} must be an integer in [0, 2**64 - 1], got {value!r}")
     return word
 
 
@@ -100,7 +89,8 @@ def _keys(seed, role, indices):
 
 def keyed(seed, role, index):
     """A Generator over the Philox stream keyed by (seed ^ role, index)."""
-    key = _keys(key_word(seed, "seed"), role, key_word(index, "index"))[0]
+    seed = integer(seed, "seed", 0, SEED_MAX)
+    key = _keys(seed, role, integer(index, "index", 0, SEED_MAX))[0]
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -108,9 +98,10 @@ def keyed_rows(seed, role, indices, method, shape):
     """Yield (start, block) for each run of at most _BLOCK_ROWS indices, where
     block[j] holds keyed(seed, role, indices[start + j]).<method>(shape) for
     the Generator method named ("standard_normal", "random"); seed and
-    indices must be key words.  A counter-based stream depends only on
-    its key, so one Philox set to each key with the counter and buffer
-    at zero serves every stream.  Each block overwrites the last.
+    indices must be integers in [0, SEED_MAX], checked by the caller.  A
+    counter-based stream depends only on its key, so one Philox set to
+    each key with the counter and buffer at zero serves every stream.
+    Each block overwrites the last.
     """
     keys = _keys(seed, role, list(indices))
     bits = np.random.Philox(0)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .autodiff import sigmoid_np
 from .pns import DiscreteScm
-from .streams import ROLE_SYNTH, SEED_MAX, integer, key_word, keyed_rows
+from .streams import ROLE_SYNTH, SEED_MAX, integer, keyed_rows
 
 __all__ = [
     "SynthConfig",
@@ -103,8 +103,8 @@ def generate(config, n, seed=None):
     Rows are drawn in the reader's blocks of at most 128, so the working
     set stays small whatever n is.
     """
-    n = key_word(n, "n")
-    seed = key_word(config.seed if seed is None else seed, "seed")
+    n = integer(n, "n", 0, SEED_MAX)
+    seed = integer(config.seed if seed is None else seed, "seed", 0, SEED_MAX)
     d = config.d
     data = SynthData(
         x=np.empty((n, 4 * d)),

@@ -43,6 +43,7 @@ from .model import (
     GaussianPrior,
     LinearHead,
     _forward_pair,
+    _ytil,
     clone_perturbed,
     load_checkpoint,
     save_checkpoint,
@@ -451,10 +452,7 @@ def train(data, config, domains=None):
         raise ValueError("data.x holds a non-finite value")
     if y_all.shape != (n,):
         raise ValueError(f"data.y has shape {y_all.shape}, not one label per row ({n},)")
-    bad = np.flatnonzero((y_all != 0) & (y_all != 1))
-    if bad.size:
-        raise ValueError(f"data.y row {bad[0]} is {y_all[bad[0]].item()}, not 0 or 1")
-    neg_ytil_all = 1.0 - y_all.astype(np.float64) * 2.0  # labels as casn_objective takes them
+    neg_ytil_all = -_ytil(y_all, "data.y")  # labels as casn_objective takes them
     if domains is not None:
         domains = np.asarray(domains)
         if len(domains) != n:
@@ -551,15 +549,16 @@ def load_model(path):
     """Rebuild (enc_c, enc_cbar, head, meta) from a checkpoint."""
     params, meta = load_checkpoint(path)
     try:
-        in_dim = int(meta["in_dim"])
-        rep_dim = int(meta["rep_dim"])
-        hidden = tuple(int(h) for h in meta["hidden"].split(",")) if meta["hidden"] else ()
+        in_dim = integer(int(meta["in_dim"]), "in_dim", 1)
+        rep_dim = integer(int(meta["rep_dim"]), "rep_dim", 1)
+        hidden = tuple(integer(int(h), "hidden width", 1)
+                       for h in meta["hidden"].split(",")) if meta["hidden"] else ()
         fixed_var = None if meta["fixed_var"] == "none" else float(meta["fixed_var"])
+        enc_c, enc_cbar = (GaussianEncoder(in_dim, rep_dim=rep_dim, hidden=hidden,
+                                           fixed_var=fixed_var, prefix=prefix)
+                           for prefix in ("enc_c", "enc_c_twin"))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: missing or malformed metadata: {exc}") from None
-    enc_c, enc_cbar = (GaussianEncoder(in_dim, rep_dim=rep_dim, hidden=hidden,
-                                       fixed_var=fixed_var, prefix=prefix)
-                       for prefix in ("enc_c", "enc_c_twin"))
     head = LinearHead(rep_dim)
     expected = {**enc_c.parameters(), **enc_cbar.parameters(), **head.parameters()}
     unexpected = sorted(params.keys() - expected.keys())

@@ -137,8 +137,9 @@ class TestExperimentSpec:
         ("delta = 0.5, nan", "delta must be finite and nonnegative, got nan"),
         ("lam = -1.0", "lam must be finite and nonnegative"),
         ("variant = casn, bogus", "variant must be one of"),
-        ("seed = -1", "seed must be at least 0"),
-        ("seed = 0, 18446744073709551616", "seed must be at most 18446744073709551615"),
+        ("seed = -1", r"seed must be an integer in \[0, 18446744073709551615\], got -1$"),
+        ("seed = 0, 18446744073709551616",
+         r"seed must be an integer in \[0, 18446744073709551615\], got 18446744073709551616$"),
     ])
     def test_grid_values_are_checked_as_train_values(self, line, message):
         with pytest.raises(ConfigError, match=message):
@@ -206,13 +207,22 @@ def test_synth_writes_csv_config_and_sidecar(tmp_path):
 def test_synth_seed_out_of_range_is_clean_error(tmp_path, seed, capsys):
     out = tmp_path / "data.csv"
     assert main(["synth", "--seed", seed, "--n", "5", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: seed must be at ")
+    assert capsys.readouterr().err == (
+        f"error: seed must be an integer in [0, 18446744073709551614], got {seed}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_synth_n_below_one_is_refused_naming_the_flag(tmp_path, n, capsys):
+    out = tmp_path / "data.csv"
+    assert main(["synth", "--n", n, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --n must be at least 1, got {n}\n"
     assert not out.exists()
 
 
 def test_flat_config_seed_beyond_uint64_is_config_error():
-    with pytest.raises(ConfigError, match="seed must be at most 18446744073709551615, "
-                                          "got 18446744073709551616"):
+    message = r"^seed must be an integer in \[0, 18446744073709551615\], got 18446744073709551616$"
+    with pytest.raises(ConfigError, match=message):
         parse_flat("seed = 18446744073709551616\n", TrainConfig)
 
 
@@ -449,9 +459,9 @@ def test_train_divergence_removes_an_earlier_checkpoint(tmp_path, capsys):
         "config.txt", "trace.csv", "trace.csv.sha256"]
 
 
-def eval_with_parameter_set(tmp_path, capsys, name, value):
-    """Train a small model, fill one of its parameters with value, then run
-    eval with warnings as errors; returns (exit status, stderr, eval.csv)."""
+def train_small(tmp_path):
+    """Synth a 64-row d=2 CSV and train a small model on it; returns the
+    CSV's and the checkpoint's paths."""
     data_csv = tmp_path / "data.csv"
     main(["synth", "--d", "2", "--n", "64", "--seed", "3", "--out", str(data_csv)])
     config = tmp_path / "train.cfg"
@@ -459,14 +469,21 @@ def eval_with_parameter_set(tmp_path, capsys, name, value):
     run_dir = tmp_path / "run"
     assert main(["train", "--config", str(config), "--data", str(data_csv),
                  "--out", str(run_dir)]) == 0
-    params, meta = load_checkpoint(run_dir / "model.ckpt")
+    return data_csv, run_dir / "model.ckpt"
+
+
+def eval_with_parameter_set(tmp_path, capsys, name, value):
+    """Train a small model, fill one of its parameters with value, then run
+    eval with warnings as errors; returns (exit status, stderr, eval.csv)."""
+    data_csv, checkpoint = train_small(tmp_path)
+    params, meta = load_checkpoint(checkpoint)
     params[name] = np.full_like(params[name], value)
-    save_checkpoint(run_dir / "model.ckpt", params, meta=meta)
+    save_checkpoint(checkpoint, params, meta=meta)
     capsys.readouterr()
     eval_csv = tmp_path / "eval.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        status = main(["eval", "--checkpoint", str(run_dir / "model.ckpt"),
+        status = main(["eval", "--checkpoint", str(checkpoint),
                        "--data", str(data_csv), "--out", str(eval_csv)])
     return status, capsys.readouterr().err, eval_csv
 
@@ -494,21 +511,48 @@ def test_eval_on_finite_overflowing_parameters_is_one_error_line(tmp_path, capsy
 
 
 def test_eval_one_row_is_refused_naming_the_file(tmp_path, capsys):
-    data_csv = tmp_path / "data.csv"
-    main(["synth", "--d", "2", "--n", "64", "--seed", "3", "--out", str(data_csv)])
-    config = tmp_path / "train.cfg"
-    config.write_text(SMALL_TRAIN)
-    run_dir = tmp_path / "run"
-    assert main(["train", "--config", str(config), "--data", str(data_csv),
-                 "--out", str(run_dir)]) == 0
+    _, checkpoint = train_small(tmp_path)
     one_row = tmp_path / "one.csv"
     main(["synth", "--d", "2", "--n", "1", "--seed", "3", "--out", str(one_row)])
     capsys.readouterr()
     eval_csv = tmp_path / "eval.csv"
-    assert main(["eval", "--checkpoint", str(run_dir / "model.ckpt"),
+    assert main(["eval", "--checkpoint", str(checkpoint),
                  "--data", str(one_row), "--out", str(eval_csv)]) == 2
     assert capsys.readouterr().err == (
         f"error: {one_row}: eval needs at least two rows, got 1\n")
+    assert not eval_csv.exists()
+
+
+def test_eval_on_data_of_another_width_is_refused_naming_both_files(tmp_path, capsys):
+    _, checkpoint = train_small(tmp_path)
+    wide = tmp_path / "wide.csv"
+    main(["synth", "--d", "3", "--n", "8", "--seed", "3", "--out", str(wide)])
+    capsys.readouterr()
+    eval_csv = tmp_path / "eval.csv"
+    assert main(["eval", "--checkpoint", str(checkpoint),
+                 "--data", str(wide), "--out", str(eval_csv)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {wide}: 12 feature columns, but {checkpoint} takes 8\n")
+    assert not eval_csv.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("in_dim", "0", "in_dim must be at least 1, got 0"),
+    ("rep_dim", "-3", "rep_dim must be at least 1, got -3"),
+    ("hidden", "8,-6", "hidden width must be at least 1, got -6"),
+    ("fixed_var", "nan", "fixed_var must be finite and positive, got nan"),
+])
+def test_eval_checkpoint_with_bad_metadata_is_refused_naming_it(tmp_path, capsys, key, value,
+                                                                 message):
+    data_csv, checkpoint = train_small(tmp_path)
+    params, meta = load_checkpoint(checkpoint)
+    save_checkpoint(checkpoint, params, meta={**meta, key: value})
+    capsys.readouterr()
+    eval_csv = tmp_path / "eval.csv"
+    assert main(["eval", "--checkpoint", str(checkpoint),
+                 "--data", str(data_csv), "--out", str(eval_csv)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {checkpoint}: missing or malformed metadata: {message}\n")
     assert not eval_csv.exists()
 
 

@@ -62,8 +62,10 @@ class TestEncoder:
                 enc.encode_np(np.zeros((2, 4)))
 
     def test_fixed_variance_positive(self):
-        with pytest.raises(ValueError):
-            GaussianEncoder(4, rep_dim=3, fixed_var=0.0)
+        for fixed_var in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match=f"^fixed_var must be finite and positive, got {fixed_var}$"):
+                GaussianEncoder(4, rep_dim=3, fixed_var=fixed_var)
 
     def test_graph_and_plain_forward_agree(self):
         rng = np.random.default_rng(2)
@@ -130,8 +132,10 @@ class TestEncoder:
         assert check_gradients(loss, params) < 1e-6
 
     def test_prior_validation(self):
-        with pytest.raises(ValueError):
-            GaussianPrior(np.zeros(3), np.array([1.0, 0.0, 1.0]))
+        for mean, var in ((0.0, 0.0), (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="^prior mean must be finite and prior variance "
+                                                 "finite and positive$"):
+                GaussianPrior(np.array([0.0, mean, 0.0]), np.array([1.0, var, 1.0]))
 
 
 class TestHeadAndSurrogates:
@@ -220,7 +224,7 @@ class TestHeadAndSurrogates:
     def test_label_validation(self):
         # the surrogates take labels as -ytil; this is the 0/1 check made
         # before they are built
-        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        with pytest.raises(ValueError, match="^labels row 1 is 2, not 0 or 1$"):
             _ytil(np.array([0, 2]))
 
     def test_mismatched_pairs_are_refused(self):

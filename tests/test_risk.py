@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -206,9 +207,9 @@ class TestEstimateRisk:
     def test_input_validation(self):
         enc = ShiftEncoder()
         head = identity_head()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^labels row 1 is 2, not 0 or 1$"):
             estimate_risk(np.zeros((2, 1)), np.array([0, 2]), enc, enc, head)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^mc_samples must be at least 1, got 0$"):
             estimate_risk(np.zeros((2, 1)), np.array([0, 1]), enc, enc, head, mc_samples=0)
 
     def test_an_empty_batch_is_refused_without_a_warning(self):
@@ -332,12 +333,16 @@ class TestDeviationBound:
                    - (math.log(2.0) / 4.0 + 1.25)) < 1e-15
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be at least 2, got 1$"):
             deviation_bound(0.1, 1, 0.1)
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
+            deviation_bound(0.1, 2.5, 0.1)
         with pytest.raises(ValueError):
             deviation_bound(0.1, 10, 0.0)
-        with pytest.raises(ValueError):
-            deviation_bound(-0.1, 10, 0.1)
+        for kl, c_const in ((-0.1, 0.0), (math.nan, 0.0), (0.1, math.nan), (0.1, math.inf)):
+            with pytest.raises(ValueError,
+                               match="^kl and c_const must be finite and nonnegative$"):
+                deviation_bound(kl, 10, 0.1, c_const=c_const)
 
 
 class TestDomainShiftBound:
@@ -447,7 +452,7 @@ class TestDeviationTrial:
         b = sufficiency_deviation_trial(domain, enc, head, prior, 50, 0.1, seed=9)
         assert a == b
 
-    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("n", [0, 1, 2.5])
     def test_fewer_than_two_picks_are_refused_before_any_encoding(self, monkeypatch, n):
         rng = np.random.default_rng(15)
         domain = DiscreteDomain((((0.0, 0.0), 1), ((1.0, 1.0), 0)), (0.5, 0.5))
@@ -458,7 +463,9 @@ class TestDeviationTrial:
         monkeypatch.setattr(GaussianEncoder, "encode_np",
                             lambda self, x: rows.append(len(x)) or encode_np(self, x))
         created = count_philox(monkeypatch)
-        with pytest.raises(ValueError, match=f"^n must be at least 2, got {n}$"):
+        message = (f"n must be at least 2, got {n}" if isinstance(n, int)
+                   else f"n must be an integer, got {n}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             sufficiency_deviation_trial(domain, enc, head, GaussianPrior.standard(2), n, 0.1,
                                         seed=0)
         assert rows == [] and created == []
@@ -508,24 +515,32 @@ class TestPerRowReference:
         rng = np.random.default_rng(27)
         t, s, enc_c, enc_cbar, head = random_bound_instance(rng)
         x, y = np.zeros((3, 3)), np.array([0, 1, 1])
+
+        def refusal(name):
+            message = f"{name} must be an integer in [0, 18446744073709551615], got {value!r}"
+            return f"^{re.escape(message)}$"
+
         created = count_philox(monkeypatch)
-        with pytest.raises(ValueError, match="^seed must be an integer in"):
+        with pytest.raises(ValueError, match=refusal("seed")):
             estimate_risk(x, y, enc_c, enc_cbar, head, seed=value)
-        with pytest.raises(ValueError, match="^seed must be an integer in"):
+        with pytest.raises(ValueError, match=refusal("seed")):
             domain_shift_bound(t, s, enc_c, enc_cbar, head, seed=value)
-        with pytest.raises(ValueError, match="^sample_ids must be an integer in"):
+        with pytest.raises(ValueError, match=refusal("sample_ids")):
             estimate_risk(x, y, enc_c, enc_cbar, head, sample_ids=[0, value, 2])
         assert created == []
 
-    @pytest.mark.parametrize("mc_samples", [0, -1])
+    @pytest.mark.parametrize("mc_samples", [0, -1, 2.5])
     def test_mc_samples_below_one_are_refused_before_any_draw(self, monkeypatch, mc_samples):
         rng = np.random.default_rng(27)
         t, s, enc_c, enc_cbar, head = random_bound_instance(rng)
         x, y = np.zeros((3, 3)), np.array([0, 1, 1])
         created = count_philox(monkeypatch)
-        with pytest.raises(ValueError, match="^mc_samples must be at least 1$"):
+        message = (f"mc_samples must be at least 1, got {mc_samples}"
+                   if isinstance(mc_samples, int)
+                   else f"mc_samples must be an integer, got {mc_samples}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             estimate_risk(x, y, enc_c, enc_cbar, head, mc_samples=mc_samples)
-        with pytest.raises(ValueError, match="^mc_samples must be at least 1$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             domain_shift_bound(t, s, enc_c, enc_cbar, head, mc_samples=mc_samples)
         assert created == []
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from pnsrisk.streams import (
     ROLE_SYNTH,
     ROLE_TRAIN,
     SEED_MAX,
-    key_word,
+    integer,
     keyed,
     keyed_rows,
 )
@@ -102,17 +104,22 @@ def test_keyed_normals_open_one_philox_per_call(monkeypatch):
 
 @pytest.mark.parametrize("value", [-1, 2**64, 2.5, 2.0, "3", None])
 def test_key_words_outside_the_range_are_refused(value):
-    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64 - 1\]"):
-        key_word(value, "seed")
-    with pytest.raises(ValueError, match="^seed must be"):
+    # one message for a fraction, a string and an out-of-range integer alike
+    def refusal(name):
+        message = f"{name} must be an integer in [0, 18446744073709551615], got {value!r}"
+        return f"^{re.escape(message)}$"
+
+    with pytest.raises(ValueError, match=refusal("seed")):
+        integer(value, "seed", 0, SEED_MAX)
+    with pytest.raises(ValueError, match=refusal("seed")):
         keyed(value, ROLE_TRAIN, 0)
-    with pytest.raises(ValueError, match="^index must be"):
+    with pytest.raises(ValueError, match=refusal("index")):
         keyed(0, ROLE_TRAIN, value)
 
 
 def test_key_words_accept_numpy_integers():
-    assert key_word(np.uint64(SEED_MAX), "seed") == SEED_MAX
-    assert key_word(np.int64(5), "seed") == 5
+    assert integer(np.uint64(SEED_MAX), "seed", 0, SEED_MAX) == SEED_MAX
+    assert integer(np.int64(5), "seed", 0, SEED_MAX) == 5
 
 
 def test_no_two_consumers_share_a_key():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -137,12 +138,15 @@ class TestGenerator:
         ("seed", 5, -1), ("seed", 5, 2**64), ("seed", 5, 2.5), ("seed", 5, "1"),
     ])
     def test_bad_n_and_seed_are_refused(self, name, n, seed):
-        with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[0, 2\*\*64 - 1\]"):
+        bad = n if name == "n" else seed
+        message = f"{name} must be an integer in [0, 18446744073709551615], got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             generate(SynthConfig(d=2), n, seed=seed)
 
     def test_a_fractional_config_seed_is_refused(self):
-        # the config checks only the seed's range; generate reads its key word
-        with pytest.raises(ValueError, match=r"^seed must be an integer in .* got 2\.5$"):
+        # refused by the config, whose seed + 1 keys the evaluation split
+        message = r"^seed must be an integer in \[0, 18446744073709551614\], got 2\.5$"
+        with pytest.raises(ValueError, match=message):
             generate(SynthConfig(d=2, seed=2.5), 5)
 
     def test_zero_rows(self):
