@@ -399,12 +399,11 @@ def cmd_bounds(args):
     return 0 if held == len(rows) else 1
 
 
-def _repro_point(config, train_data, eval_data, out_dir, normalized):
-    """Train and score one grid point into its run directory, reading nothing
-    but the arguments.  Returns its runs.csv row, (delta, lam, variant, seed,
+def _repro_point(config, train_data, eval_data, run_dir, normalized):
+    """Train and score one grid point into run_dir, reading nothing but the
+    arguments.  Returns its runs.csv row, (delta, lam, variant, seed,
     *scores); a diverged point raises TrainingDiverged."""
     point = tuple(getattr(config, key) for key in _GRID_PARSERS)
-    run_dir = out_dir / "runs" / "delta{}_lam{}_{}_seed{}".format(*map(_cell, point))
     run_dir.mkdir(parents=True, exist_ok=True)
     result = _train_run(train_data, config, run_dir, normalized)
     scores = {**vars(evaluate(eval_data, result.enc_c, result.head)), **vars(result.risk)}
@@ -414,10 +413,19 @@ def _repro_point(config, train_data, eval_data, out_dir, normalized):
 def run_repro(spec, out_dir):
     """Generate, train every grid point, aggregate, check.  Returns True
     iff every hard acceptance check passed and no run aborted.  A grid
-    variant that needs domains is refused before anything is written."""
+    variant that needs domains, and an --out whose runs/ holds a point
+    outside the grid, are refused before anything is written."""
     for variant in spec.grid_variant:
         check_domains(variant, None)
     out_dir = Path(out_dir)
+    axes = tuple(_GRID_PARSERS)
+    grid = [(config, out_dir / "runs" / "delta{}_lam{}_{}_seed{}".format(
+                *(_cell(getattr(config, key)) for key in axes)))
+            for config in spec.grid()]
+    stale = sorted(set((out_dir / "runs").glob("*")) - {run_dir for _, run_dir in grid})
+    if stale:
+        raise ValueError(f"{stale[0]} is not a point of this grid; "
+                         "remove it or choose another --out")
     out_dir.mkdir(parents=True, exist_ok=True)
     normalized = serialize_config(spec)
     (out_dir / "spec.txt").write_text(normalized, encoding="utf-8")
@@ -425,11 +433,10 @@ def run_repro(spec, out_dir):
     train_data = generate(spec.synth, spec.synth.n_train)
     eval_data = generate(spec.synth, spec.synth.n_eval, seed=spec.synth.seed + 1)
 
-    axes = tuple(_GRID_PARSERS)
     runs, aborted = [], []  # aborted points stay in grid order
-    for config in spec.grid():
+    for config, run_dir in grid:
         try:
-            runs.append(_repro_point(config, train_data, eval_data, out_dir, normalized))
+            runs.append(_repro_point(config, train_data, eval_data, run_dir, normalized))
         except TrainingDiverged as exc:
             aborted.append((*(getattr(config, key) for key in axes), str(exc)))
     runs.sort()  # points are distinct, so no two rows compare their scores

@@ -4,8 +4,10 @@ factors, plus plain and per-group label accuracy.
 Distance correlation is the biased sample statistic: double-center each
 pairwise Euclidean distance matrix, take dCov^2 as the mean of the
 entrywise product, and normalize by the geometric mean of the two
-dVar^2 terms.  It is zero exactly when either argument is constant and
-lands in [0, 1] up to floating point.
+dVar^2 terms.  It does not depend on scale, and each argument is first
+scaled exactly, by a power of two, so no finite input overflows or
+underflows: it is zero exactly when either argument is constant and lands
+in [0, 1] up to floating point.  A nan or inf is refused, naming it.
 
 evaluate centers the representation's distance matrix and takes its
 dVar^2 once, and shares both across the four factors; every entrywise
@@ -14,7 +16,6 @@ product goes through one scratch matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,15 @@ def _as_matrix(a):
 
 def _centered_distances(a, name):
     """The double-centered Euclidean distance matrix of the rows of a,
-    built in place in one n x n array.  Squared row norms past a quarter
-    of the float range would overflow it: FloatingPointError names a."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = (a * a).sum(axis=1)
-    if not sq.max() <= np.finfo(np.float64).max / 4:
-        raise FloatingPointError(f"{name} is out of range for distance correlation")
+    built in place in one n x n array.  a is first scaled by a power of
+    two, which is exact, so that its largest entry lies in [0.5, 1): the
+    result is the same for any power-of-two multiple of a, and no entry
+    can overflow.  A nan or inf in a raises ValueError naming it."""
+    top = np.abs(a).max(initial=0.0)
+    if not np.isfinite(top):
+        raise ValueError(f"{name} holds a non-finite value")
+    a = np.ldexp(a, -np.frexp(top)[1])
+    sq = (a * a).sum(axis=1)
     d = a @ a.T
     d *= 2.0
     np.subtract(sq[:, None] + sq[None, :], d, out=d)
@@ -55,34 +59,20 @@ def _centered_distances(a, name):
     return d
 
 
-def _dvar(c, scratch, name):
-    """dVar^2 of a centered matrix c, its product formed in scratch.
-    A mean of squares that overflows raises FloatingPointError naming
-    the input."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        dvar = float(np.multiply(c, c, out=scratch).mean())
-    if not math.isfinite(dvar):
-        raise FloatingPointError(f"{name} is out of range for distance correlation")
-    return dvar
-
-
-def _dcor(ca, dvar_a, cb, scratch, names):
+def _dcor(ca, dvar_a, cb, scratch):
     """Distance correlation from centered matrices, given dVar^2 of ca;
-    names are the two inputs'.  dCov^2 is bounded by the two finite
-    dVar^2, but their product can overflow: FloatingPointError."""
-    dvar_b = _dvar(cb, scratch, names[1])
+    every entrywise product is formed in scratch."""
+    dvar_b = float(np.multiply(cb, cb, out=scratch).mean())
     dcov2 = float(np.multiply(ca, cb, out=scratch).mean())
     if dvar_a <= 0.0 or dvar_b <= 0.0:
         return 0.0
-    product = dvar_a * dvar_b
-    if not math.isfinite(product):
-        raise FloatingPointError(
-            f"{names[0]} and {names[1]} are out of range for distance correlation")
-    return float(np.sqrt(max(dcov2, 0.0) / np.sqrt(product)))
+    return float(np.sqrt(max(dcov2, 0.0) / np.sqrt(dvar_a * dvar_b)))
 
 
 def distance_correlation(a, b):
-    """Biased sample distance correlation between paired observations."""
+    """Biased sample distance correlation between paired observations, the
+    same at any power-of-two scale of a or b; a nan or inf raises
+    ValueError naming a or b."""
     a, b = _as_matrix(a), _as_matrix(b)
     if len(a) != len(b):
         raise ValueError(f"paired samples must align: {len(a)} vs {len(b)}")
@@ -90,7 +80,8 @@ def distance_correlation(a, b):
         raise ValueError("need at least two observations")
     ca = _centered_distances(a, "a")
     scratch = np.empty_like(ca)
-    return _dcor(ca, _dvar(ca, scratch, "a"), _centered_distances(b, "b"), scratch, ("a", "b"))
+    dvar = float(np.multiply(ca, ca, out=scratch).mean())
+    return _dcor(ca, dvar, _centered_distances(b, "b"), scratch)
 
 
 @dataclass(frozen=True)
@@ -117,10 +108,9 @@ def evaluate(data, encoder, head):
     labels = head.logits_np(reps) >= 0.0
     ca = _centered_distances(reps, "representation")
     scratch = np.empty_like(ca)
-    dvar = _dvar(ca, scratch, "representation")
+    dvar = float(np.multiply(ca, ca, out=scratch).mean())
     # factor_table's columns come in the order of EvalReport's dcor fields
-    dcor = [_dcor(ca, dvar, _centered_distances(_as_matrix(column), "factor"), scratch,
-                  ("representation", "factor"))
+    dcor = [_dcor(ca, dvar, _centered_distances(_as_matrix(column), "factor"), scratch)
             for column in factors.T]
     return EvalReport(*dcor, accuracy=float((labels == data.y).mean()), n=len(data))
 

@@ -127,7 +127,7 @@ class Mlp:
         """Graph-free forward for evaluation and Monte Carlo estimation;
         an overflow raises the layer's FloatingPointError, not a warning."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._stack(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+            return self._stack(self._input(x))
 
     def parameters(self):
         return {p.name: p for pair in zip(self.weights, self.biases) for p in pair}

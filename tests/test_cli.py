@@ -497,10 +497,6 @@ def test_eval_overflow_is_one_error_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, value, message", [
     ("enc_c.log_var", 800.0, "enc_c.log_var produced a non-finite value"),
-    # finite representations around 1e200, whose squared norms overflow
-    ("enc_c.mean.w0", 1e200, "representation is out of range for distance correlation"),
-    # squared norms in range, but the sum behind dVar^2 overflows
-    ("enc_c.mean.w2", 1.3e153, "representation is out of range for distance correlation"),
 ])
 def test_eval_on_finite_overflowing_parameters_is_one_error_line(tmp_path, capsys, name,
                                                                   value, message):
@@ -508,6 +504,22 @@ def test_eval_on_finite_overflowing_parameters_is_one_error_line(tmp_path, capsy
     assert status == 1
     assert err == f"error: {message}\n"
     assert not eval_csv.exists()
+
+
+@pytest.mark.parametrize("name, value", [
+    # finite representations around 1e200, whose squared norms overflow unscaled
+    ("enc_c.mean.w0", 1e200),
+    # squared norms in range, but unscaled the sum behind dVar^2 overflows
+    ("enc_c.mean.w2", 1.3e153),
+])
+def test_eval_on_finite_huge_representations_writes_finite_cells(tmp_path, capsys, name,
+                                                                 value):
+    status, err, eval_csv = eval_with_parameter_set(tmp_path, capsys, name, value)
+    assert (status, err) == (0, "")
+    header, row = csv_lines(eval_csv)
+    cells = dict(zip(header.split(","), row.split(",")))
+    for key in ("dcor_sn", "dcor_sf", "dcor_nc", "dcor_sp", "accuracy"):
+        assert 0.0 <= float(cells[key]) <= 1.0, key
 
 
 def test_eval_one_row_is_refused_naming_the_file(tmp_path, capsys):
@@ -729,6 +741,27 @@ class TestRepro:
         for name in ("model.ckpt", "trace.csv", "risk.csv"):
             assert ((tmp_path / "one" / tag / name).read_bytes()
                     == (tmp_path / "both" / tag / name).read_bytes()), name
+
+    def test_run_directory_outside_the_grid_is_refused_before_any_output(self, tmp_path,
+                                                                           capsys):
+        # the tool never removes what an earlier spec wrote
+        one_variant = REPRO_SPEC.replace("variant = casn, casn_minus_m", "variant = casn")
+        spec_file = tmp_path / "spec.txt"
+        spec_file.write_text(one_variant)
+        out_dir = tmp_path / "out"
+        assert main(["repro", "--spec", str(spec_file), "--out", str(out_dir)]) == 0
+        before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        spec_file.write_text(one_variant.replace("seed = 0, 1", "seed = 1"))
+        assert main(["repro", "--spec", str(spec_file), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        stale = out_dir / "runs" / "delta0.9_lam0.01_casn_seed0"
+        assert captured.err == (f"error: {stale} is not a point of this grid; "
+                                "remove it or choose another --out\n")
+        assert captured.out == ""
+        assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
+        assert out_dir / "runs.csv" in before and out_dir / "summary.csv" in before
+        assert stale / "model.ckpt" in before
 
     def test_passing_rerun_leaves_no_earlier_aborted_point(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

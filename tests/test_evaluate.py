@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pnsrisk.evaluate import distance_correlation, evaluate, group_accuracy
 from pnsrisk.model import GaussianEncoder, LinearHead
@@ -22,6 +25,10 @@ class BlockEncoder:
         mean = np.asarray(x, dtype=float)[:, self.lo : self.hi] - self.threshold
         return mean, np.full(mean.shape, 1e-18)
 
+
+PROPERTY = settings(max_examples=200, deadline=None)
+# entries that stay normal floats under any scale 2**k, |k| <= 1000
+ENTRIES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
 
 # midway between the two levels of the sn-derived block of x
 SN_MIDPOINT = 0.5 * (0.5 + 1.0 / (1.0 + np.exp(-0.25)))
@@ -63,6 +70,7 @@ class TestDistanceCorrelation:
         a = rng.standard_normal((10, 2))
         assert distance_correlation(a, np.ones(10)) == 0.0
         assert distance_correlation(np.zeros((10, 3)), a) == 0.0
+        assert distance_correlation(np.empty((10, 0)), a) == 0.0
 
     def test_independent_columns_stay_small(self):
         rng = np.random.default_rng(6)
@@ -162,52 +170,56 @@ class TestEvaluate:
 
 
 class TestOverflow:
-    """A finite input whose squared row norms overflow is refused, naming
-    it, before numpy warns or a nan reaches a report."""
+    """Each argument is scaled by a power of two before any product is
+    formed, so finite inputs far past the square root of the float range
+    give their values with no numpy warning; a nan or inf is refused,
+    naming the argument."""
 
     def test_evaluate_names_the_representation(self):
         data = generate(SynthConfig(seed=3), 64)
         enc = GaussianEncoder(data.x.shape[1], rep_dim=4, hidden=(8, 6),
                               rng=np.random.default_rng(3))
-        enc.mlp.weights[0].data *= 1e200
+        enc.mlp.weights[0].data *= 1e200  # representations around 3e199
+        nan_row = replace(data, x=np.where(np.arange(64)[:, None] == 5, np.nan, data.x))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(FloatingPointError,
-                               match="^representation is out of range for distance correlation"):
-                evaluate(data, enc, LinearHead(4))
+            report = evaluate(data, enc, LinearHead(4))
+            with pytest.raises(ValueError, match="^representation holds a non-finite value$"):
+                evaluate(nan_row, BlockEncoder(0, 4), LinearHead(4))
+        assert (report.dcor_sn, report.dcor_sf, report.dcor_nc, report.dcor_sp) == (
+            0.34285544921931993, 0.3004763741490851, 0.3590429871532269, 0.23135389794637495)
+        assert report.accuracy == 0.53125
 
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_distance_correlation_names_its_argument(self, side):
         rng = np.random.default_rng(5)
         small = rng.standard_normal((20, 3))
         big = small * 1e160
-        a, b = (big, small) if side == "a" else (small, big)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(FloatingPointError,
-                               match=f"^{side} is out of range for distance correlation"):
-                distance_correlation(a, b)
+            assert distance_correlation(*((big, small) if side == "a" else (small, big))) == 1.0
+            for bad in (np.nan, np.inf, -np.inf):
+                broken = small.copy()
+                broken[7, 1] = bad
+                a, b = (broken, small) if side == "a" else (small, broken)
+                with pytest.raises(ValueError, match=f"^{side} holds a non-finite value$"):
+                    distance_correlation(a, b)
 
     def test_overflowing_dvar_names_its_argument(self):
-        # squared row norms in range, but the mean of 64^2 squared centered
-        # distances overflows
+        # unscaled, the mean of 64^2 squared centered distances overflows at 1e153
         x = np.random.default_rng(0).standard_normal((64, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert distance_correlation(x * 1e152, x[:, 0]) > 0.5
-            with pytest.raises(FloatingPointError,
-                               match="^a is out of range for distance correlation$"):
-                distance_correlation(x * 1e153, x[:, 0])
+            assert distance_correlation(x * 1e153, x[:, 0]) == 0.8224394218031158
 
     def test_overflowing_dvar_product_names_both_arguments(self):
-        # each dVar^2 is finite, their product is not
+        # unscaled, each dVar^2 is finite at 1e80 and their product is not
         x = np.random.default_rng(0).standard_normal((50, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert distance_correlation(x * 1e77, x * 1e77) == pytest.approx(1.0)
-            with pytest.raises(FloatingPointError,
-                               match="^a and b are out of range for distance correlation$"):
-                distance_correlation(x * 1e80, x * 1e80)
+            assert distance_correlation(x * 1e80, x * 1e80) == 1.0
 
     def test_largest_admitted_norm_is_admitted(self):
         # squared row norms up to a quarter of the float range pass
@@ -215,6 +227,32 @@ class TestOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert abs(distance_correlation(a, [0.0, 1.0]) - 1.0) < 1e-12
+
+    def test_tiny_inputs_give_the_unscaled_value(self):
+        # unscaled, products of entries this small go subnormal or to zero
+        x = np.random.default_rng(0).standard_normal((64, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(distance_correlation(x * 1e-100, x * 1e-100) - 1.0) < 1e-12
+            assert abs(distance_correlation(x * 1e-170, x * 1e-170) - 1.0) < 1e-12
+            # a decimal scale rounds every entry; the Gram-matrix distances
+            # move by about 6e-11 under a one-ulp change of the input
+            unscaled = distance_correlation(x, x[:, 0])
+            assert abs(distance_correlation(x * 1e-160, x[:, 0]) - unscaled) < 1e-9
+
+    @PROPERTY
+    @given(data=st.data(), k=st.integers(-1000, 1000))
+    def test_power_of_two_scale_changes_no_byte(self, data, k):
+        n = data.draw(st.integers(2, 12))
+        a, b = (data.draw(arrays(np.float64, (n, data.draw(st.integers(1, 3))), elements=ENTRIES))
+                for _ in range(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = distance_correlation(a, b)
+            assert distance_correlation(np.ldexp(a, k), b) == value
+            assert distance_correlation(a, np.ldexp(b, k)) == value
+        # a sample against itself can read one ulp above 1
+        assert 0.0 <= value <= 1.0 + 1e-12
 
 
 class TestGroupAccuracy:

@@ -1,11 +1,13 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from reference_ops import add, node, reduce_mean, square
 
 from pnsrisk.autodiff import check_gradients
+from pnsrisk.evaluate import evaluate
 from pnsrisk.model import (
     _ytil,
     GaussianEncoder,
@@ -19,6 +21,8 @@ from pnsrisk.model import (
     surrogate_m,
     surrogate_sf,
 )
+from pnsrisk.risk import estimate_risk
+from pnsrisk.synth import SynthConfig, generate
 
 
 def mean_node(enc, x):
@@ -117,6 +121,17 @@ class TestEncoder:
             [kl_closed_form(row, q_var, prior.mean, prior.var) for row in mean]
         )
         assert abs(got - want) < 1e-10
+
+    @pytest.mark.parametrize("route", ["estimate_risk", "evaluate", "predict"])
+    def test_wrong_width_is_refused_by_every_forward(self, route):
+        enc = GaussianEncoder(3, rep_dim=2, hidden=(8,), rng=np.random.default_rng(0))
+        head = LinearHead(2)
+        data = replace(generate(SynthConfig(seed=0), 4), x=np.zeros((4, 5)))
+        call = {"estimate_risk": lambda: estimate_risk(data.x, data.y, enc, enc, head),
+                "evaluate": lambda: evaluate(data, enc, head),
+                "predict": lambda: predict(head, enc, data.x)}[route]
+        with pytest.raises(ValueError, match=r"^mlp: input shape \(4, 5\) does not fit \(3, 8\)$"):
+            call()
 
     def test_kl_node_differentiable(self):
         rng = np.random.default_rng(9)
