@@ -28,10 +28,10 @@ __all__ = [
 class Tensor:
     """A graph node: float64 value, parents, and a backward rule.
 
-    The backward rule maps the gradient at this node to gradient
-    contributions for each parent, in parent order.  The value is
-    checked once, here: a non-finite value raises FloatingPointError
-    naming the op that produced it, or saying it entered as a leaf.
+    The backward rule maps the gradient at this node to one gradient
+    contribution per parent, in parent order.  The value is checked
+    once, here: a non-finite value raises FloatingPointError naming the
+    op that produced it, or saying it entered as a leaf.
     This is the graph's one divergence signal: train() runs its steps
     under np.errstate, so an overflow arrives here as inf, not a warning.
     """
@@ -71,7 +71,11 @@ class Tensor:
             node.grad = g = grads[node]
             if node._backward is None:
                 continue
-            for parent, contrib in zip(node.parents, node._backward(g)):
+            contribs = node._backward(g)
+            if len(contribs) != len(node.parents):
+                raise ValueError(f"{node.name} backward gave {len(contribs)} gradients "
+                                 f"for {len(node.parents)} parents")
+            for parent, contrib in zip(node.parents, contribs):
                 grads[parent] = grads[parent] + contrib if parent in grads else contrib
 
 

@@ -44,7 +44,7 @@ from .model import GaussianPrior
 from .pns import analyze, format_report, read_scm
 from .risk import domain_shift_bound, random_bound_instance, sufficiency_deviation_trial
 from .streams import integer
-from .synth import MIXERS, SynthConfig, generate, read_csv, write_csv
+from .synth import SynthConfig, generate, read_csv, write_csv
 from .train import (
     StepRecord,
     TrainConfig,
@@ -317,8 +317,7 @@ def _train_run(data, config, run_dir, config_text):
 
 def cmd_synth(args):
     integer(args.n, "--n", 1)  # named as the user gave it, not as n_train
-    config = _build(SynthConfig, dict(d=args.d, s=args.s, n_train=args.n, seed=args.seed,
-                                      mixer=args.mixer))
+    config = _build(SynthConfig, dict(d=args.d, s=args.s, n_train=args.n, seed=args.seed))
     data = generate(config, args.n)
     write_csv(args.out, data)
     config_text = serialize_flat(config)
@@ -354,7 +353,10 @@ def cmd_eval(args):
     s_value = ""
     neighbor = Path(str(args.data) + ".config")
     if neighbor.exists():
-        s_value = parse_flat(neighbor.read_text(encoding="utf-8"), SynthConfig).s
+        try:
+            s_value = parse_flat(neighbor.read_text(encoding="utf-8"), SynthConfig).s
+        except ConfigError as exc:
+            raise ConfigError(f"{neighbor}: {exc}") from None
     scores = _SCORES[:5]  # the EvalReport's
     row = [meta.get("delta", ""), s_value, meta.get("seed", ""),
            *(getattr(report, key) for key in scores)]
@@ -507,7 +509,6 @@ def build_parser():
     p.add_argument("--s", type=float, default=0.1, help="spurious correlation")
     p.add_argument("--n", type=int, default=20000, help="number of rows")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mixer", choices=MIXERS, default="as_written")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_synth)
 

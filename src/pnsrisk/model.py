@@ -9,9 +9,9 @@ bias; the tie c @ w = 0 maps to label 1.
 
 Each term of the training objective is one numpy function on arrays
 that returns its value and its vector-Jacobian product (vjp):
-GaussianEncoder.encode (the MLP), kl_node and draw, surrogate_sf and
-surrogate_m.  pnsrisk.train.casn_objective adds their vjps into one loss
-node per player; there are no per-term graph nodes.
+GaussianEncoder.encode (the mean network), kl_node and draw,
+surrogate_sf and surrogate_m.  pnsrisk.train.casn_objective adds their
+vjps into one loss node per player; there are no per-term graph nodes.
 
 Two differentiable surrogates stand in for the indicator quantities:
 
@@ -32,7 +32,6 @@ import numpy as np
 from .autodiff import Tensor, parameter, sigmoid_np
 
 __all__ = [
-    "Mlp",
     "GaussianEncoder",
     "LinearHead",
     "GaussianPrior",
@@ -46,8 +45,10 @@ __all__ = [
 
 
 def _mlp_vjp(weights, inputs, pres):
-    """The backward of one Mlp._stack forward: maps the gradient at its
-    output to the gradients of (w0, b0, w1, b1, ...), in out if given."""
+    """The backward of one GaussianEncoder._stack forward, from the
+    weights' arrays and the inputs and hidden pre-activations that
+    forward collected: maps the gradient at the mean to the gradients of
+    (w0, b0, w1, b1, ...), in out if given."""
     last = len(weights) - 1
 
     def vjp(g, out=None):
@@ -65,83 +66,16 @@ def _mlp_vjp(weights, inputs, pres):
     return vjp
 
 
-class Mlp:
-    """in -> 128 -> 32 -> out, ELU between layers, linear output."""
-
-    def __init__(self, in_dim, out_dim, hidden=(128, 32), rng=None, prefix="mlp"):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.hidden = tuple(hidden)
-        dims = (in_dim, *self.hidden, out_dim)
-        self.layer_names = tuple(f"{prefix} layer {i}" for i in range(len(dims) - 1))
-        self.weights = []
-        self.biases = []
-        for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-            w = parameter(rng.standard_normal((a, b)) / np.sqrt(a), name=f"{prefix}.w{i}")
-            self.weights.append(w)
-            self.biases.append(parameter(np.zeros(b), name=f"{prefix}.b{i}"))
-
-    def _stack(self, h, inputs=None, pres=None, stacks=None):
-        """The affine+ELU hidden layers, then the linear output layer, on
-        the array h.  Every pre-activation is checked for finiteness, with
-        an error naming the layer: an ELU maps -inf to -1, so a check of
-        the output alone would hide an overflow.  Given lists, the graph
-        path collects each layer's input and each hidden pre-activation.
-        Given stacks, this MLP's and its twin's parameters as (2, ...)
-        views in parameters() order, it runs both (see _forward_pair)."""
-        depth = len(self.weights)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if inputs is not None:
-                inputs.append(h)
-            if stacks is None:
-                h = h @ w.data
-                h += b.data
-            else:
-                h = h @ stacks[2 * i]
-                h += stacks[2 * i + 1][:, None]
-            if not np.isfinite(h).all():
-                raise FloatingPointError(f"{self.layer_names[i]} produced a non-finite value")
-            if i == depth - 1:
-                return h
-            if pres is not None:
-                pres.append(h)
-            # ELU: expm1(h) >= h below 0, so the max is h above 0 and expm1(h) below
-            elu = np.minimum(h, 0.0)
-            h = np.maximum(h, np.expm1(elu, out=elu), out=elu)
-
-    def _input(self, x):
-        """The data batch x as a float64 matrix that fits the first layer."""
-        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if h.ndim != 2 or h.shape[1] != self.weights[0].shape[0]:
-            raise ValueError(f"mlp: input shape {h.shape} does not fit {self.weights[0].shape}")
-        return h
-
-    def _forward(self, x):
-        """(out, vjp) of the whole stack on a data batch x; vjp maps the
-        gradient at the output to the gradients of parameters()."""
-        inputs, pres = [], []
-        out = self._stack(self._input(x), inputs, pres)
-        return out, _mlp_vjp([w.data for w in self.weights], inputs, pres)
-
-    def forward_np(self, x):
-        """Graph-free forward for evaluation and Monte Carlo estimation;
-        an overflow raises the layer's FloatingPointError, not a warning."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._stack(self._input(x))
-
-    def parameters(self):
-        return {p.name: p for pair in zip(self.weights, self.biases) for p in pair}
-
-
-def _forward_pair(mlp, stacks, x):
-    """mlp and its twin on the data batch x as one stacked forward, as
-    ((out, vjp), (twin_out, twin_vjp)); stacks holds each parameter pair
-    as one (2, ...) view of the game's flat buffer, in parameters() order.
-    None when a layer is non-finite: the caller then runs the two MLPs
-    one at a time, and the first non-finite layer raises."""
-    h, inputs, pres = mlp._input(x), [], []
+def _forward_pair(encoder, stacks, x):
+    """encoder's and its twin's posterior means on the data batch x as
+    one stacked forward, as ((mean, vjp), (twin_mean, twin_vjp)); stacks
+    holds each mean-network parameter pair as one (2, ...) view of the
+    game's flat buffer, in parameters() order.  None when a layer is
+    non-finite: the caller then encodes one encoder at a time, and the
+    first non-finite layer raises."""
+    h, inputs, pres = encoder._input(x), [], []
     try:
-        out = mlp._stack(h, inputs, pres, stacks)
+        out = encoder._stack(h, inputs, pres, stacks)
     except FloatingPointError:
         return None
     return tuple((out[k], _mlp_vjp([w[k] for w in stacks[::2]], [h] + [a[k] for a in inputs[1:]],
@@ -178,16 +112,29 @@ class GaussianPrior:
 class GaussianEncoder:
     """Diagonal-Gaussian posterior over representations.
 
+    The posterior mean is a perceptron in -> 128 -> 32 -> rep_dim (the
+    hidden widths are configurable), ELU between layers, linear output,
+    with parameters <prefix>.mean.w<i> and <prefix>.mean.b<i>.
     fixed_var=None learns log-variance per dimension (one vector shared
     across inputs); a float freezes the variance at that value.
     """
 
     def __init__(self, in_dim, rep_dim=64, hidden=(128, 32), rng=None,
                  fixed_var=None, prefix="enc"):
+        if rng is None:
+            rng = np.random.default_rng(0)
         self.in_dim = in_dim
         self.rep_dim = rep_dim
         self.prefix = prefix
-        self.mlp = Mlp(in_dim, rep_dim, hidden=hidden, rng=rng, prefix=f"{prefix}.mean")
+        self.hidden = tuple(hidden)
+        dims = (in_dim, *self.hidden, rep_dim)
+        self.layer_names = tuple(f"{prefix}.mean layer {i}" for i in range(len(dims) - 1))
+        self.weights = []
+        self.biases = []
+        for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
+            w = parameter(rng.standard_normal((a, b)) / np.sqrt(a), name=f"{prefix}.mean.w{i}")
+            self.weights.append(w)
+            self.biases.append(parameter(np.zeros(b), name=f"{prefix}.mean.b{i}"))
         if fixed_var is None:
             self.log_var = parameter(np.zeros(rep_dim), name=f"{prefix}.log_var")
             self.fixed_var = None
@@ -197,11 +144,50 @@ class GaussianEncoder:
             self.log_var = None
             self.fixed_var = float(fixed_var)
 
+    def _stack(self, h, inputs=None, pres=None, stacks=None):
+        """The affine+ELU hidden layers, then the linear output layer, on
+        the array h.  Every pre-activation is checked for finiteness, with
+        an error naming the layer: an ELU maps -inf to -1, so a check of
+        the output alone would hide an overflow.  Given lists, the graph
+        path collects each layer's input and each hidden pre-activation.
+        Given stacks, this encoder's and its twin's mean-network
+        parameters as (2, ...) views in parameters() order, it runs both
+        (see _forward_pair)."""
+        depth = len(self.weights)
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if inputs is not None:
+                inputs.append(h)
+            if stacks is None:
+                h = h @ w.data
+                h += b.data
+            else:
+                h = h @ stacks[2 * i]
+                h += stacks[2 * i + 1][:, None]
+            if not np.isfinite(h).all():
+                raise FloatingPointError(f"{self.layer_names[i]} produced a non-finite value")
+            if i == depth - 1:
+                return h
+            if pres is not None:
+                pres.append(h)
+            # ELU: expm1(h) >= h below 0, so the max is h above 0 and expm1(h) below
+            elu = np.minimum(h, 0.0)
+            h = np.maximum(h, np.expm1(elu, out=elu), out=elu)
+
+    def _input(self, x):
+        """The data batch x as a float64 matrix that fits the first layer."""
+        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if h.ndim != 2 or h.shape[1] != self.weights[0].shape[0]:
+            raise ValueError(f"{self.prefix}.mean: input shape {h.shape} does not fit "
+                             f"{self.weights[0].shape}")
+        return h
+
     def encode(self, x):
         """(mean, vjp): the posterior mean of a data batch x, shape
         (n, rep_dim), and the map from its gradient to the gradients of
-        the mean network's parameters (Mlp._forward)."""
-        return self.mlp._forward(x)
+        the mean network's parameters, in parameters() order."""
+        inputs, pres = [], []
+        out = self._stack(self._input(x), inputs, pres)
+        return out, _mlp_vjp([w.data for w in self.weights], inputs, pres)
 
     def var_np(self):
         """The posterior variance; a learned one that overflows raises."""
@@ -214,7 +200,11 @@ class GaussianEncoder:
         return var
 
     def encode_np(self, x):
-        mean = self.mlp.forward_np(x)
+        """Graph-free (mean, var) for evaluation and Monte Carlo
+        estimation; an overflow raises the layer's FloatingPointError,
+        not a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = self._stack(self._input(x))
         return mean, np.broadcast_to(self.var_np(), mean.shape)
 
     def draw(self, mean, eps):
@@ -270,7 +260,7 @@ class GaussianEncoder:
         return (var_part + mean_part) * 0.5, vjp
 
     def parameters(self):
-        out = self.mlp.parameters()
+        out = {p.name: p for pair in zip(self.weights, self.biases) for p in pair}
         if self.log_var is not None:
             out[self.log_var.name] = self.log_var
         return out
@@ -355,7 +345,7 @@ def surrogate_m(w, c, c_bar):
 def clone_perturbed(encoder, rng, scale=0.01):
     """Fresh encoder with the same architecture whose parameters start a
     small random step away from the source's."""
-    twin = GaussianEncoder(encoder.in_dim, rep_dim=encoder.rep_dim, hidden=encoder.mlp.hidden,
+    twin = GaussianEncoder(encoder.in_dim, rep_dim=encoder.rep_dim, hidden=encoder.hidden,
                            rng=np.random.default_rng(0), fixed_var=encoder.fixed_var,
                            prefix=f"{encoder.prefix}_twin")
     for s, d in zip(encoder.parameters().values(), twin.parameters().values()):

@@ -12,10 +12,13 @@ Each sample carries four latent factors derived from a fair coin sn:
 
 The observed x mixes the four blocks through a kinked squash:
 t is the concatenated blocks plus Gaussian jitter, kappa1(t) = t - 0.5
-above zero (else 0), kappa2(t) = t + 0.5 below zero (else 0), and
+above zero (else 0), and
 
-    x = sigmoid(kappa1 * kappa1)        (mixer "as_written")
-    x = sigmoid(kappa1 * kappa2)        (mixer "k1k2")
+    x = sigmoid(kappa1 * kappa1).
+
+The product with kappa2(t) = t + 0.5 below zero (else 0) is not offered:
+kappa1 is nonzero only where t > 0 and kappa2 only where t < 0, so
+kappa1 * kappa2 is 0 everywhere and every feature would be exactly 0.5.
 
 Row i draws from the Philox stream keyed by (seed ^ ROLE_SYNTH, i)
 (pnsrisk.streams) in a fixed order, four coins and then Box-Muller
@@ -45,9 +48,6 @@ __all__ = [
     "feature_scm",
 ]
 
-MIXERS = ("as_written", "k1k2")
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     d: int = 5
@@ -58,7 +58,6 @@ class SynthConfig:
     sf_flip: float = 0.1
     nc_keep: float = 0.9
     noise_scale: float = 0.3
-    mixer: str = "as_written"
     seed: int = 0
 
     def __post_init__(self):
@@ -71,8 +70,6 @@ class SynthConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if not 0.0 <= self.noise_scale < np.inf:
             raise ValueError(f"noise_scale must be finite and nonnegative, got {self.noise_scale}")
-        if self.mixer not in MIXERS:
-            raise ValueError(f"mixer must be one of {MIXERS}, got {self.mixer!r}")
 
 
 @dataclass(frozen=True)
@@ -140,12 +137,7 @@ def _fill(data, config, rows, u):
         (np.repeat(np.column_stack((sn, sf, nc)), d, axis=1), sp), axis=1
     ) + normals[:, d : 5 * d] * config.noise_scale
     kappa1 = np.where(t > 0.0, t - 0.5, 0.0)
-    if config.mixer == "as_written":
-        mixed = kappa1 * kappa1
-    else:
-        kappa2 = np.where(t < 0.0, t + 0.5, 0.0)
-        mixed = kappa1 * kappa2
-    data.x[rows] = sigmoid_np(mixed)
+    data.x[rows] = sigmoid_np(kappa1 * kappa1)
     data.y[rows] = sn ^ noise_bit
     data.sn[rows], data.sf[rows], data.nc[rows] = sn, sf, nc
     data.sp[rows] = sp

@@ -277,7 +277,7 @@ class _Game:
                 p.data = self.theta[k, start:end].reshape(p.data.shape)
                 self.outs[k].append(self.grad[k, start:end].reshape(p.data.shape))
         self.stacks = [self.theta[:, start:end].reshape(2, *p.data.shape)
-                       for p, (start, end) in zip(enc_c.mlp.parameters().values(), spans)]
+                       for p, (start, end) in zip(self.players[0][:2 * len(enc_c.weights)], spans)]
 
 
 def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
@@ -310,7 +310,7 @@ def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, conf
     twin = config.variant != "casn_minus_m"
     w = head.w.data
     labels = np.concatenate((neg_ytil,) * config.mc_samples)  # every draw's rows
-    pair = _forward_pair(enc_c.mlp, game.stacks, x) if twin else None
+    pair = _forward_pair(enc_c, game.stacks, x) if twin else None
     mean_c, mlp_c = pair[0] if pair else enc_c.encode(x)
     kl_c, kl_c_vjp = enc_c.kl_node(mean_c, prior_c)
     _check("kl_node", kl_c)
@@ -354,7 +354,7 @@ def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, conf
         penalty_weight = weight if penalty_weight is None else penalty_weight
         value = value + penalty * penalty_weight
         parts["penalty"] = float(penalty)
-    depth, (min_outs, max_outs) = 2 * len(enc_c.mlp.weights), game.outs
+    depth, (min_outs, max_outs) = 2 * len(enc_c.weights), game.outs
 
     # Each backward adds a parameter's contributions left to right: c gets
     # M, SF, then the hinge; w gets M, SF, then irm; the mean and log_var

@@ -233,7 +233,8 @@ def test_criterion_6_gradient_integrity():
         w, neg_ytil = head.w, -(y * 2.0 - 1.0)
 
         def kl():
-            mean = node("encode", list(enc.mlp.parameters().values()), enc.encode(x))
+            mean_params = list(enc.parameters().values())[:2 * len(enc.weights)]
+            mean = node("encode", mean_params, enc.encode(x))
             return node("kl_node", [mean, enc.log_var], enc.kl_node(mean.data, prior))
 
         losses = [

@@ -142,6 +142,19 @@ class TestBackward:
         expected = 1.0 / (1.0 + np.exp(-x.data))
         assert np.allclose(x.grad, expected, atol=1e-15)
 
+    @pytest.mark.parametrize("second_path", [False, True])
+    def test_a_rule_short_of_a_gradient_is_refused(self, second_path):
+        # d(a * b + 3b)/db is 4; a rule that drops b's share must not
+        # leave b's gradient at the other path's 3 or die on a bare key
+        a, b = parameter([1.0]), parameter([2.0])
+        short = Tensor(a.data * b.data, (a, b), lambda g: (g * b.data,), "short")
+        parents = [short, Tensor(3.0 * b.data, (b,), lambda g: (3.0 * g,), "triple")]
+        parents = parents if second_path else parents[:1]
+        loss = Tensor(sum(p.data for p in parents), parents,
+                      lambda g: (g,) * len(parents), "total")
+        with pytest.raises(ValueError, match="^short backward gave 1 gradients for 2 parents$"):
+            loss.backward()
+
     def test_reused_node_accumulates_once_per_path(self):
         x = parameter([3.0])
         z = mul(x, x)

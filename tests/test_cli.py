@@ -101,7 +101,7 @@ class TestFlatConfig:
         assert parse_config("[train]\nhidden =\n").train.hidden == ()
 
     def test_synth_config_round_trip(self):
-        cfg = SynthConfig(d=3, s=0.4, n_train=40, seed=7, mixer="k1k2")
+        cfg = SynthConfig(d=3, s=0.4, n_train=40, seed=7, noise_scale=0.5)
         assert parse_flat(serialize_flat(cfg), SynthConfig) == cfg
 
     def test_range_error_names_section_only_in_spec(self):
@@ -169,6 +169,10 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError, match=r"line 2: unknown key 'width'"):
             parse_config("[synth]\nwidth = 3\n")
 
+    def test_a_mixer_line_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match=r"^line 2: unknown key 'mixer' in \[synth\]$"):
+            parse_config("[synth]\nmixer = as_written\n")
+
     def test_key_outside_section(self):
         with pytest.raises(ConfigError, match="outside any section"):
             parse_config("seed = 0\n")
@@ -209,6 +213,15 @@ def test_synth_seed_out_of_range_is_clean_error(tmp_path, seed, capsys):
     assert main(["synth", "--seed", seed, "--n", "5", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"error: seed must be an integer in [0, 18446744073709551614], got {seed}\n")
+    assert not out.exists()
+
+
+def test_synth_has_no_mixer_flag(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--mixer", "k1k2", "--n", "5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--mixer" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -486,6 +499,19 @@ def eval_with_parameter_set(tmp_path, capsys, name, value):
         status = main(["eval", "--checkpoint", str(checkpoint),
                        "--data", str(data_csv), "--out", str(eval_csv)])
     return status, capsys.readouterr().err, eval_csv
+
+
+def test_eval_names_the_config_neighbour_it_cannot_read(tmp_path, capsys):
+    data_csv, checkpoint = train_small(tmp_path)
+    neighbour = tmp_path / "data.csv.config"
+    with neighbour.open("a", encoding="utf-8") as fh:
+        fh.write("mixer = as_written\n")
+    capsys.readouterr()
+    eval_csv = tmp_path / "eval.csv"
+    assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data_csv),
+                 "--out", str(eval_csv)]) == 2
+    assert capsys.readouterr().err == f"error: {neighbour}: line 10: unknown key 'mixer'\n"
+    assert not eval_csv.exists()
 
 
 def test_eval_overflow_is_one_error_line(tmp_path, capsys):

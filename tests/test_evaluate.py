@@ -179,7 +179,7 @@ class TestOverflow:
         data = generate(SynthConfig(seed=3), 64)
         enc = GaussianEncoder(data.x.shape[1], rep_dim=4, hidden=(8, 6),
                               rng=np.random.default_rng(3))
-        enc.mlp.weights[0].data *= 1e200  # representations around 3e199
+        enc.weights[0].data *= 1e200  # representations around 3e199
         nan_row = replace(data, x=np.where(np.arange(64)[:, None] == 5, np.nan, data.x))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

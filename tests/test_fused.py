@@ -21,7 +21,6 @@ from pnsrisk.model import (
     GaussianEncoder,
     GaussianPrior,
     LinearHead,
-    Mlp,
     _ytil,
     clone_perturbed,
     surrogate_m,
@@ -48,10 +47,10 @@ RTOL = 1e-12
 
 # ---- the per-op reference graph ----
 
-def ref_mlp(mlp, x):
+def ref_mlp(enc, x):
     h = x
-    last = len(mlp.weights) - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+    last = len(enc.weights) - 1
+    for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
         h = R.affine(h, w, b)
         if i != last:
             h = R.elu(h)
@@ -103,7 +102,7 @@ def ref_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, confi
                   eps_c, eps_cbar, domain_rows=None, penalty_weight=None):
     y = (neg_ytil < 0).astype(np.int64)
     s_draws = config.mc_samples
-    mean_c = ref_mlp(enc_c.mlp, Tensor(x))
+    mean_c = ref_mlp(enc_c, Tensor(x))
     kl_c = ref_kl(enc_c, mean_c, prior_c)
     if config.variant == "casn_minus_m":
         sf = None
@@ -112,7 +111,7 @@ def ref_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, confi
             sf = term if sf is None else R.add(sf, term)
         sf = R.mul(sf, 1.0 / s_draws)
         return R.add(sf, R.mul(kl_c, config.lam)), None
-    mean_cbar = ref_mlp(enc_cbar.mlp, Tensor(x))
+    mean_cbar = ref_mlp(enc_cbar, Tensor(x))
     kl_cbar = ref_kl(enc_cbar, mean_cbar, prior_cbar)
     sf = m = hinge = None
     for k in range(s_draws):
@@ -132,7 +131,7 @@ def ref_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, confi
         game = R.add(game, R.mul(kl_cbar, config.lam))
     if config.variant in ("casn_irm", "casn_mmd"):
         # each domain's rows encoded on their own, as train() once did
-        reps = [ref_mlp(enc_c.mlp, Tensor(x[rows])) for rows in domain_rows]
+        reps = [ref_mlp(enc_c, Tensor(x[rows])) for rows in domain_rows]
         if config.variant == "casn_mmd":
             penalty = R.mmd_penalty(reps)
         else:
@@ -187,7 +186,7 @@ def leaf(rng, shape):
 
 
 def mlp_params(enc):
-    return list(enc.mlp.parameters().values())
+    return list(enc.parameters().values())[:2 * len(enc.weights)]
 
 
 def posterior(enc, mean):
@@ -206,14 +205,14 @@ def _same_weights(seed, shape):
 @pytest.mark.parametrize("hidden", [(7, 5), (6,), ()])
 def test_mlp_matches_per_op_graph(hidden):
     rng = np.random.default_rng(1)
-    mlp = encoder(None, hidden=hidden).mlp
+    enc = encoder(None, hidden=hidden)
     x = rng.standard_normal((9, 4))
     weights = _same_weights(2, (9, 3))
-    params = list(mlp.parameters().values())
-    assert_same(lambda: R.reduce_sum(R.mul(R.node("mlp", params, mlp._forward(x)), weights())),
-                lambda: R.reduce_sum(R.mul(ref_mlp(mlp, Tensor(x)), weights())), params)
+    params = mlp_params(enc)
+    assert_same(lambda: R.reduce_sum(R.mul(R.node("mlp", params, enc.encode(x)), weights())),
+                lambda: R.reduce_sum(R.mul(ref_mlp(enc, Tensor(x)), weights())), params)
     # the input is data: one gradient per parameter, none for x
-    assert len(mlp._forward(x)[1](np.ones((9, 3)))) == len(params)
+    assert len(enc.encode(x)[1](np.ones((9, 3)))) == len(params)
 
 
 @pytest.mark.parametrize("fixed_var", [None, 0.3])
@@ -544,10 +543,13 @@ def test_each_encoder_runs_once_per_objective(variant, monkeypatch):
     objective of train() runs one MLP forward, enc_c's alone for
     casn_minus_m and the stacked pair otherwise."""
     forwards = []
-    stack = Mlp._stack
-    monkeypatch.setattr(Mlp, "_stack", lambda mlp, h, inputs=None, pres=None, stacks=None: (
-        forwards.append((mlp.layer_names[0], stacks is not None))
-        or stack(mlp, h, inputs, pres, stacks)))
+    stack = GaussianEncoder._stack
+
+    def counted_stack(enc, h, inputs=None, pres=None, stacks=None):
+        forwards.append((enc.layer_names[0], stacks is not None))
+        return stack(enc, h, inputs, pres, stacks)
+
+    monkeypatch.setattr(GaussianEncoder, "_stack", counted_stack)
     objectives = []
 
     def counted(*args, **kwargs):
@@ -705,7 +707,7 @@ def test_hidden_pre_activation_overflow_names_the_layer():
     """An ELU maps -inf to -1, so the output alone would look finite;
     the graph and the graph-free forward both check the layer itself."""
     enc = encoder(None, prefix="enc_c")
-    enc.mlp.biases[1].data = np.full(5, -np.inf)
+    enc.biases[1].data = np.full(5, -np.inf)
     x = np.ones((2, 4))
     assert np.expm1(-np.inf) == -1.0
     for forward in (enc.encode, enc.encode_np):
@@ -715,7 +717,7 @@ def test_hidden_pre_activation_overflow_names_the_layer():
 
 def test_output_layer_overflow_names_the_layer():
     enc = encoder(None, prefix="enc_c")
-    enc.mlp.biases[2].data = np.full(3, np.inf)
+    enc.biases[2].data = np.full(3, np.inf)
     with pytest.raises(FloatingPointError, match="^enc_c.mean layer 2 produced a non-finite"):
         enc.encode(np.ones((2, 4)))
 
@@ -738,11 +740,11 @@ def test_stacked_twin_overflow_is_named_after_the_ops_before_it(plant, op):
     as when enc_c, kl_c and then the twin ran one at a time."""
     args, _, game = objective_parts("casn", 1, None, False, 1.1)
     enc_c, enc_cbar = args[2:4]
-    assert model_module._forward_pair(enc_c.mlp, game.stacks, args[0]) is not None
+    assert model_module._forward_pair(enc_c, game.stacks, args[0]) is not None
     # in place, so each parameter stays in the flat buffer
-    enc_cbar.mlp.biases[0].data[:] = np.inf
+    enc_cbar.biases[0].data[:] = np.inf
     if plant == "enc_c layer 2":
-        enc_c.mlp.biases[2].data[:] = np.inf
+        enc_c.biases[2].data[:] = np.inf
     elif plant == "kl_c":
         enc_c.log_var.data[:] = 1500.0
     with overflow_raises(op):

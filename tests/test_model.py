@@ -13,7 +13,6 @@ from pnsrisk.model import (
     GaussianEncoder,
     GaussianPrior,
     LinearHead,
-    Mlp,
     clone_perturbed,
     load_checkpoint,
     predict,
@@ -26,7 +25,7 @@ from pnsrisk.synth import SynthConfig, generate
 
 
 def mean_node(enc, x):
-    return node("encode", list(enc.mlp.parameters().values()), enc.encode(x))
+    return node("encode", list(enc.parameters().values())[:2 * len(enc.weights)], enc.encode(x))
 
 
 def posterior(enc, mean):
@@ -44,8 +43,8 @@ def kl_closed_form(q_mean, q_var, p_mean, p_var):
 class TestEncoder:
     def test_zeroed_head_layer_returns_bias(self):
         enc = GaussianEncoder(4, rep_dim=3, hidden=(8, 5), rng=np.random.default_rng(0))
-        enc.mlp.weights[-1].data[:] = 0.0
-        enc.mlp.biases[-1].data[:] = [1.0, -2.0, 3.0]
+        enc.weights[-1].data[:] = 0.0
+        enc.biases[-1].data[:] = [1.0, -2.0, 3.0]
         mean, _ = enc.encode_np(np.random.default_rng(1).standard_normal((6, 4)))
         assert np.allclose(mean, np.tile([1.0, -2.0, 3.0], (6, 1)))
 
@@ -130,7 +129,8 @@ class TestEncoder:
         call = {"estimate_risk": lambda: estimate_risk(data.x, data.y, enc, enc, head),
                 "evaluate": lambda: evaluate(data, enc, head),
                 "predict": lambda: predict(head, enc, data.x)}[route]
-        with pytest.raises(ValueError, match=r"^mlp: input shape \(4, 5\) does not fit \(3, 8\)$"):
+        message = r"^enc\.mean: input shape \(4, 5\) does not fit \(3, 8\)$"
+        with pytest.raises(ValueError, match=message):
             call()
 
     def test_kl_node_differentiable(self):

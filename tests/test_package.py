@@ -15,7 +15,7 @@ EARLIER_ALL = (
     "pns_exact", "pns_identified", "check_monotonicity", "check_exogeneity",
     "necessity_ratio", "sufficiency_ratio", "analyze",
     "random_identifiable_scm", "read_scm", "format_report",
-    "Mlp", "GaussianEncoder", "GaussianPrior", "LinearHead", "predict",
+    "GaussianEncoder", "GaussianPrior", "LinearHead", "predict",
     "surrogate_sf", "surrogate_m", "clone_perturbed",
     "save_checkpoint", "load_checkpoint",
     "MalformedDomainError", "DiscreteDomain", "RiskReport", "BoundReport",

@@ -25,7 +25,7 @@ def big_sample():
 
 class TestGenerator:
     @pytest.mark.parametrize("field, value", [
-        ("d", 0), ("s", 1.5), ("s", float("nan")), ("mixer", "kinky"),
+        ("d", 0), ("s", 1.5), ("s", float("nan")),
         ("noise_scale", -0.1), ("noise_scale", float("nan")), ("noise_scale", float("inf")),
         ("n_train", 0), ("n_eval", -3), ("n_eval", 1), ("seed", -1), ("seed", 2**64 - 1),
     ])
@@ -74,15 +74,10 @@ class TestGenerator:
         assert big_sample.x.min() > 0.0
         assert big_sample.x.max() < 1.0
 
-    def test_mixers_differ_and_k1k2_stays_below_half(self):
-        cfg = SynthConfig(seed=5)
-        a = generate(cfg, 50)
-        b = generate(SynthConfig(seed=5, mixer="k1k2"), 50)
-        assert not np.allclose(a.x, b.x)
-        assert (b.x <= 0.5 + 1e-12).all()
-        # same factor draws either way: the mixer only reshapes x
-        assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.sp, b.sp)
+    def test_there_is_no_mixer_field(self):
+        # kappa1 * kappa2 is 0 everywhere, so it is not offered
+        with pytest.raises(TypeError, match="mixer"):
+            SynthConfig(mixer="as_written")
 
     def test_bitwise_deterministic(self):
         cfg = SynthConfig(seed=6)
@@ -99,11 +94,10 @@ class TestGenerator:
         assert np.array_equal(small.x, large.x[:10])
         assert np.array_equal(small.y, large.y[:10])
 
-    @pytest.mark.parametrize("mixer", ["as_written", "k1k2"])
-    def test_rows_follow_the_documented_draw_order(self, mixer):
+    def test_rows_follow_the_documented_draw_order(self):
         # row by row from the row's own Generator: four coins, then
         # (radius, angle) pairs through Box-Muller
-        cfg = SynthConfig(d=3, s=0.3, seed=13, mixer=mixer)
+        cfg = SynthConfig(d=3, s=0.3, seed=13)
         data = generate(cfg, 600)
         for i in (0, 1, 511, 512, 599):
             u = keyed(cfg.seed, ROLE_SYNTH, i).random(4 + 2 * 8)
@@ -119,8 +113,7 @@ class TestGenerator:
             t = [v + cfg.noise_scale * e
                  for v, e in zip([sn] * 3 + [sf] * 3 + [nc] * 3 + sp, normals[3:15])]
             k1 = [v - 0.5 if v > 0.0 else 0.0 for v in t]
-            k2 = k1 if mixer == "as_written" else [v + 0.5 if v < 0.0 else 0.0 for v in t]
-            x = [1.0 / (1.0 + math.exp(-a * b)) for a, b in zip(k1, k2)]
+            x = [1.0 / (1.0 + math.exp(-a * a)) for a in k1]
             assert (data.y[i], data.sn[i], data.sf[i], data.nc[i]) == (sn ^ noise, sn, sf, nc)
             assert np.allclose(data.sp[i], sp, rtol=0.0, atol=1e-13)
             assert np.allclose(data.x[i], x, rtol=0.0, atol=1e-13)
