@@ -30,19 +30,18 @@ class Tensor:
 
     The backward rule maps the gradient at this node to one gradient
     contribution per parent, in parent order.  The value is checked
-    once, here: a non-finite value raises FloatingPointError naming the
-    op that produced it, or saying it entered as a leaf.
-    This is the graph's one divergence signal: train() runs its steps
-    under np.errstate, so an overflow arrives here as inf, not a warning.
+    once, here, by _check, and a non-finite leaf raises saying it entered
+    the graph.  train() runs its steps under np.errstate, so an overflow
+    arrives here as inf, not a warning.
     """
 
     __slots__ = ("data", "grad", "parents", "_backward", "name")
 
     def __init__(self, data, parents=(), backward=None, name=None):
         self.data = d = np.asarray(data, dtype=np.float64)
-        if not (math.isfinite(d) if d.ndim == 0 else np.isfinite(d).all()):
-            if parents:
-                raise FloatingPointError(f"{name} produced a non-finite value")
+        if parents:
+            _check(name, d)
+        elif not np.isfinite(d).all():
             raise FloatingPointError("non-finite value entering the graph")
         self.grad = None
         self.parents = tuple(parents)
@@ -77,6 +76,14 @@ class Tensor:
                                  f"for {len(node.parents)} parents")
             for parent, contrib in zip(node.parents, contribs):
                 grads[parent] = grads[parent] + contrib if parent in grads else contrib
+
+
+def _check(op, value):
+    """The package's one divergence check.  A float (numpy's float64 is
+    one) or a 0-d array takes the scalar test."""
+    if not (math.isfinite(value) if isinstance(value, float) or value.ndim == 0
+            else np.isfinite(value).all()):
+        raise FloatingPointError(f"{op} produced a non-finite value")
 
 
 def parameter(data, name=None):

@@ -375,8 +375,8 @@ def cmd_oracle(args):
 
 
 def cmd_bounds(args):
-    integer(args.instances, "instances", 1)  # no instances would be a vacuous pass
-    integer(args.seed, "seed", 0)
+    integer(args.instances, "--instances", 1)  # no instances would be a vacuous pass
+    integer(args.seed, "--seed", 0)
     rng = np.random.default_rng(args.seed)
     rows = []
     for i in range(args.instances):

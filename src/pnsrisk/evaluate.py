@@ -7,7 +7,8 @@ entrywise product, and normalize by the geometric mean of the two
 dVar^2 terms.  It does not depend on scale, and each argument is first
 scaled exactly, by a power of two, so no finite input overflows or
 underflows: it is zero exactly when either argument is constant and lands
-in [0, 1] up to floating point.  A nan or inf is refused, naming it.
+in [0, 1] up to floating point, with each diagonal its exact 0.  A nan
+or inf is refused, naming it.
 
 evaluate centers the representation's distance matrix and takes its
 dVar^2 once, and shares both across the four factors; every entrywise
@@ -39,7 +40,8 @@ def _centered_distances(a, name):
     built in place in one n x n array.  a is first scaled by a power of
     two, which is exact, so that its largest entry lies in [0.5, 1): the
     result is the same for any power-of-two multiple of a, and no entry
-    can overflow.  A nan or inf in a raises ValueError naming it."""
+    can overflow.  The diagonal is its exact 0, not a root of rounding
+    error.  A nan or inf in a raises ValueError naming it."""
     top = np.abs(a).max(initial=0.0)
     if not np.isfinite(top):
         raise ValueError(f"{name} holds a non-finite value")
@@ -49,6 +51,7 @@ def _centered_distances(a, name):
     d *= 2.0
     np.subtract(sq[:, None] + sq[None, :], d, out=d)
     np.maximum(d, 0.0, out=d)
+    np.fill_diagonal(d, 0.0)  # rounding leaves up to about 1e-15 there
     np.sqrt(d, out=d)
     row = d.mean(axis=1, keepdims=True)
     col = d.mean(axis=0, keepdims=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, parameter, sigmoid_np
+from .autodiff import Tensor, _check, parameter, sigmoid_np
 
 __all__ = [
     "GaussianEncoder",
@@ -163,8 +163,7 @@ class GaussianEncoder:
             else:
                 h = h @ stacks[2 * i]
                 h += stacks[2 * i + 1][:, None]
-            if not np.isfinite(h).all():
-                raise FloatingPointError(f"{self.layer_names[i]} produced a non-finite value")
+            _check(self.layer_names[i], h)
             if i == depth - 1:
                 return h
             if pres is not None:
@@ -189,23 +188,19 @@ class GaussianEncoder:
         out = self._stack(self._input(x), inputs, pres)
         return out, _mlp_vjp([w.data for w in self.weights], inputs, pres)
 
-    def var_np(self):
-        """The posterior variance; a learned one that overflows raises."""
-        if self.fixed_var is not None:
-            return np.full(self.rep_dim, self.fixed_var)
-        with np.errstate(over="ignore"):
-            var = np.exp(self.log_var.data)
-        if not np.isfinite(var).all():
-            raise FloatingPointError(f"{self.prefix}.log_var produced a non-finite value")
-        return var
-
     def encode_np(self, x):
         """Graph-free (mean, var) for evaluation and Monte Carlo
-        estimation; an overflow raises the layer's FloatingPointError,
-        not a warning."""
+        estimation, var broadcast to the mean's shape.  An overflow raises
+        FloatingPointError, not a warning: the mean's layers are checked
+        first, then the variance as <prefix>.log_var."""
         with np.errstate(over="ignore", invalid="ignore"):
             mean = self._stack(self._input(x))
-        return mean, np.broadcast_to(self.var_np(), mean.shape)
+            if self.fixed_var is None:
+                var = np.exp(self.log_var.data)
+                _check(f"{self.prefix}.log_var", var)
+            else:
+                var = np.full(self.rep_dim, self.fixed_var)
+        return mean, np.broadcast_to(var, mean.shape)
 
     def draw(self, mean, eps):
         """(value, vjp) of the reparameterized draws mean + sd * eps from

@@ -12,6 +12,9 @@ representations sit closer than delta; lambda * KL_xi is a term when
 adversary_kl is on.  The min player takes an SGD step every iteration;
 every max_every iterations the max player runs a short ascent phase on
 xi with its own learning rate, drawing a fresh minibatch per ascent step.
+So the min player descends SF and M; the twin ascends M, and the hinge
+and lambda * KL_xi with adversary_kl on.  Per row M = SF (1 - NC) +
+(1 - SF) NC, so where SF is small M tracks NC, which the twin raises.
 
 Variants:
 
@@ -32,12 +35,11 @@ vector op.  tests/reference_ops.py builds the terms node by node.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, sigmoid_np
+from .autodiff import Tensor, _check, sigmoid_np
 from .model import (
     GaussianEncoder,
     GaussianPrior,
@@ -129,13 +131,11 @@ class TrainingDiverged(RuntimeError):
 
 def _distances(a, b, op):
     """(diff, dist): diff = a - b and its Euclidean norm over the last
-    axis, + 1e-18 inside the root so coincident rows have a gradient.  A
-    distance that overflows raises FloatingPointError naming the op: the
-    hinge would map it to 0, where no later check could see it."""
+    axis, + 1e-18 inside the root so coincident rows have a gradient,
+    checked under op's name: the hinge would map an overflow to 0."""
     diff = a - b
     dist = np.sqrt((diff * diff).sum(axis=-1) + 1e-18)
-    if not np.isfinite(dist).all():
-        raise FloatingPointError(f"{op} produced a non-finite value")
+    _check(op, dist)
     return diff, dist
 
 
@@ -236,13 +236,6 @@ def irm_penalty(w, groups, neg_ytil_groups):
     return total, vjp
 
 
-def _check(op, value):
-    """Raise FloatingPointError naming op unless value is finite, in the
-    words of the graph's own check (autodiff.Tensor)."""
-    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
-        raise FloatingPointError(f"{op} produced a non-finite value")
-
-
 def _into(out, first, *rest):
     """first + rest, added left to right, in out (a gradient view of the
     game's flat buffer)."""
@@ -297,9 +290,9 @@ def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, conf
 
     The backward writes into the game's gradient views, and with the
     twin one forward over its stacked views gives both means.  A
-    non-finite value raises FloatingPointError naming the first op to
-    make one, in the order: enc_c's layers, kl_c, the twin's layers,
-    kl_cbar, the draws, SF, M, the hinge, the penalty, the sum.
+    non-finite value raises autodiff._check's FloatingPointError naming
+    the first op to make one, in the order: enc_c's layers, kl_c, the
+    twin's layers, kl_cbar, the draws, SF, M, the hinge, the penalty, the sum.
 
     eps_c / eps_cbar have shape (mc_samples, n, rep_dim).  casn_irm and
     casn_mmd add their penalty, times penalty_weight (default: the

@@ -304,7 +304,7 @@ def test_bounds_without_instances_is_config_error(tmp_path, instances, capsys):
     out = tmp_path / "bounds.csv"
     assert main(["bounds", "--out", str(out), "--instances", instances]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: instances must be at least 1, got {instances}\n"
+    assert captured.err == f"error: --instances must be at least 1, got {instances}\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
@@ -312,7 +312,7 @@ def test_bounds_without_instances_is_config_error(tmp_path, instances, capsys):
 def test_bounds_negative_seed_is_refused_naming_the_flag(tmp_path, capsys):
     assert main(["bounds", "--out", str(tmp_path / "bounds.csv"), "--seed", "-1"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: seed must be at least 0, got -1\n"
+    assert captured.err == "error: --seed must be at least 0, got -1\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 

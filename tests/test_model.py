@@ -50,7 +50,7 @@ class TestEncoder:
 
     def test_fixed_variance_mode(self):
         enc = GaussianEncoder(4, rep_dim=3, fixed_var=0.001)
-        assert np.allclose(enc.var_np(), 0.001)
+        assert np.allclose(enc.encode_np(np.zeros((1, 4)))[1], 0.001)
         assert enc.log_var is None
 
     def test_learned_variance_overflow_names_log_var(self):
@@ -60,7 +60,7 @@ class TestEncoder:
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError,
                                match="^enc_c.log_var produced a non-finite value$"):
-                enc.var_np()
+                enc.encode_np(np.zeros((1, 4)))[1]
             with pytest.raises(FloatingPointError, match="^enc_c.log_var"):
                 enc.encode_np(np.zeros((2, 4)))
 
@@ -115,9 +115,9 @@ class TestEncoder:
         x = rng.standard_normal((7, 3))
         mean, _ = enc.encode(x)
         got, _ = enc.kl_node(mean, prior)
-        q_var = enc.var_np()
         want = np.mean(
-            [kl_closed_form(row, q_var, prior.mean, prior.var) for row in mean]
+            [kl_closed_form(row, q_var, prior.mean, prior.var)
+             for row, q_var in zip(mean, enc.encode_np(x)[1])]
         )
         assert abs(got - want) < 1e-10
 

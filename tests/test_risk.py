@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pnsrisk.model import GaussianEncoder, GaussianPrior, LinearHead
+from pnsrisk.pns import analyze
 from pnsrisk.risk import (
     BoundReport,
     DiscreteDomain,
@@ -21,6 +22,7 @@ from pnsrisk.risk import (
     _risk_rows,
 )
 from pnsrisk.streams import ROLE_C, ROLE_CBAR, ROLE_PICK, keyed
+from pnsrisk.synth import SynthConfig, generate, label_scm
 
 INF = math.inf
 
@@ -246,6 +248,32 @@ class TestMonteCarloConvergence:
         exact = true_sufficiency_risk(domain, ShiftEncoder(0.0, sd=1.0), identity_head())
         want = 0.5 * (1.0 + math.erf(-0.3 / math.sqrt(2.0)))
         assert abs(exact - want) < 1e-12
+
+
+class TestOracleRoute:
+    def test_oracle_pair_reads_one_minus_pns(self):
+        # an encoder that reads sn off the data, at mean +-10, and a twin
+        # that negates it: the Monte Carlo route must meet the exact one,
+        # SF = NC = 1 - PNS(sn) and M = 0, within a binomial bound
+        cfg = SynthConfig(seed=1)
+        data = generate(cfg, 5000)
+        x = data.sn[:, None].astype(float)
+
+        def encoder(w, b, prefix):
+            enc = GaussianEncoder(1, rep_dim=1, hidden=(), fixed_var=1e-4, prefix=prefix)
+            enc.weights[0].data[:] = w
+            enc.biases[0].data[:] = b
+            return enc
+
+        report = estimate_risk(x, data.y, encoder(20.0, -10.0, "enc_c"),
+                               encoder(-20.0, 10.0, "enc_cbar"), identity_head(),
+                               mc_samples=8, seed=0)
+        # label_scm is not monotone, so the identified PNS (0.7) is not it
+        pns = analyze(label_scm(cfg), 1, 0, 1).pns
+        assert pns == pytest.approx(0.85)
+        assert report.sf == report.nc
+        assert report.m == 0.0
+        assert abs(report.sf - (1.0 - pns)) <= 3.0 * math.sqrt(pns * (1.0 - pns) / len(x))
 
 
 @pytest.mark.parametrize("probs", [(float("nan"), 0.5), (0.7, 0.7), (1.5, -0.5)])

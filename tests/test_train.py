@@ -10,7 +10,8 @@ import pytest
 from reference_ops import node
 
 from pnsrisk.autodiff import Tensor, check_gradients, parameter
-from pnsrisk.model import GaussianEncoder, GaussianPrior, LinearHead, _ytil
+from pnsrisk.model import GaussianEncoder, GaussianPrior, LinearHead, _ytil, clone_perturbed
+from pnsrisk.streams import ROLE_TRAIN, keyed
 from pnsrisk.synth import SynthConfig, generate
 from pnsrisk.train import (
     TrainConfig,
@@ -237,6 +238,35 @@ class TestObjective:
         assert min_grads[0] == min_grads[1]
         assert twin_grads[0] != twin_grads[1]
         assert abs(values[0] - values[1] - cfg.lam * parts["kl_cbar"]) < 1e-12
+
+    @pytest.mark.parametrize("player", [0, 1])
+    def test_each_player_pushes_its_way(self, player):
+        """In the fixed-variance linear case with no hinge and no KL_xi,
+        one small twin step (player 1, descending max_loss) raises the
+        surrogate M, and one small min-player step lowers the objective."""
+        data = generate(SynthConfig(d=2, seed=3), 64)
+        cfg = TrainConfig(rep_dim=3, hidden=(), fixed_var=0.3, sep_weight=0.0,
+                          adversary_kl=False)
+        init, noise = keyed(cfg.seed, ROLE_TRAIN, 0), keyed(cfg.seed, ROLE_TRAIN, 2)
+        enc_c = GaussianEncoder(data.x.shape[1], rep_dim=3, hidden=(), rng=init,
+                                fixed_var=0.3, prefix="enc_c")
+        enc_cbar = clone_perturbed(enc_c, init, scale=0.01)
+        head = LinearHead(3, rng=init)
+        game, prior = _Game(enc_c, enc_cbar, head), GaussianPrior.standard(3)
+        eps_c, eps_cbar = noise.standard_normal((2, cfg.mc_samples, 64, 3))
+
+        def objective():
+            return casn_objective(data.x, -_ytil(data.y), enc_c, enc_cbar, head, prior, prior,
+                                  cfg, eps_c, eps_cbar, game)
+
+        min_loss, max_loss, parts = objective()
+        (max_loss if player else min_loss).backward()
+        game.theta[player] -= 1e-3 * game.grad[player]
+        after_min, _, after = objective()
+        if player:
+            assert after["m"] > parts["m"]
+        else:
+            assert after_min.item() < min_loss.item()
 
     def test_ablation_never_touches_twin(self):
         x, y, enc_c, enc_cbar, head, prior, game = toy_parts(seed=2)
