@@ -8,7 +8,8 @@ node it reaches.
 The training step's loss is one node per player over its parameters,
 whose backward adds the loss terms' vector-Jacobian products (see
 pnsrisk.train), so this module holds no elementwise ops: the per-op
-reference lives in tests/reference_ops.py.
+reference and the central-difference gradient checker live in
+tests/reference_ops.py.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "Tensor",
     "parameter",
     "sigmoid_np",
-    "check_gradients",
 ]
 
 
@@ -124,35 +124,3 @@ def sigmoid_np(x, e=None):
         e = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
-
-def check_gradients(build_loss, params, step=1e-5):
-    """Max relative error of reverse-mode vs central-difference gradients.
-
-    build_loss rebuilds the loss graph from the current .data of params.
-    Relative error is |ad - fd| / max(1, |ad|, |fd|) per coordinate.
-    """
-    if not 0.0 < step <= 1e-3:
-        raise ValueError(f"step must be in (0, 1e-3], got {step}")
-    loss = build_loss()
-    loss.backward()
-    analytic = []
-    for p in params:
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        analytic.append(np.array(g, dtype=np.float64, copy=True))
-    worst = 0.0
-    for p, g in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            f_plus = build_loss().item()
-            flat[i] = orig - step
-            f_minus = build_loss().item()
-            flat[i] = orig
-            fd = (f_plus - f_minus) / (2.0 * step)
-            ad = gflat[i]
-            rel = abs(ad - fd) / max(1.0, abs(ad), abs(fd))
-            if rel > worst:
-                worst = rel
-    return worst

@@ -317,7 +317,10 @@ def _train_run(data, config, run_dir, config_text):
 
 def cmd_synth(args):
     integer(args.n, "--n", 1)  # named as the user gave it, not as n_train
-    config = _build(SynthConfig, dict(d=args.d, s=args.s, n_train=args.n, seed=args.seed))
+    try:
+        config = SynthConfig(d=args.d, s=args.s, n_train=args.n, seed=args.seed)
+    except ValueError as exc:  # it names the field, and d, s and seed are their flags
+        raise ValueError(f"--{exc}") from None
     data = generate(config, args.n)
     write_csv(args.out, data)
     config_text = serialize_flat(config)

@@ -35,7 +35,6 @@ __all__ = [
     "GaussianEncoder",
     "LinearHead",
     "GaussianPrior",
-    "predict",
     "surrogate_sf",
     "surrogate_m",
     "clone_perturbed",
@@ -274,13 +273,6 @@ class LinearHead:
 
     def parameters(self):
         return {self.w.name: self.w}
-
-
-def predict(head, encoder, x):
-    """Hard labels from the posterior mean: 1 where the logit is >= 0,
-    so the tie logit == 0 maps to label 1."""
-    mean, _ = encoder.encode_np(x)
-    return (head.logits_np(mean) >= 0.0).astype(np.int64)
 
 
 def _ytil(y, name="labels"):

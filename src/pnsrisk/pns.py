@@ -101,8 +101,6 @@ class DiscreteScm:
         object.__setattr__(self, "_cond_cause", cond)
         object.__setattr__(self, "_table", table)
 
-    # ---- primitive measures ----
-
     def p_joint(self, c, y):
         """Observational P(C=c, Y=y)."""
         return sum(
@@ -110,19 +108,6 @@ class DiscreteScm:
             for u, pu in zip(self.u_values, self.u_probs)
             if self._table[(c, u)] == y
         )
-
-    def p_cause(self, c):
-        return sum(pu * self._cond_cause[u][c] for u, pu in zip(self.u_values, self.u_probs))
-
-    def p_outcome(self, y):
-        """Observational P(Y=y)."""
-        return sum(self.p_joint(c, y) for c in self.c_values)
-
-    def p_do(self, c, y):
-        """Interventional P(Y=y | do(C=c)): fix c, average the noise.  Like
-        p_joint and p_outcome, one measure per call: the reference that
-        tests/test_pns.py compares analyze's single walk against."""
-        return sum(pu for u, pu in zip(self.u_values, self.u_probs) if self._table[(c, u)] == y)
 
 
 def _validate_query(scm, c, c_bar, y):

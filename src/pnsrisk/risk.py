@@ -42,7 +42,6 @@ __all__ = [
     "gaussian_kl",
     "deviation_bound",
     "domain_shift_bound",
-    "true_sufficiency_risk",
     "sufficiency_deviation_trial",
     "random_bound_instance",
 ]
@@ -263,39 +262,17 @@ def domain_shift_bound(t, s, enc_c, enc_cbar, head, mc_samples=_DEFAULT_MC, seed
     )
 
 
-def _normal_cdf(z):
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def _exact_sf(labels, probs, mean, var, head):
-    """Exact SF from per-point posteriors: the logit w.c of a Gaussian c
-    is Gaussian, so each point's error mass is a normal CDF.  Summed in
-    point order."""
-    total = 0.0
-    for y, prob, mu_row, var_row in zip(labels, probs, mean, var):
-        mu = float(mu_row @ head.w.data)
-        sd = math.sqrt(float(var_row @ (head.w.data**2)))
-        if sd == 0.0:
-            p_hit = 1.0 if mu >= 0.0 else 0.0
-        else:
-            p_hit = _normal_cdf(mu / sd)
-        wrong = 1.0 - p_hit if y == 1 else p_hit
-        total += prob * wrong
-    return total
-
-
-def _encode_each(enc, points):
-    """(mean, var) of the points' x, each encoded on its own as one row."""
-    posts = [enc.encode_np(np.asarray(x, dtype=np.float64)[None, :]) for x, _ in points]
-    return tuple(np.concatenate(part) for part in zip(*posts))
-
-
-def true_sufficiency_risk(domain, enc, head):
-    """Exact SF on a discrete domain with a Gaussian encoder: the logit
-    w.c is Gaussian per point, so the error mass is a normal CDF."""
-    support = domain.support()
-    return _exact_sf([y for _, y in support], [domain.mass(p) for p in support],
-                     *_encode_each(enc, support), head)
+def _wrong_mass(head, mean, var, y):
+    """Each row's exact P(sign(w.c) != y) for c ~ N(mean, diag(var)): the
+    logit w.c is N(mean @ w, var @ w**2), so the mass is one normal tail,
+    0.5 erfc(ytil (mean @ w) / (sqrt(2) sd)), ytil = 2y - 1.  A row with
+    sd = 0 takes its mean's label, the tie mean @ w = 0 mapping to 1."""
+    w = head.w.data
+    logit, sd = mean @ w, np.sqrt(var @ w**2)
+    # where sd = 0 the quotient is the mean's label, +inf for 1 and -inf for 0
+    label = np.where(logit >= 0.0, math.inf, -math.inf)
+    z = _ytil(y) * np.divide(logit, math.sqrt(2.0) * sd, out=label, where=sd > 0.0)
+    return 0.5 * np.array([math.erfc(v) for v in z.tolist()])
 
 
 def sufficiency_deviation_trial(domain, enc, head, prior, n, epsilon, seed,
@@ -313,7 +290,8 @@ def sufficiency_deviation_trial(domain, enc, head, prior, n, epsilon, seed,
     picks = gen.choice(len(support), size=n, p=probs / probs.sum())
     # each support point is encoded once, on its own, for its draws, its KL
     # and the exact SF; pick j draws its one representation from stream j + 1
-    mean, var = _encode_each(enc, support)
+    posts = [enc.encode_np(np.asarray(x, dtype=np.float64)[None, :]) for x, _ in support]
+    mean, var = map(np.concatenate, zip(*posts))
     labels = np.array([y for _, y in support])
     drawn = _labels(head, mean[picks], var[picks], 1, seed, ROLE_C, range(1, n + 1))[:, 0]
     wrong = int((drawn != labels[picks]).sum())
@@ -321,7 +299,7 @@ def sufficiency_deviation_trial(domain, enc, head, prior, n, epsilon, seed,
     kl_sum = 0.0
     for pick in picks:  # summed in pick order, one term at a time
         kl_sum += kls[pick]
-    exact = _exact_sf(labels.tolist(), probs.tolist(), mean, var, head)
+    exact = float(probs @ _wrong_mass(head, mean, var, labels))
     deviation = abs(exact - wrong / n)
     rhs = deviation_bound(kl_sum / n, n, epsilon, c_const=c_const, slack_half=slack_half)
     return deviation, rhs, deviation > rhs

@@ -6,7 +6,10 @@ rule per elementary op, so a loss built from them is a long chain of
 small nodes.  The library computes every loss term as one numpy
 function that returns (value, vjp); node() makes such a result one graph
 node, and tests build the same quantity node by node from the functions
-below and compare values and gradients.
+below and compare values and gradients.  check_gradients compares a
+graph's reverse-mode gradients against central differences.  p_do and
+p_outcome are one-measure-per-call references, from a DiscreteScm's public
+fields, for the single walk behind pnsrisk.pns.analyze.
 
 Broadcasting is limited to what the models and losses need: equal
 shapes, scalars, and a trailing-axis row broadcast of a (k,) vector
@@ -275,3 +278,50 @@ def irm_penalty(head, rep_groups, y_groups):
         term = square(reduce_mean(mul(a, sigmoid(a))))
         total = term if total is None else add(total, term)
     return total
+
+
+# ---- gradient checking ----
+
+def check_gradients(build_loss, params, step=1e-5):
+    """Max relative error of reverse-mode vs central-difference gradients.
+
+    build_loss rebuilds the loss graph from the current .data of params.
+    Relative error is |ad - fd| / max(1, |ad|, |fd|) per coordinate.
+    """
+    if not 0.0 < step <= 1e-3:
+        raise ValueError(f"step must be in (0, 1e-3], got {step}")
+    loss = build_loss()
+    loss.backward()
+    analytic = []
+    for p in params:
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        analytic.append(np.array(g, dtype=np.float64, copy=True))
+    worst = 0.0
+    for p, g in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            f_plus = build_loss().item()
+            flat[i] = orig - step
+            f_minus = build_loss().item()
+            flat[i] = orig
+            fd = (f_plus - f_minus) / (2.0 * step)
+            ad = gflat[i]
+            rel = abs(ad - fd) / max(1.0, abs(ad), abs(fd))
+            if rel > worst:
+                worst = rel
+    return worst
+
+
+# ---- SCM measures, one per call ----
+
+def p_do(scm, c, y):
+    """Interventional P(Y=y | do(C=c)): fix c, average the noise."""
+    return sum(pu for u, pu in zip(scm.u_values, scm.u_probs) if scm.mechanism(c, u) == y)
+
+
+def p_outcome(scm, y):
+    """Observational P(Y=y)."""
+    return sum(scm.p_joint(c, y) for c in scm.c_values)

