@@ -43,45 +43,6 @@ __all__ = [
 ]
 
 
-def _mlp_vjp(weights, inputs, pres):
-    """The backward of one GaussianEncoder._stack forward, from the
-    weights' arrays and the inputs and hidden pre-activations that
-    forward collected: maps the gradient at the mean to the gradients of
-    (w0, b0, w1, b1, ...), in out if given."""
-    last = len(weights) - 1
-
-    def vjp(g, out=None):
-        grads = list(out) if out else [None] * (2 * last + 2)
-        for i in range(last, -1, -1):
-            if i != last:
-                slope = np.minimum(pres[i], 0.0)
-                g = np.multiply(g, np.exp(slope, out=slope), out=slope)  # exactly 1 where pre > 0
-            grads[2 * i] = np.matmul(inputs[i].T, g, out=grads[2 * i])
-            grads[2 * i + 1] = g.sum(axis=0, out=grads[2 * i + 1])
-            if i:
-                g = g @ weights[i].T
-        return grads
-
-    return vjp
-
-
-def _forward_pair(encoder, stacks, x):
-    """encoder's and its twin's posterior means on the data batch x as
-    one stacked forward, as ((mean, vjp), (twin_mean, twin_vjp)); stacks
-    holds each mean-network parameter pair as one (2, ...) view of the
-    game's flat buffer, in parameters() order.  None when a layer is
-    non-finite: the caller then encodes one encoder at a time, and the
-    first non-finite layer raises."""
-    h, inputs, pres = encoder._input(x), [], []
-    try:
-        out = encoder._stack(h, inputs, pres, stacks)
-    except FloatingPointError:
-        return None
-    return tuple((out[k], _mlp_vjp([w[k] for w in stacks[::2]], [h] + [a[k] for a in inputs[1:]],
-                                   [a[k] for a in pres]))
-                 for k in (0, 1))
-
-
 @dataclass(frozen=True)
 class GaussianPrior:
     """Diagonal Gaussian the posteriors are pulled toward.  Plain arrays:
@@ -143,25 +104,18 @@ class GaussianEncoder:
             self.log_var = None
             self.fixed_var = float(fixed_var)
 
-    def _stack(self, h, inputs=None, pres=None, stacks=None):
+    def _stack(self, h, inputs=None, pres=None):
         """The affine+ELU hidden layers, then the linear output layer, on
         the array h.  Every pre-activation is checked for finiteness, with
         an error naming the layer: an ELU maps -inf to -1, so a check of
         the output alone would hide an overflow.  Given lists, the graph
-        path collects each layer's input and each hidden pre-activation.
-        Given stacks, this encoder's and its twin's mean-network
-        parameters as (2, ...) views in parameters() order, it runs both
-        (see _forward_pair)."""
+        path collects each layer's input and each hidden pre-activation."""
         depth = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if inputs is not None:
                 inputs.append(h)
-            if stacks is None:
-                h = h @ w.data
-                h += b.data
-            else:
-                h = h @ stacks[2 * i]
-                h += stacks[2 * i + 1][:, None]
+            h = h @ w.data
+            h += b.data
             _check(self.layer_names[i], h)
             if i == depth - 1:
                 return h
@@ -182,10 +136,26 @@ class GaussianEncoder:
     def encode(self, x):
         """(mean, vjp): the posterior mean of a data batch x, shape
         (n, rep_dim), and the map from its gradient to the gradients of
-        the mean network's parameters, in parameters() order."""
+        the mean network's parameters, in parameters() order, in out if
+        given."""
         inputs, pres = [], []
-        out = self._stack(self._input(x), inputs, pres)
-        return out, _mlp_vjp([w.data for w in self.weights], inputs, pres)
+        mean = self._stack(self._input(x), inputs, pres)
+        weights = [w.data for w in self.weights]
+        last = len(weights) - 1
+
+        def vjp(g, out=None):
+            grads = list(out) if out else [None] * (2 * last + 2)
+            for i in range(last, -1, -1):
+                if i != last:
+                    slope = np.minimum(pres[i], 0.0)
+                    g = np.multiply(g, np.exp(slope, out=slope), out=slope)  # exactly 1 where pre > 0
+                grads[2 * i] = np.matmul(inputs[i].T, g, out=grads[2 * i])
+                grads[2 * i + 1] = g.sum(axis=0, out=grads[2 * i + 1])
+                if i:
+                    g = g @ weights[i].T
+            return grads
+
+        return mean, vjp
 
     def encode_np(self, x):
         """Graph-free (mean, var) for evaluation and Monte Carlo
@@ -413,7 +383,7 @@ def load_checkpoint(path):
         shape = () if shape == (0,) else shape
         if any(d < 1 for d in shape):
             raise ValueError(f"{path}:{i}: bad shape for parameter {name}: {lines[i - 1]!r}")
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # exact: np.prod wraps in int64
         values = []
         while len(values) < count:
             if i == len(lines):

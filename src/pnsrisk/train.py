@@ -28,9 +28,9 @@ Each term is one numpy function that returns its value and its
 vector-Jacobian product (vjp): separation_penalty, irm_penalty and
 mmd_penalty here, the others in pnsrisk.model.  Each player's loss is
 one graph node over exactly its parameters (casn_objective), run on the
-game (_Game): both players' parameters in one flat buffer, so one forward
-gives both means, gradients are written in place and an update is one
-vector op.  tests/reference_ops.py builds the terms node by node.
+game (_Game): both players' parameters in one flat buffer, so gradients
+are written in place and an update is one vector op.
+tests/reference_ops.py builds the terms node by node.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .model import (
     GaussianEncoder,
     GaussianPrior,
     LinearHead,
-    _forward_pair,
     _ytil,
     clone_perturbed,
     load_checkpoint,
@@ -251,9 +250,8 @@ class _Game:
     then the twin's, moved into one (2, size) buffer, theta, row 0 the
     first player's, row 1 the twin's at the same offsets, each .data a
     view into it; outs are the matching views of grad, which the losses'
-    backward writes, and stacks each mean-network pair as one (2, ...)
-    view (model._forward_pair).  Build it once per set of encoders: a
-    second game moves the parameters into a new buffer."""
+    backward writes.  Build it once per set of encoders: a second game
+    moves the parameters into a new buffer."""
 
     def __init__(self, enc_c, enc_cbar, head):
         self.players = ((*enc_c.parameters().values(), head.w),
@@ -269,8 +267,6 @@ class _Game:
                 self.theta[k, start:end] = p.data.reshape(-1)
                 p.data = self.theta[k, start:end].reshape(p.data.shape)
                 self.outs[k].append(self.grad[k, start:end].reshape(p.data.shape))
-        self.stacks = [self.theta[:, start:end].reshape(2, *p.data.shape)
-                       for p, (start, end) in zip(self.players[0][:2 * len(enc_c.weights)], spans)]
 
 
 def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
@@ -288,11 +284,11 @@ def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, conf
     its player's gradients, adding the terms' vjps in the order a walk
     over one node per term adds them, so they are that graph's bytes.
 
-    The backward writes into the game's gradient views, and with the
-    twin one forward over its stacked views gives both means.  A
-    non-finite value raises autodiff._check's FloatingPointError naming
-    the first op to make one, in the order: enc_c's layers, kl_c, the
-    twin's layers, kl_cbar, the draws, SF, M, the hinge, the penalty, the sum.
+    The backward writes into the game's gradient views.  Each encoder
+    runs its own forward, enc_c's and then the twin's, and a non-finite
+    value raises autodiff._check's FloatingPointError naming the first op
+    to make one, in the order: enc_c's layers, kl_c, the twin's layers,
+    kl_cbar, the draws, SF, M, the hinge, the penalty, the sum.
 
     eps_c / eps_cbar have shape (mc_samples, n, rep_dim).  casn_irm and
     casn_mmd add their penalty, times penalty_weight (default: the
@@ -303,12 +299,11 @@ def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, conf
     twin = config.variant != "casn_minus_m"
     w = head.w.data
     labels = np.concatenate((neg_ytil,) * config.mc_samples)  # every draw's rows
-    pair = _forward_pair(enc_c, game.stacks, x) if twin else None
-    mean_c, mlp_c = pair[0] if pair else enc_c.encode(x)
+    mean_c, mlp_c = enc_c.encode(x)
     kl_c, kl_c_vjp = enc_c.kl_node(mean_c, prior_c)
     _check("kl_node", kl_c)
     if twin:
-        mean_cbar, mlp_cbar = pair[1] if pair else enc_cbar.encode(x)
+        mean_cbar, mlp_cbar = enc_cbar.encode(x)
         kl_cbar, kl_cbar_vjp = enc_cbar.kl_node(mean_cbar, prior_cbar)
         _check("kl_node", kl_cbar)
     c, draw_c = enc_c.draw(mean_c, eps_c)
@@ -440,6 +435,9 @@ def train(data, config, domains=None):
     """
     x_all = np.asarray(data.x, dtype=np.float64)
     y_all = np.asarray(data.y)
+    if x_all.ndim != 2 or not x_all.size:
+        raise ValueError("data.x must be a (rows, features) matrix with at least one of each, "
+                         f"got shape {x_all.shape}")
     n, in_dim = x_all.shape
     if not np.isfinite(x_all).all():
         raise ValueError("data.x holds a non-finite value")

@@ -418,6 +418,21 @@ def test_eval_truncated_checkpoint_is_clean_error(tmp_path, capsys):
     assert err.startswith("error:") and "ends after" in err
 
 
+@pytest.mark.parametrize("side", [4294967296, 3037000500])
+def test_eval_checkpoint_whose_count_overflows_int64_is_one_error_line(tmp_path, capsys, side):
+    data_csv = tmp_path / "data.csv"
+    main(["synth", "--d", "2", "--n", "64", "--out", str(data_csv)])
+    checkpoint = tmp_path / "model.ckpt"
+    checkpoint.write_text(f"pnsrisk-checkpoint 1\nparam w {side} {side}\n")
+    capsys.readouterr()
+    eval_csv = tmp_path / "eval.csv"
+    assert main(["eval", "--checkpoint", str(checkpoint),
+                 "--data", str(data_csv), "--out", str(eval_csv)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {checkpoint}:2: parameter w ends after 0 of {side * side} values\n")
+    assert not eval_csv.exists()
+
+
 def test_train_divergence_is_reported(tmp_path, capsys):
     data_csv = tmp_path / "data.csv"
     main(["synth", "--d", "2", "--n", "64", "--out", str(data_csv)])

@@ -37,9 +37,8 @@ from pnsrisk.train import (
     train,
 )
 
-# the package re-exports train(), so import the modules by path
+# the package re-exports train(), so import the module by path
 train_module = importlib.import_module("pnsrisk.train")
-model_module = importlib.import_module("pnsrisk.model")
 
 # fused and per-op results agree to this fraction of the largest gradient
 RTOL = 1e-12
@@ -538,24 +537,23 @@ def test_twin_descends_the_negated_objective(variant, mc_samples, adversary_kl):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_each_encoder_runs_once_per_objective(variant, monkeypatch):
-    """The penalties read their domains' rows out of the batch encode,
-    and when the twin plays one stacked forward gives both means: each
-    objective of train() runs one MLP forward, enc_c's alone for
-    casn_minus_m and the stacked pair otherwise."""
-    forwards = []
-    stack = GaussianEncoder._stack
+    """The penalties read their domains' rows out of the batch encode:
+    each objective of train() encodes the batch once per encoder, enc_c's
+    alone for casn_minus_m and enc_c's then the twin's otherwise."""
+    encodes = []
+    encode = GaussianEncoder.encode
 
-    def counted_stack(enc, h, inputs=None, pres=None, stacks=None):
-        forwards.append((enc.layer_names[0], stacks is not None))
-        return stack(enc, h, inputs, pres, stacks)
+    def counted_encode(enc, x):
+        encodes.append(enc.prefix)
+        return encode(enc, x)
 
-    monkeypatch.setattr(GaussianEncoder, "_stack", counted_stack)
+    monkeypatch.setattr(GaussianEncoder, "encode", counted_encode)
     objectives = []
 
     def counted(*args, **kwargs):
-        start = len(forwards)
+        start = len(encodes)
         result = casn_objective(*args, **kwargs)
-        objectives.append(forwards[start:])
+        objectives.append(encodes[start:])
         return result
 
     monkeypatch.setattr(train_module, "casn_objective", counted)
@@ -564,9 +562,9 @@ def test_each_encoder_runs_once_per_objective(variant, monkeypatch):
                          hidden=(6, 5), max_every=2, max_steps_per_phase=2)
     train(data, config, domains=np.arange(40) % 2)
     if variant == "casn_minus_m":
-        assert objectives == [[("enc_c.mean layer 0", False)]] * 3
+        assert objectives == [["enc_c"]] * 3
     else:
-        assert objectives == [[("enc_c.mean layer 0", True)]] * 5
+        assert objectives == [["enc_c", "enc_c_twin"]] * 5
 
 
 @pytest.mark.parametrize("variant", ["casn", "casn_minus_m"])
@@ -734,13 +732,11 @@ def test_non_finite_delta_is_refused():
     ("kl_c", "kl_node"),
     (None, "enc_cbar.mean layer 0"),
 ])
-def test_stacked_twin_overflow_is_named_after_the_ops_before_it(plant, op):
-    """One stacked forward runs both encoders, but a twin layer that
-    overflows with a later enc_c layer or kl_c is reported after them,
-    as when enc_c, kl_c and then the twin ran one at a time."""
+def test_twin_overflow_is_named_after_the_ops_before_it(plant, op):
+    """A twin layer that overflows with a later enc_c layer or kl_c is
+    reported after them: enc_c, kl_c and then the twin run in turn."""
     args, _, game = objective_parts("casn", 1, None, False, 1.1)
     enc_c, enc_cbar = args[2:4]
-    assert model_module._forward_pair(enc_c, game.stacks, args[0]) is not None
     # in place, so each parameter stays in the flat buffer
     enc_cbar.biases[0].data[:] = np.inf
     if plant == "enc_c layer 2":

@@ -330,6 +330,13 @@ class TestCheckpoint:
         pytest.param("param m 0\ninf\n", ":3: non-finite value in parameter m", id="inf"),
         pytest.param("param m 2\n-inf 0x1.0p+0\n", ":3: non-finite value in parameter m",
                      id="-inf"),
+        # element counts past int64: np.prod would wrap to 0 and to a negative count
+        pytest.param("param w 4294967296 4294967296\n",
+                     ":2: parameter w ends after 0 of 18446744073709551616 values",
+                     id="count-2**64"),
+        pytest.param("param w 3037000500 3037000500\n",
+                     ":2: parameter w ends after 0 of 9223372037000250000 values",
+                     id="count-past-int64"),
     ])
     def test_malformed_file_names_path_and_line(self, tmp_path, body, where):
         path = tmp_path / "bad.ckpt"

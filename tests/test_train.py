@@ -486,6 +486,16 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="^data.x holds a non-finite value$"):
             train(replace(data, x=x), TrainConfig(total_steps=50, seed=0, **SMALL))
 
+    @pytest.mark.parametrize("shape", [(5,), (5, 2, 2), (0, 4), (5, 0)],
+                             ids=["vector", "3-d", "no-rows", "no-features"])
+    def test_x_that_is_not_a_nonempty_matrix_is_refused_before_step_0(self, shape):
+        data = replace(tiny_data(), x=np.zeros(shape), y=np.zeros(shape[0], dtype=int))
+        for steps in (0, 3):
+            with pytest.raises(ValueError) as info:
+                train(data, TrainConfig(total_steps=steps, seed=0, **SMALL))
+            assert str(info.value) == ("data.x must be a (rows, features) matrix with at least "
+                                       f"one of each, got shape {shape}")
+
     def test_irm_variant_runs_and_anneals(self):
         data = tiny_data()
         domains = (np.arange(len(data.y)) % 2).astype(int)
