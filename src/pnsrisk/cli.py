@@ -71,8 +71,6 @@ def _format_value(value):
         return repr(float(value))
     if isinstance(value, tuple):
         return ", ".join(_format_value(v) for v in value)
-    if value is None:
-        return "none"
     return str(value)
 
 
@@ -97,8 +95,6 @@ def _parse_like(text, default):
         return float(text)
     if isinstance(default, tuple):
         return _list_of(int, text)
-    if default is None:  # optional float, e.g. fixed_var
-        return None if text == "none" else float(text)
     return text
 
 

@@ -1,11 +1,11 @@
 """Gaussian representation encoder, linear labeler, and their surrogates.
 
 The encoder is a three-layer perceptron producing the posterior mean of
-a diagonal Gaussian over representations; the variance is either a
-learned per-dimension vector shared across inputs or a fixed constant.
-Sampling is reparameterized (mean + sd * eps) so gradients reach the
-encoder parameters.  The labeler is the linear rule sign(c @ w), with no
-bias; the tie c @ w = 0 maps to label 1.
+a diagonal Gaussian over representations; the log-variance is a learned
+per-dimension vector shared across inputs.  Sampling is reparameterized
+(mean + sd * eps) so gradients reach the encoder parameters.  The
+labeler is the linear rule sign(c @ w), with no bias; the tie c @ w = 0
+maps to label 1.
 
 Each term of the training objective is one numpy function on arrays
 that returns its value and its vector-Jacobian product (vjp):
@@ -74,13 +74,12 @@ class GaussianEncoder:
 
     The posterior mean is a perceptron in -> 128 -> 32 -> rep_dim (the
     hidden widths are configurable), ELU between layers, linear output,
-    with parameters <prefix>.mean.w<i> and <prefix>.mean.b<i>.
-    fixed_var=None learns log-variance per dimension (one vector shared
-    across inputs); a float freezes the variance at that value.
+    with parameters <prefix>.mean.w<i> and <prefix>.mean.b<i>.  The
+    log-variance <prefix>.log_var is learned per dimension, one vector
+    shared across inputs, starting at 0.
     """
 
-    def __init__(self, in_dim, rep_dim=64, hidden=(128, 32), rng=None,
-                 fixed_var=None, prefix="enc"):
+    def __init__(self, in_dim, rep_dim=64, hidden=(128, 32), rng=None, prefix="enc"):
         if rng is None:
             rng = np.random.default_rng(0)
         self.in_dim = in_dim
@@ -95,14 +94,7 @@ class GaussianEncoder:
             w = parameter(rng.standard_normal((a, b)) / np.sqrt(a), name=f"{prefix}.mean.w{i}")
             self.weights.append(w)
             self.biases.append(parameter(np.zeros(b), name=f"{prefix}.mean.b{i}"))
-        if fixed_var is None:
-            self.log_var = parameter(np.zeros(rep_dim), name=f"{prefix}.log_var")
-            self.fixed_var = None
-        else:
-            if not 0.0 < fixed_var < np.inf:
-                raise ValueError(f"fixed_var must be finite and positive, got {fixed_var}")
-            self.log_var = None
-            self.fixed_var = float(fixed_var)
+        self.log_var = parameter(np.zeros(rep_dim), name=f"{prefix}.log_var")
 
     def _stack(self, h, inputs=None, pres=None):
         """The affine+ELU hidden layers, then the linear output layer, on
@@ -164,17 +156,14 @@ class GaussianEncoder:
         first, then the variance as <prefix>.log_var."""
         with np.errstate(over="ignore", invalid="ignore"):
             mean = self._stack(self._input(x))
-            if self.fixed_var is None:
-                var = np.exp(self.log_var.data)
-                _check(f"{self.prefix}.log_var", var)
-            else:
-                var = np.full(self.rep_dim, self.fixed_var)
+            var = np.exp(self.log_var.data)
+            _check(f"{self.prefix}.log_var", var)
         return mean, np.broadcast_to(var, mean.shape)
 
     def draw(self, mean, eps):
         """(value, vjp) of the reparameterized draws mean + sd * eps from
         a posterior-mean array; vjp maps the gradient at the draws to the
-        gradients of (mean, [log_var]).  eps of shape (n, rep_dim) gives
+        gradients of (mean, log_var).  eps of shape (n, rep_dim) gives
         one draw per row, (draws, n, rep_dim) every draw's rows,
         draw-major, as one (draws * n, rep_dim) array."""
         shape = mean.shape
@@ -182,21 +171,18 @@ class GaussianEncoder:
         if draws.ndim not in (2, 3) or draws.shape[-2:] != shape:
             raise ValueError(f"eps shape {draws.shape} does not fit mean shape {shape}")
         draws = draws.reshape(-1, *shape)
-        fixed = self.fixed_var is not None
-        sd = np.sqrt(self.fixed_var) if fixed else np.exp(self.log_var.data * 0.5)
+        sd = np.exp(self.log_var.data * 0.5)
 
         def vjp(g):
             g_mean = g if len(draws) == 1 else g.reshape(draws.shape).sum(axis=0)
-            if fixed:
-                return (g_mean,)
-            return (g_mean, (g * draws.reshape(g.shape)).sum(axis=0) * sd * 0.5)
+            return g_mean, (g * draws.reshape(g.shape)).sum(axis=0) * sd * 0.5
 
         return (mean + draws * sd).reshape(-1, shape[1]), vjp
 
     def kl_node(self, mean, prior):
         """(value, vjp) of the mean-over-batch KL(q(.|x) || prior) on a
         posterior-mean array; vjp maps the gradient at the KL to the
-        gradients of (mean, [log_var]).  Closed form for diagonal
+        gradients of (mean, log_var).  Closed form for diagonal
         Gaussians; the variance part, which does not depend on x, is
         shared across the batch.  A term that overflows makes the value
         inf, which the caller's check reports as kl_node's."""
@@ -204,29 +190,20 @@ class GaussianEncoder:
         inv_pv = prior.inv_var
         diff = mean - prior.mean
         mean_part = (diff * diff * inv_pv).sum(axis=1).sum() * (1.0 / n)
-
-        def mean_grad(half):
-            g = half * (1.0 / n) * inv_pv * diff
-            return g + g
-
-        if self.fixed_var is not None:
-            var_part = (prior.log_var_sum - rep * np.log(self.fixed_var)
-                        + float((self.fixed_var * inv_pv).sum()) - rep)
-            return (var_part + mean_part) * 0.5, lambda g: (mean_grad(g * 0.5),)
         log_var = self.log_var.data
         var = np.exp(log_var)
         var_part = (var * inv_pv).sum() - log_var.sum() + (prior.log_var_sum - rep)
 
         def vjp(g):
             half = g * 0.5
-            return (mean_grad(half), half * inv_pv * var - half)
+            g_mean = half * (1.0 / n) * inv_pv * diff
+            return g_mean + g_mean, half * inv_pv * var - half
 
         return (var_part + mean_part) * 0.5, vjp
 
     def parameters(self):
         out = {p.name: p for pair in zip(self.weights, self.biases) for p in pair}
-        if self.log_var is not None:
-            out[self.log_var.name] = self.log_var
+        out[self.log_var.name] = self.log_var
         return out
 
 
@@ -303,8 +280,7 @@ def clone_perturbed(encoder, rng, scale=0.01):
     """Fresh encoder with the same architecture whose parameters start a
     small random step away from the source's."""
     twin = GaussianEncoder(encoder.in_dim, rep_dim=encoder.rep_dim, hidden=encoder.hidden,
-                           rng=np.random.default_rng(0), fixed_var=encoder.fixed_var,
-                           prefix=f"{encoder.prefix}_twin")
+                           rng=np.random.default_rng(0), prefix=f"{encoder.prefix}_twin")
     for s, d in zip(encoder.parameters().values(), twin.parameters().values()):
         d.data = s.data + scale * rng.standard_normal(s.data.shape)
     return twin

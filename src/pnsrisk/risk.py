@@ -331,10 +331,10 @@ def random_bound_instance(rng, x_dim=3, rep_dim=3, out_of_support=True):
     s = DiscreteDomain(tuple(s_pts), tuple(float(p) for p in s_probs))
     seed = int(rng.integers(0, 2**31))
     enc_c = GaussianEncoder(x_dim, rep_dim=rep_dim, hidden=(8, 6),
-                            rng=np.random.default_rng(seed), fixed_var=None)
+                            rng=np.random.default_rng(seed))
     enc_c.log_var.data[:] = rng.uniform(-2.0, 0.5, size=rep_dim)
     enc_cbar = GaussianEncoder(x_dim, rep_dim=rep_dim, hidden=(8, 6),
-                               rng=np.random.default_rng(seed + 1), fixed_var=None)
+                               rng=np.random.default_rng(seed + 1))
     enc_cbar.log_var.data[:] = rng.uniform(-2.0, 0.5, size=rep_dim)
     head = LinearHead(rep_dim, rng=np.random.default_rng(seed + 2))
     return t, s, enc_c, enc_cbar, head

@@ -64,11 +64,11 @@ _BLOCK_ROWS = 128
 
 def integer(value, name, low=None, high=None):
     """value as an int, or a ValueError naming it unless it is an integer
-    within the bounds given (operator.index refuses 2.5 and "5").  The
-    package's one integer check: seeds, sample ids and counts.  With high,
-    low must be given too, and every refusal has one message."""
+    within the bounds given (operator.index refuses 2.5 and "5", and a bool
+    is refused).  The package's one integer check: seeds, sample ids and
+    config counts.  With high, low is needed, and refusals share a message."""
     try:
-        word = operator.index(value)
+        word = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         word = None
     if high is not None and (word is None or not low <= word <= high):

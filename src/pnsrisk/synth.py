@@ -29,7 +29,7 @@ block at a time through streams.keyed_rows, one re-keyed Philox per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,6 +64,11 @@ class SynthConfig:
         for name, low in (("d", 1), ("n_train", 1), ("n_eval", 2)):
             integer(getattr(self, name), name, low)
         integer(self.seed, "seed", 0, SEED_MAX - 1)  # the evaluation split is keyed by seed + 1
+        for f in fields(self):  # a float field holds an int or a float, not a bool
+            value = getattr(self, f.name)
+            if type(f.default) is float and (isinstance(value, bool)
+                                             or not isinstance(value, (int, float))):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         for name in ("s", "label_noise", "sf_flip", "nc_keep"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -2,8 +2,8 @@
 
 The min player owns the factual encoder phi and the labeler w; the max
 player owns the twin encoder xi that proposes counterfactual
-representations.  They play one game: the min player descends the
-objective
+representations.  Each encoder learns a posterior mean network and a
+log-variance.  They play one game: the min player descends the objective
 
     M_hat + SF_hat + lambda * KL_phi + sep_weight * hinge [+ lambda * KL_xi]
 
@@ -35,7 +35,7 @@ tests/reference_ops.py builds the terms node by node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class TrainConfig:
     mmd_weight: float = 1.0
     rep_dim: int = 64
     hidden: tuple = (128, 32)
-    fixed_var: float | None = None
     momentum: float = 0.0
     adversary_kl: bool = True
     seed: int = 0
@@ -103,8 +102,18 @@ class TrainConfig:
                           ("irm_anneal_iters", 0)):
             integer(getattr(self, name), name, low)
         integer(self.seed, "seed", 0, SEED_MAX)  # the stream keys are uint64
+        if not isinstance(self.hidden, (tuple, list)):
+            raise ValueError(f"hidden must be a tuple of widths, got {self.hidden!r}")
+        object.__setattr__(self, "hidden", tuple(self.hidden))  # a list is stored as a tuple
         if any(integer(width, "hidden width") < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be at least 1, got {self.hidden}")
+        if not isinstance(self.adversary_kl, bool):
+            raise ValueError(f"adversary_kl must be true or false, got {self.adversary_kl!r}")
+        for f in fields(self):  # a float field holds an int or a float, not a bool
+            value = getattr(self, f.name)
+            if type(f.default) is float and (isinstance(value, bool)
+                                             or not isinstance(value, (int, float))):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         for name in ("lr_min", "lr_max"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
@@ -114,8 +123,6 @@ class TrainConfig:
                     f"{name} must be finite and nonnegative, got {getattr(self, name)}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.fixed_var is not None and not 0.0 < self.fixed_var < np.inf:
-            raise ValueError(f"fixed_var must be none or finite and positive, got {self.fixed_var}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -366,8 +373,7 @@ def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, conf
                 full[rows] = g_rows
                 g_mean = g_mean + full
         grads = mlp_c(g_mean, min_outs[:depth])
-        if len(kl_g) > 1:
-            grads.append(_into(min_outs[depth], kl_g[1], draw_g[1]))
+        grads.append(_into(min_outs[depth], kl_g[1], draw_g[1]))
         grads.append(_into(min_outs[-1], *g_w))
         return grads
 
@@ -379,13 +385,12 @@ def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, conf
         g = -g
         g_mean, *g_log_var = draw_cbar(m_vjp(g, twin=True)
                                        + hinge_vjp(g * config.sep_weight, twin=True))
-        kl_log_var = []
         if config.adversary_kl:
-            kl_mean, *kl_log_var = kl_cbar_vjp(g * config.lam)
+            kl_mean, kl_log_var = kl_cbar_vjp(g * config.lam)
             g_mean = g_mean + kl_mean
+            g_log_var.append(kl_log_var)
         grads = mlp_cbar(g_mean, max_outs[:depth])
-        if g_log_var:
-            grads.append(_into(max_outs[depth], *g_log_var, *kl_log_var))
+        grads.append(_into(max_outs[depth], *g_log_var))
         return grads
 
     max_loss = Tensor(-min_loss.data, game.players[1], max_backward, "casn_objective")
@@ -452,7 +457,7 @@ def train(data, config, domains=None):
 
     init, batches, noise = (keyed(config.seed, ROLE_TRAIN, lane) for lane in range(3))
     enc_c = GaussianEncoder(in_dim, rep_dim=config.rep_dim, hidden=config.hidden,
-                            rng=init, fixed_var=config.fixed_var, prefix="enc_c")
+                            rng=init, prefix="enc_c")
     enc_cbar = clone_perturbed(enc_c, init, scale=0.01)
     head = LinearHead(config.rep_dim, rng=init)
     prior = GaussianPrior.standard(config.rep_dim)  # for both encoders
@@ -522,7 +527,6 @@ def save_model(path, result):
         "in_dim": str(result.enc_c.in_dim),
         "rep_dim": str(cfg.rep_dim),
         "hidden": ",".join(str(h) for h in cfg.hidden),
-        "fixed_var": "none" if cfg.fixed_var is None else repr(float(cfg.fixed_var)),
         "delta": repr(float(cfg.delta)),
         "lam": repr(float(cfg.lam)),
         "variant": cfg.variant,
@@ -544,9 +548,7 @@ def load_model(path):
         rep_dim = integer(int(meta["rep_dim"]), "rep_dim", 1)
         hidden = tuple(integer(int(h), "hidden width", 1)
                        for h in meta["hidden"].split(",")) if meta["hidden"] else ()
-        fixed_var = None if meta["fixed_var"] == "none" else float(meta["fixed_var"])
-        enc_c, enc_cbar = (GaussianEncoder(in_dim, rep_dim=rep_dim, hidden=hidden,
-                                           fixed_var=fixed_var, prefix=prefix)
+        enc_c, enc_cbar = (GaussianEncoder(in_dim, rep_dim=rep_dim, hidden=hidden, prefix=prefix)
                            for prefix in ("enc_c", "enc_c_twin"))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: missing or malformed metadata: {exc}") from None

@@ -85,12 +85,14 @@ class TestFlatConfig:
         assert_malformed("total_steps = soon\n", 1,
                          "invalid literal for int() with base 10: 'soon'")
 
-    def test_optional_float_and_bool(self):
-        cfg = flat_train("fixed_var = none\nadversary_kl = false\n")
-        assert cfg.fixed_var is None and cfg.adversary_kl is False
-        cfg = flat_train("fixed_var = 0.001\n")
-        assert cfg.fixed_var == 0.001
+    def test_bool(self):
+        assert flat_train("adversary_kl = false\n").adversary_kl is False
         assert_malformed("adversary_kl = yes\n", 1, "expected true or false, got 'yes'")
+
+    def test_a_fixed_var_line_is_an_unknown_key(self):
+        # every encoder learns its log-variance; the frozen-variance option is gone
+        assert_malformed("lam = 0.5\nfixed_var = 0.1\n", 2, "unknown key 'fixed_var'")
+        assert_malformed("fixed_var = none\n", 1, "unknown key 'fixed_var'")
 
     @pytest.mark.parametrize("value", ["8,,6", ",", "8, 6,", ", 8"])
     def test_empty_list_item_is_refused(self, value):
@@ -103,6 +105,26 @@ class TestFlatConfig:
     def test_synth_config_round_trip(self):
         cfg = SynthConfig(d=3, s=0.4, n_train=40, seed=7, noise_scale=0.5)
         assert parse_flat(serialize_flat(cfg), SynthConfig) == cfg
+
+    @pytest.mark.parametrize("config, field, value", [
+        (TrainConfig, "hidden", [8, 6]), (TrainConfig, "hidden", []),
+        (TrainConfig, "hidden", 8), (TrainConfig, "hidden", "8, 6"),
+        (TrainConfig, "adversary_kl", "false"), (TrainConfig, "adversary_kl", 0),
+        (TrainConfig, "delta", True), (TrainConfig, "total_steps", True),
+        (TrainConfig, "lr_min", "0.1"), (TrainConfig, "momentum", None),
+        (TrainConfig, "lam", 1), (SynthConfig, "d", True), (SynthConfig, "s", "0.1"),
+        (SynthConfig, "noise_scale", False),
+    ])
+    def test_a_field_holds_its_defaults_type(self, config, field, value):
+        """Either the value is refused naming the field, or the config it
+        makes is hashable and reads back from its own text."""
+        try:
+            cfg = config(**{field: value})
+        except ValueError as exc:
+            assert str(exc).startswith(field), exc
+            return
+        hash(cfg)
+        assert parse_flat(serialize_flat(cfg), config) == cfg
 
     def test_range_error_names_section_only_in_spec(self):
         with pytest.raises(ConfigError) as flat:
@@ -444,9 +466,9 @@ def test_train_divergence_is_reported(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
-# a config whose factual encoder overflows its first hidden layer at step 4
+# a config whose factual encoder overflows its output layer at step 4
 CRAFTED_TRAIN = ("total_steps = 300\nbatch_size = 16\nrep_dim = 4\nhidden = 8, 6\n"
-                 "lr_min = 1000\nfixed_var = 0.1\nseed = 3\n")
+                 "lr_min = 1000\nseed = 5\n")
 
 
 def test_train_divergence_is_one_error_line(tmp_path, capsys):
@@ -461,7 +483,7 @@ def test_train_divergence_is_one_error_line(tmp_path, capsys):
         assert main(["train", "--config", str(config), "--data", str(data_csv),
                      "--out", str(run_dir)]) == 1
     assert capsys.readouterr().err == ("error: training diverged at step 4: "
-                                       "enc_c.mean layer 1 produced a non-finite value\n")
+                                       "enc_c.mean layer 2 produced a non-finite value\n")
     assert (run_dir / "trace.csv").exists() and not (run_dir / "model.ckpt").exists()
 
 
@@ -479,7 +501,7 @@ def test_train_divergence_in_the_final_report_is_one_error_line(tmp_path, capsys
         assert main(["train", "--config", str(config), "--data", str(data_csv),
                      "--out", str(run_dir)]) == 1
     assert capsys.readouterr().err == ("error: training diverged at step 4: "
-                                       "enc_c.mean layer 1 produced a non-finite value\n")
+                                       "enc_c.mean layer 2 produced a non-finite value\n")
     assert (run_dir / "trace.csv").exists() and not (run_dir / "model.ckpt").exists()
 
 
@@ -604,7 +626,6 @@ def test_eval_on_data_of_another_width_is_refused_naming_both_files(tmp_path, ca
     ("in_dim", "0", "in_dim must be at least 1, got 0"),
     ("rep_dim", "-3", "rep_dim must be at least 1, got -3"),
     ("hidden", "8,-6", "hidden width must be at least 1, got -6"),
-    ("fixed_var", "nan", "fixed_var must be finite and positive, got nan"),
 ])
 def test_eval_checkpoint_with_bad_metadata_is_refused_naming_it(tmp_path, capsys, key, value,
                                                                  message):
@@ -618,6 +639,45 @@ def test_eval_checkpoint_with_bad_metadata_is_refused_naming_it(tmp_path, capsys
     assert capsys.readouterr().err == (
         f"error: {checkpoint}: missing or malformed metadata: {message}\n")
     assert not eval_csv.exists()
+
+
+def with_fixed_var(meta, value):
+    """meta with the fixed_var line that older checkpoints hold after hidden."""
+    keys = list(meta)
+    at = keys.index("hidden") + 1
+    return {**{k: meta[k] for k in keys[:at]}, "fixed_var": value,
+            **{k: meta[k] for k in keys[at:]}}
+
+
+def test_eval_of_a_fixed_variance_checkpoint_is_refused_naming_it(tmp_path, capsys):
+    # a frozen-variance model was saved with no log_var parameters
+    data_csv, checkpoint = train_small(tmp_path)
+    params, meta = load_checkpoint(checkpoint)
+    params = {name: value for name, value in params.items() if not name.endswith(".log_var")}
+    save_checkpoint(checkpoint, params, meta=with_fixed_var(meta, "0.1"))
+    capsys.readouterr()
+    eval_csv = tmp_path / "eval.csv"
+    assert main(["eval", "--checkpoint", str(checkpoint),
+                 "--data", str(data_csv), "--out", str(eval_csv)]) == 2
+    assert capsys.readouterr().err == f"error: {checkpoint}: missing parameter enc_c.log_var\n"
+    assert not eval_csv.exists()
+
+
+def test_a_checkpoint_with_a_learned_fixed_var_line_evaluates_the_same(tmp_path):
+    # older checkpoints of learned-variance models hold "meta fixed_var none"
+    data_csv, checkpoint = train_small(tmp_path)
+    new_eval, old_eval = tmp_path / "eval.csv", tmp_path / "old_eval.csv"
+    assert main(["eval", "--checkpoint", str(checkpoint),
+                 "--data", str(data_csv), "--out", str(new_eval)]) == 0
+    params, meta = load_checkpoint(checkpoint)
+    old_meta = with_fixed_var(meta, "none")
+    save_checkpoint(checkpoint, params, meta=old_meta)
+    assert main(["eval", "--checkpoint", str(checkpoint),
+                 "--data", str(data_csv), "--out", str(old_eval)]) == 0
+    assert old_eval.read_bytes() == new_eval.read_bytes()
+    # the sidecar hashes the metadata the checkpoint holds, as it always has
+    meta_text = "".join(f"{k} = {old_meta[k]}\n" for k in sorted(old_meta))
+    assert (tmp_path / "old_eval.csv.sha256").read_text() == config_hash(meta_text) + "\n"
 
 
 def test_train_mmd_variant_is_refused(tmp_path, capsys):
@@ -826,7 +886,7 @@ class TestRepro:
         out_dir = tmp_path / "out"
         assert run_repro(crafted_spec(0.0001), out_dir) is True
         assert run_repro(crafted_spec(1000), out_dir) is False
-        run_dir = out_dir / "runs" / "delta0.7_lam0.01_casn_seed3"
+        run_dir = out_dir / "runs" / "delta0.7_lam0.01_casn_seed5"
         assert sorted(p.name for p in run_dir.iterdir()) == ["trace.csv", "trace.csv.sha256"]
         assert csv_lines(out_dir / "runs.csv") == [
             "delta,lam,variant,seed,dcor_sn,dcor_sf,dcor_nc,dcor_sp,accuracy,sf,m"]
@@ -854,7 +914,7 @@ class TestRepro:
         header, row = (tmp_path / "out" / "aborted.csv").read_text().splitlines()
         assert header == "delta,lam,variant,seed,error"
         assert row.endswith(",training diverged at step 4: "
-                            "enc_c.mean layer 1 produced a non-finite value")
+                            "enc_c.mean layer 2 produced a non-finite value")
 
     def test_hard_check_gates_exit(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.txt"

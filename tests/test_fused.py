@@ -58,8 +58,6 @@ def ref_mlp(enc, x):
 
 def ref_draw(enc, mean, eps):
     eps_t = Tensor(np.asarray(eps, dtype=np.float64))
-    if enc.fixed_var is not None:
-        return R.add(mean, R.mul(eps_t, np.sqrt(enc.fixed_var)))
     return R.add(mean, R.mul(eps_t, R.exp(R.mul(enc.log_var, 0.5))))
 
 
@@ -69,13 +67,9 @@ def ref_kl(enc, mean, prior):
     diff = R.sub(mean, Tensor(prior.mean))
     mean_part = R.reduce_mean(R.reduce_sum(R.mul(R.mul(diff, diff), Tensor(inv_pv)), axis=1))
     log_pv_sum = float(np.log(prior.var).sum())
-    if enc.fixed_var is not None:
-        var_part = Tensor(log_pv_sum - rep * np.log(enc.fixed_var)
-                            + float((enc.fixed_var * inv_pv).sum()) - rep)
-    else:
-        var_part = R.add(R.sub(R.reduce_sum(R.mul(R.exp(enc.log_var), Tensor(inv_pv))),
-                               R.reduce_sum(enc.log_var)),
-                         Tensor(log_pv_sum - rep))
+    var_part = R.add(R.sub(R.reduce_sum(R.mul(R.exp(enc.log_var), Tensor(inv_pv))),
+                           R.reduce_sum(enc.log_var)),
+                     Tensor(log_pv_sum - rep))
     return R.mul(R.add(var_part, mean_part), 0.5)
 
 
@@ -162,12 +156,10 @@ def assert_same(fused, reference, params):
             assert np.abs(a - b).max() <= RTOL * scale, p.name
 
 
-def encoder(fixed_var, seed=0, in_dim=4, rep=3, hidden=(7, 5), prefix="enc"):
+def encoder(seed=0, in_dim=4, rep=3, hidden=(7, 5), prefix="enc"):
     enc = GaussianEncoder(in_dim, rep_dim=rep, hidden=hidden,
-                          rng=np.random.default_rng(seed), fixed_var=fixed_var,
-                          prefix=prefix)
-    if enc.log_var is not None:
-        enc.log_var.data = np.random.default_rng(seed + 50).uniform(-1.0, 1.0, rep)
+                          rng=np.random.default_rng(seed), prefix=prefix)
+    enc.log_var.data = np.random.default_rng(seed + 50).uniform(-1.0, 1.0, rep)
     return enc
 
 
@@ -189,9 +181,9 @@ def mlp_params(enc):
 
 
 def posterior(enc, mean):
-    """The parents of a term on the posterior: its mean node, and the
-    log-variance when it is learned."""
-    return [mean] + ([] if enc.log_var is None else [enc.log_var])
+    """The parents of a term on the posterior: its mean node and the
+    log-variance."""
+    return [mean, enc.log_var]
 
 
 # ---- fused ops, one at a time ----
@@ -204,7 +196,7 @@ def _same_weights(seed, shape):
 @pytest.mark.parametrize("hidden", [(7, 5), (6,), ()])
 def test_mlp_matches_per_op_graph(hidden):
     rng = np.random.default_rng(1)
-    enc = encoder(None, hidden=hidden)
+    enc = encoder(hidden=hidden)
     x = rng.standard_normal((9, 4))
     weights = _same_weights(2, (9, 3))
     params = mlp_params(enc)
@@ -214,10 +206,9 @@ def test_mlp_matches_per_op_graph(hidden):
     assert len(enc.encode(x)[1](np.ones((9, 3)))) == len(params)
 
 
-@pytest.mark.parametrize("fixed_var", [None, 0.3])
-def test_draw_matches_per_op_graph(fixed_var):
+def test_draw_matches_per_op_graph():
     rng = np.random.default_rng(2)
-    enc = encoder(fixed_var)
+    enc = encoder()
     mean = leaf(rng, (6, 3))
     eps = rng.standard_normal((6, 3))
     weights = _same_weights(3, (6, 3))
@@ -227,10 +218,9 @@ def test_draw_matches_per_op_graph(fixed_var):
                 lambda: R.reduce_sum(R.mul(ref_draw(enc, mean, eps), weights())), params)
 
 
-@pytest.mark.parametrize("fixed_var", [None, 0.3])
-def test_kl_matches_per_op_graph(fixed_var):
+def test_kl_matches_per_op_graph():
     rng = np.random.default_rng(4)
-    enc = encoder(fixed_var)
+    enc = encoder()
     mean = leaf(rng, (6, 3))
     prior = GaussianPrior(rng.standard_normal(3), rng.uniform(0.5, 2.0, 3))
     params = posterior(enc, mean)
@@ -304,7 +294,7 @@ def test_mmd_penalty_matches_per_op_graph(sizes):
 
 # ---- the whole step objective ----
 
-def objective_parts(variant, mc_samples, fixed_var, saturated, delta, coincident=False,
+def objective_parts(variant, mc_samples, saturated, delta, coincident=False,
                     adversary_kl=False):
     """casn_objective's arguments before the game on a 6-row batch,
     labels as -ytil; the two players' parameters (enc_c's and head.w;
@@ -313,19 +303,18 @@ def objective_parts(variant, mc_samples, fixed_var, saturated, delta, coincident
     n, rep = 6, 3
     x = rng.standard_normal((n, 4))
     neg_ytil = 1.0 - rng.integers(0, 2, size=n) * 2.0
-    enc_c = encoder(fixed_var, seed=8, prefix="enc_c")
+    enc_c = encoder(seed=8, prefix="enc_c")
     if coincident:
         enc_cbar = clone_perturbed(enc_c, rng, scale=0.0)
     else:
-        enc_cbar = encoder(fixed_var, seed=9, prefix="enc_cbar")
+        enc_cbar = encoder(seed=9, prefix="enc_cbar")
     head = head_of(rep, saturated, seed=10)
     prior_c = GaussianPrior(rng.standard_normal(rep), rng.uniform(0.5, 2.0, rep))
     prior_cbar = GaussianPrior.standard(rep)
     eps_c = rng.standard_normal((mc_samples, n, rep))
     eps_cbar = eps_c.copy() if coincident else rng.standard_normal((mc_samples, n, rep))
-    config = TrainConfig(variant=variant, mc_samples=mc_samples, fixed_var=fixed_var,
-                         rep_dim=rep, hidden=(7, 5), delta=delta, lam=0.3, sep_weight=0.7,
-                         adversary_kl=adversary_kl)
+    config = TrainConfig(variant=variant, mc_samples=mc_samples, rep_dim=rep, hidden=(7, 5),
+                         delta=delta, lam=0.3, sep_weight=0.7, adversary_kl=adversary_kl)
     args = (x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config, eps_c, eps_cbar)
     players = ([*enc_c.parameters().values(), head.w], list(enc_cbar.parameters().values()))
     return args, players, train_module._Game(enc_c, enc_cbar, head)
@@ -338,14 +327,13 @@ PENALTY = dict(domain_rows=TWO_DOMAINS, penalty_weight=0.3)
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("mc_samples", [1, 2])
-@pytest.mark.parametrize("fixed_var", [None, 0.3])
 @pytest.mark.parametrize("saturated", [False, True])
 @pytest.mark.parametrize("delta", [pytest.param(4.0, id="hinge-active"),
                                    pytest.param(0.0, id="hinge-inactive")])
-def test_objective_matches_per_op_graph(variant, mc_samples, fixed_var, saturated, delta):
+def test_objective_matches_per_op_graph(variant, mc_samples, saturated, delta):
     """Each player's loss and its gradient in each of that player's
     parameters."""
-    args, players, game = objective_parts(variant, mc_samples, fixed_var, saturated, delta)
+    args, players, game = objective_parts(variant, mc_samples, saturated, delta)
     for role in (0, 1):
         if variant == "casn_minus_m" and role == 1:
             assert casn_objective(*args, game)[1] is None
@@ -356,7 +344,7 @@ def test_objective_matches_per_op_graph(variant, mc_samples, fixed_var, saturate
 
 @pytest.mark.parametrize("mc_samples", [1, 2])
 def test_objective_matches_per_op_graph_on_coincident_pairs(mc_samples):
-    args, players, game = objective_parts("casn", mc_samples, None, False, 1.1,
+    args, players, game = objective_parts("casn", mc_samples, False, 1.1,
                                           coincident=True)
     for role in (0, 1):
         assert_same(lambda: casn_objective(*args, game)[role],
@@ -427,20 +415,18 @@ def test_objective_sum_node_is_the_generic_chain_bytewise(variant, mc_samples, a
     gradient of its player's parameters, the term graph: one node per
     term summed by generic nodes, the twin's through a neg node.  So the
     fused backward adds the terms' contributions in the order that
-    graph's walk adds them, for every variant, learned or fixed
-    variance."""
-    for fixed_var in (None, 0.3):
-        args, players, game = objective_parts(variant, mc_samples, fixed_var, False, 4.0,
-                                              adversary_kl=adversary_kl)
-        fused = casn_objective(*args, game, **PENALTY)[:2]
-        graph = term_graph(*args, **PENALTY)
-        for role in (0, 1):
-            if graph[role] is None:
-                assert fused[role] is None
-                continue
-            assert fused[role].data.tobytes() == graph[role].data.tobytes()
-            assert (player_grad_bytes(fused[role], players[role])
-                    == player_grad_bytes(graph[role], players[role]))
+    graph's walk adds them, for every variant."""
+    args, players, game = objective_parts(variant, mc_samples, False, 4.0,
+                                          adversary_kl=adversary_kl)
+    fused = casn_objective(*args, game, **PENALTY)[:2]
+    graph = term_graph(*args, **PENALTY)
+    for role in (0, 1):
+        if graph[role] is None:
+            assert fused[role] is None
+            continue
+        assert fused[role].data.tobytes() == graph[role].data.tobytes()
+        assert (player_grad_bytes(fused[role], players[role])
+                == player_grad_bytes(graph[role], players[role]))
 
 
 # ---- each player's loss: one node over its own parameters ----
@@ -449,7 +435,7 @@ def step_losses(variant, mc_samples, adversary_kl):
     """Fresh parameters and the (min, max) step losses as train() builds
     them on a batch of two domains, the irm and mmd penalties included;
     returns the losses and the two players' parameters."""
-    args, players, game = objective_parts(variant, mc_samples, None, False, 4.0,
+    args, players, game = objective_parts(variant, mc_samples, False, 4.0,
                                           adversary_kl=adversary_kl)
     min_loss, max_loss, _ = casn_objective(*args, game, **PENALTY)
     return (min_loss, max_loss), players
@@ -489,16 +475,14 @@ def graph_size(loss):
 def test_objective_graph_is_small():
     """Each player's loss is one node over its parameter leaves,
     whatever the variant, the twin's KL term or the penalty: 9 nodes for
-    the min player (enc_c's 7 leaves and head.w), 8 for the twin, one
-    fewer each with a fixed variance.  The input x is data, not a leaf."""
+    the min player (enc_c's 7 leaves and head.w), 8 for the twin.  The
+    input x is data, not a leaf."""
     for variant in VARIANTS:
         for adversary_kl in (True, False):
-            for fixed_var, size in ((None, 9), (0.3, 8)):
-                args, _, game = objective_parts(variant, 1, fixed_var, False, 1.1,
-                                                adversary_kl=adversary_kl)
-                min_loss, max_loss, _ = casn_objective(*args, game, **PENALTY)
-                assert graph_size(min_loss) == size, variant
-                assert max_loss is None or graph_size(max_loss) == size - 1, variant
+            args, _, game = objective_parts(variant, 1, False, 1.1, adversary_kl=adversary_kl)
+            min_loss, max_loss, _ = casn_objective(*args, game, **PENALTY)
+            assert graph_size(min_loss) == 9, variant
+            assert max_loss is None or graph_size(max_loss) == 8, variant
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -507,7 +491,7 @@ def test_more_draws_add_no_nodes(variant, adversary_kl):
     """Each draw term is computed once over every draw's rows."""
     sizes = []
     for mc_samples in (1, 3):
-        args, _, game = objective_parts(variant, mc_samples, None, False, 1.1,
+        args, _, game = objective_parts(variant, mc_samples, False, 1.1,
                                         adversary_kl=adversary_kl)
         losses = casn_objective(*args, game, **PENALTY)[:2]
         sizes.append([None if loss is None else graph_size(loss) for loss in losses])
@@ -523,7 +507,7 @@ def test_twin_descends_the_negated_objective(variant, mc_samples, adversary_kl):
     the term graph gives it."""
     grads = []
     for role in (0, 1):
-        args, players, game = objective_parts(variant, mc_samples, None, False, 4.0,
+        args, players, game = objective_parts(variant, mc_samples, False, 4.0,
                                               adversary_kl=adversary_kl)
         losses = casn_objective(*args, game, **PENALTY)[:2]
         loss = losses[1] if role else term_graph(*args, **PENALTY)[0]
@@ -599,8 +583,7 @@ def test_stacked_halves_share_no_memory(variant):
 
 def fused_losses():
     rng = np.random.default_rng(11)
-    enc = encoder(None, seed=12)
-    enc_fixed = encoder(0.3, seed=13)
+    enc = encoder(seed=12)
     head = head_of(3, False, seed=14)
     x = rng.standard_normal((5, 4))
     c, c_bar = leaf(rng, (5, 3)), leaf(rng, (5, 3))
@@ -608,7 +591,6 @@ def fused_losses():
     y = rng.integers(0, 2, size=5)
     prior = GaussianPrior(rng.standard_normal(3), rng.uniform(0.5, 2.0, 3))
     enc_params = list(enc.parameters().values())
-    fixed_params = list(enc_fixed.parameters().values())
     groups = [leaf(rng, (k, 3)) for k in (2, 4, 3)]
     y_groups = [rng.integers(0, 2, size=k) for k in (2, 4, 3)]
 
@@ -631,9 +613,7 @@ def fused_losses():
     return {
         "mlp": (lambda: squared_sum(mean_of(enc)), enc_params),
         "draw": (lambda: squared_sum(draws(enc)), enc_params),
-        "draw-fixed": (lambda: squared_sum(draws(enc_fixed)), fixed_params),
         "kl": (lambda: kl(enc), enc_params),
-        "kl-fixed": (lambda: kl(enc_fixed), fixed_params),
         "sf": (lambda: R.node("surrogate_sf", [c, w], surrogate_sf(w.data, c.data, -_ytil(y))),
                [c, w]),
         "m": (lambda: R.node("surrogate_m", [c, c_bar, w],
@@ -672,7 +652,7 @@ def overflow_raises(op):
 
 @pytest.mark.parametrize("op", ["kl_node", "draw"])
 def test_exp_overflow_raises_before_numpy_warns(op):
-    enc = encoder(None)
+    enc = encoder()
     mean = Tensor(np.zeros((2, 3)))
     enc.log_var.data = np.full(3, 1500.0)
     with overflow_raises(op):
@@ -683,7 +663,7 @@ def test_exp_overflow_raises_before_numpy_warns(op):
 
 
 def test_kl_mean_overflow_raises_without_a_warning():
-    enc = encoder(None)
+    enc = encoder()
     mean = Tensor(np.full((2, 3), 1e200))
     with overflow_raises("kl_node"):
         R.node("kl_node", posterior(enc, mean), enc.kl_node(mean.data, GaussianPrior.standard(3)))
@@ -704,7 +684,7 @@ def test_mmd_overflow_raises_without_a_warning():
 def test_hidden_pre_activation_overflow_names_the_layer():
     """An ELU maps -inf to -1, so the output alone would look finite;
     the graph and the graph-free forward both check the layer itself."""
-    enc = encoder(None, prefix="enc_c")
+    enc = encoder(prefix="enc_c")
     enc.biases[1].data = np.full(5, -np.inf)
     x = np.ones((2, 4))
     assert np.expm1(-np.inf) == -1.0
@@ -714,7 +694,7 @@ def test_hidden_pre_activation_overflow_names_the_layer():
 
 
 def test_output_layer_overflow_names_the_layer():
-    enc = encoder(None, prefix="enc_c")
+    enc = encoder(prefix="enc_c")
     enc.biases[2].data = np.full(3, np.inf)
     with pytest.raises(FloatingPointError, match="^enc_c.mean layer 2 produced a non-finite"):
         enc.encode(np.ones((2, 4)))
@@ -735,7 +715,7 @@ def test_non_finite_delta_is_refused():
 def test_twin_overflow_is_named_after_the_ops_before_it(plant, op):
     """A twin layer that overflows with a later enc_c layer or kl_c is
     reported after them: enc_c, kl_c and then the twin run in turn."""
-    args, _, game = objective_parts("casn", 1, None, False, 1.1)
+    args, _, game = objective_parts("casn", 1, False, 1.1)
     enc_c, enc_cbar = args[2:4]
     # in place, so each parameter stays in the flat buffer
     enc_cbar.biases[0].data[:] = np.inf

@@ -27,9 +27,9 @@ def mean_node(enc, x):
 
 
 def posterior(enc, mean):
-    """The parents of a term on the posterior: its mean node, and the
-    log-variance when it is learned."""
-    return [mean] + ([] if enc.log_var is None else [enc.log_var])
+    """The parents of a term on the posterior: its mean node and the
+    log-variance."""
+    return [mean, enc.log_var]
 
 
 def kl_closed_form(q_mean, q_var, p_mean, p_var):
@@ -46,11 +46,6 @@ class TestEncoder:
         mean, _ = enc.encode_np(np.random.default_rng(1).standard_normal((6, 4)))
         assert np.allclose(mean, np.tile([1.0, -2.0, 3.0], (6, 1)))
 
-    def test_fixed_variance_mode(self):
-        enc = GaussianEncoder(4, rep_dim=3, fixed_var=0.001)
-        assert np.allclose(enc.encode_np(np.zeros((1, 4)))[1], 0.001)
-        assert enc.log_var is None
-
     def test_learned_variance_overflow_names_log_var(self):
         enc = GaussianEncoder(4, rep_dim=3, hidden=(8, 5), prefix="enc_c")
         enc.log_var.data[:] = [0.0, 800.0, 0.0]
@@ -62,12 +57,6 @@ class TestEncoder:
             with pytest.raises(FloatingPointError, match="^enc_c.log_var"):
                 enc.encode_np(np.zeros((2, 4)))
 
-    def test_fixed_variance_positive(self):
-        for fixed_var in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError,
-                               match=f"^fixed_var must be finite and positive, got {fixed_var}$"):
-                GaussianEncoder(4, rep_dim=3, fixed_var=fixed_var)
-
     def test_graph_and_plain_forward_agree(self):
         rng = np.random.default_rng(2)
         enc = GaussianEncoder(5, rep_dim=4, hidden=(7, 6), rng=rng)
@@ -76,7 +65,8 @@ class TestEncoder:
 
     def test_sample_is_mean_plus_scaled_eps(self):
         rng = np.random.default_rng(3)
-        enc = GaussianEncoder(4, rep_dim=3, rng=rng, fixed_var=0.25)
+        enc = GaussianEncoder(4, rep_dim=3, rng=rng)
+        enc.log_var.data[:] = np.log(0.25)
         x = rng.standard_normal((5, 4))
         eps = rng.standard_normal((5, 3))
         draw, _ = enc.draw(enc.encode(x)[0], eps)

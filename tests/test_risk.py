@@ -285,7 +285,8 @@ class TestOracleRoute:
         x = data.sn[:, None].astype(float)
 
         def encoder(w, b, prefix):
-            enc = GaussianEncoder(1, rep_dim=1, hidden=(), fixed_var=1e-4, prefix=prefix)
+            enc = GaussianEncoder(1, rep_dim=1, hidden=(), prefix=prefix)
+            enc.log_var.data[:] = np.log(1e-4)
             enc.weights[0].data[:] = w
             enc.biases[0].data[:] = b
             return enc

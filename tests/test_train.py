@@ -241,15 +241,13 @@ class TestObjective:
 
     @pytest.mark.parametrize("player", [0, 1])
     def test_each_player_pushes_its_way(self, player):
-        """In the fixed-variance linear case with no hinge and no KL_xi,
-        one small twin step (player 1, descending max_loss) raises the
-        surrogate M, and one small min-player step lowers the objective."""
+        """In the linear case with no hinge and no KL_xi, one small twin
+        step (player 1, descending max_loss) raises the surrogate M, and
+        one small min-player step lowers the objective."""
         data = generate(SynthConfig(d=2, seed=3), 64)
-        cfg = TrainConfig(rep_dim=3, hidden=(), fixed_var=0.3, sep_weight=0.0,
-                          adversary_kl=False)
+        cfg = TrainConfig(rep_dim=3, hidden=(), sep_weight=0.0, adversary_kl=False)
         init, noise = keyed(cfg.seed, ROLE_TRAIN, 0), keyed(cfg.seed, ROLE_TRAIN, 2)
-        enc_c = GaussianEncoder(data.x.shape[1], rep_dim=3, hidden=(), rng=init,
-                                fixed_var=0.3, prefix="enc_c")
+        enc_c = GaussianEncoder(data.x.shape[1], rep_dim=3, hidden=(), rng=init, prefix="enc_c")
         enc_cbar = clone_perturbed(enc_c, init, scale=0.01)
         head = LinearHead(3, rng=init)
         game, prior = _Game(enc_c, enc_cbar, head), GaussianPrior.standard(3)
@@ -348,8 +346,8 @@ def tiny_data(n=256, seed=0):
 
 SMALL = dict(rep_dim=4, hidden=(8, 6), batch_size=16)
 
-# a config whose factual encoder overflows its first hidden layer at step 4
-CRAFTED = TrainConfig(total_steps=300, lr_min=1000.0, fixed_var=0.1, seed=3, **SMALL)
+# a config whose factual encoder overflows its output layer at step 4
+CRAFTED = TrainConfig(total_steps=300, lr_min=1000.0, seed=5, **SMALL)
 
 
 def crafted_data():
@@ -406,7 +404,7 @@ class TestTrainLoop:
 
     def test_separable_data_reaches_low_error(self):
         cfg = TrainConfig(total_steps=400, lr_min=0.05, variant="casn_minus_m",
-                          lam=0.001, fixed_var=0.001, seed=5, **SMALL)
+                          lam=0.001, seed=5, **SMALL)
         result = train(tiny_data(), cfg)
         assert result.risk.sf < 0.05
 
@@ -424,7 +422,7 @@ class TestTrainLoop:
             with pytest.raises(TrainingDiverged) as info:
                 train(crafted_data(), CRAFTED)
         assert str(info.value) == ("training diverged at step 4: "
-                                   "enc_c.mean layer 1 produced a non-finite value")
+                                   "enc_c.mean layer 2 produced a non-finite value")
         assert info.value.step == 4 and len(info.value.trace) == 4
 
     def test_divergence_in_the_final_report_names_total_steps(self):
@@ -436,7 +434,7 @@ class TestTrainLoop:
             with pytest.raises(TrainingDiverged) as info:
                 train(crafted_data(), replace(CRAFTED, total_steps=4))
         assert str(info.value) == ("training diverged at step 4: "
-                                   "enc_c.mean layer 1 produced a non-finite value")
+                                   "enc_c.mean layer 2 produced a non-finite value")
         assert info.value.step == 4 and len(info.value.trace) == 4
 
     def test_log_var_overflow_in_the_last_update_names_total_steps(self, monkeypatch):
@@ -559,7 +557,7 @@ class TestTrainLoop:
         ("seed", -1), ("lr_min", 0.0), ("lr_min", float("nan")), ("lr_max", float("inf")),
         ("lam", -0.1), ("sep_weight", -1.0), ("irm_weight", float("inf")),
         ("mmd_weight", float("nan")), ("momentum", 1.0), ("momentum", -0.1),
-        ("fixed_var", 0.0), ("fixed_var", float("nan")), ("seed", 2**64),
+        ("seed", 2**64),
     ])
     def test_config_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -590,7 +588,7 @@ class TestTrainLoop:
 
     def test_config_edges_stay_valid(self):
         TrainConfig(irm_anneal_iters=0, momentum=0.9, max_every=0, max_steps_per_phase=0,
-                    lam=0.0, sep_weight=0.0, delta=0.0, fixed_var=None, total_steps=0)
+                    lam=0.0, sep_weight=0.0, delta=0.0, total_steps=0)
 
     def test_largest_seed_trains(self):
         cfg = TrainConfig(total_steps=2, max_every=1, max_steps_per_phase=1, seed=2**64 - 1,
@@ -625,8 +623,7 @@ class TestModelRoundTrip:
         save_model(path, train(tiny_data(), cfg))
         meta = load_model(path)[3]
         # the run's config follows the shape metadata, in this order
-        assert list(meta) == ["in_dim", "rep_dim", "hidden", "fixed_var",
-                              "delta", "lam", "variant", "seed"]
+        assert list(meta) == ["in_dim", "rep_dim", "hidden", "delta", "lam", "variant", "seed"]
         assert (meta["delta"], meta["lam"], meta["variant"], meta["seed"]) == (
             "0.35", "0.02", "casn_minus_m", "13")
 

@@ -40,7 +40,7 @@ def reference_train(data, config, domains):
     batches = keyed(config.seed, ROLE_TRAIN, 1)
     noise = keyed(config.seed, ROLE_TRAIN, 2)
     enc_c = GaussianEncoder(in_dim, rep_dim=config.rep_dim, hidden=config.hidden,
-                            rng=init, fixed_var=config.fixed_var, prefix="enc_c")
+                            rng=init, prefix="enc_c")
     enc_cbar = clone_perturbed(enc_c, init, scale=0.01)
     head = LinearHead(config.rep_dim, rng=init)
     prior = GaussianPrior.standard(config.rep_dim)
@@ -81,7 +81,7 @@ def reference_train(data, config, domains):
 KNOBS = {
     "defaults": {},
     "mc2-adversary-kl": dict(mc_samples=2, adversary_kl=True),
-    "fixed-var-no-momentum": dict(fixed_var=0.3, momentum=0.0),
+    "no-momentum": dict(momentum=0.0),
     "no-hidden-layers": dict(hidden=()),
 }
 
