@@ -156,10 +156,15 @@ def assert_same(fused, reference, params):
             assert np.abs(a - b).max() <= RTOL * scale, p.name
 
 
-def encoder(seed=0, in_dim=4, rep=3, hidden=(7, 5), prefix="enc"):
+def encoder(seed=0, in_dim=4, rep=3, hidden=(7, 5), prefix="enc", var=None):
+    """An encoder whose learned log-variance is moved off its init: spread
+    over [-1, 1] per dimension, or, given `var`, the isotropic log(var)."""
     enc = GaussianEncoder(in_dim, rep_dim=rep, hidden=hidden,
                           rng=np.random.default_rng(seed), prefix=prefix)
-    enc.log_var.data = np.random.default_rng(seed + 50).uniform(-1.0, 1.0, rep)
+    if var is None:
+        enc.log_var.data = np.random.default_rng(seed + 50).uniform(-1.0, 1.0, rep)
+    else:
+        enc.log_var.data = np.full(rep, np.log(var))
     return enc
 
 
@@ -206,9 +211,10 @@ def test_mlp_matches_per_op_graph(hidden):
     assert len(enc.encode(x)[1](np.ones((9, 3)))) == len(params)
 
 
-def test_draw_matches_per_op_graph():
+@pytest.mark.parametrize("var", [None, 0.3])
+def test_draw_matches_per_op_graph(var):
     rng = np.random.default_rng(2)
-    enc = encoder()
+    enc = encoder(var=var)
     mean = leaf(rng, (6, 3))
     eps = rng.standard_normal((6, 3))
     weights = _same_weights(3, (6, 3))
@@ -218,9 +224,10 @@ def test_draw_matches_per_op_graph():
                 lambda: R.reduce_sum(R.mul(ref_draw(enc, mean, eps), weights())), params)
 
 
-def test_kl_matches_per_op_graph():
+@pytest.mark.parametrize("var", [None, 0.3])
+def test_kl_matches_per_op_graph(var):
     rng = np.random.default_rng(4)
-    enc = encoder()
+    enc = encoder(var=var)
     mean = leaf(rng, (6, 3))
     prior = GaussianPrior(rng.standard_normal(3), rng.uniform(0.5, 2.0, 3))
     params = posterior(enc, mean)
@@ -295,7 +302,7 @@ def test_mmd_penalty_matches_per_op_graph(sizes):
 # ---- the whole step objective ----
 
 def objective_parts(variant, mc_samples, saturated, delta, coincident=False,
-                    adversary_kl=False):
+                    adversary_kl=False, var=None):
     """casn_objective's arguments before the game on a 6-row batch,
     labels as -ytil; the two players' parameters (enc_c's and head.w;
     the twin's); and the game, which holds them in one flat buffer."""
@@ -303,11 +310,11 @@ def objective_parts(variant, mc_samples, saturated, delta, coincident=False,
     n, rep = 6, 3
     x = rng.standard_normal((n, 4))
     neg_ytil = 1.0 - rng.integers(0, 2, size=n) * 2.0
-    enc_c = encoder(seed=8, prefix="enc_c")
+    enc_c = encoder(seed=8, prefix="enc_c", var=var)
     if coincident:
         enc_cbar = clone_perturbed(enc_c, rng, scale=0.0)
     else:
-        enc_cbar = encoder(seed=9, prefix="enc_cbar")
+        enc_cbar = encoder(seed=9, prefix="enc_cbar", var=var)
     head = head_of(rep, saturated, seed=10)
     prior_c = GaussianPrior(rng.standard_normal(rep), rng.uniform(0.5, 2.0, rep))
     prior_cbar = GaussianPrior.standard(rep)
@@ -327,13 +334,14 @@ PENALTY = dict(domain_rows=TWO_DOMAINS, penalty_weight=0.3)
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("mc_samples", [1, 2])
+@pytest.mark.parametrize("var", [None, 0.3])
 @pytest.mark.parametrize("saturated", [False, True])
 @pytest.mark.parametrize("delta", [pytest.param(4.0, id="hinge-active"),
                                    pytest.param(0.0, id="hinge-inactive")])
-def test_objective_matches_per_op_graph(variant, mc_samples, saturated, delta):
+def test_objective_matches_per_op_graph(variant, mc_samples, var, saturated, delta):
     """Each player's loss and its gradient in each of that player's
-    parameters."""
-    args, players, game = objective_parts(variant, mc_samples, saturated, delta)
+    parameters, with the posteriors' log-variances spread or isotropic."""
+    args, players, game = objective_parts(variant, mc_samples, saturated, delta, var=var)
     for role in (0, 1):
         if variant == "casn_minus_m" and role == 1:
             assert casn_objective(*args, game)[1] is None
