@@ -200,6 +200,13 @@ class ExperimentSpec:
     ablation_margin: float = None
 
     def __post_init__(self):
+        for f in fields(self):  # a field holds its default (None for most) or its annotated type
+            value = getattr(self, f.name)
+            kind = {float: (int, float), tuple: (tuple, list)}.get(f.type, f.type)
+            if isinstance(value, bool) or not (value is f.default or isinstance(value, kind)):
+                raise ConfigError(f"{f.name} must be a {f.type.__name__}, got {value!r}")
+        if "#" in self.name or " ".join(self.name.split()) != self.name:  # it must read back
+            raise ConfigError(f"name must be single-spaced words with no '#', got {self.name!r}")
         for key in _GRID_PARSERS:  # an absent list is the [train] value alone
             value = getattr(self, f"grid_{key}")
             value = (getattr(self.train, key),) if value is None else tuple(value)

@@ -16,7 +16,7 @@ vjps into one loss node per player; there are no per-term graph nodes.
 Two differentiable surrogates stand in for the indicator quantities:
 
 * sufficiency surrogate: mean softplus(-ytil * w.c), ytil = 2y - 1,
-* agreement surrogate:   mean of p*q + (1-p)*(1-q) over draw pairs,
+* agreement surrogate:   mean over rows of p*q + (1-p)*(1-q),
   p = sigmoid(w.c), q = sigmoid(w.cbar),
 
 both of which approach the indicators as |w.c| grows.
@@ -161,23 +161,18 @@ class GaussianEncoder:
         return mean, np.broadcast_to(var, mean.shape)
 
     def draw(self, mean, eps):
-        """(value, vjp) of the reparameterized draws mean + sd * eps from
-        a posterior-mean array; vjp maps the gradient at the draws to the
-        gradients of (mean, log_var).  eps of shape (n, rep_dim) gives
-        one draw per row, (draws, n, rep_dim) every draw's rows,
-        draw-major, as one (draws * n, rep_dim) array."""
-        shape = mean.shape
-        draws = np.asarray(eps, dtype=np.float64)
-        if draws.ndim not in (2, 3) or draws.shape[-2:] != shape:
-            raise ValueError(f"eps shape {draws.shape} does not fit mean shape {shape}")
-        draws = draws.reshape(-1, *shape)
+        """(value, vjp) of the reparameterized draw mean + sd * eps, one
+        per row of a posterior-mean array, eps of the mean's shape; vjp
+        maps the gradient at the draw to the gradients of (mean, log_var)."""
+        eps = np.asarray(eps, dtype=np.float64)
+        if eps.shape != mean.shape:
+            raise ValueError(f"eps shape {eps.shape} does not fit mean shape {mean.shape}")
         sd = np.exp(self.log_var.data * 0.5)
 
         def vjp(g):
-            g_mean = g if len(draws) == 1 else g.reshape(draws.shape).sum(axis=0)
-            return g_mean, (g * draws.reshape(g.shape)).sum(axis=0) * sd * 0.5
+            return g, (g * eps).sum(axis=0) * sd * 0.5
 
-        return (mean + draws * sd).reshape(-1, shape[1]), vjp
+        return mean + eps * sd, vjp
 
     def kl_node(self, mean, prior):
         """(value, vjp) of the mean-over-batch KL(q(.|x) || prior) on a

@@ -83,7 +83,6 @@ class TrainConfig:
     delta: float = 0.7
     lam: float = 0.01
     sep_weight: float = 0.1
-    mc_samples: int = 1
     variant: str = "casn"
     irm_weight: float = 0.001
     irm_anneal_iters: int = 1000
@@ -97,9 +96,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name, low in (("total_steps", 0), ("batch_size", 1), ("mc_samples", 1),
-                          ("rep_dim", 1), ("max_every", 0), ("max_steps_per_phase", 0),
-                          ("irm_anneal_iters", 0)):
+        for name, low in (("total_steps", 0), ("batch_size", 1), ("rep_dim", 1),
+                          ("max_every", 0), ("max_steps_per_phase", 0), ("irm_anneal_iters", 0)):
             integer(getattr(self, name), name, low)
         integer(self.seed, "seed", 0, SEED_MAX)  # the stream keys are uint64
         if not isinstance(self.hidden, (tuple, list)):
@@ -148,9 +146,9 @@ def _distances(a, b, op):
 def separation_penalty(c, c_bar, delta):
     """(value, vjp) of the mean squared hinge on the pairwise
     representation gap, mean over pairs of max(0, delta - ||c - cbar||_2)^2,
-    on paired representation rows; vjp gives the gradients of (c, c_bar),
-    vjp(g, twin=True) only c_bar's.  With the stabilizer of _distances,
-    coincident pairs cost (delta - 1e-9)^2 and have a gradient.
+    on paired representation rows; vjp gives the gradients of (c, c_bar).
+    With the stabilizer of _distances, coincident pairs cost
+    (delta - 1e-9)^2 and have a gradient.
     """
     if c.ndim != 2 or c.shape != c_bar.shape:
         raise ValueError(f"separation_penalty: {c.shape} vs {c_bar.shape}")
@@ -158,12 +156,12 @@ def separation_penalty(c, c_bar, delta):
     hinge = np.maximum(delta - dist, 0.0)
     scale = 1.0 / hinge.shape[0]
 
-    def vjp(g, twin=False):
+    def vjp(g):
         g_hinge = g * scale * hinge  # zero where the pair is far enough apart
         g_sq = -(g_hinge + g_hinge) * 0.5 / dist
         g_diff = g_sq[:, None] * diff
         g_diff = g_diff + g_diff
-        return -g_diff if twin else (g_diff, -g_diff)
+        return g_diff, -g_diff
 
     return (hinge * hinge).sum() * scale, vjp
 
@@ -297,7 +295,7 @@ def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, conf
     to make one, in the order: enc_c's layers, kl_c, the twin's layers,
     kl_cbar, the draws, SF, M, the hinge, the penalty, the sum.
 
-    eps_c / eps_cbar have shape (mc_samples, n, rep_dim).  casn_irm and
+    eps_c / eps_cbar have shape (n, rep_dim), one draw per row.  casn_irm and
     casn_mmd add their penalty, times penalty_weight (default: the
     config's irm_weight or mmd_weight), on the posterior means of the
     batch's domains: domain_rows lists each domain's positions in the
@@ -305,7 +303,6 @@ def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, conf
     """
     twin = config.variant != "casn_minus_m"
     w = head.w.data
-    labels = np.concatenate((neg_ytil,) * config.mc_samples)  # every draw's rows
     mean_c, mlp_c = enc_c.encode(x)
     kl_c, kl_c_vjp = enc_c.kl_node(mean_c, prior_c)
     _check("kl_node", kl_c)
@@ -318,7 +315,7 @@ def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, conf
     if twin:
         c_bar, draw_cbar = enc_cbar.draw(mean_cbar, eps_cbar)
         _check("draw", c_bar)
-    sf, sf_vjp = surrogate_sf(w, c, labels)
+    sf, sf_vjp = surrogate_sf(w, c, neg_ytil)
     _check("surrogate_sf", sf)
     parts = dict(sf=float(sf), m=0.0, kl_c=float(kl_c), kl_cbar=0.0, hinge=0.0, penalty=0.0)
     if twin:
@@ -343,7 +340,7 @@ def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, conf
             penalty, penalty_vjp = mmd_penalty(reps) if len(reps) > 1 else (0.0, None)
             op, weight = "mmd_penalty", config.mmd_weight
         else:
-            penalty, penalty_vjp = irm_penalty(w, reps, [labels[rows] for rows in domain_rows])
+            penalty, penalty_vjp = irm_penalty(w, reps, [neg_ytil[rows] for rows in domain_rows])
             op, weight = "irm_penalty", config.irm_weight
         _check(op, penalty)
         penalty_weight = weight if penalty_weight is None else penalty_weight
@@ -384,7 +381,7 @@ def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, conf
     def max_backward(g):
         g = -g
         g_mean, *g_log_var = draw_cbar(m_vjp(g, twin=True)
-                                       + hinge_vjp(g * config.sep_weight, twin=True))
+                                       + hinge_vjp(g * config.sep_weight)[1])
         if config.adversary_kl:
             kl_mean, kl_log_var = kl_cbar_vjp(g * config.lam)
             g_mean = g_mean + kl_mean
@@ -465,13 +462,12 @@ def train(data, config, domains=None):
     game = _Game(enc_c, enc_cbar, head)
     (theta_c, theta_cbar), (grad_c, grad_cbar) = game.theta, game.grad
     velocity, trace = None, []
-    shape = (config.mc_samples, config.batch_size, config.rep_dim)
     penalized = domains is not None and config.variant in ("casn_irm", "casn_mmd")
     codes = np.unique(domains, return_inverse=True)[1] if penalized else None  # ids 0, 1, ...
 
     def batch_objective():
         idx = batches.integers(0, n, size=config.batch_size)
-        eps_c, eps_cbar = noise.standard_normal((2, *shape))
+        eps_c, eps_cbar = noise.standard_normal((2, config.batch_size, config.rep_dim))
         rows = None
         if codes is not None:
             # positions in the batch, not row ids: batches draw with replacement
@@ -511,7 +507,7 @@ def train(data, config, domains=None):
             step = config.total_steps
             report_n = min(n, 2000)
             risk = estimate_risk(x_all[:report_n], y_all[:report_n], enc_c, enc_cbar, head,
-                                 mc_samples=32, seed=config.seed,
+                                 32, seed=config.seed,  # 32 Monte Carlo draws per row
                                  prior_c=prior, prior_cbar=prior)
         except FloatingPointError as exc:
             raise TrainingDiverged(step, trace, exc) from exc

@@ -253,7 +253,7 @@ def test_criterion_6_gradient_integrity():
         if seed % 5 == 0:  # the step losses on 20 seeds, each variant 5 times
             twin = GaussianEncoder(2, rep_dim=rep, hidden=(4, 3), rng=rng, prefix="enc_twin")
             ytil = rng.integers(0, 2, size=3) * 2.0 - 1.0
-            eps_c, eps_cbar = rng.standard_normal((2, 1, 3, rep))
+            eps_c, eps_cbar = rng.standard_normal((2, 3, rep))
             config = TrainConfig(variant=VARIANTS[seed // 5 % len(VARIANTS)], rep_dim=rep,
                                  hidden=(4, 3), delta=delta)
             # one game, outside the losses: each check_gradients probe

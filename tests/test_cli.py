@@ -94,6 +94,11 @@ class TestFlatConfig:
         assert_malformed("lam = 0.5\nfixed_var = 0.1\n", 2, "unknown key 'fixed_var'")
         assert_malformed("fixed_var = none\n", 1, "unknown key 'fixed_var'")
 
+    def test_an_mc_samples_line_is_an_unknown_key(self):
+        # a training step takes one draw per row; the multi-draw option is gone
+        assert_malformed("lam = 0.5\nmc_samples = 2\n", 2, "unknown key 'mc_samples'")
+        assert_malformed("mc_samples = 1\n", 1, "unknown key 'mc_samples'")
+
     @pytest.mark.parametrize("value", ["8,,6", ",", "8, 6,", ", 8"])
     def test_empty_list_item_is_refused(self, value):
         assert_malformed(f"lam = 0.5\nhidden = {value}\n", 2, f"empty item in {value!r}")
@@ -210,6 +215,24 @@ class TestExperimentSpec:
     def test_duplicate_grid_value(self):
         with pytest.raises(ConfigError, match="duplicate values"):
             parse_config("[grid]\nseed = 0, 0\n")
+
+    @pytest.mark.parametrize("field, value", [
+        ("dcor_sn_min", True), ("dcor_sn_min", "0.75"), ("dcor_gap_min", 1),
+        ("ablation_margin", -0.5), ("name", "a b\nc"), ("name", "a#b"), ("name", " x"),
+        ("name", "a  b"), ("name", 5), ("name", ""), ("name", "two words"),
+        ("grid_variant", "casn"), ("grid_variant", ["casn", "casn_irm"]), ("grid_seed", 5),
+        ("grid_delta", (0.5, 1)), ("train", "x"), ("train", TrainConfig(seed=4)),
+        ("synth", None), ("synth", SynthConfig(d=3)),
+    ])
+    def test_a_spec_holds_its_fields_to_their_types(self, field, value):
+        """Either the value is refused naming the field, or the spec reads
+        back from its own text."""
+        try:
+            spec = ExperimentSpec(**{field: value})
+        except ConfigError as exc:
+            assert str(exc).startswith(field), exc
+            return
+        assert parse_config(serialize_config(spec)) == spec
 
     def test_hash_ignores_formatting(self):
         a = config_hash(serialize_config(parse_config("[grid]\nseed = 1\n")))

@@ -94,30 +94,17 @@ def ref_separation(c, c_bar, delta):
 def ref_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config,
                   eps_c, eps_cbar, domain_rows=None, penalty_weight=None):
     y = (neg_ytil < 0).astype(np.int64)
-    s_draws = config.mc_samples
     mean_c = ref_mlp(enc_c, Tensor(x))
     kl_c = ref_kl(enc_c, mean_c, prior_c)
+    c = ref_draw(enc_c, mean_c, eps_c)
+    sf = ref_sf(head, c, y)
     if config.variant == "casn_minus_m":
-        sf = None
-        for k in range(s_draws):
-            term = ref_sf(head, ref_draw(enc_c, mean_c, eps_c[k]), y)
-            sf = term if sf is None else R.add(sf, term)
-        sf = R.mul(sf, 1.0 / s_draws)
         return R.add(sf, R.mul(kl_c, config.lam)), None
     mean_cbar = ref_mlp(enc_cbar, Tensor(x))
     kl_cbar = ref_kl(enc_cbar, mean_cbar, prior_cbar)
-    sf = m = hinge = None
-    for k in range(s_draws):
-        c = ref_draw(enc_c, mean_c, eps_c[k])
-        c_bar = ref_draw(enc_cbar, mean_cbar, eps_cbar[k])
-        sf_k = ref_sf(head, c, y)
-        m_k = ref_m(head, c, c_bar)
-        h_k = ref_separation(c, c_bar, config.delta)
-        sf = sf_k if sf is None else R.add(sf, sf_k)
-        m = m_k if m is None else R.add(m, m_k)
-        hinge = h_k if hinge is None else R.add(hinge, h_k)
-    scale = 1.0 / s_draws
-    sf, m, hinge = R.mul(sf, scale), R.mul(m, scale), R.mul(hinge, scale)
+    c_bar = ref_draw(enc_cbar, mean_cbar, eps_cbar)
+    m = ref_m(head, c, c_bar)
+    hinge = ref_separation(c, c_bar, config.delta)
     game = R.add(R.add(R.add(m, sf), R.mul(kl_c, config.lam)),
                  R.mul(hinge, config.sep_weight))
     if config.adversary_kl:
@@ -301,8 +288,7 @@ def test_mmd_penalty_matches_per_op_graph(sizes):
 
 # ---- the whole step objective ----
 
-def objective_parts(variant, mc_samples, saturated, delta, coincident=False,
-                    adversary_kl=False, var=None):
+def objective_parts(variant, saturated, delta, coincident=False, adversary_kl=False, var=None):
     """casn_objective's arguments before the game on a 6-row batch,
     labels as -ytil; the two players' parameters (enc_c's and head.w;
     the twin's); and the game, which holds them in one flat buffer."""
@@ -318,10 +304,10 @@ def objective_parts(variant, mc_samples, saturated, delta, coincident=False,
     head = head_of(rep, saturated, seed=10)
     prior_c = GaussianPrior(rng.standard_normal(rep), rng.uniform(0.5, 2.0, rep))
     prior_cbar = GaussianPrior.standard(rep)
-    eps_c = rng.standard_normal((mc_samples, n, rep))
-    eps_cbar = eps_c.copy() if coincident else rng.standard_normal((mc_samples, n, rep))
-    config = TrainConfig(variant=variant, mc_samples=mc_samples, rep_dim=rep, hidden=(7, 5),
-                         delta=delta, lam=0.3, sep_weight=0.7, adversary_kl=adversary_kl)
+    eps_c = rng.standard_normal((n, rep))
+    eps_cbar = eps_c.copy() if coincident else rng.standard_normal((n, rep))
+    config = TrainConfig(variant=variant, rep_dim=rep, hidden=(7, 5), delta=delta, lam=0.3,
+                         sep_weight=0.7, adversary_kl=adversary_kl)
     args = (x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config, eps_c, eps_cbar)
     players = ([*enc_c.parameters().values(), head.w], list(enc_cbar.parameters().values()))
     return args, players, train_module._Game(enc_c, enc_cbar, head)
@@ -333,15 +319,14 @@ PENALTY = dict(domain_rows=TWO_DOMAINS, penalty_weight=0.3)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("mc_samples", [1, 2])
 @pytest.mark.parametrize("var", [None, 0.3])
 @pytest.mark.parametrize("saturated", [False, True])
 @pytest.mark.parametrize("delta", [pytest.param(4.0, id="hinge-active"),
                                    pytest.param(0.0, id="hinge-inactive")])
-def test_objective_matches_per_op_graph(variant, mc_samples, var, saturated, delta):
+def test_objective_matches_per_op_graph(variant, var, saturated, delta):
     """Each player's loss and its gradient in each of that player's
     parameters, with the posteriors' log-variances spread or isotropic."""
-    args, players, game = objective_parts(variant, mc_samples, saturated, delta, var=var)
+    args, players, game = objective_parts(variant, saturated, delta, var=var)
     for role in (0, 1):
         if variant == "casn_minus_m" and role == 1:
             assert casn_objective(*args, game)[1] is None
@@ -350,10 +335,8 @@ def test_objective_matches_per_op_graph(variant, mc_samples, var, saturated, del
                     lambda: ref_objective(*args, **PENALTY)[role], players[role])
 
 
-@pytest.mark.parametrize("mc_samples", [1, 2])
-def test_objective_matches_per_op_graph_on_coincident_pairs(mc_samples):
-    args, players, game = objective_parts("casn", mc_samples, False, 1.1,
-                                          coincident=True)
+def test_objective_matches_per_op_graph_on_coincident_pairs():
+    args, players, game = objective_parts("casn", False, 1.1, coincident=True)
     for role in (0, 1):
         assert_same(lambda: casn_objective(*args, game)[role],
                     lambda: ref_objective(*args)[role], players[role])
@@ -376,11 +359,10 @@ def term_graph(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, config, 
     gradient sums the fused losses reproduce.  Returns (objective, its
     negation or None)."""
     w = head.w
-    labels = np.tile(neg_ytil, config.mc_samples)
     mean_c = R.node("encode", mlp_params(enc_c), enc_c.encode(x))
     kl_c = R.node("kl_node", posterior(enc_c, mean_c), enc_c.kl_node(mean_c.data, prior_c))
     c = R.node("draw", posterior(enc_c, mean_c), enc_c.draw(mean_c.data, eps_c))
-    sf = R.node("surrogate_sf", [c, w], surrogate_sf(w.data, c.data, labels))
+    sf = R.node("surrogate_sf", [c, w], surrogate_sf(w.data, c.data, neg_ytil))
     if config.variant == "casn_minus_m":
         return chain_sum([(sf, 1.0), (kl_c, config.lam)]), None
     mean_cbar = R.node("encode", mlp_params(enc_cbar), enc_cbar.encode(x))
@@ -416,16 +398,14 @@ def player_grad_bytes(loss, params):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("mc_samples", [1, 3])
 @pytest.mark.parametrize("adversary_kl", [False, True])
-def test_objective_sum_node_is_the_generic_chain_bytewise(variant, mc_samples, adversary_kl):
+def test_objective_sum_node_is_the_generic_chain_bytewise(variant, adversary_kl):
     """Each player's loss node is, to the byte in its value and in every
     gradient of its player's parameters, the term graph: one node per
     term summed by generic nodes, the twin's through a neg node.  So the
     fused backward adds the terms' contributions in the order that
     graph's walk adds them, for every variant."""
-    args, players, game = objective_parts(variant, mc_samples, False, 4.0,
-                                          adversary_kl=adversary_kl)
+    args, players, game = objective_parts(variant, False, 4.0, adversary_kl=adversary_kl)
     fused = casn_objective(*args, game, **PENALTY)[:2]
     graph = term_graph(*args, **PENALTY)
     for role in (0, 1):
@@ -439,26 +419,23 @@ def test_objective_sum_node_is_the_generic_chain_bytewise(variant, mc_samples, a
 
 # ---- each player's loss: one node over its own parameters ----
 
-def step_losses(variant, mc_samples, adversary_kl):
+def step_losses(variant, adversary_kl):
     """Fresh parameters and the (min, max) step losses as train() builds
     them on a batch of two domains, the irm and mmd penalties included;
     returns the losses and the two players' parameters."""
-    args, players, game = objective_parts(variant, mc_samples, False, 4.0,
-                                          adversary_kl=adversary_kl)
+    args, players, game = objective_parts(variant, False, 4.0, adversary_kl=adversary_kl)
     min_loss, max_loss, _ = casn_objective(*args, game, **PENALTY)
     return (min_loss, max_loss), players
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("mc_samples", [1, 2])
 @pytest.mark.parametrize("adversary_kl", [False, True])
 @pytest.mark.parametrize("player", [0, 1], ids=["min", "max"])
-def test_backward_wrt_gives_each_player_the_full_gradient_bytes(variant, mc_samples,
-                                                               adversary_kl, player):
+def test_backward_wrt_gives_each_player_the_full_gradient_bytes(variant, adversary_kl, player):
     """A loss's parents are exactly its player's parameters, so its
     backward gives each of them a gradient and never reaches the other
     player."""
-    losses, players = step_losses(variant, mc_samples, adversary_kl)
+    losses, players = step_losses(variant, adversary_kl)
     if losses[player] is None:
         assert variant == "casn_minus_m"
         return
@@ -487,36 +464,21 @@ def test_objective_graph_is_small():
     input x is data, not a leaf."""
     for variant in VARIANTS:
         for adversary_kl in (True, False):
-            args, _, game = objective_parts(variant, 1, False, 1.1, adversary_kl=adversary_kl)
+            args, _, game = objective_parts(variant, False, 1.1, adversary_kl=adversary_kl)
             min_loss, max_loss, _ = casn_objective(*args, game, **PENALTY)
             assert graph_size(min_loss) == 9, variant
             assert max_loss is None or graph_size(max_loss) == 8, variant
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("adversary_kl", [False, True])
-def test_more_draws_add_no_nodes(variant, adversary_kl):
-    """Each draw term is computed once over every draw's rows."""
-    sizes = []
-    for mc_samples in (1, 3):
-        args, _, game = objective_parts(variant, mc_samples, False, 1.1,
-                                        adversary_kl=adversary_kl)
-        losses = casn_objective(*args, game, **PENALTY)[:2]
-        sizes.append([None if loss is None else graph_size(loss) for loss in losses])
-    assert sizes[0] == sizes[1] == [9, None if variant == "casn_minus_m" else 8]
-
-
 @pytest.mark.parametrize("variant", ["casn", "casn_irm", "casn_mmd"])
-@pytest.mark.parametrize("mc_samples", [1, 2])
 @pytest.mark.parametrize("adversary_kl", [False, True])
-def test_twin_descends_the_negated_objective(variant, mc_samples, adversary_kl):
+def test_twin_descends_the_negated_objective(variant, adversary_kl):
     """max_loss is min_loss negated to the bit, and the twin's gradient
     from it is the negation of the twin's gradient of the objective, as
     the term graph gives it."""
     grads = []
     for role in (0, 1):
-        args, players, game = objective_parts(variant, mc_samples, False, 4.0,
-                                              adversary_kl=adversary_kl)
+        args, players, game = objective_parts(variant, False, 4.0, adversary_kl=adversary_kl)
         losses = casn_objective(*args, game, **PENALTY)[:2]
         loss = losses[1] if role else term_graph(*args, **PENALTY)[0]
         loss.backward()
@@ -723,7 +685,7 @@ def test_non_finite_delta_is_refused():
 def test_twin_overflow_is_named_after_the_ops_before_it(plant, op):
     """A twin layer that overflows with a later enc_c layer or kl_c is
     reported after them: enc_c, kl_c and then the twin run in turn."""
-    args, _, game = objective_parts("casn", 1, False, 1.1)
+    args, _, game = objective_parts("casn", False, 1.1)
     enc_c, enc_cbar = args[2:4]
     # in place, so each parameter stays in the flat buffer
     enc_cbar.biases[0].data[:] = np.inf

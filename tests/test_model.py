@@ -81,6 +81,12 @@ class TestEncoder:
         assert np.array_equal(enc.draw(enc.encode(x)[0], eps)[0],
                               enc.draw(enc.encode(x)[0], eps)[0])
 
+    def test_draw_takes_one_eps_row_per_mean_row(self):
+        enc = GaussianEncoder(4, rep_dim=3, rng=np.random.default_rng(5))
+        with pytest.raises(ValueError, match=r"^eps shape \(2, 5, 3\) does not fit mean "
+                                             r"shape \(5, 3\)$"):
+            enc.draw(np.zeros((5, 3)), np.zeros((2, 5, 3)))
+
     def test_reparameterized_gradient(self):
         rng = np.random.default_rng(7)
         enc = GaussianEncoder(3, rep_dim=2, hidden=(5, 4), rng=rng)

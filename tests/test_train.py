@@ -83,7 +83,7 @@ class TestMmdPenalty:
         # objective adds no penalty, and mmd_penalty refuses the one group
         x, y, enc_c, enc_cbar, head, prior, game = toy_parts()
         cfg = TrainConfig(variant="casn_mmd", rep_dim=2, hidden=(5, 4))
-        eps = np.zeros((1, 6, 2))
+        eps = np.zeros((6, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             parts = casn_objective(x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps, eps,
@@ -190,7 +190,7 @@ class TestObjective:
     def test_parts_and_losses(self):
         x, y, enc_c, enc_cbar, head, prior, game = toy_parts()
         cfg = TrainConfig(total_steps=1, rep_dim=2, hidden=(5, 4))
-        eps = np.zeros((1, 6, 2))
+        eps = np.zeros((6, 2))
         min_loss, max_loss, parts = casn_objective(
             x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps, eps, game)
         want = (parts["m"] + parts["sf"] + cfg.lam * (parts["kl_c"] + parts["kl_cbar"])
@@ -201,7 +201,7 @@ class TestObjective:
     def test_irm_without_domains_makes_the_batch_one_domain(self):
         x, y, enc_c, enc_cbar, head, prior, game = toy_parts()
         cfg = TrainConfig(variant="casn_irm", rep_dim=2, hidden=(5, 4))
-        eps = np.random.default_rng(9).standard_normal((1, 6, 2))
+        eps = np.random.default_rng(9).standard_normal((6, 2))
         params = [*enc_c.parameters().values(), *head.parameters().values()]
         seen = []
         for rows in (None, [np.arange(len(y))]):
@@ -222,7 +222,7 @@ class TestObjective:
         for adversary_kl in (True, False):
             x, y, enc_c, enc_cbar, head, prior, game = toy_parts(seed=1)
             rng = np.random.default_rng(10)
-            eps_c, eps_cbar = rng.standard_normal((2, 1, 6, 2))
+            eps_c, eps_cbar = rng.standard_normal((2, 6, 2))
             cfg = TrainConfig(rep_dim=2, hidden=(5, 4), variant=variant,
                               adversary_kl=adversary_kl)
             min_loss, max_loss, parts = casn_objective(
@@ -251,7 +251,7 @@ class TestObjective:
         enc_cbar = clone_perturbed(enc_c, init, scale=0.01)
         head = LinearHead(3, rng=init)
         game, prior = _Game(enc_c, enc_cbar, head), GaussianPrior.standard(3)
-        eps_c, eps_cbar = noise.standard_normal((2, cfg.mc_samples, 64, 3))
+        eps_c, eps_cbar = noise.standard_normal((2, 64, 3))
 
         def objective():
             return casn_objective(data.x, -_ytil(data.y), enc_c, enc_cbar, head, prior, prior,
@@ -269,7 +269,7 @@ class TestObjective:
     def test_ablation_never_touches_twin(self):
         x, y, enc_c, enc_cbar, head, prior, game = toy_parts(seed=2)
         cfg = TrainConfig(rep_dim=2, hidden=(5, 4), variant="casn_minus_m")
-        eps = np.zeros((1, 6, 2))
+        eps = np.zeros((6, 2))
         min_loss, max_loss, parts = casn_objective(
             x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps, eps, game)
         assert max_loss is None
@@ -284,8 +284,8 @@ class TestObjective:
         x, y, enc_c, enc_cbar, head, prior, game = toy_parts(seed=3)
         cfg = TrainConfig(rep_dim=2, hidden=(5, 4))
         rng = np.random.default_rng(8)
-        eps_c = rng.standard_normal((1, 6, 2))
-        eps_cbar = rng.standard_normal((1, 6, 2))
+        eps_c = rng.standard_normal((6, 2))
+        eps_cbar = rng.standard_normal((6, 2))
         players = ([*enc_c.parameters().values(), head.w], list(enc_cbar.parameters().values()))
         for role, params in enumerate(players):
             def loss():
@@ -293,23 +293,6 @@ class TestObjective:
                     x, y, enc_c, enc_cbar, head, prior, prior, cfg, eps_c, eps_cbar, game)[role]
 
             assert check_gradients(loss, params) < 1e-5
-
-    def test_multi_draw_average(self):
-        x, y, enc_c, enc_cbar, head, prior, game = toy_parts(seed=4)
-        cfg1 = TrainConfig(rep_dim=2, hidden=(5, 4), mc_samples=2)
-        rng = np.random.default_rng(9)
-        eps_c = rng.standard_normal((2, 6, 2))
-        eps_cbar = rng.standard_normal((2, 6, 2))
-        loss2, _, _ = casn_objective(
-            x, y, enc_c, enc_cbar, head, prior, prior, cfg1, eps_c, eps_cbar, game)
-        cfg_single = TrainConfig(rep_dim=2, hidden=(5, 4), mc_samples=1)
-        vals = []
-        for k in range(2):
-            lk, _, _ = casn_objective(
-                x, y, enc_c, enc_cbar, head, prior, prior, cfg_single,
-                eps_c[k : k + 1], eps_cbar[k : k + 1], game)
-            vals.append(lk.item())
-        assert abs(loss2.item() - np.mean(vals)) < 1e-12
 
     def test_benchmark_tracer_unpacks_the_signature_in_order(self):
         """perfbench/spans.py unpacks casn_objective's first eight
@@ -552,8 +535,8 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("field, value", [
         ("variant", "nope"), ("delta", -1.0), ("delta", float("nan")), ("batch_size", 0),
-        ("total_steps", -1), ("mc_samples", 0), ("rep_dim", 0), ("hidden", (8, 0)),
-        ("max_every", -1), ("max_steps_per_phase", -1), ("irm_anneal_iters", -1),
+        ("total_steps", -1), ("rep_dim", 0), ("max_every", -1), ("hidden", (8, 0)),
+        ("max_steps_per_phase", -1), ("irm_anneal_iters", -1),
         ("seed", -1), ("lr_min", 0.0), ("lr_min", float("nan")), ("lr_max", float("inf")),
         ("lam", -0.1), ("sep_weight", -1.0), ("irm_weight", float("inf")),
         ("mmd_weight", float("nan")), ("momentum", 1.0), ("momentum", -0.1),
@@ -568,11 +551,10 @@ class TestTrainLoop:
         (TrainConfig, "batch_size", 2.5, "batch_size must be an integer, got 2.5"),
         (TrainConfig, "max_every", 1.5, "max_every must be an integer, got 1.5"),
         (TrainConfig, "max_steps_per_phase", 2.0, "max_steps_per_phase must be an integer"),
-        (TrainConfig, "mc_samples", "2", "mc_samples must be an integer, got '2'"),
         (TrainConfig, "irm_anneal_iters", 0.5, "irm_anneal_iters must be an integer"),
         (TrainConfig, "rep_dim", 4.0, "rep_dim must be an integer, got 4.0"),
-        (TrainConfig, "hidden", (8, 2.5), "hidden width must be an integer, got 2.5"),
         (TrainConfig, "seed", 2.5, r"seed must be an integer in \[0, 18446744073709551615\]"),
+        (TrainConfig, "hidden", (8, 2.5), "hidden width must be an integer, got 2.5"),
         (SynthConfig, "d", 2.5, "d must be an integer, got 2.5"),
         (SynthConfig, "n_train", 100.0, "n_train must be an integer, got 100.0"),
         (SynthConfig, "n_eval", None, "n_eval must be an integer, got None"),

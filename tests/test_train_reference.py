@@ -48,11 +48,10 @@ def reference_train(data, config, domains):
     min_params = [*enc_c.parameters().values(), head.w]
     adv_params = list(enc_cbar.parameters().values())
     velocities, trace = {}, []
-    shape = (config.mc_samples, config.batch_size, config.rep_dim)
 
     def batch_objective(step):
         idx = batches.integers(0, n, size=config.batch_size)
-        eps_c, eps_cbar = noise.standard_normal((2, *shape))
+        eps_c, eps_cbar = noise.standard_normal((2, config.batch_size, config.rep_dim))
         batch_domains = domains[idx]
         rows = [np.flatnonzero(batch_domains == d) for d in np.unique(batch_domains)]
         warm = config.variant == "casn_irm" and step < config.irm_anneal_iters
@@ -80,7 +79,7 @@ def reference_train(data, config, domains):
 
 KNOBS = {
     "defaults": {},
-    "mc2-adversary-kl": dict(mc_samples=2, adversary_kl=True),
+    "adversary-kl": dict(adversary_kl=True),
     "no-momentum": dict(momentum=0.0),
     "no-hidden-layers": dict(hidden=()),
 }
