@@ -316,14 +316,18 @@ def objective_parts(variant, saturated, delta, coincident=False, adversary_kl=Fa
 # two domains at positions that interleave in the batch
 TWO_DOMAINS = [np.array([0, 2, 3]), np.array([1, 4, 5])]
 PENALTY = dict(domain_rows=TWO_DOMAINS, penalty_weight=0.3)
+# Every case draws once per row.  The axis keeps the ids these cases had
+# while the number of draws per row was a training option.
+ONE_DRAW = pytest.mark.parametrize("draws", [1])
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
+@ONE_DRAW
 @pytest.mark.parametrize("var", [None, 0.3])
 @pytest.mark.parametrize("saturated", [False, True])
 @pytest.mark.parametrize("delta", [pytest.param(4.0, id="hinge-active"),
                                    pytest.param(0.0, id="hinge-inactive")])
-def test_objective_matches_per_op_graph(variant, var, saturated, delta):
+def test_objective_matches_per_op_graph(variant, draws, var, saturated, delta):
     """Each player's loss and its gradient in each of that player's
     parameters, with the posteriors' log-variances spread or isotropic."""
     args, players, game = objective_parts(variant, saturated, delta, var=var)
@@ -335,7 +339,8 @@ def test_objective_matches_per_op_graph(variant, var, saturated, delta):
                     lambda: ref_objective(*args, **PENALTY)[role], players[role])
 
 
-def test_objective_matches_per_op_graph_on_coincident_pairs():
+@ONE_DRAW
+def test_objective_matches_per_op_graph_on_coincident_pairs(draws):
     args, players, game = objective_parts("casn", False, 1.1, coincident=True)
     for role in (0, 1):
         assert_same(lambda: casn_objective(*args, game)[role],
@@ -398,8 +403,9 @@ def player_grad_bytes(loss, params):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
+@ONE_DRAW
 @pytest.mark.parametrize("adversary_kl", [False, True])
-def test_objective_sum_node_is_the_generic_chain_bytewise(variant, adversary_kl):
+def test_objective_sum_node_is_the_generic_chain_bytewise(variant, draws, adversary_kl):
     """Each player's loss node is, to the byte in its value and in every
     gradient of its player's parameters, the term graph: one node per
     term summed by generic nodes, the twin's through a neg node.  So the
@@ -429,9 +435,11 @@ def step_losses(variant, adversary_kl):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
+@ONE_DRAW
 @pytest.mark.parametrize("adversary_kl", [False, True])
 @pytest.mark.parametrize("player", [0, 1], ids=["min", "max"])
-def test_backward_wrt_gives_each_player_the_full_gradient_bytes(variant, adversary_kl, player):
+def test_backward_wrt_gives_each_player_the_full_gradient_bytes(variant, draws, adversary_kl,
+                                                               player):
     """A loss's parents are exactly its player's parameters, so its
     backward gives each of them a gradient and never reaches the other
     player."""
@@ -471,8 +479,9 @@ def test_objective_graph_is_small():
 
 
 @pytest.mark.parametrize("variant", ["casn", "casn_irm", "casn_mmd"])
+@ONE_DRAW
 @pytest.mark.parametrize("adversary_kl", [False, True])
-def test_twin_descends_the_negated_objective(variant, adversary_kl):
+def test_twin_descends_the_negated_objective(variant, draws, adversary_kl):
     """max_loss is min_loss negated to the bit, and the twin's gradient
     from it is the negation of the twin's gradient of the objective, as
     the term graph gives it."""
