@@ -217,9 +217,12 @@ class ExperimentSpec:
             for v in value:  # each grid value must make a valid [train] config
                 replace(self.train, **{key: v})
             object.__setattr__(self, f"grid_{key}", value)
-        if not all(np.isfinite(getattr(self, key)) for key in _CHECK_KEYS
-                   if getattr(self, key) is not None):
-            raise ConfigError("acceptance thresholds must be finite")
+        for key in _CHECK_KEYS:  # held as a float, whose text reads back
+            value = getattr(self, key)
+            if value is not None:
+                if not abs(value) <= sys.float_info.max:  # nan, inf or an int past it
+                    raise ConfigError(f"{key}: acceptance thresholds must be finite")
+                object.__setattr__(self, key, float(value))
 
     def grid(self):
         """One TrainConfig per grid point, in delta x lam x variant x seed

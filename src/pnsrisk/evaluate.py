@@ -1,18 +1,29 @@
 """Representation diagnostics: distance correlation against the planted
 factors, plus plain and per-group label accuracy.
 
-Distance correlation is the biased sample statistic: double-center each
-pairwise Euclidean distance matrix, take dCov^2 as the mean of the
-entrywise product, and normalize by the geometric mean of the two
-dVar^2 terms.  It does not depend on scale, and each argument is first
+Distance correlation is the biased sample statistic of Szekely, Rizzo &
+Bakirov (2007), taken in row-mean form.  With D an argument's pairwise
+Euclidean distance matrix, r its row means and t its grand mean,
+
+    dCov^2(a, b) = mean(D_a * D_b) - 2 mean(r_a * r_b) + t_a * t_b,
+
+the mean entrywise product of the double-centered matrices, though no
+matrix is centered; dVar^2 is dCov^2 of an argument with itself, and the
+distance correlation is sqrt(dCov^2 / sqrt(dVar_a^2 dVar_b^2)), clamped
+to [0, 1].  It does not depend on scale, and each argument is first
 scaled exactly, by a power of two, so no finite input overflows or
-underflows: it is zero exactly when either argument is constant and lands
-in [0, 1] up to floating point, with each diagonal its exact 0.  A nan
+underflows: it is zero exactly when either argument is constant.  A nan
 or inf is refused, naming it.
 
-evaluate centers the representation's distance matrix and takes its
-dVar^2 once, and shares both across the four factors; every entrywise
-product goes through one scratch matrix.
+A one-column argument takes its distances as |b_i - b_j|; a wider one
+from one matrix product, |a_i|^2 + |a_j|^2 - 2 a_i.a_j, with its
+diagonal set to its exact 0.  A column of two distinct values forms no
+n x n matrix: its distances are gap * |z_i - z_j| for z the indicator
+of the larger value, so r, t and dVar^2 = t^2 follow from the count of
+z, and its cross term from one matrix-vector product (from counts,
+against another two-valued column).  evaluate builds the
+representation's part once and shares it across the four factors, of
+which sn, sf and nc are two-valued.
 """
 
 from __future__ import annotations
@@ -35,56 +46,93 @@ def _as_matrix(a):
     return a
 
 
-def _centered_distances(a, name):
-    """The double-centered Euclidean distance matrix of the rows of a,
-    built in place in one n x n array.  a is first scaled by a power of
-    two, which is exact, so that its largest entry lies in [0.5, 1): the
-    result is the same for any power-of-two multiple of a, and no entry
-    can overflow.  The diagonal is its exact 0, not a root of rounding
-    error.  A nan or inf in a raises ValueError naming it."""
+@dataclass(frozen=True)
+class _Part:
+    """One argument of distance correlation: its row means r, grand mean
+    t and dVar^2, with either its distance matrix d or, for a two-valued
+    column, the indicator z of its larger value and the gap between the
+    two values."""
+
+    r: np.ndarray
+    t: float
+    dvar: float
+    d: np.ndarray = None
+    z: np.ndarray = None
+    gap: float = 0.0
+
+
+def _part(a, name):
+    """The _Part of the rows of a.  a is first scaled by a power of two,
+    which is exact, so that its largest entry lies in [0.5, 1): the part
+    is the same for any power-of-two multiple of a, and no entry can
+    overflow.  A nan or inf in a raises ValueError naming it."""
     top = np.abs(a).max(initial=0.0)
     if not np.isfinite(top):
         raise ValueError(f"{name} holds a non-finite value")
     a = np.ldexp(a, -np.frexp(top)[1])
-    sq = (a * a).sum(axis=1)
-    d = a @ a.T
-    d *= 2.0
-    np.subtract(sq[:, None] + sq[None, :], d, out=d)
-    np.maximum(d, 0.0, out=d)
-    np.fill_diagonal(d, 0.0)  # rounding leaves up to about 1e-15 there
-    np.sqrt(d, out=d)
-    row = d.mean(axis=1, keepdims=True)
-    col = d.mean(axis=0, keepdims=True)
-    total = d.mean()
-    d -= row
-    d -= col
-    d += total
-    return d
+    n = len(a)
+    if a.shape[1] > 1 and (a == a[0]).all():
+        a = a[:, :1]  # its distances are exact zeros, not a product's rounding
+    if a.shape[1] == 1:
+        b = a[:, 0]
+        lo, hi = b.min(), b.max()
+        z = b == hi
+        if (z | (b == lo)).all():  # two values, or one
+            k = int(z.sum())
+            gap = float(hi - lo)
+            r = np.where(z, gap * (n - k) / n, gap * k / n)
+            t = gap * (2 * k * (n - k)) / (n * n)
+            return _Part(r, t, t * t, z=z, gap=gap)
+        d = np.subtract.outer(b, b)
+        np.abs(d, out=d)
+    else:
+        sq = np.einsum("ij,ij->i", a, a)
+        ones = np.ones(n)
+        d = np.column_stack((a, sq, ones)) @ np.column_stack((-2.0 * a, ones, sq)).T
+        np.maximum(d, 0.0, out=d)
+        np.fill_diagonal(d, 0.0)  # rounding leaves up to about 1e-15 there
+        np.sqrt(d, out=d)
+    r = d.mean(axis=1)
+    t = float(r.mean())
+    flat = d.ravel()
+    dvar = float(flat @ flat) / (n * n) - 2.0 * float(r @ r) / n + t * t
+    return _Part(r, t, dvar, d=d)
 
 
-def _dcor(ca, dvar_a, cb, scratch):
-    """Distance correlation from centered matrices, given dVar^2 of ca;
-    every entrywise product is formed in scratch."""
-    dvar_b = float(np.multiply(cb, cb, out=scratch).mean())
-    dcov2 = float(np.multiply(ca, cb, out=scratch).mean())
-    if dvar_a <= 0.0 or dvar_b <= 0.0:
+def _cross(p, q):
+    """The sum of D_p * D_q over all n^2 entries."""
+    if p.d is not None and q.d is not None:
+        return float(p.d.ravel() @ q.d.ravel())
+    if p.d is None and q.d is None:  # pairs that differ in both columns
+        both = int((p.z & q.z).sum())
+        only_p, only_q = int(p.z.sum()) - both, int(q.z.sum()) - both
+        neither = len(p.z) - both - only_p - only_q
+        return 2.0 * p.gap * q.gap * (both * neither + only_p * only_q)
+    if p.d is None:
+        p, q = q, p
+    g = p.d @ q.z.astype(np.float64)  # distances from each row to q's larger value
+    return 2.0 * q.gap * float(g[~q.z].sum())
+
+
+def _dcor(p, q):
+    """Distance correlation from the parts of its two arguments."""
+    if p.dvar <= 0.0 or q.dvar <= 0.0:
         return 0.0
-    return float(np.sqrt(max(dcov2, 0.0) / np.sqrt(dvar_a * dvar_b)))
+    n = len(p.r)
+    dcov2 = _cross(p, q) / (n * n) - 2.0 * float(p.r @ q.r) / n + p.t * q.t
+    return min(float(np.sqrt(max(dcov2, 0.0) / np.sqrt(p.dvar * q.dvar))), 1.0)
 
 
 def distance_correlation(a, b):
-    """Biased sample distance correlation between paired observations, the
-    same at any power-of-two scale of a or b; a nan or inf raises
-    ValueError naming a or b."""
+    """Biased sample distance correlation between paired observations, in
+    [0, 1] and the same at any power-of-two scale of a or b; a nan or inf
+    raises ValueError naming a or b."""
     a, b = _as_matrix(a), _as_matrix(b)
     if len(a) != len(b):
         raise ValueError(f"paired samples must align: {len(a)} vs {len(b)}")
     if len(a) < 2:
         raise ValueError("need at least two observations")
-    ca = _centered_distances(a, "a")
-    scratch = np.empty_like(ca)
-    dvar = float(np.multiply(ca, ca, out=scratch).mean())
-    return _dcor(ca, dvar, _centered_distances(b, "b"), scratch)
+    return _dcor(_part(a, "a"), _part(b, "b"))
 
 
 @dataclass(frozen=True)
@@ -103,18 +151,16 @@ class EvalReport:
 def evaluate(data, encoder, head):
     """EvalReport for an encoder/labeler pair on benchmark data.  One
     posterior mean gives the dcor reps and the labels (logit >= 0); the
-    reps are centered, and their dVar^2 taken, once for all four factors."""
+    reps' distance matrix, row means and dVar^2 are formed once for all
+    four factors."""
     reps, _ = encoder.encode_np(data.x)
     if len(reps) < 2:
         raise ValueError("need at least two observations")
     factors = factor_table(data)
     labels = head.logits_np(reps) >= 0.0
-    ca = _centered_distances(reps, "representation")
-    scratch = np.empty_like(ca)
-    dvar = float(np.multiply(ca, ca, out=scratch).mean())
+    rep = _part(_as_matrix(reps), "representation")
     # factor_table's columns come in the order of EvalReport's dcor fields
-    dcor = [_dcor(ca, dvar, _centered_distances(_as_matrix(column), "factor"), scratch)
-            for column in factors.T]
+    dcor = [_dcor(rep, _part(_as_matrix(column), "factor")) for column in factors.T]
     return EvalReport(*dcor, accuracy=float((labels == data.y).mean()), n=len(data))
 
 

@@ -10,6 +10,8 @@ below and compare values and gradients.  check_gradients compares a
 graph's reverse-mode gradients against central differences.  p_do and
 p_outcome are one-measure-per-call references, from a DiscreteScm's public
 fields, for the single walk behind pnsrisk.pns.analyze.
+distance_correlation is the double-centered form of the statistic that
+pnsrisk.evaluate takes in row-mean form.
 
 Broadcasting is limited to what the models and losses need: equal
 shapes, scalars, and a trailing-axis row broadcast of a (k,) vector
@@ -325,3 +327,34 @@ def p_do(scm, c, y):
 def p_outcome(scm, y):
     """Observational P(Y=y)."""
     return sum(scm.p_joint(c, y) for c in scm.c_values)
+
+
+# ---- distance correlation, double-centered ----
+
+def centered_distances(a):
+    """The double-centered Euclidean distance matrix of the rows of a
+    (a vector is one column), each distance the norm of a difference of
+    rows, after scaling a by a power of two so that its largest entry
+    lies in [0.5, 1)."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim == 1:
+        a = a[:, None]
+    a = np.ldexp(a, -np.frexp(np.abs(a).max(initial=0.0))[1])
+    d = np.zeros((len(a), len(a)))
+    for column in a.T:
+        diff = column[:, None] - column[None, :]
+        d += diff * diff
+    np.sqrt(d, out=d)
+    return d - d.mean(axis=1, keepdims=True) - d.mean(axis=0, keepdims=True) + d.mean()
+
+
+def distance_correlation(a, b):
+    """Biased sample distance correlation: dCov^2 is the mean entrywise
+    product of the two double-centered matrices, normalized by the
+    geometric mean of the two dVar^2 terms."""
+    ca, cb = centered_distances(a), centered_distances(b)
+    dvar_a, dvar_b = float((ca * ca).mean()), float((cb * cb).mean())
+    if dvar_a <= 0.0 or dvar_b <= 0.0:
+        return 0.0
+    dcov2 = float((ca * cb).mean())
+    return float(np.sqrt(max(dcov2, 0.0) / np.sqrt(dvar_a * dvar_b)))

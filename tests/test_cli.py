@@ -177,6 +177,18 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError, match="acceptance thresholds must be finite"):
             parse_config(f"[acceptance]\ndcor_gap_min = {value}\n")
 
+    @pytest.mark.parametrize("value", [2**53 + 1, 10**300])
+    def test_an_int_threshold_is_held_as_a_float(self, value):
+        spec = ExperimentSpec(dcor_sn_min=value)
+        assert type(spec.dcor_sn_min) is float and spec.dcor_sn_min == float(value)
+        assert parse_config(serialize_config(spec)) == spec
+
+    @pytest.mark.parametrize("value", [10**400, float("inf")])
+    def test_a_threshold_past_the_float_range_names_its_key(self, value):
+        with pytest.raises(ConfigError,
+                           match="^dcor_sn_min: acceptance thresholds must be finite$"):
+            ExperimentSpec(dcor_sn_min=value)
+
     def test_round_trip_is_normalization(self):
         messy = (
             "# comment\n[experiment]\nname = demo\n\n[synth]\n  s = 0.7\n"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from reference_ops import distance_correlation as reference_dcor
 
 from pnsrisk.evaluate import distance_correlation, evaluate, group_accuracy
 from pnsrisk.model import GaussianEncoder, LinearHead
@@ -90,7 +91,7 @@ class TestDistanceCorrelation:
             a = rng.standard_normal((n, int(rng.integers(1, 4))))
             b = rng.standard_normal((n, int(rng.integers(1, 4))))
             v = distance_correlation(a, b)
-            assert 0.0 <= v <= 1.0 + 1e-12
+            assert 0.0 <= v <= 1.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -183,8 +184,12 @@ class TestOverflow:
             report = evaluate(data, enc, LinearHead(4))
             with pytest.raises(ValueError, match="^representation holds a non-finite value$"):
                 evaluate(nan_row, BlockEncoder(0, 4), LinearHead(4))
-        assert (report.dcor_sn, report.dcor_sf, report.dcor_nc, report.dcor_sp) == (
-            0.3428554493937837, 0.30047637435108654, 0.3590429873279425, 0.23135389849387225)
+        dcor = (report.dcor_sn, report.dcor_sf, report.dcor_nc, report.dcor_sp)
+        assert dcor == (
+            0.3428554493937836, 0.30047637435108715, 0.35904298732794254, 0.23135389849387264)
+        reps, _ = enc.encode_np(data.x)
+        for value, column in zip(dcor, factor_table(data).T):
+            assert abs(value - reference_dcor(reps, column)) < 1e-13
         assert report.accuracy == 0.53125
 
     @pytest.mark.parametrize("side", ["a", "b"])
@@ -208,7 +213,8 @@ class TestOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert distance_correlation(x * 1e152, x[:, 0]) > 0.5
-            assert distance_correlation(x * 1e153, x[:, 0]) == 0.8224394217993378
+            assert distance_correlation(x * 1e153, x[:, 0]) == 0.8224394217993376
+        assert abs(0.8224394217993376 - reference_dcor(x * 1e153, x[:, 0])) < 1e-13
 
     def test_overflowing_dvar_product_names_both_arguments(self):
         # unscaled, each dVar^2 is finite at 1e80 and their product is not
@@ -252,8 +258,90 @@ class TestOverflow:
             value = distance_correlation(a, b)
             assert distance_correlation(np.ldexp(a, k), b) == value
             assert distance_correlation(a, np.ldexp(b, k)) == value
-        # a sample against itself can read one ulp above 1
-        assert 0.0 <= value <= 1.0 + 1e-12
+        assert 0.0 <= value <= 1.0
+
+
+def near_reference(value, a, b):
+    """value is within 1e-12 of the double-centered reference, and where
+    the two sum to under 1, within 1e-12 in the square: the square root's
+    slope is steep near 0 (see the exactly independent pair below)."""
+    want = reference_dcor(a, b)
+    return abs(value - want) * min(value + want, 1.0) <= 1e-12
+
+
+class TestReference:
+    """The row-mean form, and its two-valued route, against the
+    double-centered form in reference_ops."""
+
+    @PROPERTY
+    @given(data=st.data(), k=st.integers(-1000, 1000), j=st.integers(-1000, 1000))
+    def test_integer_samples(self, data, k, j):
+        # the matrix product gives integer rows their exact squared
+        # distances; integers also give ties, two-valued and constant columns
+        n = data.draw(st.integers(2, 80))
+        a, b = (data.draw(arrays(np.float64, (n, data.draw(st.integers(1, 5))),
+                                 elements=st.integers(-20, 20).map(float)))
+                for _ in range(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = distance_correlation(np.ldexp(a, k), np.ldexp(b, j))
+        assert near_reference(value, a, b)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 80), p=st.integers(1, 5),
+           q=st.integers(1, 5), k=st.integers(-1000, 1000))
+    def test_normal_samples(self, seed, n, p, q, k):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, p))
+        b = a[:, :1] ** 2 + rng.standard_normal((n, q))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = distance_correlation(np.ldexp(a, k), b)
+        assert near_reference(value, a, b)
+
+    def test_an_exactly_independent_pair_reads_near_zero(self):
+        # the sample's joint law is the product of its marginals, so dCov^2
+        # is 0; each form reads the rounding of its own sums, about 1e-16,
+        # and the square root lifts that to about 1e-8
+        a = np.repeat([0.0, 1.0, 2.0], 5)
+        b = np.tile([0.0, 1.0, 5.0, 2.0, 7.0], 3)
+        assert distance_correlation(a, b) < 1e-7
+        assert reference_dcor(a, b) < 1e-7
+
+    @pytest.mark.parametrize("levels", [(0.0, 1.0), (-3.0, 7.5)])
+    @pytest.mark.parametrize("side", ["a", "b", "both"])
+    def test_two_valued_columns(self, levels, side):
+        rng = np.random.default_rng(9)
+        wide = rng.standard_normal((120, 3))
+        column = np.where(wide[:, 0] + rng.standard_normal(120) > 0.5, levels[1], levels[0])
+        other = {"a": wide, "b": wide[:, 1], "both": (wide[:, 0] > 0).astype(float)}[side]
+        value = distance_correlation(column, other)
+        assert distance_correlation(other, column) == value
+        assert 0.05 < value < 1.0
+        assert abs(value - reference_dcor(column, other)) <= 1e-12
+
+    @pytest.mark.parametrize("constant", [
+        np.full(30, 0.3), np.full((30, 1), -7.0), np.full((30, 3), 0.3), np.zeros((30, 2))])
+    def test_constant_arguments_give_exactly_zero(self, constant):
+        rng = np.random.default_rng(10)
+        for other in (rng.standard_normal((30, 2)), rng.standard_normal(30),
+                      rng.integers(0, 2, 30), constant):
+            assert distance_correlation(constant, other) == 0.0
+            assert distance_correlation(other, constant) == 0.0
+            assert reference_dcor(constant, other) == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_synth_data_at_the_acceptance_size(self, seed):
+        data = generate(SynthConfig(seed=seed), 500)
+        enc = GaussianEncoder(data.x.shape[1], rep_dim=16, hidden=(64, 32),
+                              rng=np.random.default_rng(seed))
+        report = evaluate(data, enc, LinearHead(16, rng=np.random.default_rng(seed)))
+        reps, _ = enc.encode_np(data.x)
+        dcor = (report.dcor_sn, report.dcor_sf, report.dcor_nc, report.dcor_sp)
+        for value, column in zip(dcor, factor_table(data).T):
+            assert abs(value - reference_dcor(reps, column)) <= 1e-12
+            assert abs(distance_correlation(data.x, column)
+                       - reference_dcor(data.x, column)) <= 1e-12
 
 
 class TestGroupAccuracy:
