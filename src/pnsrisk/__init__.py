@@ -7,8 +7,9 @@ deviation bounds (`risk`).  Learned machinery: a small reverse-mode
 autodiff core (`autodiff`), Gaussian encoders and linear labelers
 (`model`), and the adversarial training loop (`train`).  Harness: the
 planted-factor synthetic benchmark (`synth`), distance-correlation
-evaluation (`evaluate`), and the `pnsrisk` command line (`cli`).  Every
-random draw comes from a keyed Philox stream (`streams`).
+evaluation (`evaluate`), and the `pnsrisk` command line (`cli`).  The
+trainer, the generator's rows, the deviation trial's pick and the Monte
+Carlo risk draws come from keyed Philox streams (`streams`).
 
 It re-exports each module's __all__ (no two share a name), so
 `pnsrisk.train` and `pnsrisk.evaluate` are functions, not modules.

@@ -249,8 +249,8 @@ def surrogate_m(w, c, c_bar):
     """(value, vjp) of the differentiable stand-in for the probability
     that the two routes agree in sign, on paired representation rows:
     the mean over pairs of p*q + (1-p)*(1-q), p = sigmoid(w.c),
-    q = sigmoid(w.cbar).  vjp gives the gradients of (c, c_bar, w);
-    vjp(g, twin=True) computes only c_bar's, the twin's."""
+    q = sigmoid(w.cbar).  vjp gives the gradients of (c, c_bar, w), for
+    both players: each takes its own elements."""
     if c.shape != c_bar.shape:
         raise ValueError(f"surrogate_m: {c.shape} vs {c_bar.shape}")
     # rows (p, q) and (1 - p, 1 - q): each elementwise op runs once for both
@@ -260,10 +260,8 @@ def surrogate_m(w, c, c_bar):
     scale = 1.0 / p.shape[0]
     out = (p * q + p1 * q1).sum() * scale
 
-    def vjp(g, twin=False):
+    def vjp(g):
         g = g * scale
-        if twin:
-            return ((g * p - g * p1) * q * q1)[:, None] * w
         # row 0 is (g*q - g*(1-q)) * p * (1-p), row 1 the same with p, q swapped
         g_zc, g_zb = (g * pq[::-1] - g * pq1[::-1]) * pq * pq1
         return g_zc[:, None] * w, g_zb[:, None] * w, c.T @ g_zc + c_bar.T @ g_zb

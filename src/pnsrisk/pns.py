@@ -5,13 +5,14 @@ variable U with known distribution, a cause table (either a marginal
 P(C) or a conditional P(C|U) when C is deliberately confounded), and a
 deterministic binary mechanism y = f(c, u).  Everything downstream is
 exact enumeration: interventions fix c and average over U; conditioning
-restricts U to the posterior given the observed (C, Y) event.
+divides a joint mass by the mass of the observed event.
 
 Quantities follow the standard causality-of-effects vocabulary:
 
 * PNS(c, cbar, y): probability that the cause is both sufficient and
-  necessary, P(f(c,U)=y and f(cbar,U)!=y) split into its two
-  conditional terms.
+  necessary, P(f(c,U)=y and f(cbar,U)!=y and C in {c, cbar}) split into
+  its two conditional terms; for a binary cause, P(f(c,U)=y and
+  f(cbar,U)!=y).
 * PN, PS: the ratio identification formulas that recover necessity and
   sufficiency from observational and interventional quantities when the
   cause is exogenous and the mechanism monotone.
@@ -67,7 +68,8 @@ class DiscreteScm:
     """Finite SCM with exogenous noise U and binary outcome.
 
     cause_table is either {c: P(C=c)} for an exogenous cause or
-    {u: {c: P(C=c|U=u)}} for a confounded one.  mechanism maps
+    {u: {c: P(C=c|U=u)}} for a confounded one.  u_probs and the cause
+    probabilities are kept as Python floats.  mechanism maps
     (c, u) to a label in {0, 1} and must be total.
     """
 
@@ -78,6 +80,7 @@ class DiscreteScm:
     mechanism: object = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "u_probs", tuple(float(p) for p in self.u_probs))
         if any(len(set(v)) != len(v) for v in (self.c_values, self.u_values)):
             raise ValueError("duplicate entries in c_values or u_values")
         if len(self.u_probs) != len(self.u_values):
@@ -146,36 +149,30 @@ def _conditional(joint, mass, c):
     return joint / mass
 
 
-def _posterior(weights, term, c, y):
-    """P(U | C=c, Y=y) from the event's weights over u, normalized over
-    every u (zero weights kept), and the event's mass."""
-    total = sum(weights)
-    if total <= 0.0:
-        raise UndefinedConditionalError(
-            f"{term}: conditioning event (C={c}, Y={y}) has zero probability")
-    return [w / total for w in weights], total
-
-
 def pns_exact(scm, c, c_bar, y):
     """Two-term counterfactual PNS.
 
     P(f(c,U)=y | C=cbar, Y!=y) * P(C=cbar, Y!=y)
       + P(f(cbar,U)!=y | C=c, Y=y) * P(C=c, Y=y)
 
-    Each conditional is computed from the exact noise posterior; a
+    Each term is the joint mass it equals: the sum of P(u) P(C=cbar|u),
+    then of P(u) P(C=c|u), over the u where f(c,u) = y != f(cbar,u).  A
     zero-probability conditioning event raises rather than vanishing.
     """
     _validate_query(scm, c, c_bar, y)
-    return _pns(_walk(scm, c, c_bar, y), c, c_bar, y)
+    rows = _walk(scm, c, c_bar, y)
+    joint_c, _, joint_cbar_ybar, *_ = _sums(rows)
+    return _pns(rows, joint_c, joint_cbar_ybar, c, c_bar, y)
 
 
-def _pns(rows, c, c_bar, y):
-    post, mass = _posterior([pu * pb if not hit_b else 0.0 for pu, _, hit_b, _, pb in rows],
-                            "sufficiency term", c_bar, 1 - y)
-    suff = sum(w for w, (_, hit_c, _, _, _) in zip(post, rows) if hit_c) * mass
-    post, mass = _posterior([pu * pc if hit_c else 0.0 for pu, hit_c, _, pc, _ in rows],
-                            "necessity term", c, y)
-    return suff + sum(w for w, (_, _, hit_b, _, _) in zip(post, rows) if not hit_b) * mass
+def _pns(rows, joint_c, joint_cbar_ybar, c, c_bar, y):
+    for term, mass, cause, label in (("sufficiency term", joint_cbar_ybar, c_bar, 1 - y),
+                                     ("necessity term", joint_c, c, y)):
+        if mass <= 0.0:
+            raise UndefinedConditionalError(
+                f"{term}: conditioning event (C={cause}, Y={label}) has zero probability")
+    return (sum((pu * pb for pu, hit_c, hit_b, _, pb in rows if hit_c and not hit_b), 0.0)
+            + sum((pu * pc for pu, hit_c, hit_b, pc, _ in rows if hit_c and not hit_b), 0.0))
 
 
 def pns_identified(scm, c, c_bar, y):
@@ -227,7 +224,8 @@ class PnsReport:
 
     pn and ps come from the ratio formulas and are reported raw; values
     escape [0, 1] when the identification assumptions fail, so a flag
-    is derived instead of clamping.
+    is derived instead of clamping.  The flag forgives _ATOL of rounding
+    on either side, as the monotone and exogeneity checks do.
     """
 
     pn: float
@@ -239,7 +237,7 @@ class PnsReport:
 
     @property
     def within_unit_range(self):
-        return 0.0 <= self.pn <= 1.0 and 0.0 <= self.ps <= 1.0
+        return all(-_ATOL <= v <= 1.0 + _ATOL for v in (self.pn, self.ps))
 
 
 def analyze(scm, c, c_bar, y):
@@ -253,7 +251,7 @@ def analyze(scm, c, c_bar, y):
     # each term in the order its error takes precedence
     pn = necessity_ratio(p_y, do_cbar, joint_c)
     ps = sufficiency_ratio(do_c, p_y, joint_cbar_ybar)
-    pns = _pns(rows, c, c_bar, y)
+    pns = _pns(rows, joint_c, joint_cbar_ybar, c, c_bar, y)
     given_c = _conditional(joint_c, mass_c, c)
     given_cbar = _conditional(joint_cbar, mass_cbar, c_bar)
     report = PnsReport(pn, ps, pns, given_c - given_cbar, _monotone(rows),

@@ -1,9 +1,9 @@
 """Keyed Philox streams: the one place where random keys are laid out.
 
-Every random draw in the package comes from a counter-based Philox4x64-10
-generator whose 128-bit key is (seed ^ role, index).  A stream depends
-only on its key, so any sample, lane or trial can be redrawn on its own,
-whatever the batch order.
+Each consumer below draws from a counter-based Philox4x64-10 generator
+whose 128-bit key is (seed ^ role, index).  A stream depends only on its
+key, so any sample, lane or trial can be redrawn on its own, whatever the
+batch order.
 
 Roles, one per consumer, so no two consumers share a key for any seeds
 they are given:

@@ -299,7 +299,7 @@ def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, conf
     casn_mmd add their penalty, times penalty_weight (default: the
     config's irm_weight or mmd_weight), on the posterior means of the
     batch's domains: domain_rows lists each domain's positions in the
-    batch, and None makes the whole batch one domain.
+    batch, as train() finds them (one domain when it has no domains).
     """
     twin = config.variant != "casn_minus_m"
     w = head.w.data
@@ -332,8 +332,6 @@ def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, conf
         value = sf + kl_c * config.lam
     penalty_vjp = None
     if config.variant in ("casn_irm", "casn_mmd"):
-        if domain_rows is None:
-            domain_rows = [np.arange(len(neg_ytil))]
         reps = [mean_c[rows] for rows in domain_rows]
         if config.variant == "casn_mmd":
             # one domain has no cross-domain pair: the penalty is a constant 0
@@ -380,8 +378,7 @@ def casn_objective(x, neg_ytil, enc_c, enc_cbar, head, prior_c, prior_cbar, conf
 
     def max_backward(g):
         g = -g
-        g_mean, *g_log_var = draw_cbar(m_vjp(g, twin=True)
-                                       + hinge_vjp(g * config.sep_weight)[1])
+        g_mean, *g_log_var = draw_cbar(m_vjp(g)[1] + hinge_vjp(g * config.sep_weight)[1])
         if config.adversary_kl:
             kl_mean, kl_log_var = kl_cbar_vjp(g * config.lam)
             g_mean = g_mean + kl_mean
@@ -427,8 +424,9 @@ def train(data, config, domains=None):
     """Run the alternating scheme on a benchmark dataset.
 
     data needs .x and .y arrays; domains, when given, holds a domain id
-    per row for the irm/mmd penalties (casn_mmd needs two distinct ids).
-    Every random draw comes from streams keyed by config.seed.
+    per row for the irm/mmd penalties (casn_mmd needs two distinct ids;
+    without domains, casn_irm's batch is one domain).  Every random draw
+    that reaches the result comes from streams keyed by config.seed.
 
     One failure rule: bad input raises ValueError before step 0, and the
     steps and the final risk report run under one np.errstate: numpy
@@ -462,8 +460,9 @@ def train(data, config, domains=None):
     game = _Game(enc_c, enc_cbar, head)
     (theta_c, theta_cbar), (grad_c, grad_cbar) = game.theta, game.grad
     velocity, trace = None, []
-    penalized = domains is not None and config.variant in ("casn_irm", "casn_mmd")
-    codes = np.unique(domains, return_inverse=True)[1] if penalized else None  # ids 0, 1, ...
+    codes = None
+    if config.variant in ("casn_irm", "casn_mmd"):  # ids 0, 1, ...; no domains is one domain
+        codes = np.unique(np.zeros(n) if domains is None else domains, return_inverse=True)[1]
 
     def batch_objective():
         idx = batches.integers(0, n, size=config.batch_size)

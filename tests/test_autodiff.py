@@ -132,6 +132,11 @@ class TestBackward:
         with pytest.raises(ValueError):
             x.backward()
 
+    def test_item_refuses_a_non_scalar(self):
+        with pytest.raises(ValueError) as info:
+            Tensor([1.0, 2.0]).item()
+        assert str(info.value) == "item() needs a size-1 tensor, got shape (2,)"
+
     def test_sigmoid_grad_at_zero(self):
         x = parameter([0.0])
         reduce_sum(sigmoid(x)).backward()

@@ -145,6 +145,11 @@ class TestEncoder:
                                                  "finite and positive$"):
                 GaussianPrior(np.array([0.0, mean, 0.0]), np.array([1.0, var, 1.0]))
 
+    def test_prior_mean_and_var_must_match(self):
+        with pytest.raises(ValueError) as info:
+            GaussianPrior(np.zeros(3), np.ones(2))
+        assert str(info.value) == "prior mean and var must be matching vectors"
+
 
 class TestHeadAndSurrogates:
     def test_tie_maps_to_one(self):

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from reference_ops import p_do, p_outcome
@@ -98,6 +101,17 @@ class TestPrimitives:
             pns_exact(cat_legs_scm, 2, 0, 1)
         with pytest.raises(ValueError):
             pns_exact(cat_legs_scm, 1, 0, 2)
+
+    @pytest.mark.parametrize("c_values, u_values, u_probs, message", [
+        ((0, 0), (0,), (1.0,), "duplicate entries in c_values or u_values"),
+        ((0, 1), (0, 0), (0.5, 0.5), "duplicate entries in c_values or u_values"),
+        ((0, 1), (0, 1), (1.0,), "u_probs must align with u_values"),
+    ])
+    def test_constructor_refuses_duplicates_and_misaligned_u_probs(self, c_values, u_values,
+                                                                    u_probs, message):
+        with pytest.raises(ValueError) as info:
+            DiscreteScm(c_values, u_values, u_probs, {0: 0.5, 1: 0.5}, lambda c, u: 0)
+        assert str(info.value) == message
 
     def test_probability_tables_validated(self):
         with pytest.raises(ValueError):
@@ -252,7 +266,8 @@ class TestOneWalk:
         assert report == report_from_primitives(CONFOUNDED, 1, 0, 1)
         assert (report.pn, report.ps, report.pns, report.identified_pns) == (
             0.2, 1.0000000000000002, 0.39999999999999997, 0.7)
-        assert report.monotone and not report.exogenous and not report.within_unit_range
+        # PS = (1 - 0.72) / 0.28 is 1 exactly, and 1 ulp above it in floats
+        assert report.monotone and not report.exogenous and report.within_unit_range
 
     @pytest.mark.parametrize("mechanism, query, error, message", [
         # the necessity ratio's zero joint is reported before the sufficiency ratio's
@@ -287,6 +302,55 @@ class TestOneWalk:
                 pns_identified(never, c, c_bar, 1)
             cause = c if c else c_bar
             assert str(info.value) == f"conditioning on C={cause}, which has zero probability"
+
+
+def exact_measures(scm, c, c_bar, y):
+    """In exact rationals on an exogenous model: PN and PS by the ratio
+    formulas, from its float probabilities with each distribution divided
+    by its sum; and PNS, the two joint masses of the floats as given."""
+    p_u = [Fraction(p) for p in scm.u_probs]
+    p_c = {v: Fraction(scm.cause_table[v]) for v in scm.c_values}
+    pns = sum(p * (p_c[c_bar] + p_c[c]) for p, u in zip(p_u, scm.u_values)
+              if scm.mechanism(c, u) == y != scm.mechanism(c_bar, u))
+    p_u = [p / sum(p_u) for p in p_u]
+    p_c = {v: p / sum(p_c.values()) for v, p in p_c.items()}
+
+    def mass(v, label):  # P(Y=label | do(v))
+        return sum(p for p, u in zip(p_u, scm.u_values) if scm.mechanism(v, u) == label)
+
+    p_y = sum(p_c[v] * mass(v, y) for v in scm.c_values)
+    pn = (p_y - mass(c_bar, y)) / (p_c[c] * mass(c, y))
+    ps = (mass(c, y) - p_y) / (p_c[c_bar] * mass(c_bar, 1 - y))
+    return pn, ps, pns
+
+
+class TestUnitRange:
+    def test_flag_matches_exact_arithmetic(self):
+        """On 5000 random identifiable models the flag reads in range
+        exactly when PN and PS, in exact rationals, lie in [0, 1]: rounding
+        alone never moves a ratio out (bounds of exactly 0 and 1 would
+        put 592 of these models out).  PNS, two sums of products, is
+        within 2 ulp of its exact value."""
+        rng = np.random.default_rng(0)
+        for _ in range(5000):
+            scm = random_identifiable_scm(rng)
+            report = analyze(scm, 1, 0, 1)
+            pn, ps, pns = exact_measures(scm, 1, 0, 1)
+            assert report.within_unit_range == (0 <= pn <= 1 and 0 <= ps <= 1)
+            assert abs(Fraction(report.pns) - pns) <= 2 * math.ulp(float(pns))
+
+    def test_report_of_a_numpy_built_model_holds_floats(self):
+        """random_identifiable_scm draws u_probs with numpy; the model keeps
+        them as floats, so every report field is a float or a bool and each
+        value line of format_report reads back with float()."""
+        scm = random_identifiable_scm(np.random.default_rng(0))
+        assert all(type(p) is float for p in scm.u_probs)
+        report = analyze(scm, 1, 0, 1)
+        values = [report.pn, report.ps, report.pns, report.identified_pns]
+        assert all(type(v) is float for v in values)
+        assert type(report.monotone) is bool and type(report.exogenous) is bool
+        lines = format_report(report).splitlines()
+        assert [float(line.split(" = ")[1]) for line in lines[:4]] == values
 
 
 class TestScmFile:

@@ -308,6 +308,24 @@ def test_domain_probabilities_validated(probs):
         DiscreteDomain((((0.0,), 0), ((1.0,), 1)), probs)
 
 
+@pytest.mark.parametrize("points, probs, message", [
+    ((((0.0,), 0), ((1.0,), 1)), (1.0,), "points and probs must align"),
+    ((((0.0,), 0), ((0.0,), 0)), (0.5, 0.5), "duplicate points in domain table"),
+    ((((0.0,), 0), ((1.0,), 2)), (0.5, 0.5), "label 2 outside {0, 1}"),
+])
+def test_domain_table_refusals(points, probs, message):
+    with pytest.raises(ValueError) as info:
+        DiscreteDomain(points, probs)
+    assert str(info.value) == message
+
+
+def test_estimate_risk_refuses_misaligned_rows():
+    with pytest.raises(ValueError) as info:
+        estimate_risk(np.zeros((3, 1)), np.array([0, 1]), ShiftEncoder(0.0), ShiftEncoder(0.0),
+                      identity_head())
+    assert str(info.value) == "x and y must align"
+
+
 class TestBetaDivergence:
     def two_point(self, p, q):
         pts = (((0.0,), 0), ((1.0,), 1))

@@ -196,6 +196,15 @@ class TestCsv:
         write_csv(p2, generate(cfg, 25))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        data = generate(SynthConfig(d=2, seed=8), 3)
+        path = tmp_path / "data.csv"
+        write_csv(path, data)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + ["", "  "] + lines[2:]) + "\n")
+        back = read_csv(path)
+        assert np.array_equal(back.x, data.x) and np.array_equal(back.y, data.y)
+
     def test_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -262,6 +271,11 @@ class TestInducedModels:
         cfg = SynthConfig()
         assert not check_exogeneity(feature_scm(cfg, "sf"), 1, 1)
         assert not check_exogeneity(feature_scm(cfg, "nc"), 1, 1)
+
+    def test_feature_scm_refuses_an_unknown_feature(self):
+        with pytest.raises(ValueError) as info:
+            feature_scm(SynthConfig(), "sp")
+        assert str(info.value) == "feature must be sf or nc, got 'sp'"
 
     def test_feature_scm_probabilities_total(self):
         scm = feature_scm(SynthConfig(), "sf")

@@ -199,18 +199,21 @@ class TestObjective:
         assert abs(max_loss.item() + min_loss.item()) < 1e-15
 
     def test_irm_without_domains_makes_the_batch_one_domain(self):
-        x, y, enc_c, enc_cbar, head, prior, game = toy_parts()
-        cfg = TrainConfig(variant="casn_irm", rep_dim=2, hidden=(5, 4))
-        eps = np.random.default_rng(9).standard_normal((6, 2))
-        params = [*enc_c.parameters().values(), *head.parameters().values()]
-        seen = []
-        for rows in (None, [np.arange(len(y))]):
-            min_loss, _, parts = casn_objective(x, y, enc_c, enc_cbar, head, prior, prior,
-                                                cfg, eps, eps, game, domain_rows=rows)
-            min_loss.backward()
-            seen.append((min_loss.data.tobytes(), parts, [p.grad.tobytes() for p in params]))
-        assert seen[0][1]["penalty"] > 0.0
-        assert seen[0] == seen[1]
+        """train() finds every batch's domains; without domains it gives
+        casn_irm one, so its run is the run of an all-zero domains array,
+        byte for byte."""
+        data = tiny_data(n=64)
+        cfg = TrainConfig(variant="casn_irm", total_steps=6, max_every=3,
+                          max_steps_per_phase=2, seed=7, **SMALL)
+        runs = [train(data, cfg), train(data, cfg, domains=np.zeros(len(data.y)))]
+        assert all(record.penalty > 0.0 for record in runs[0].trace)
+        assert repr(runs[0].trace) == repr(runs[1].trace)
+        assert repr(runs[0].risk) == repr(runs[1].risk)
+        params = [{**r.enc_c.parameters(), **r.enc_cbar.parameters(), **r.head.parameters()}
+                  for r in runs]
+        assert params[0].keys() == params[1].keys()
+        for name, p in params[0].items():
+            assert p.data.tobytes() == params[1][name].data.tobytes()
 
     @pytest.mark.parametrize("variant", ["casn", "casn_irm", "casn_mmd"])
     def test_adversary_kl_flag_changes_the_twin_gradient_only(self, variant):
@@ -390,6 +393,12 @@ class TestTrainLoop:
                           lam=0.001, seed=5, **SMALL)
         result = train(tiny_data(), cfg)
         assert result.risk.sf < 0.05
+
+    def test_domains_must_align_with_the_rows(self):
+        with pytest.raises(ValueError) as info:
+            train(tiny_data(n=8), TrainConfig(variant="casn_irm", total_steps=1, **SMALL),
+                  domains=np.zeros(7))
+        assert str(info.value) == "domains must align with the data rows"
 
     def test_divergence_aborts_with_trace(self):
         cfg = TrainConfig(total_steps=500, lr_min=1e18, seed=6, **SMALL)
@@ -630,6 +639,17 @@ class TestModelRoundTrip:
         save_checkpoint(path, {**params, "enc_c.extra": np.ones(2)}, meta=meta)
         with pytest.raises(ValueError, match="unexpected parameter enc_c.extra"):
             load_model(path)
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        from pnsrisk.model import load_checkpoint, save_checkpoint
+
+        path = tmp_path / "run.ckpt"
+        save_model(path, train(tiny_data(), TrainConfig(total_steps=0, **SMALL)))
+        params, meta = load_checkpoint(path)
+        save_checkpoint(path, {**params, "head.w": np.ones(5)}, meta=meta)
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: shape mismatch for head.w"
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         data = tiny_data()
