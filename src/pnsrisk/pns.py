@@ -17,8 +17,8 @@ Quantities follow the standard causality-of-effects vocabulary:
   sufficiency from observational and interventional quantities when the
   cause is exogenous and the mechanism monotone.
 * identified PNS: P(Y=y|C=c) - P(Y=y|C=cbar), the observational
-  difference that equals PNS under exogeneity plus monotonicity for a
-  binary cause.
+  difference that equals PNS for an exogenous binary cause when the
+  mechanism is monotone toward (c, y): no u has f(cbar,u) = y != f(c,u).
 
 Each query walks u_values once per call, one row per noise value, and
 takes every measure from those rows once, summed in u order.  Nothing is
@@ -186,13 +186,13 @@ def check_monotonicity(scm, c, c_bar, y):
     """True when one joint counterfactual direction carries no mass,
     i.e. P(f(c,U)=y and f(cbar,U)!=y) = 0 or its mirror is 0."""
     _validate_query(scm, c, c_bar, y)
-    return _monotone(_walk(scm, c, c_bar, y))
+    return min(_directions(_walk(scm, c, c_bar, y))) <= _ATOL
 
 
-def _monotone(rows):
-    up = sum(pu for pu, hit_c, hit_b, _, _ in rows if hit_c and not hit_b)
-    down = sum(pu for pu, hit_c, hit_b, _, _ in rows if not hit_c and hit_b)
-    return up <= _ATOL or down <= _ATOL
+def _directions(rows):
+    """The U-masses where f(c,u) = y != f(cbar,u) and where f(cbar,u) = y != f(c,u)."""
+    return (sum(pu for pu, hit_c, hit_b, _, _ in rows if hit_c and not hit_b),
+            sum(pu for pu, hit_c, hit_b, _, _ in rows if not hit_c and hit_b))
 
 
 def check_exogeneity(scm, c, y):
@@ -242,7 +242,7 @@ class PnsReport:
 
 def analyze(scm, c, c_bar, y):
     """Full PnsReport for one query on one model, each measure taken once
-    from one walk over the noise values."""
+    from one walk over the noise values; monotone: either direction is empty."""
     _validate_query(scm, c, c_bar, y)
     rows = _walk(scm, c, c_bar, y)
     joint_c, joint_cbar, joint_cbar_ybar, do_c, do_cbar, mass_c, mass_cbar = _sums(rows)
@@ -254,12 +254,12 @@ def analyze(scm, c, c_bar, y):
     pns = _pns(rows, joint_c, joint_cbar_ybar, c, c_bar, y)
     given_c = _conditional(joint_c, mass_c, c)
     given_cbar = _conditional(joint_cbar, mass_cbar, c_bar)
-    report = PnsReport(pn, ps, pns, given_c - given_cbar, _monotone(rows),
+    up, down = _directions(rows)
+    report = PnsReport(pn, ps, pns, given_c - given_cbar, min(up, down) <= _ATOL,
                        abs(do_c - given_c) <= _ATOL and abs(do_cbar - given_cbar) <= _ATOL)
-    if len(scm.c_values) == 2 and report.monotone and report.exogenous:
-        # for a binary cause the two conditional terms exhaust the
-        # observational difference, so the exact and identified values
-        # must coincide
+    if len(scm.c_values) == 2 and down <= _ATOL and report.exogenous:
+        # for an exogenous binary cause the observational difference is up - down:
+        # PNS = up when down is empty, so the two must coincide (not so if only up is)
         if not abs(report.pns - report.identified_pns) <= 1e-9:
             raise RuntimeError(
                 f"exact PNS {report.pns!r} and identified PNS {report.identified_pns!r} "

@@ -11,12 +11,13 @@ same label).  These satisfy the exact decomposition
 more usefully rearranged as  sf + nc = m + 2 * sf * nc  per sample,
 which the domain-shift bound exploits.
 
-Monte Carlo draws come from keyed Philox streams (pnsrisk.streams),
-keyed by (global seed ^ role, sample id).  The encoders run once per
-batch.  Each row keeps its own stream, so estimates do not depend on
-batch order and the same point receives the same draws in every domain
-that contains it; the draws are made and labeled a block of rows at a
-time through one re-keyed Philox per role (streams.keyed_rows).
+Monte Carlo draws come from keyed Philox streams (pnsrisk.streams), keyed
+by (global seed ^ role, sample id).  The head has no bias, so a label
+depends on c only through its logit w.c ~ N(mean @ w, var @ w**2)
+(_logit_law): each draw is one standard normal of that logit.  Each row
+keeps its own stream, so estimates do not depend on batch order and the
+same point receives the same draws in every domain that contains it; the
+draws are made and labeled a block of rows at a time (streams.keyed_rows).
 The seed and the sample ids are refused with a ValueError naming them
 unless each is an integer in [0, SEED_MAX].
 """
@@ -94,17 +95,19 @@ class RiskReport:
     mc_samples: int
 
 
+def _logit_law(head, mean, var):
+    """(logit, sd): each row's w.c ~ N(logit, sd**2) for c ~ N(mean, diag(var))."""
+    return mean @ head.w.data, np.sqrt(var @ head.w.data**2)
+
+
 def _labels(head, mean, var, mc_samples, seed, role, ids):
-    """(n, mc_samples) labels head(mu + sd * eps) >= 0 from posterior rows;
-    row i draws eps from its own stream (seed, role, ids[i])."""
-    n, rep = mean.shape
-    labels = np.empty((n, mc_samples), dtype=bool)
-    sd = np.sqrt(var)
-    for start, block in keyed_rows(seed, role, ids, "standard_normal", (mc_samples, rep)):
-        rows = slice(start, start + len(block))
-        block *= sd[rows, None]
-        block += mean[rows, None]
-        labels[rows] = (head.logits_np(block.reshape(-1, rep)) >= 0.0).reshape(-1, mc_samples)
+    """(n, mc_samples) labels of draws of c ~ N(mean, diag(var)), drawn as
+    logit + sd * z >= 0 (_logit_law); row i draws z from stream (seed, role, ids[i])."""
+    logit, sd = _logit_law(head, mean, var)
+    labels = np.empty((len(logit), mc_samples), dtype=bool)
+    for start, z in keyed_rows(seed, role, ids, "standard_normal", (mc_samples,)):
+        rows = slice(start, start + len(z))
+        labels[rows] = logit[rows, None] + sd[rows, None] * z >= 0.0
     return labels
 
 
@@ -135,8 +138,8 @@ def estimate_risk(x, y, enc_c, enc_cbar, head, mc_samples=_DEFAULT_MC, seed=0,
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = _ytil(y) > 0.0  # the 0/1 labels, checked, as booleans
-    if len(y) != len(x):
-        raise ValueError("x and y must align")
+    if y.shape != (len(x),):  # a column would broadcast against the draws
+        raise ValueError(f"y has shape {y.shape}, not one label per row ({len(x)},)")
     if not len(x):  # the report's means would be nan
         raise ValueError("estimate_risk needs at least one row")
     ids = range(len(x)) if sample_ids is None else list(sample_ids)
@@ -263,12 +266,10 @@ def domain_shift_bound(t, s, enc_c, enc_cbar, head, mc_samples=_DEFAULT_MC, seed
 
 
 def _wrong_mass(head, mean, var, y):
-    """Each row's exact P(sign(w.c) != y) for c ~ N(mean, diag(var)): the
-    logit w.c is N(mean @ w, var @ w**2), so the mass is one normal tail,
-    0.5 erfc(ytil (mean @ w) / (sqrt(2) sd)), ytil = 2y - 1.  A row with
-    sd = 0 takes its mean's label, the tie mean @ w = 0 mapping to 1."""
-    w = head.w.data
-    logit, sd = mean @ w, np.sqrt(var @ w**2)
+    """Each row's exact P(sign(w.c) != y) for c ~ N(mean, diag(var)): one normal tail
+    of its logit law (_logit_law), 0.5 erfc(ytil logit / (sqrt(2) sd)), ytil = 2y - 1.
+    A row with sd = 0 takes its mean's label, the tie logit = 0 mapping to 1."""
+    logit, sd = _logit_law(head, mean, var)
     # where sd = 0 the quotient is the mean's label, +inf for 1 and -inf for 0
     label = np.where(logit >= 0.0, math.inf, -math.inf)
     z = _ytil(y) * np.divide(logit, math.sqrt(2.0) * sd, out=label, where=sd > 0.0)
@@ -279,17 +280,16 @@ def sufficiency_deviation_trial(domain, enc, head, prior, n, epsilon, seed,
                                 slack_half=True, c_const=0.0):
     """One resample of the deviation experiment.
 
-    Draw n labeled points from the domain, one representation each, and
+    Draw n labeled points from the domain, one logit draw each, and
     compare the empirical error rate against the exact SF.  Returns
     (deviation, rhs, violated).
     """
     n = integer(n, "n", 2)  # before any encoding or drawing
-    gen = keyed(seed, ROLE_PICK, 0)
     support = domain.support()
     probs = np.array([domain.mass(p) for p in support])
-    picks = gen.choice(len(support), size=n, p=probs / probs.sum())
+    picks = keyed(seed, ROLE_PICK, 0).choice(len(support), size=n, p=probs / probs.sum())
     # each support point is encoded once, on its own, for its draws, its KL
-    # and the exact SF; pick j draws its one representation from stream j + 1
+    # and the exact SF; pick j draws its one logit from stream j + 1
     posts = [enc.encode_np(np.asarray(x, dtype=np.float64)[None, :]) for x, _ in support]
     mean, var = map(np.concatenate, zip(*posts))
     labels = np.array([y for _, y in support])

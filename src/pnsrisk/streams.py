@@ -11,8 +11,8 @@ they are given:
 * ROLE_TRAIN: the trainer's lanes, index 0 init, 1 batches, 2 noise.
 * ROLE_SYNTH: the generator's rows, index = row.
 * ROLE_PICK: the deviation trial's pick of support points (index 0).
-* ROLE_C, ROLE_CBAR: Monte Carlo draws of the factual and the
-  counterfactual representation, index = sample id.  Each row of a
+* ROLE_C, ROLE_CBAR: Monte Carlo draws of the logit of the factual and
+  of the counterfactual representation, index = sample id.  Each row of a
   batch keeps its own stream; the risk estimators encode the batch
   once and draw a block of rows at a time.
 
@@ -28,7 +28,7 @@ Two ways to read a stream, with the same values:
   index and fills that index's row with one call of a Generator method,
   so a stream costs a state write, not a new Generator; use it when
   many rows each draw from their own stream (the risk estimators'
-  standard_normal, 32 x 16 per row; the generator's random, tens per row).
+  standard_normal, 32 per row; the generator's random, tens per row).
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ ROLE_CBAR = np.uint64(0xC2B2AE3D27D4EB4F)
 # the largest seed a key word holds; the configs refuse seeds above it
 SEED_MAX = 2**64 - 1
 
-# rows per keyed_rows block: the risk estimators' 128 x 32 x 16 normals
-# are 0.5 MB, where one buffer for 2000 rows would hold three 8 MB temporaries
+# rows per keyed_rows block: the generator's 4 + 2 ceil(5d / 2) uniforms a row
+# are 0.5 MB a block at d = 100, where one buffer for 5000 rows is 20 MB
 _BLOCK_ROWS = 128
+_UNUSED_SEED = np.random.SeedSequence(0)
 
 
 def integer(value, name, low=None, high=None):
@@ -99,16 +100,15 @@ def keyed_rows(seed, role, indices, method, shape):
     block[j] holds keyed(seed, role, indices[start + j]).<method>(shape) for
     the Generator method named ("standard_normal", "random"); seed and
     indices must be integers in [0, SEED_MAX], checked by the caller.  A
-    counter-based stream depends only on its key, so one Philox set to
-    each key with the counter and buffer at zero serves every stream.
-    Each block overwrites the last.
+    counter-based stream depends only on its key, so one Philox set to each
+    key with the counter and buffer at zero serves every stream; the seed it
+    is built from, once per module, reaches no draw.  Each block overwrites the last.
     """
     keys = _keys(seed, role, list(indices))
-    bits = np.random.Philox(0)
+    bits = np.random.Philox(_UNUSED_SEED)
     fill = getattr(np.random.Generator(bits), method)
-    inner = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
-    state = {"bit_generator": "Philox", "state": inner, "buffer": np.zeros(4, dtype=np.uint64),
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state = bits.state  # a new Philox's: its counter and buffer at zero
+    inner = state["state"]
     buf = np.empty((min(_BLOCK_ROWS, len(keys)), *shape))
     for start in range(0, len(keys), _BLOCK_ROWS):
         block = buf[: len(keys) - start]

@@ -317,6 +317,18 @@ def test_oracle_prints_report(tmp_path, capsys):
     assert "pns = 0.5" in out and "monotone = true" in out
 
 
+def test_oracle_prints_a_query_monotone_the_other_way(tmp_path, capsys):
+    # f(0,.) = (0, 0, 1), f(1,.) = (0, 1, 1): exact PNS 0, identified -0.3
+    scm_path = tmp_path / "scm.txt"
+    scm_path.write_text("c_values 0 1\nu_values 0 1 2\nu_probs 0.3 0.3 0.4\nc_probs 0.5 0.5\n"
+                        "y 0 0 0\ny 0 1 0\ny 0 2 1\ny 1 0 0\ny 1 1 1\ny 1 2 1\n")
+    assert main(["oracle", "--scm", str(scm_path), "--c", "0", "--cbar", "1", "--y", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "pn = -0.7499999999999996\nps = -1.0000000000000002\npns = 0.0\n"
+        "identified_pns = -0.29999999999999993\nmonotone = true\nexogenous = true\n"
+        "within_unit_range = false\n")
+
+
 def test_oracle_bad_file_is_clean_error(tmp_path, capsys):
     scm_path = tmp_path / "scm.txt"
     scm_path.write_text("c_values 0 1\nbogus 3\n")

@@ -202,6 +202,33 @@ class TestIdentification:
         with pytest.raises(RuntimeError, match="disagree on an identifiable model"):
             analyze(cat_legs_scm, 1, 0, 1)
 
+    def test_monotone_the_other_way_is_reported(self):
+        # no u has f(0,u) = 1 != f(1,u): monotone, but toward (cbar, y), so
+        # the observational difference is minus the mirror mass, not PNS
+        scm = DiscreteScm(c_values=(0, 1), u_values=(0, 1, 2), u_probs=(0.3, 0.3, 0.4),
+                          cause_table={0: 0.5, 1: 0.5},
+                          mechanism=lambda c, u: ((0, 0, 1), (0, 1, 1))[c][u])
+        report = analyze(scm, 0, 1, 1)
+        assert report == report_from_primitives(scm, 0, 1, 1)
+        assert report.monotone and report.exogenous
+        assert report.pns == 0.0 and abs(report.identified_pns + 0.3) <= ATOL
+
+    def test_reversed_queries_on_identifiable_models_do_not_raise(self):
+        # random_identifiable_scm is monotone toward (1, 0, 1); the reversed
+        # query (0, 1, 1) is refused only when P(C=1, Y=0) is zero, and its
+        # exact and identified PNS differ wherever some u has f(1,u) = 1 != f(0,u)
+        rng = np.random.default_rng(0)
+        reports = []
+        for _ in range(5000):
+            scm = random_identifiable_scm(rng)
+            try:
+                reports.append(analyze(scm, 0, 1, 1))
+            except UndefinedConditionalError:
+                continue
+            assert reports[-1] == report_from_primitives(scm, 0, 1, 1)
+        assert len(reports) > 2000
+        assert sum(abs(r.pns - r.identified_pns) > 1e-9 for r in reports) > 1000
+
     def test_identified_can_disagree_without_monotonicity(self):
         scm = bernoulli_cause_scm(lambda c, u: c ^ u, p_u1=0.15)
         exact = pns_exact(scm, 1, 0, 1)

@@ -18,6 +18,7 @@ from pnsrisk.risk import (
     gaussian_kl,
     random_bound_instance,
     sufficiency_deviation_trial,
+    _logit_law,
     _risk_rows,
     _wrong_mass,
 )
@@ -40,15 +41,31 @@ class ShiftEncoder:
         return mean, np.full(mean.shape, self.sd**2)
 
 
+class FixedEncoder:
+    """An encoder that returns the given posterior rows, whatever the input."""
+
+    def __init__(self, mean, var):
+        self.mean, self.var = mean, var
+
+    def encode_np(self, x):
+        return self.mean[: len(x)], self.var[: len(x)]
+
+
+def ref_logit_draws(enc, head, x_row, size, seed, role, sample_id):
+    """size draws of the logit w.c of one row, c ~ N(mean, diag(var)) from
+    a one-row encode: the logit is N(mean @ w, var @ w**2), and its
+    standard normals come from the row's own new keyed Generator."""
+    mean, var = enc.encode_np(x_row)
+    logit, sd = mean @ head.w.data, np.sqrt(var @ head.w.data**2)
+    return logit[0] + sd[0] * keyed(seed, role, sample_id).standard_normal(size)
+
+
 def ref_sample_triple(x_row, y_i, enc_c, enc_cbar, head, mc_samples, seed, sample_id):
     """(sf, nc, m) of one row the per-row way: a one-row encode of each
-    encoder and the row's own keyed draws."""
+    encoder and the row's own keyed logit draws."""
 
     def labels(enc, role):
-        mean, var = enc.encode_np(x_row)
-        eps = keyed(seed, role, sample_id).standard_normal((mc_samples,) + mean.shape)
-        draws = mean[None] + np.sqrt(var)[None] * eps
-        return head.logits_np(draws.reshape(mc_samples, -1)) >= 0.0
+        return ref_logit_draws(enc, head, x_row, mc_samples, seed, role, sample_id) >= 0.0
 
     pred_c, pred_cbar = labels(enc_c, ROLE_C), labels(enc_cbar, ROLE_CBAR)
     a, b = float(pred_c.mean()), float(pred_cbar.mean())
@@ -99,9 +116,9 @@ def ref_deviation_trial(domain, enc, head, prior, n, epsilon, seed):
     for j, pick in enumerate(picks):
         x_tuple, y = support[pick]
         x_row = np.asarray(x_tuple, dtype=np.float64)[None, :]
+        draw = ref_logit_draws(enc, head, x_row, 1, seed, ROLE_C, j + 1)
+        wrong += int(draw[0] >= 0.0) != y
         mean, var = enc.encode_np(x_row)
-        draw = mean + np.sqrt(var) * keyed(seed, ROLE_C, j + 1).standard_normal(mean.shape)
-        wrong += int(head.logits_np(draw)[0] >= 0.0) != y
         kl_sum += gaussian_kl(mean[0], var[0], prior.mean, prior.var)
     deviation = abs(exact_sf(domain, enc, head) - wrong / n)
     rhs = deviation_bound(kl_sum / n, n, epsilon, slack_half=True)
@@ -323,7 +340,7 @@ def test_estimate_risk_refuses_misaligned_rows():
     with pytest.raises(ValueError) as info:
         estimate_risk(np.zeros((3, 1)), np.array([0, 1]), ShiftEncoder(0.0), ShiftEncoder(0.0),
                       identity_head())
-    assert str(info.value) == "x and y must align"
+    assert str(info.value) == "y has shape (2,), not one label per row (3,)"
 
 
 class TestBetaDivergence:
@@ -628,6 +645,58 @@ class TestPerRowReference:
         with pytest.raises(ValueError, match=f"^{message}$"):
             domain_shift_bound(t, s, enc_c, enc_cbar, head, mc_samples=mc_samples)
         assert created == []
+
+    @pytest.mark.parametrize("y_of, shape", [(lambda y: y[:, None], "(5, 1)"),
+                                             (lambda y: np.tile(y, (5, 1)), "(5, 5)"),
+                                             (lambda y: y[0], "()")],
+                             ids=["column", "matrix", "scalar"])
+    def test_labels_not_one_per_row_are_refused_before_any_draw(self, monkeypatch, y_of,
+                                                                 shape):
+        # a (5, 1) column would broadcast pred != y to (5, 5, mc)
+        rng = np.random.default_rng(28)
+        _, _, enc_c, enc_cbar, head = random_bound_instance(rng)
+        x, y = rng.uniform(-2.0, 2.0, size=(5, 3)), rng.integers(0, 2, size=5)
+        created = count_philox(monkeypatch)
+        with pytest.raises(ValueError) as info:
+            estimate_risk(x, y_of(y), enc_c, enc_cbar, head, mc_samples=32)
+        assert str(info.value) == f"y has shape {shape}, not one label per row (5,)"
+        assert created == []
+
+    def test_draws_read_the_logit_law_alone(self):
+        # a rep_dim 3 pair and a rep_dim 16 pair whose logits have the same
+        # law row by row get the same labels, draw for draw: coordinates
+        # with zero weight and a rescaled coordinate change nothing.  The
+        # values are dyadic, so both laws are exact whatever the sum order.
+        rng = np.random.default_rng(29)
+        n = 40
+        w3 = rng.integers(1, 5, size=3) / 4.0 * rng.choice((-1.0, 1.0), size=3)
+        w16 = np.zeros(16)
+        w16[:3] = w3
+        w16[0] = w3[0] / 2.0
+
+        def laws():
+            mean3 = rng.integers(-8, 9, size=(n, 3)) / 8.0
+            var3 = rng.integers(1, 9, size=(n, 3)) / 16.0
+            mean, var = (rng.integers(-8, 9, size=(n, 16)) / 8.0,
+                         rng.integers(1, 9, size=(n, 16)) / 16.0)
+            mean[:, :3], var[:, :3] = mean3, var3
+            mean[:, 0], var[:, 0] = 2.0 * mean3[:, 0], 4.0 * var3[:, 0]
+            return mean3, var3, mean, var
+
+        rows = [laws() for _ in range(2)]  # factual, twin
+        head3, head16 = LinearHead(3), LinearHead(16)
+        head3.w.data[:], head16.w.data[:] = w3, w16
+        for mean3, var3, mean, var in rows:
+            for got, want in zip(_logit_law(head16, mean, var), _logit_law(head3, mean3, var3)):
+                assert np.array_equal(got, want)
+        (m3c, v3c, m16c, v16c), (m3b, v3b, m16b, v16b) = rows
+        x, y = np.zeros((n, 1)), rng.integers(0, 2, size=n)
+        small = estimate_risk(x, y, FixedEncoder(m3c, v3c), FixedEncoder(m3b, v3b), head3,
+                              mc_samples=32, seed=4)
+        large = estimate_risk(x, y, FixedEncoder(m16c, v16c), FixedEncoder(m16b, v16b), head16,
+                              mc_samples=32, seed=4)
+        assert small.per_sample == large.per_sample
+        assert 0.0 < small.sf < 1.0 and 0.0 < small.nc < 1.0
 
     def test_sample_ids_must_align(self):
         enc = ShiftEncoder()
